@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict
 
-from repro.metrics.fairness import evaluate_fairness
+from repro.metrics.fairness import FairnessReport, evaluate_fairness
 from repro.metrics.latency import latency_stats
 from repro.metrics.records import RunResult
 
@@ -59,17 +59,30 @@ _INTERESTING_COUNTERS = (
 
 @dataclass(frozen=True)
 class DegradationReport:
-    """How a fault plan moved fairness, latency, and completion."""
+    """How a fault plan moved fairness, latency, and completion.
+
+    Carries each twin's whole :class:`FairnessReport` — the one evaluation
+    of that run — so callers that also need the pair counts (the chaos
+    matrix's pooled Wilson intervals) read them here.
+    """
 
     scheme: str
     plan: str
-    clean_fairness_pct: float
-    faulted_fairness_pct: float
+    clean_fairness: FairnessReport
+    faulted_fairness: FairnessReport
     clean_p99: float
     faulted_p99: float
     clean_completion: float
     faulted_completion: float
     fault_counters: Dict[str, float]
+
+    @property
+    def clean_fairness_pct(self) -> float:
+        return self.clean_fairness.percent
+
+    @property
+    def faulted_fairness_pct(self) -> float:
+        return self.faulted_fairness.percent
 
     @property
     def fairness_drop_pct(self) -> float:
@@ -124,8 +137,8 @@ def fairness_degradation(
     return DegradationReport(
         scheme=faulted.scheme,
         plan=plan,
-        clean_fairness_pct=evaluate_fairness(clean).percent,
-        faulted_fairness_pct=evaluate_fairness(faulted).percent,
+        clean_fairness=evaluate_fairness(clean),
+        faulted_fairness=evaluate_fairness(faulted),
         clean_p99=latency_stats(clean).p99,
         faulted_p99=latency_stats(faulted).p99,
         clean_completion=clean.completion_ratio(),

@@ -9,17 +9,48 @@
 
 A *competing pair* is two completed trades from different participants
 with the same trigger point; it is ordered correctly when the trade with
-the smaller response time has the smaller final position ``O``.  Pairs
-with exactly equal response times carry no expectation and are skipped
-(they have measure zero under the continuous RT distributions used).
+the smaller response time has the strictly smaller final position ``O``.
+Pairs with exactly (bitwise ``==``) equal response times carry no
+expectation and are skipped (they have measure zero under the continuous
+RT distributions used).  :func:`pairwise_correct` is that definition for
+one pair.
+
+Counting
+--------
+The pairs of a race are *counted*, never enumerated.  Every competing
+pair is booked to its **faster** trade, so a race reduces to two numbers
+per trade — how many strictly slower competitors it has, and how many of
+those hold a larger position:
+
+1. sort the race slowest first;
+2. sweep it one tie-group of equal response times at a time, keeping the
+   positions of the strictly slower trades already swept in a sorted list:
+   a trade's slower competitors are everything swept before its group,
+   and the ones ordered correctly against it are found by one ``bisect``
+   — members of a tie-group never see each other, which is the tie rule;
+3. the sweep ignores ``mp_id``, so for each participant with several
+   trades in the race the same sweep over just those trades is subtracted
+   (inclusion–exclusion: pairs of different MPs = all pairs − same-MP
+   pairs).
+
+:func:`evaluate_fairness` is the sum of those per-trade counts and
+:func:`fairness_by_rt_bucket` is the same counts binned by the faster
+trade's response time.  A race of ``n`` trades costs ``O(n log n)``
+comparisons (the sort and one ``bisect`` per trade) instead of the
+``n(n-1)/2`` pair visits of the definition.  The sorted-list insert also
+shifts up to ``n`` machine words inside C (one ``memmove``); a race
+already in fair order — the common case — appends at the end and shifts
+nothing, and on a shuffled race a Fenwick tree over position ranks, which
+shifts nothing either, was measured slower below n ≈ 20 000
+(EXPERIMENTS.md, "Pairwise-fairness kernel").
 
 Also provided: the causality check of Eq. 4 (a participant's own trades
-must be ordered in submission order) and a per-response-time-bucket
-breakdown used by Table 4.
+must be ordered in submission order).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -83,31 +114,77 @@ def pairwise_correct(a: TradeRecord, b: TradeRecord) -> Optional[bool]:
     return faster.position < slower.position
 
 
+def _sweep(keys: Sequence[Tuple[float, int, str]]) -> Tuple[List[int], List[int]]:
+    """Per key of a slowest-first ``(-response_time, -position, mp_id)``
+    list: the pairs it is the faster trade of, ``mp_id`` ignored.
+
+    Returns ``(correct, total)`` aligned with ``keys``: ``total[i]`` counts
+    the keys with a strictly larger response time, ``correct[i]`` those of
+    them that also hold a strictly larger position.
+    """
+    n = len(keys)
+    correct = [0] * n
+    total = [0] * n
+    # Negated positions of the strictly slower trades, ascending: a fairly
+    # ordered race inserts at the end.
+    slower: List[int] = []
+    lo = 0
+    while lo < n:
+        tied = keys[lo][0]
+        hi = lo + 1
+        # Bitwise equality is the tie rule of `pairwise_correct`.
+        while hi < n and keys[hi][0] == tied:
+            hi += 1
+        for i in range(lo, hi):
+            total[i] = lo
+            correct[i] = bisect_left(slower, keys[i][1])
+        for i in range(lo, hi):
+            insort(slower, keys[i][1])
+        lo = hi
+    return correct, total
+
+
+def _faster_trade_counts(race: Sequence[TradeRecord]) -> Tuple[List[float], List[int], List[int]]:
+    """One race's competing pairs, each booked to its faster trade.
+
+    Returns ``(response_times, correct, total)``, one entry per trade (in
+    slowest-first order): the trade's response time, and how many competing
+    pairs it is the faster member of — ordered correctly, and in all.
+    """
+    keys = sorted((-t.response_time, -t.position, t.mp_id) for t in race)
+    correct, total = _sweep(keys)
+    by_mp: Dict[str, List[int]] = {}
+    for index, key in enumerate(keys):
+        by_mp.setdefault(key[2], []).append(index)
+    if len(by_mp) < len(keys):
+        # Same-participant pairs do not compete: take them back out.
+        # Integer subtraction commutes; name order is the explicit order.
+        for mp_id in sorted(by_mp):
+            own = by_mp[mp_id]
+            if len(own) > 1:
+                own_correct, own_total = _sweep([keys[index] for index in own])
+                for index, c, t in zip(own, own_correct, own_total):
+                    correct[index] -= c
+                    total[index] -= t
+    return [-key[0] for key in keys], correct, total
+
+
 def evaluate_fairness(result: RunResult) -> FairnessReport:
     """Compute the paper's fairness ratio over all speed races in a run."""
     races = result.trades_by_trigger()
     correct = 0
     total = 0
-    unordered = sum(1 for t in result.trades if not t.completed)
     # Pair counts are commutative integer sums, but iterate races in
     # trigger order anyway — explicit order beats a suppression.
     for trigger in sorted(races):
-        # Sort by response time: all pairs (faster, slower) then reduce to
-        # a single O(n log n + pairs) sweep per race.
-        trades_sorted = sorted(races[trigger], key=lambda t: t.response_time)
-        for i in range(len(trades_sorted)):
-            for j in range(i + 1, len(trades_sorted)):
-                verdict = pairwise_correct(trades_sorted[i], trades_sorted[j])
-                if verdict is None:
-                    continue
-                total += 1
-                if verdict:
-                    correct += 1
+        _, race_correct, race_total = _faster_trade_counts(races[trigger])
+        correct += sum(race_correct)
+        total += sum(race_total)
     return FairnessReport(
         correct_pairs=correct,
         total_pairs=total,
         races=len(races),
-        unordered_trades=unordered,
+        unordered_trades=sum(1 for t in result.trades if not t.completed),
     )
 
 
@@ -145,21 +222,12 @@ def fairness_by_rt_bucket(
     # Bucket tallies are commutative integer sums; trigger order is the
     # explicit iteration order.
     for trigger in sorted(races):
-        trades_sorted = sorted(races[trigger], key=lambda t: t.response_time)
-        for i in range(len(trades_sorted)):
-            for j in range(i + 1, len(trades_sorted)):
-                verdict = pairwise_correct(trades_sorted[i], trades_sorted[j])
-                if verdict is None:
-                    continue
-                faster_rt = min(
-                    trades_sorted[i].response_time, trades_sorted[j].response_time
-                )
-                for bucket in buckets:
-                    if bucket[0] <= faster_rt < bucket[1]:
-                        tallies[bucket][1] += 1
-                        if verdict:
-                            tallies[bucket][0] += 1
-                        break
+        for faster_rt, correct, total in zip(*_faster_trade_counts(races[trigger])):
+            for bucket in buckets:
+                if bucket[0] <= faster_rt < bucket[1]:
+                    tallies[bucket][0] += correct
+                    tallies[bucket][1] += total
+                    break
     return {
         bucket: FairnessReport(
             correct_pairs=counts[0],

@@ -174,7 +174,6 @@ def run_cell(cell: CellSpec) -> CellResult:
     from repro.exchange.feed import FeedConfig
     from repro.experiments.chaos import make_plan, run_chaos
     from repro.experiments.runner import run_scheme, summarize
-    from repro.metrics.fairness import evaluate_fairness
     from repro.metrics.serialization import summary_to_dict, trade_ordering_digest
 
     factory = _specs_factory(cell)
@@ -186,19 +185,20 @@ def run_cell(cell: CellSpec) -> CellResult:
     )
     if cell.plan is None:
         result = run_scheme(cell.scheme, factory(), **common, **cell.scheme_kwargs)
-        fairness = evaluate_fairness(result)
+        summary = summarize(result, with_bound=False)
         return CellResult(
             cell=cell,
             ok=True,
             clean_digest=trade_ordering_digest(result),
-            summary=summary_to_dict(summarize(result, with_bound=False)),
-            clean_pairs=(fairness.correct_pairs, fairness.total_pairs),
+            summary=summary_to_dict(summary),
+            clean_pairs=(summary.fairness.correct_pairs, summary.fairness.total_pairs),
         )
 
     plan = make_plan(cell.plan, cell.duration, cell.participants)
     report = run_chaos(cell.scheme, factory, plan=plan, **common, **cell.scheme_kwargs)
-    clean_fairness = evaluate_fairness(report.clean)
-    faulted_fairness = evaluate_fairness(report.faulted)
+    # The twins were evaluated once, inside the degradation report.
+    clean_fairness = report.degradation.clean_fairness
+    faulted_fairness = report.degradation.faulted_fairness
     return CellResult(
         cell=cell,
         ok=True,

@@ -143,6 +143,48 @@ class TestParallelEqualsSerial:
         assert "unknown scenario" in result.error
 
 
+class TestOneFairnessEvaluationPerRun:
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """The runs handed to ``evaluate_fairness``, wherever it was imported."""
+        import sys
+
+        from repro.metrics import fairness
+
+        plain, seen = fairness.evaluate_fairness, []
+
+        def counting(result):
+            seen.append(result)
+            return plain(result)
+
+        for name, module in list(sys.modules.items()):
+            if name == "repro" or name.startswith("repro."):
+                for attribute, value in list(vars(module).items()):
+                    if value is plain:
+                        monkeypatch.setattr(module, attribute, counting)
+        return seen
+
+    def test_faulted_cell_evaluates_each_twin_once(self, evaluated):
+        from repro.parallel import run_cell
+
+        result = run_cell(CellSpec(scheme="dbo", seed=5, plan="partition",
+                                   participants=3, duration=2_000.0))
+        assert len(evaluated) == 2 and evaluated[0] is not evaluated[1]
+        # The pair counts and the percentages come from the same reports.
+        for pairs, pct in ((result.clean_pairs, "clean_fairness_pct"),
+                           (result.faulted_pairs, "faulted_fairness_pct")):
+            assert pairs[1] > 0
+            assert result.degradation[pct] == 100.0 * pairs[0] / pairs[1]
+
+    def test_plain_cell_evaluates_its_run_once(self, evaluated):
+        from repro.parallel import run_cell
+
+        result = run_cell(CellSpec(scheme="direct", seed=6, plan=None,
+                                   participants=3, duration=2_000.0))
+        assert len(evaluated) == 1
+        assert result.summary["fairness"]["total_pairs"] == result.clean_pairs[1] > 0
+
+
 class TestSweepParallelBackend:
     def test_parallel_sweep_matches_serial_metrics(self):
         from functools import partial
