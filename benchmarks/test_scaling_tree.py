@@ -30,13 +30,8 @@ FANOUT = 8
 DEPTH = 3
 SEED = 7
 TAU = 20.0
-# Engine choice is a pure mechanics knob — digests/fairness are
-# engine-independent (tests/test_engine_differential.py), so the pinned
-# pair counts below hold for any value.  Measured on this workload the
-# heap engine wins at large N: delivery events dominate the mix and
-# C-coded heapq beats the calendar's pure-Python slot machinery once
-# slots grow dense (the calendar's banded heartbeat batching pays off at
-# small N, where periodic events are the bulk of the queue).
+# The production scheduler; the pinned pair counts below hold on the
+# reference oracle too (tests/test_engine_differential.py).
 ENGINE = "heap"
 
 # (participants, feed duration µs, drain µs).  Durations shrink with N to

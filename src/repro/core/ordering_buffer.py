@@ -61,13 +61,12 @@ class OrderingBuffer:
         Lag (µs) beyond which a participant stops being waited for;
         ``None`` disables mitigation (the paper's default guarantees
         fairness at the cost of latency under stragglers).
-    incremental_extremes:
-        Maintain the (min, second-min) watermark pair incrementally —
-        O(1) per message in the common case instead of an O(N) scan.
-        The release rule only needs a recompute when the current minimum
-        holder advances or a straggler flag flips; every heartbeat from a
-        non-extreme participant leaves the cache valid.  ``False`` keeps
-        the original scan (the perf benchmark's reference mode).
+
+    The (min, second-min) watermark pair is maintained incrementally —
+    O(1) per message in the common case instead of an O(N) scan.  The
+    release rule only needs a recompute when the current minimum holder
+    advances or a straggler flag flips; every heartbeat from a non-extreme
+    participant leaves the cache valid.
     """
 
     def __init__(
@@ -77,7 +76,6 @@ class OrderingBuffer:
         generation_time_of: Optional[Callable[[int], float]] = None,
         straggler_threshold: Optional[float] = None,
         latest_point_id: Optional[Callable[[], int]] = None,
-        incremental_extremes: bool = True,
     ) -> None:
         if not participants:
             raise ValueError("ordering buffer needs at least one participant")
@@ -85,13 +83,11 @@ class OrderingBuffer:
         self.generation_time_of = generation_time_of
         self.straggler_threshold = straggler_threshold
         self.latest_point_id = latest_point_id
-        self.incremental_extremes = incremental_extremes
         self._policy = DeliveryClockPolicy(
             participants=participants,
             generation_time_of=generation_time_of,
             straggler_threshold=straggler_threshold,
             latest_point_id=latest_point_id,
-            incremental_extremes=incremental_extremes,
         )
         # The per-participant view is the policy's; shared by reference
         # (crash() resets it in place, so the identity is stable).
@@ -190,17 +186,15 @@ class OrderingBuffer:
             if old_t is None or new_t > old_t:
                 wm[mp_id] = new_t
                 state.watermark = stamp
-                if self.incremental_extremes and not state.is_straggler:
+                if not state.is_straggler:
                     if old_t is None:
                         pol._n_unreported -= 1
                     heapq.heappush(pol._ext_heap, (new_t, mp_id))
             if self.straggler_threshold is not None:
                 pol.update_straggler_state(state, stamp, arrival_time)
-        # With nothing queued, no straggler tracking, and the incremental
-        # extremes live, `_try_release` is a no-op — skip the call.  The
-        # seed-emulating path (incremental_extremes=False) keeps its
-        # per-heartbeat extremes scan.
-        if self._heap or self.straggler_threshold is not None or not self.incremental_extremes:
+        # With nothing queued and no straggler tracking, `_try_release`
+        # is a no-op — skip the call.
+        if self._heap or self.straggler_threshold is not None:
             self._try_release(arrival_time)
 
     # ------------------------------------------------------------------
@@ -220,46 +214,38 @@ class OrderingBuffer:
             return
         heap = self._heap
         pol = self._policy
-        if self.incremental_extremes:
-            if self.straggler_threshold is not None:
-                pol.check_silent_stragglers(now)
-            if not heap:
-                # Nothing queued: straggler bookkeeping above still ran,
-                # but there is no release decision to make, so skip the
-                # extremes probe entirely.
-                return
-            if pol._ext_dirty:
-                pol.rebuild_ext_heap()
-            if pol._n_unreported:
-                return
-            n_waited = pol._n_waited
-            if n_waited == 0:
-                # Every participant is a straggler: release everything
-                # (pure FCFS degradation beats stalling the market).
-                min1_t = min2_t = pol._TOP_T
-                min1_mp = None
-            else:
-                ext_heap = pol._ext_heap
-                if len(ext_heap) > 64 + 4 * n_waited:
-                    pol.rebuild_ext_heap()
-                    ext_heap = pol._ext_heap
-                wm = pol._wm
-                while True:
-                    entry = ext_heap[0]
-                    if wm[entry[1]] == entry[0]:
-                        break
-                    heapq.heappop(ext_heap)
-                min1_t, min1_mp = entry
-                # The second minimum only bounds the minimum holder's own
-                # trades; probe for it lazily on first need.
-                min2_t = None
-        else:
-            min1, min1_mp, min2 = pol.watermark_extremes(now)
-            if min1 is None:
-                return
-            min1_t, min2_t = min1.as_tuple(), min2.as_tuple()
-        if min1_t is None:
+        if self.straggler_threshold is not None:
+            pol.check_silent_stragglers(now)
+        if not heap:
+            # Nothing queued: straggler bookkeeping above still ran, but
+            # there is no release decision to make, so skip the extremes
+            # probe entirely.
             return
+        if pol._ext_dirty:
+            pol.rebuild_ext_heap()
+        if pol._n_unreported:
+            return
+        n_waited = pol._n_waited
+        if n_waited == 0:
+            # Every participant is a straggler: release everything
+            # (pure FCFS degradation beats stalling the market).
+            min1_t = min2_t = pol._TOP_T
+            min1_mp = None
+        else:
+            ext_heap = pol._ext_heap
+            if len(ext_heap) > 64 + 4 * n_waited:
+                pol.rebuild_ext_heap()
+                ext_heap = pol._ext_heap
+            wm = pol._wm
+            while True:
+                entry = ext_heap[0]
+                if wm[entry[1]] == entry[0]:
+                    break
+                heapq.heappop(ext_heap)
+            min1_t, min1_mp = entry
+            # The second minimum only bounds the minimum holder's own
+            # trades; probe for it lazily on first need.
+            min2_t = None
         while heap:
             head = heap[0]
             if head[1] == min1_mp:

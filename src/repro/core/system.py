@@ -115,7 +115,6 @@ class DBODeployment(BaseDeployment):
         piggyback_suppression: bool = False,
         ob_service_time: float = 0.0,
         risk_limits: Optional["RiskLimits"] = None,
-        ob_incremental_extremes: bool = True,
         retransmit_policy: Optional[RetransmitPolicy] = None,
         enable_egress_gateway: bool = False,
         supervise: bool = False,
@@ -159,8 +158,6 @@ class DBODeployment(BaseDeployment):
         # the (filtered) shard output.
         self.ob_service_time = ob_service_time
         self._ob_service_queues: Dict[str, object] = {}
-        # Ablation/benchmark switch for the OB's cached-extremes hot path.
-        self.ob_incremental_extremes = ob_incremental_extremes
         # Optional pre-trade risk gate between OB release and the ME.
         self.risk_limits = risk_limits
         self.risk_gate = None
@@ -237,7 +234,6 @@ class DBODeployment(BaseDeployment):
             generation_time_of=self.ces.generation_time_of,
             straggler_threshold=self.params.straggler_threshold,
             latest_point_id=lambda: self.ces.points_generated - 1,
-            incremental_extremes=self.ob_incremental_extremes,
         )
 
     def _build(self) -> None:

@@ -80,7 +80,7 @@ class SchemeBuilder:
         """Construct (but do not run) the deployment.
 
         A caller-supplied ``runtime`` wins; otherwise one is created from
-        ``seed`` and the named ``engine`` kind (``heap``/``wheel``/…).
+        ``seed`` and the named ``engine`` kind (``heap`` or ``reference``).
         Remaining kwargs go to the deployment constructor untouched.
         """
         if runtime is None:

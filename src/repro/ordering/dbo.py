@@ -64,7 +64,6 @@ class DeliveryClockPolicy:
         generation_time_of: Optional[Callable[[int], float]] = None,
         straggler_threshold: Optional[float] = None,
         latest_point_id: Optional[Callable[[], int]] = None,
-        incremental_extremes: bool = True,
     ) -> None:
         if not participants:
             raise ValueError("delivery-clock ordering needs at least one participant")
@@ -83,7 +82,6 @@ class DeliveryClockPolicy:
         # the CES).  Lets the lag estimate catch *starvation*: a
         # participant whose delivery frontier is far behind generation.
         self.latest_point_id = latest_point_id
-        self.incremental_extremes = incremental_extremes
         self.states: Dict[str, ParticipantState] = {
             mp_id: ParticipantState(mp_id) for mp_id in participants
         }
@@ -121,7 +119,7 @@ class DeliveryClockPolicy:
         wm[mp_id] = new_t
         state = self.states[mp_id]
         state.watermark = stamp
-        if self.incremental_extremes and not state.is_straggler:
+        if not state.is_straggler:
             if old_t is None:
                 self._n_unreported -= 1
             heapq.heappush(self._ext_heap, (new_t, mp_id))

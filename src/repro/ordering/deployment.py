@@ -71,7 +71,6 @@ class ProbOrderingBuffer(OrderingBuffer):
         generation_time_of: Optional[Callable[[int], float]] = None,
         straggler_threshold: Optional[float] = None,
         latest_point_id: Optional[Callable[[], int]] = None,
-        incremental_extremes: bool = True,
     ) -> None:
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
@@ -81,7 +80,6 @@ class ProbOrderingBuffer(OrderingBuffer):
             generation_time_of=generation_time_of,
             straggler_threshold=straggler_threshold,
             latest_point_id=latest_point_id,
-            incremental_extremes=incremental_extremes,
         )
         self._engine = engine
         self.horizon = float(horizon)
@@ -203,7 +201,6 @@ class ProbDeployment(DBODeployment):
             generation_time_of=self.ces.generation_time_of,
             straggler_threshold=self.params.straggler_threshold,
             latest_point_id=lambda: self.ces.points_generated - 1,
-            incremental_extremes=self.ob_incremental_extremes,
         )
 
     def _counters(self) -> Dict[str, float]:

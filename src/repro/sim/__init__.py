@@ -7,9 +7,7 @@ from repro.sim.clocks import (
     SynchronizedClock,
     make_clock,
 )
-from repro.sim.calendar import CalendarQueueEngine
 from repro.sim.engine import (
-    BucketWheelEngine,
     ENGINE_FACTORIES,
     EventEngine,
     HeapEventEngine,
@@ -43,8 +41,6 @@ __all__ = [
     "PerfectClock",
     "SynchronizedClock",
     "make_clock",
-    "BucketWheelEngine",
-    "CalendarQueueEngine",
     "ENGINE_FACTORIES",
     "EventEngine",
     "HeapEventEngine",

@@ -6,12 +6,11 @@ module is layered:
 
 * :class:`SimClock` / :class:`Scheduler` — structural protocols any
   event core must satisfy (components depend only on these);
-* :class:`HeapEventEngine` — the default binary-heap calendar queue
-  (exported as :data:`EventEngine` for backward compatibility);
-* :class:`BucketWheelEngine` — a bucketed/timing-wheel variant for the
-  dense periodic-event regime (many small heaps instead of one big one);
-* :class:`ReferenceHeapEngine` — the pre-optimization behaviour
-  (push-per-tick periodic events), kept as the perf-benchmark baseline;
+* :class:`HeapEventEngine` — the one production scheduler, a binary
+  heap (exported as :data:`EventEngine` for backward compatibility);
+* :class:`ReferenceHeapEngine` — the same heap with periodic events
+  pushed anew each tick: the oracle the differential and Hypothesis
+  suites compare :class:`HeapEventEngine` against;
 * :class:`PeriodicTimer` — an engine-native recurring event that is
   rescheduled in place (``heapreplace``) instead of pushed anew each
   tick, which is what makes τ-period heartbeats cheap at large N.
@@ -44,7 +43,6 @@ from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple, Union, 
 __all__ = [
     "EventEngine",
     "HeapEventEngine",
-    "BucketWheelEngine",
     "ReferenceHeapEngine",
     "PeriodicTimer",
     "ScheduledEvent",
@@ -72,9 +70,8 @@ class SimClock(Protocol):
 class Scheduler(Protocol):
     """The scheduling surface components program against.
 
-    Both engines (heap and wheel) satisfy this protocol; components and
-    the :class:`~repro.sim.runtime.Runtime` depend only on it, never on a
-    concrete engine class.
+    Components and the :class:`~repro.sim.runtime.Runtime` depend only
+    on this protocol, never on a concrete engine class.
     """
 
     @property
@@ -168,7 +165,7 @@ class PeriodicTimer:
         callback: Callable[[], None],
         priority: int = 1,
     ) -> None:
-        if period <= 0:
+        if not (period > 0):  # also rejects NaN
             raise SimulationError(f"periodic timer needs a positive period, got {period}")
         self._engine = engine
         self._anchor = float(anchor)
@@ -225,10 +222,26 @@ class PeriodicTimer:
         )
 
 
-class _EngineBase:
-    """State and non-hot-path methods shared by both engine flavours."""
+class HeapEventEngine:
+    """A deterministic discrete-event scheduler over one binary heap.
 
-    __slots__ = ("_now", "_sequence", "_running", "_events_processed", "_live", "_peak_pending")
+    Parameters
+    ----------
+    start_time:
+        Simulated time at which the engine starts (microseconds).
+
+    Examples
+    --------
+    >>> engine = HeapEventEngine()
+    >>> seen = []
+    >>> _ = engine.schedule_at(5.0, lambda: seen.append(engine.now))
+    >>> _ = engine.schedule_at(1.0, lambda: seen.append(engine.now))
+    >>> engine.run()
+    >>> seen
+    [1.0, 5.0]
+    """
+
+    __slots__ = ("_now", "_sequence", "_running", "_events_processed", "_live", "_peak_pending", "_heap")
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
@@ -240,6 +253,7 @@ class _EngineBase:
         # memory, not logical load).
         self._live = 0
         self._peak_pending = 0
+        self._heap: List[list] = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -264,9 +278,42 @@ class _EngineBase:
         """High-water mark of the queue size (including tombstones)."""
         return self._peak_pending
 
+    @property
+    def pending_events(self) -> int:
+        """Number of events still in the queue (including cancelled)."""
+        return len(self._heap)
+
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
+    # The guards are written ``not (x >= bound)`` so that NaN, for which
+    # every comparison is false, is rejected like any other bad time.
+    def schedule_at(
+        self,
+        time: float,
+        callback: Callable[..., None],
+        priority: int = 1,
+        args: Tuple[Any, ...] = (),
+    ) -> ScheduledEvent:
+        """Schedule ``callback(*args)`` at absolute simulated ``time``.
+
+        Raises
+        ------
+        SimulationError
+            If ``time`` is before the current simulated time (or NaN).
+        """
+        if not (time >= self._now):
+            raise SimulationError(
+                f"cannot schedule event at {time} before current time {self._now}"
+            )
+        entry = [float(time), priority, next(self._sequence), callback, args]
+        heap = self._heap
+        heapq.heappush(heap, entry)
+        if len(heap) > self._peak_pending:
+            self._peak_pending = len(heap)
+        self._live += 1
+        return ScheduledEvent(entry)
+
     def schedule_after(
         self,
         delay: float,
@@ -275,7 +322,7 @@ class _EngineBase:
         args: Tuple[Any, ...] = (),
     ) -> ScheduledEvent:
         """Schedule ``callback`` to run ``delay`` microseconds from now."""
-        if delay < 0:
+        if not (delay >= 0):
             raise SimulationError(f"negative delay {delay}")
         return self.schedule_at(self._now + delay, callback, priority, args)
 
@@ -290,14 +337,17 @@ class _EngineBase:
 
         Returns the :class:`PeriodicTimer` handle (cancel to stop).
         """
-        if start_time < self._now:
+        if not (start_time >= self._now):
             raise SimulationError(
                 f"cannot schedule timer at {start_time} before current time {self._now}"
             )
         timer = PeriodicTimer(self, start_time, period, callback, priority)
         entry = [float(start_time), priority, next(self._sequence), timer, ()]
         timer._entry = entry
-        self._push_entry(entry)
+        heap = self._heap
+        heapq.heappush(heap, entry)
+        if len(heap) > self._peak_pending:
+            self._peak_pending = len(heap)
         self._live += 1
         return timer
 
@@ -320,73 +370,6 @@ class _EngineBase:
     def _on_timer_cancel(self, timer: PeriodicTimer) -> None:
         # Called exactly once per timer (PeriodicTimer.cancel guards).
         self._live -= 1
-
-    # Engine-specific primitive: place an entry into the queue.
-    def _push_entry(self, entry: list) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class HeapEventEngine(_EngineBase):
-    """A deterministic discrete-event scheduler over one binary heap.
-
-    Parameters
-    ----------
-    start_time:
-        Simulated time at which the engine starts (microseconds).
-
-    Examples
-    --------
-    >>> engine = HeapEventEngine()
-    >>> seen = []
-    >>> _ = engine.schedule_at(5.0, lambda: seen.append(engine.now))
-    >>> _ = engine.schedule_at(1.0, lambda: seen.append(engine.now))
-    >>> engine.run()
-    >>> seen
-    [1.0, 5.0]
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self, start_time: float = 0.0) -> None:
-        super().__init__(start_time)
-        self._heap: List[list] = []
-
-    @property
-    def pending_events(self) -> int:
-        """Number of events still in the queue (including cancelled)."""
-        return len(self._heap)
-
-    # ------------------------------------------------------------------
-    def _push_entry(self, entry: list) -> None:
-        heapq.heappush(self._heap, entry)
-        if len(self._heap) > self._peak_pending:
-            self._peak_pending = len(self._heap)
-
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        priority: int = 1,
-        args: Tuple[Any, ...] = (),
-    ) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``.
-
-        Raises
-        ------
-        SimulationError
-            If ``time`` is before the current simulated time.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {time} before current time {self._now}"
-            )
-        entry = [float(time), priority, next(self._sequence), callback, args]
-        heap = self._heap
-        heapq.heappush(heap, entry)
-        if len(heap) > self._peak_pending:
-            self._peak_pending = len(heap)
-        self._live += 1
-        return ScheduledEvent(entry)
 
     # ------------------------------------------------------------------
     # Execution
@@ -512,13 +495,14 @@ class HeapEventEngine(_EngineBase):
 
 
 class ReferenceHeapEngine(HeapEventEngine):
-    """The pre-optimization engine behaviour, kept for benchmarking.
+    """The pre-optimization engine behaviour, kept as the test oracle.
 
     Periodic work is emulated the way components used to do it by hand:
     every tick pops its entry and pushes a fresh one (closure reschedule,
-    additive accumulation).  ``benchmarks/test_perf_engine.py`` runs the
-    same deployment on this engine and on :class:`HeapEventEngine` to
-    measure the speedup of in-place timer rescheduling.
+    additive accumulation).  ``tests/test_engine_differential.py`` runs
+    the same programs and deployments on this engine and on
+    :class:`HeapEventEngine` and requires identical fire logs, digests,
+    audit reports and channel odometers.
     """
 
     __slots__ = ()
@@ -530,7 +514,7 @@ class ReferenceHeapEngine(HeapEventEngine):
         callback: Callable[[], None],
         priority: int = 1,
     ) -> PeriodicTimer:
-        if start_time < self._now:
+        if not (start_time >= self._now):
             raise SimulationError(
                 f"cannot schedule timer at {start_time} before current time {self._now}"
             )
@@ -554,212 +538,23 @@ class ReferenceHeapEngine(HeapEventEngine):
         pass
 
 
-class BucketWheelEngine(_EngineBase):
-    """A bucketed calendar queue (timing-wheel flavour).
-
-    Events are hashed into fixed-width time buckets, each a small heap;
-    the bucket order is itself a heap of bucket indices.  Dense periodic
-    regimes (N participants × τ-period heartbeats) keep each heap shallow,
-    trading one extra dict lookup per operation for much shorter sifts.
-
-    Event semantics (FIFO tie-break, priorities, cancellation, timers)
-    are identical to :class:`HeapEventEngine`: for any workload the two
-    engines execute callbacks in exactly the same order.
-    """
-
-    __slots__ = ("_width", "_buckets", "_order", "_entries")
-
-    def __init__(self, start_time: float = 0.0, bucket_width: float = 64.0) -> None:
-        super().__init__(start_time)
-        if bucket_width <= 0:
-            raise SimulationError("bucket_width must be positive")
-        self._width = float(bucket_width)
-        self._buckets: Dict[int, List[list]] = {}
-        self._order: List[int] = []
-        self._entries = 0
-
-    @property
-    def bucket_width(self) -> float:
-        return self._width
-
-    @property
-    def pending_events(self) -> int:
-        """Number of events still queued (including cancelled)."""
-        return self._entries
-
-    # ------------------------------------------------------------------
-    def _push_entry(self, entry: list) -> None:
-        index = int(entry[0] // self._width)
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            self._buckets[index] = bucket = []
-            heapq.heappush(self._order, index)
-        heapq.heappush(bucket, entry)
-        self._entries += 1
-        if self._entries > self._peak_pending:
-            self._peak_pending = self._entries
-
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        priority: int = 1,
-        args: Tuple[Any, ...] = (),
-    ) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {time} before current time {self._now}"
-            )
-        entry = [float(time), priority, next(self._sequence), callback, args]
-        self._push_entry(entry)
-        self._live += 1
-        return ScheduledEvent(entry)
-
-    def _front_bucket(self) -> Optional[List[list]]:
-        """The non-empty bucket holding the globally earliest entry."""
-        order = self._order
-        buckets = self._buckets
-        while order:
-            index = order[0]
-            bucket = buckets[index]
-            if bucket:
-                return bucket
-            heapq.heappop(order)
-            del buckets[index]
-        return None
-
-    def _fire_timer(self, bucket: List[list], entry: list, timer: PeriodicTimer) -> None:
-        timer._fires += 1
-        timer._callback()
-        if timer._active:
-            time_next = timer._anchor + timer._fires * timer._period
-            entry_next = [time_next, entry[1], next(self._sequence), timer, ()]
-            timer._entry = entry_next
-            same_bucket = int(time_next // self._width) == int(entry[0] // self._width)
-            if same_bucket and bucket and bucket[0] is entry:
-                heapq.heapreplace(bucket, entry_next)
-            else:
-                entry[3] = None
-                self._entries -= 1  # the tombstone pairs with the push below
-                self._push_entry(entry_next)
-        else:
-            if bucket and bucket[0] is entry:
-                heapq.heappop(bucket)
-                self._entries -= 1
-            else:
-                entry[3] = None
-
-    def step(self) -> bool:
-        """Execute the next pending event (same contract as the heap engine)."""
-        while True:
-            bucket = self._front_bucket()
-            if bucket is None:
-                return False
-            entry = bucket[0]
-            callback = entry[3]
-            if callback is None:
-                heapq.heappop(bucket)
-                self._entries -= 1
-                continue
-            if type(callback) is PeriodicTimer:
-                if not callback._active:
-                    heapq.heappop(bucket)
-                    self._entries -= 1
-                    continue
-                self._now = entry[0]
-                self._events_processed += 1
-                self._fire_timer(bucket, entry, callback)
-                return True
-            heapq.heappop(bucket)
-            self._entries -= 1
-            entry[3] = None
-            self._live -= 1
-            self._now = entry[0]
-            self._events_processed += 1
-            args = entry[4]
-            if args:
-                callback(*args)
-            else:
-                callback()
-            return True
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run until drained / ``until`` / ``max_events`` (heap-engine contract)."""
-        if self._running:
-            raise SimulationError("engine is already running (re-entrant run())")
-        self._running = True
-        try:
-            processed = 0
-            while True:
-                bucket = self._front_bucket()
-                if bucket is None:
-                    break
-                entry = bucket[0]
-                callback = entry[3]
-                if callback is None:
-                    heapq.heappop(bucket)
-                    self._entries -= 1
-                    continue
-                is_timer = type(callback) is PeriodicTimer
-                if is_timer and not callback._active:
-                    heapq.heappop(bucket)
-                    self._entries -= 1
-                    continue
-                time = entry[0]
-                if until is not None and time > until:
-                    if until > self._now:
-                        self._now = until
-                    return
-                if max_events is not None and processed >= max_events:
-                    return
-                self._now = time
-                self._events_processed += 1
-                processed += 1
-                if is_timer:
-                    self._fire_timer(bucket, entry, callback)
-                else:
-                    heapq.heappop(bucket)
-                    self._entries -= 1
-                    entry[3] = None
-                    self._live -= 1
-                    args = entry[4]
-                    if args:
-                        callback(*args)
-                    else:
-                        callback()
-            if until is not None and until > self._now:
-                self._now = until
-        finally:
-            self._running = False
-
-
 # The historical name: the default engine every existing construction
 # site (and test) uses.
 EventEngine = HeapEventEngine
 
 
-def _calendar_factory(start_time: float = 0.0, **kwargs: Any) -> _EngineBase:
-    # Imported lazily: repro.sim.calendar builds on this module.
-    from repro.sim.calendar import CalendarQueueEngine
-
-    return CalendarQueueEngine(start_time=start_time, **kwargs)
-
-
-ENGINE_FACTORIES: Dict[str, Callable[..., _EngineBase]] = {
+ENGINE_FACTORIES: Dict[str, Callable[..., HeapEventEngine]] = {
     "heap": HeapEventEngine,
-    "wheel": BucketWheelEngine,
-    "calendar": _calendar_factory,
     "reference": ReferenceHeapEngine,
 }
 
 
-def make_engine(kind: str = "heap", start_time: float = 0.0, **kwargs: Any) -> _EngineBase:
-    """Build an engine by name (``heap``, ``wheel``, ``calendar``, ``reference``)."""
+def make_engine(kind: str = "heap", start_time: float = 0.0) -> HeapEventEngine:
+    """Build an engine by name (``heap`` or ``reference``)."""
     try:
         factory = ENGINE_FACTORIES[kind]
     except KeyError:
         raise ValueError(
             f"unknown engine kind {kind!r}; choose from {sorted(ENGINE_FACTORIES)}"
         ) from None
-    return factory(start_time=start_time, **kwargs)
+    return factory(start_time=start_time)

@@ -77,11 +77,10 @@ class Runtime:
         engine: str = "heap",
         start_time: float = 0.0,
         params: Any = None,
-        **engine_kwargs: Any,
     ) -> "Runtime":
-        """Build a runtime with a named engine kind (``heap``/``wheel``/…)."""
+        """Build a runtime with a named engine kind (``heap`` or ``reference``)."""
         return cls(
-            engine=make_engine(engine, start_time=start_time, **engine_kwargs),
+            engine=make_engine(engine, start_time=start_time),
             seed=seed,
             params=params,
         )

@@ -248,15 +248,22 @@ class TestJsonOutput:
         second = json.loads(capsys.readouterr().out)
         assert first == second
 
-    def test_run_wheel_engine_flag(self, capsys):
+    def test_run_reference_engine_flag(self, capsys):
         code = main(
             ["run", "--scheme", "dbo", "--participants", "2",
-             "--duration", "2000", "--seed", "4", "--engine", "wheel", "--json"]
+             "--duration", "2000", "--seed", "4", "--engine", "reference", "--json"]
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["engine"] == "wheel"
+        assert doc["engine"] == "reference"
         assert doc["summary"]["latency"]["count"] > 0
+
+    @pytest.mark.parametrize("removed", ["wheel", "calendar"])
+    def test_run_rejects_removed_engine(self, removed, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--scheme", "dbo", "--engine", removed])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestChaos:

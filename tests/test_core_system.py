@@ -19,6 +19,11 @@ def run_dbo(specs, duration=4000.0, params=None, **kwargs):
 
 
 class TestEndToEnd:
+    def test_removed_extremes_knob_is_rejected(self):
+        # The scan fallback is gone; the dead knob must not be swallowed.
+        with pytest.raises(TypeError):
+            DBODeployment(default_network_specs(2, seed=5), ob_incremental_extremes=False)
+
     def test_perfect_fairness_on_asymmetric_network(self):
         specs = default_network_specs(4, seed=5)
         _, result = run_dbo(specs)

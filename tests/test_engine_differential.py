@@ -1,23 +1,22 @@
-"""Cross-engine differential harness: every engine, one observable history.
+"""Differential harness: the heap engine against its reference oracle.
 
-The repository ships three production event engines — the binary heap
-(``heap``), the bucket wheel (``wheel``) and the slotted calendar queue
-(``calendar``) — plus the seed-faithful :class:`ReferenceHeapEngine`
-oracle.  Their contract is *observational equivalence*: for any workload
-they must execute callbacks in exactly the same order, so every digest,
-audit report and channel odometer is byte-identical across engines.
+The repository ships one production event engine, the binary heap
+(``heap``), and the seed-faithful :class:`ReferenceHeapEngine` oracle
+(``reference``), which re-pushes every periodic tick the way components
+once did by hand.  Their contract is *observational equivalence*: for
+any workload they must execute callbacks in exactly the same order, so
+every digest, audit report and channel odometer is byte-identical.
 
 This harness pins that contract from three directions:
 
-* **Scheme grid** — every scheme x scenario cell is run on all engines
+* **Scheme grid** — every scheme x scenario cell is run on both engines
   and the trade-ordering digest, invariant-audit report and per-channel
-  odometers are compared against the heap baseline.
+  odometers are compared.
 * **Fault grid** — chaos plans (crash, failover, partition, duplication)
   are replayed per engine through the full injector/auditor pipeline;
   clean and faulted digests must both match.
 * **Hypothesis oracle** — randomly generated schedule / cancel /
-  periodic-timer programs are executed side by side on the
-  :class:`ReferenceHeapEngine` oracle and each production engine, and
+  periodic-timer programs are executed side by side on both engines and
   the complete fire logs (time, priority, label) must coincide — this
   covers FIFO-within-timestamp, priority ordering and tombstone
   semantics far beyond what the fixed scenarios reach.
@@ -36,13 +35,12 @@ from repro.experiments.chaos import make_plan, run_chaos
 from repro.experiments.runner import build_deployment
 from repro.faults.auditor import InvariantAuditor
 from repro.metrics.serialization import trade_ordering_digest
-from repro.sim.engine import ENGINE_FACTORIES, ReferenceHeapEngine, make_engine
+from repro.sim.engine import ENGINE_FACTORIES, make_engine
 
-# The production engines under differential test.  ``heap`` is the
-# baseline the others are compared against.
+# ``heap`` is the production engine; the grids run each cell on it and
+# on every candidate and require identical observables.
 BASELINE = "heap"
-CANDIDATES = ["wheel", "calendar"]
-ALL_ENGINES = [BASELINE] + CANDIDATES
+CANDIDATES = ["reference"]
 
 SCHEMES = ["direct", "cloudex", "fba", "dbo", "libra", "prob"]
 
@@ -147,8 +145,7 @@ def test_grid_covers_every_scheme():
 
 
 def test_all_production_engines_registered():
-    for engine in ALL_ENGINES:
-        assert engine in ENGINE_FACTORIES
+    assert set(ENGINE_FACTORIES) == {"heap", "reference"}
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +173,7 @@ def test_fault_cell_matches_heap(plan_name, engine):
 # scheduled live event, registers a periodic timer, or cancels a timer.
 # The observable history is the fire log: (time, priority, label) per
 # callback invocation, in execution order.  The reference engine is the
-# oracle; every production engine must reproduce its log exactly.
+# oracle; the heap engine must reproduce its log exactly.
 
 _one_shot = st.tuples(
     st.floats(min_value=0.0, max_value=200.0, allow_nan=False, width=32),
@@ -218,16 +215,7 @@ def engine_programs(draw):
 
 def _execute(engine_kind: str, ops, horizon: float) -> List[Tuple[float, int, str]]:
     """Run a program on one engine; returns the complete fire log."""
-    if engine_kind == "reference":
-        engine = ReferenceHeapEngine()
-    elif engine_kind == "calendar-fine":
-        # Deliberately tiny slots: exercises cursor advance / overflow
-        # spill on every program, not just long-horizon ones.
-        from repro.sim.calendar import CalendarQueueEngine
-
-        engine = CalendarQueueEngine(slot_width=3.0, wheel_slots=8)
-    else:
-        engine = make_engine(engine_kind)
+    engine = make_engine(engine_kind)
     log: List[Tuple[float, int, str]] = []
     handles: List = []
     timers: List = []
@@ -272,17 +260,6 @@ _oracle_settings = settings(
 )
 
 
-@pytest.mark.parametrize("engine_kind", CANDIDATES + ["calendar-fine"])
-class TestEngineOracle:
-    @_oracle_settings
-    @given(program=engine_programs())
-    def test_fire_log_matches_reference(self, engine_kind, program):
-        ops, horizon = program
-        assert _execute(engine_kind, ops, horizon) == _execute(
-            "reference", ops, horizon
-        )
-
-
 @_oracle_settings
 @given(program=engine_programs())
 def test_heap_fire_log_matches_reference(program):
@@ -299,9 +276,8 @@ def test_heap_fire_log_matches_reference(program):
     ),
     priority=st.integers(min_value=-2, max_value=5),
 )
-@pytest.mark.parametrize("engine_kind", CANDIDATES)
-def test_fifo_within_timestamp(engine_kind, times, priority):
-    """Same (time, priority) events fire in scheduling order on every engine."""
+def test_fifo_within_timestamp(times, priority):
+    """Same (time, priority) events fire in scheduling order on both engines."""
 
     def run(kind: str) -> List[str]:
         engine = make_engine(kind)
@@ -313,23 +289,19 @@ def test_fifo_within_timestamp(engine_kind, times, priority):
         engine.run()
         return log
 
-    assert run(engine_kind) == run("reference")
+    assert run(BASELINE) == run("reference")
 
 
 @_oracle_settings
 @given(program=engine_programs(), cut=st.floats(min_value=5.0, max_value=80.0))
-@pytest.mark.parametrize("engine_kind", CANDIDATES)
-def test_split_run_equals_single_run(engine_kind, program, cut):
+def test_split_run_equals_single_run(program, cut):
     """run(until=a); run(until=b) is indistinguishable from run(until=b)."""
     ops, horizon = program
     if cut >= horizon:
         cut = horizon / 2.0
 
     def run_split(kind: str) -> List[Tuple[float, int, str]]:
-        if kind == "reference":
-            engine = ReferenceHeapEngine()
-        else:
-            engine = make_engine(kind)
+        engine = make_engine(kind)
         log: List[Tuple[float, int, str]] = []
         for index, op in enumerate(ops):
             if op[0] == "event":
@@ -351,7 +323,7 @@ def test_split_run_equals_single_run(engine_kind, program, cut):
         engine.run(until=horizon)
         return log
 
-    assert run_split(engine_kind) == run_split("reference")
+    assert run_split(BASELINE) == run_split("reference")
 
 
 @_oracle_settings
@@ -359,8 +331,7 @@ def test_split_run_equals_single_run(engine_kind, program, cut):
     n_events=st.integers(min_value=1, max_value=20),
     time=st.floats(min_value=1.0, max_value=40.0, allow_nan=False, width=32),
 )
-@pytest.mark.parametrize("engine_kind", CANDIDATES)
-def test_cancel_from_callback_is_honoured(engine_kind, n_events, time):
+def test_cancel_from_callback_is_honoured(n_events, time):
     """A callback cancelling a later same-time event suppresses it."""
 
     def run(kind: str) -> List[int]:
@@ -381,4 +352,4 @@ def test_cancel_from_callback_is_honoured(engine_kind, n_events, time):
         engine.run()
         return log
 
-    assert run(engine_kind) == run("reference") == [-1]
+    assert run(BASELINE) == run("reference") == [-1]

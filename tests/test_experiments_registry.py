@@ -12,7 +12,7 @@ from repro.experiments.registry import (
     get_builder,
 )
 from repro.experiments.runner import SCHEMES, build_deployment
-from repro.sim.engine import BucketWheelEngine, HeapEventEngine
+from repro.sim.engine import HeapEventEngine, ReferenceHeapEngine
 from repro.sim.runtime import Runtime
 
 ALL_SCHEMES = {"dbo", "direct", "cloudex", "fba", "libra", "prob"}
@@ -71,8 +71,8 @@ class TestBuilderConstruction:
 
     def test_engine_kind_reaches_the_deployment(self):
         specs = default_network_specs(2, seed=3)
-        deployment = get_builder("direct").build(specs, engine="wheel")
-        assert isinstance(deployment.engine, BucketWheelEngine)
+        deployment = get_builder("direct").build(specs, engine="reference")
+        assert isinstance(deployment.engine, ReferenceHeapEngine)
 
     def test_explicit_runtime_wins_over_seed(self):
         specs = default_network_specs(2, seed=3)

@@ -59,7 +59,7 @@ def scale_run():
         "dbo",
         default_network_specs(N, seed=SEED),
         seed=SEED,
-        engine="calendar",
+        engine="reference",
         supervise=True,
         topology=AggregationTopology(depth=2, fanout=FANOUT),
         n_ob_shards=FANOUT * FANOUT,

@@ -218,7 +218,7 @@ class TestProbPinnedBehaviour:
         assert trade_ordering_digest(result) == PROB_DIGEST
 
     def test_digest_is_engine_independent(self):
-        result = _run("prob", horizon=HORIZON, engine="wheel")
+        result = _run("prob", horizon=HORIZON, engine="reference")
         assert trade_ordering_digest(result) == PROB_DIGEST
 
     def test_wide_horizon_reproduces_dbo_order(self):

@@ -36,6 +36,16 @@ def test_no_duplicate_all_entries(package):
     assert len(module.__all__) == len(set(module.__all__))
 
 
+def test_sim_exports_one_production_scheduler():
+    import repro.sim
+
+    engines = {name for name in repro.sim.__all__ if name.endswith("Engine")}
+    assert engines == {"EventEngine", "HeapEventEngine", "ReferenceHeapEngine"}
+    assert repro.sim.EventEngine is repro.sim.HeapEventEngine
+    for removed in ("BucketWheelEngine", "CalendarQueueEngine"):
+        assert not hasattr(repro.sim, removed)
+
+
 def test_top_level_quickstart_surface():
     import repro
 

@@ -53,8 +53,8 @@ def test_golden_digest(scheme):
 
 
 def test_digest_is_engine_independent_for_dbo():
-    # The bucket-wheel scheduler must produce the identical ordering.
-    assert _digest("dbo", engine="wheel") == GOLDEN_DIGESTS["dbo"]
+    # The push-per-tick reference oracle must produce the identical ordering.
+    assert _digest("dbo", engine="reference") == GOLDEN_DIGESTS["dbo"]
 
 
 def test_digest_insensitive_to_trade_list_order():

@@ -72,6 +72,20 @@ def test_negative_delay_raises():
         engine.schedule_after(-1.0, lambda: None)
 
 
+def test_nan_time_or_delay_raises():
+    # Every comparison with NaN is false: a NaN entry would run despite
+    # run(until=...), set now to NaN and so disable the past-time guard.
+    engine = EventEngine()
+    with pytest.raises(SimulationError):
+        engine.schedule_at(float("nan"), lambda: None)
+    with pytest.raises(SimulationError):
+        engine.schedule_after(float("nan"), lambda: None)
+    engine.run(until=10.0)
+    assert engine.now == 10.0 and engine.events_processed == 0
+    with pytest.raises(SimulationError):
+        engine.schedule_at(2.0, lambda: None)
+
+
 def test_cancel_prevents_execution():
     engine = EventEngine()
     seen = []
@@ -251,26 +265,25 @@ def test_schedule_with_args_avoids_closures():
 def test_make_engine_factory():
     from repro.sim.engine import (
         ENGINE_FACTORIES,
-        BucketWheelEngine,
         HeapEventEngine,
         ReferenceHeapEngine,
         make_engine,
     )
 
-    assert set(ENGINE_FACTORIES) == {"heap", "wheel", "calendar", "reference"}
+    assert set(ENGINE_FACTORIES) == {"heap", "reference"}
     assert isinstance(make_engine("heap"), HeapEventEngine)
-    assert isinstance(make_engine("wheel", bucket_width=16.0), BucketWheelEngine)
     assert isinstance(make_engine("reference"), ReferenceHeapEngine)
     assert make_engine("heap", start_time=9.0).now == 9.0
-    with pytest.raises(ValueError):
-        make_engine("quantum")
+    for unknown in ("quantum", "wheel", "calendar"):
+        with pytest.raises(ValueError, match=r"\['heap', 'reference'\]"):
+            make_engine(unknown)
 
 
-def test_wheel_engine_matches_heap_ordering():
-    from repro.sim.engine import BucketWheelEngine
+def test_reference_engine_matches_heap_ordering():
+    from repro.sim.engine import ReferenceHeapEngine
 
     logs = {}
-    for cls in (EventEngine, BucketWheelEngine):
+    for cls in (EventEngine, ReferenceHeapEngine):
         engine = cls()
         log = []
         # Mixed priorities, shared timestamps, cancellations, chains.
@@ -287,16 +300,16 @@ def test_wheel_engine_matches_heap_ordering():
         engine.run(until=10.0)
         logs[cls] = (log, engine.now, engine.events_processed)
     heap_log = logs[EventEngine]
-    wheel_log = logs[BucketWheelEngine]
-    assert heap_log[0] == wheel_log[0] == ["chain@1.0", "late@1.5", "b5-p0", "a5"]
-    assert heap_log[1] == wheel_log[1] == 10.0
-    assert heap_log[2] == wheel_log[2]
+    reference_log = logs[ReferenceHeapEngine]
+    assert heap_log[0] == reference_log[0] == ["chain@1.0", "late@1.5", "b5-p0", "a5"]
+    assert heap_log[1] == reference_log[1] == 10.0
+    assert heap_log[2] == reference_log[2]
 
 
 def test_scheduler_protocols_runtime_checkable():
-    from repro.sim.engine import BucketWheelEngine, Scheduler, SimClock
+    from repro.sim.engine import ReferenceHeapEngine, Scheduler, SimClock
 
-    for cls in (EventEngine, BucketWheelEngine):
+    for cls in (EventEngine, ReferenceHeapEngine):
         engine = cls()
         assert isinstance(engine, SimClock)
         assert isinstance(engine, Scheduler)

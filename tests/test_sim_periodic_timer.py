@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim.engine import (
-    BucketWheelEngine,
     HeapEventEngine,
     ReferenceHeapEngine,
     SimulationError,
@@ -50,7 +49,7 @@ class TestDriftFreeCadence:
 
 
 class TestCancellation:
-    @pytest.mark.parametrize("engine_cls", [HeapEventEngine, BucketWheelEngine])
+    @pytest.mark.parametrize("engine_cls", [HeapEventEngine, ReferenceHeapEngine])
     def test_cancel_mid_period_stops_future_fires(self, engine_cls):
         engine = engine_cls()
         fired = []
@@ -133,14 +132,11 @@ class TestHotPathSafety:
         with pytest.raises(SimulationError):
             engine.schedule_periodic(0.0, -1.0, lambda: None)
 
-
-class TestWheelEquivalence:
-    def test_wheel_matches_heap_timer_semantics(self):
-        logs = {}
-        for cls in (HeapEventEngine, BucketWheelEngine):
-            engine = cls()
-            log = []
-            engine.schedule_periodic(0.5, 7.3, lambda log=log, e=engine: log.append(e.now))
-            engine.run(until=200.0)
-            logs[cls.__name__] = log
-        assert logs["HeapEventEngine"] == logs["BucketWheelEngine"]
+    @pytest.mark.parametrize("engine_cls", [HeapEventEngine, ReferenceHeapEngine])
+    def test_nan_period_or_anchor_rejected(self, engine_cls):
+        engine = engine_cls()
+        with pytest.raises(SimulationError):
+            engine.schedule_periodic(0.0, float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            engine.schedule_periodic(float("nan"), 1.0, lambda: None)
+        assert engine.pending_events == 0

@@ -1,15 +1,14 @@
-"""Property suite for :class:`PeriodicTimer` under batched band delivery.
+"""Property suite for :class:`PeriodicTimer` on the heap engine.
 
-The calendar engine coalesces same-period timers into bands and fires
-them through a single marker per band (one engine pop per due run).
-These properties pin that the batching is *unobservable* from the timer
-API: for arbitrary (period, phase) sets the banded calendar produces
-exactly the tick sequences of the unbatched heap engine, every timer is
-drift-free (tick k fires at ``anchor + k * period`` exactly, no
-accumulating float error), and no tick is missed or duplicated across
-cancel / re-anchor ("pause/resume" in this codebase is cancel plus a
-fresh timer, the pattern ``ReleaseBuffer._reschedule_heartbeats`` uses)
-or mid-run rescheduling from inside a callback.
+The heap engine reschedules a timer's queue entry in place after each
+tick.  These properties pin what the timer API promises regardless: for
+arbitrary (period, phase) sets every timer is drift-free (tick k fires
+at ``anchor + k * period`` exactly, no accumulating float error), the
+tick sequences are those of the seed-faithful push-per-tick reference
+engine, and no tick is missed or duplicated across cancel / re-anchor
+("pause/resume" in this codebase is cancel plus a fresh timer, the
+pattern ``ReleaseBuffer._reschedule_heartbeats`` uses) or mid-run
+rescheduling from inside a callback.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from typing import List, Tuple
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.calendar import CalendarQueueEngine
 from repro.sim.engine import HeapEventEngine, make_engine
 
 _settings = settings(
@@ -29,8 +27,7 @@ _settings = settings(
 )
 
 # Arbitrary (period, phase, priority) timer sets.  Periods repeat across
-# draws often enough that band coalescing (same period, many phases) is
-# exercised constantly.
+# draws, so same-period timers at many phases are exercised constantly.
 _timer_sets = st.lists(
     st.tuples(
         st.sampled_from([2.0, 5.0, 7.5, 20.0]),  # period
@@ -55,15 +52,6 @@ def _tick_log(engine, timers, horizon: float) -> List[Tuple[float, int]]:
     return log
 
 
-@_settings
-@given(timers=_timer_sets, horizon=st.floats(min_value=10.0, max_value=200.0))
-def test_batched_equals_unbatched_tick_sequences(timers, horizon):
-    """Calendar bands and per-tick heap entries interleave identically."""
-    banded = _tick_log(CalendarQueueEngine(), list(timers), horizon)
-    unbatched = _tick_log(HeapEventEngine(), list(timers), horizon)
-    assert banded == unbatched
-
-
 # The seed-faithful reference engine re-schedules each tick *additively*
 # (t += period), so for arbitrary anchors its fire times drift from the
 # drift-free anchor + k*period grid at the float-ulp level.  On a dyadic
@@ -83,11 +71,11 @@ _dyadic_timer_sets = st.lists(
 
 @_settings
 @given(timers=_dyadic_timer_sets, horizon=st.floats(min_value=10.0, max_value=200.0))
-def test_batched_matches_seed_reference(timers, horizon):
-    """...and both match the seed-faithful push-per-tick reference."""
-    banded = _tick_log(CalendarQueueEngine(), list(timers), horizon)
+def test_matches_seed_reference(timers, horizon):
+    """In-place rescheduling matches the push-per-tick reference."""
+    in_place = _tick_log(HeapEventEngine(), list(timers), horizon)
     reference = _tick_log(make_engine("reference"), list(timers), horizon)
-    assert banded == reference
+    assert in_place == reference
 
 
 @_settings
@@ -98,7 +86,7 @@ def test_batched_matches_seed_reference(timers, horizon):
 )
 def test_drift_freedom(period, phase, horizon):
     """Tick k fires at exactly anchor + k*period — no accumulated error."""
-    engine = CalendarQueueEngine()
+    engine = HeapEventEngine()
     fire_times: List[float] = []
     engine.schedule_periodic(phase, period, lambda: fire_times.append(engine.now))
     engine.run(until=horizon)
@@ -123,7 +111,7 @@ def test_no_missed_or_duplicate_ticks_across_pause_resume(timers, horizon, cut):
     """
     if cut >= horizon:
         cut = horizon / 2.0
-    engine = CalendarQueueEngine()
+    engine = HeapEventEngine()
     log: List[Tuple[float, int]] = []
     handles = []
     for index, (period, phase, priority) in enumerate(timers):
@@ -178,11 +166,12 @@ def test_no_missed_or_duplicate_ticks_across_pause_resume(timers, horizon, cut):
     horizon=st.floats(min_value=20.0, max_value=80.0),
 )
 def test_cancel_from_sibling_callback_suppresses_same_tick(period, n_timers, horizon):
-    """A band member cancelling a later sibling mid-tick suppresses it.
+    """A timer cancelling a later same-tick sibling suppresses it.
 
-    All timers share (period, phase, priority), so they occupy one band
-    and fire back-to-back; the first member cancels the last on every
-    tick.  The heap engine defines the expected interleaving.
+    All timers share (period, phase, priority), so they fire
+    back-to-back; the first cancels the last on every tick.  The
+    reference engine defines the expected interleaving (the grid is
+    dyadic, so its additive cadence is exact).
     """
 
     def run(engine) -> List[Tuple[float, int]]:
@@ -203,7 +192,7 @@ def test_cancel_from_sibling_callback_suppresses_same_tick(period, n_timers, hor
         engine.run(until=horizon)
         return log
 
-    assert run(CalendarQueueEngine()) == run(HeapEventEngine())
+    assert run(HeapEventEngine()) == run(make_engine("reference"))
 
 
 @_settings
@@ -216,8 +205,8 @@ def test_cancel_from_sibling_callback_suppresses_same_tick(period, n_timers, hor
 def test_reschedule_from_own_callback(period, reschedule_at_fire, new_period, horizon):
     """A timer replacing itself from its own callback ticks cleanly.
 
-    The cadence switches grids at the reschedule point; band membership
-    moves between period bands without a missed or doubled tick.
+    The cadence switches grids at the reschedule point without a missed
+    or doubled tick.
     """
 
     def run(engine) -> List[float]:
@@ -236,42 +225,22 @@ def test_reschedule_from_own_callback(period, reschedule_at_fire, new_period, ho
         engine.run(until=horizon)
         return fire_times
 
-    calendar_times = run(CalendarQueueEngine())
-    assert calendar_times == run(HeapEventEngine())
+    times = run(HeapEventEngine())
+    assert times == run(make_engine("reference"))
     # Drift-free on both grids: before the switch on the old grid,
     # after it on the new one.
-    switch = calendar_times[reschedule_at_fire - 1]
-    for k, t in enumerate(calendar_times[:reschedule_at_fire]):
+    switch = times[reschedule_at_fire - 1]
+    for k, t in enumerate(times[:reschedule_at_fire]):
         assert t == k * period
-    for k, t in enumerate(calendar_times[reschedule_at_fire:]):
+    for k, t in enumerate(times[reschedule_at_fire:]):
         assert t == switch + (k + 1) * new_period
-
-
-@_settings
-@given(
-    timers=_timer_sets,
-    horizon=st.floats(min_value=20.0, max_value=100.0),
-    slot_width=st.sampled_from([1.0, 3.0, 20.0, 64.0]),
-    wheel_slots=st.sampled_from([2, 8, 64]),
-)
-def test_band_delivery_is_slot_geometry_independent(
-    timers, horizon, slot_width, wheel_slots
-):
-    """Tick sequences are invariant under the calendar's slot geometry."""
-    tuned = _tick_log(
-        CalendarQueueEngine(slot_width=slot_width, wheel_slots=wheel_slots),
-        list(timers),
-        horizon,
-    )
-    default = _tick_log(CalendarQueueEngine(), list(timers), horizon)
-    assert tuned == default
 
 
 @_settings
 @given(timers=_timer_sets, horizon=st.floats(min_value=20.0, max_value=100.0))
 def test_fires_counters_match_logged_ticks(timers, horizon):
     """`timer.fires` equals the number of logged callbacks per timer."""
-    engine = CalendarQueueEngine()
+    engine = HeapEventEngine()
     log: List[Tuple[float, int]] = []
     handles = []
     for index, (period, phase, priority) in enumerate(timers):

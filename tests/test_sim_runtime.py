@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import BucketWheelEngine, HeapEventEngine
+from repro.sim.engine import HeapEventEngine, ReferenceHeapEngine
 from repro.sim.randomness import stable_u64, stable_uniform, stable_unit
 from repro.sim.runtime import Runtime, as_runtime
 
@@ -14,9 +14,13 @@ class TestConstruction:
         assert runtime.seed == 3
 
     def test_create_with_named_engine(self):
-        runtime = Runtime.create(seed=1, engine="wheel", start_time=5.0)
-        assert isinstance(runtime.engine, BucketWheelEngine)
+        runtime = Runtime.create(seed=1, engine="reference", start_time=5.0)
+        assert isinstance(runtime.engine, ReferenceHeapEngine)
         assert runtime.now == 5.0
+
+    def test_create_rejects_engine_tuning_kwargs(self):
+        with pytest.raises(TypeError):
+            Runtime.create(engine="heap", bucket_width=16.0)
 
     def test_create_unknown_engine(self):
         with pytest.raises(ValueError):
