@@ -1,5 +1,6 @@
 """DBO core: delivery clocks, release/ordering buffers, the full system."""
 
+from repro.core.aggregation import MasterOB
 from repro.core.batcher import Batcher
 from repro.core.delivery_clock import (
     ClockNotStartedError,
@@ -10,7 +11,7 @@ from repro.core.gateway import EgressGateway, EgressMessage
 from repro.core.ordering_buffer import OrderingBuffer, ParticipantState
 from repro.core.params import DBOParams
 from repro.core.release_buffer import ReleaseBuffer
-from repro.core.sharded_ob import MasterOB, ShardOB, build_sharded_ob
+from repro.core.sharded_ob import ShardOB
 from repro.core.sync_delivery import SyncAssistedReleaseBuffer
 from repro.core.system import DBODeployment
 
@@ -27,7 +28,6 @@ __all__ = [
     "ReleaseBuffer",
     "MasterOB",
     "ShardOB",
-    "build_sharded_ob",
     "DBODeployment",
     "SyncAssistedReleaseBuffer",
 ]

@@ -17,13 +17,16 @@ This module holds the tree machinery:
 
 :class:`MasterOB`
     The releasing root: a :class:`HeartbeatAggregator` plus the final
-    stamp-ordered heap and the key-dedup release log.  (Re-exported from
-    :mod:`repro.core.sharded_ob` for backward compatibility.)
+    stamp-ordered heap and the key-dedup release log.
 
 :class:`ForwardingAggregator`
     A transparent interior node: it forwards trades upstream *immediately*
     (it queues nothing, so a node crash loses zero trades) while batching
     its children's watermarks into one summary per tick.
+
+:data:`UpstreamSend` / :func:`deliver_upstream`
+    The edge protocol: the message tuples a child sends its parent, and
+    their one decoder on the parent's side.
 
 :func:`plan_tree`
     The contiguous-fanout level plan connecting shard ids to the master.
@@ -56,7 +59,7 @@ deep tree produces the byte-identical trade ordering of the flat OB.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.delivery_clock import DeliveryClockStamp
 from repro.core.ordering_buffer import ReleaseSink
@@ -67,12 +70,14 @@ __all__ = [
     "MasterOB",
     "ForwardingAggregator",
     "UpstreamSend",
+    "deliver_upstream",
     "plan_tree",
     "tree_node_ids",
 ]
 
-# An upstream edge carries ("trade", TaggedTrade) and ("summary", stamp)
-# messages — the same tuples the §5.2 shard→master hop always used.
+# An upstream edge carries ("summary", stamp), ("trade", TaggedTrade),
+# ("marker", mp_id) and ("fence", child_id) tuples, whether it is a
+# direct call or a channel; :func:`deliver_upstream` decodes them.
 UpstreamSend = Callable[[Tuple[str, object]], object]
 
 # Sentinel above every real stamp (2**62 point ids is beyond any run).
@@ -120,11 +125,6 @@ class HeartbeatAggregator:
         self.summaries_processed = 0
         self.late_child_messages = 0
         self.fences_received = 0
-
-    # -- compatibility alias (the §5.2 two-level counters/report names) --
-    @property
-    def late_shard_messages(self) -> int:
-        return self.late_child_messages
 
     @property
     def child_ids(self) -> List[str]:
@@ -198,41 +198,25 @@ class HeartbeatAggregator:
         self._retired.add(dead_id)
         self._frozen.pop(dead_id, None)
 
-    def regress_child(
-        self, child_id: str, bound: Optional[DeliveryClockStamp]
-    ) -> None:
-        """Conservatively lower ``child_id``'s stored watermark.
+    def freeze_child(self, child_id: str) -> None:
+        """Regress ``child_id``'s stored watermark to ``None`` and ignore
+        its summaries until a fence arrives.
 
-        Shard retirement reroutes orphans into surviving shards; until an
-        adopter's first summary *covering its orphans* arrives, its old
-        watermark here is a lie — resends still in flight can carry
-        stamps below it.  ``None`` stalls the merge on this child
-        entirely; a stamp clamps to ``min(current, bound)``.  A plain
-        regression is not enough by itself: stale summaries still in
-        flight on the child's FIFO edge can re-raise the entry — pair it
-        with :meth:`freeze_child` (and the child's fence) for that.
+        Called when the child's subtree composition changes (it adopted
+        orphans): until its first summary *covering the orphans* arrives,
+        its old watermark here is a lie — resends still in flight can
+        carry stamps below it — so the merge stalls on this child.  The
+        regression alone is not enough: every summary already in flight
+        on the child's FIFO edge predates the change and would re-raise
+        the entry.  The caller makes the child emit exactly one fence on
+        the same edge at the same instant — the fence trails the stale
+        summaries, and :meth:`on_child_fence` lifts the freeze when it
+        lands.  Freezes nest (repeated failures): each pairs with its
+        own fence.
         """
         if child_id not in self._watermarks:
             raise KeyError(f"unknown child {child_id!r}")
-        current = self._watermarks[child_id]
-        if bound is None or current is None:
-            self._watermarks[child_id] = None
-        else:
-            self._watermarks[child_id] = min(current, bound)
-
-    def freeze_child(self, child_id: str) -> None:
-        """Regress ``child_id`` to ``None`` and ignore its summaries
-        until a fence arrives.
-
-        Called when the child's subtree composition changes (it adopted
-        orphans): every summary already in flight on its FIFO edge
-        predates the change and must not advance the merge.  The caller
-        makes the child emit exactly one fence on the same edge at the
-        same instant — the fence trails the stale summaries, and
-        :meth:`on_child_fence` lifts the freeze when it lands.  Freezes
-        nest (repeated failures): each pairs with its own fence.
-        """
-        self.regress_child(child_id, None)
+        self._watermarks[child_id] = None
         self._frozen[child_id] = self._frozen.get(child_id, 0) + 1
         self._rebuilt.add(child_id)
 
@@ -329,8 +313,6 @@ class MasterOB(HeartbeatAggregator):
         sink: Optional[ReleaseSink] = None,
         releasing_children: bool = True,
     ) -> None:
-        if not child_ids:
-            raise ValueError("master OB needs at least one shard")
         super().__init__(child_ids, node_id="master")
         self.sink = sink
         self.releasing_children = releasing_children
@@ -389,10 +371,8 @@ class MasterOB(HeartbeatAggregator):
             self.warmup_timeouts += 1
             self._try_release(now)
 
-    # -- compatibility aliases (§5.2 two-level API) ---------------------
-    def remove_shard(self, shard_id: str, now: float = 0.0) -> None:
-        self.remove_child(shard_id, now)
-
+    # Unused by the deployment: benchmarks/observatory/tracer.py names
+    # these two as entry points and its test fails on a missing target.
     def on_shard_trade(self, shard_id: str, tagged: TaggedTrade, now: float) -> None:
         self.on_child_trade(shard_id, tagged, now)
 
@@ -518,16 +498,13 @@ class ForwardingAggregator(HeartbeatAggregator):
         self,
         node_id: str,
         child_ids: Sequence[str],
-        upstream: Optional[UpstreamSend] = None,
+        upstream: UpstreamSend,
     ) -> None:
         super().__init__(child_ids, node_id=node_id)
         self._upstream = upstream
         self.failed = False
         self.trades_forwarded = 0
         self.summaries_published = 0
-
-    def connect_upstream(self, upstream: UpstreamSend) -> None:
-        self._upstream = upstream
 
     def on_child_trade(self, child_id: str, tagged: TaggedTrade, now: float) -> None:
         """Forward immediately; arrival order preserves each child's FIFO."""
@@ -536,8 +513,6 @@ class ForwardingAggregator(HeartbeatAggregator):
         # Late trades from retired children are forwarded too — a
         # transparent node never drops data (see reassign_child).
         self.trades_forwarded += 1
-        if self._upstream is None:
-            raise RuntimeError(f"aggregator {self.node_id!r} has no upstream")
         self._upstream(("trade", tagged))
 
     def on_child_summary(
@@ -551,8 +526,6 @@ class ForwardingAggregator(HeartbeatAggregator):
         """Forward a warm-up fence upstream (same FIFO edge as trades)."""
         if self.failed:
             return
-        if self._upstream is None:
-            raise RuntimeError(f"aggregator {self.node_id!r} has no upstream")
         self._upstream(("marker", mp_id))
 
     def on_child_fence(self, child_id: str, now: float = 0.0) -> None:
@@ -569,22 +542,42 @@ class ForwardingAggregator(HeartbeatAggregator):
         """
         if self.failed:
             return
-        if self._upstream is None:
-            raise RuntimeError(f"aggregator {self.node_id!r} has no upstream")
         self._upstream(("fence", self.node_id))
 
     def publish_tick(self) -> None:
         """Emit the merged subtree minimum upstream (one message per tick)."""
         if self.failed:
             return
-        if self._upstream is None:
-            raise RuntimeError(f"aggregator {self.node_id!r} has no upstream")
         self.summaries_published += 1
         self._upstream(("summary", self.subtree_watermark()))
 
     def fail(self) -> None:
         """Fail-stop: stop merging, forwarding and publishing."""
         self.failed = True
+
+
+def deliver_upstream(
+    parent: Union[MasterOB, ForwardingAggregator],
+    child_id: str,
+    message: Tuple[str, Any],
+    now: float,
+) -> None:
+    """Hand one :data:`UpstreamSend` message from ``child_id`` to ``parent``.
+
+    The receiving end of every tree edge.  Summaries outnumber the other
+    kinds by the heartbeat-to-trade ratio, so they are tested first.
+    """
+    kind, payload = message
+    if kind == "summary":
+        parent.on_child_summary(child_id, payload, now)
+    elif kind == "trade":
+        parent.on_child_trade(child_id, payload, now)
+    elif kind == "marker":
+        # A warm-up fence climbing toward the master on the same FIFO
+        # edge as the resends it trails.
+        parent.on_child_marker(payload, now)
+    else:
+        parent.on_child_fence(child_id, now)
 
 
 def tree_node_ids(level: int, count: int) -> List[str]:

@@ -87,9 +87,10 @@ class DBOParams:
 class AggregationTopology:
     """Shape of the hierarchical heartbeat aggregation tree.
 
-    ``depth = 0`` (the default everywhere) keeps today's behaviour
-    exactly: the flat OB, or the eager two-level §5.2 hierarchy when
-    ``n_ob_shards > 1``.  ``depth ≥ 1`` switches the heartbeat plane to
+    ``depth = 0`` (the default everywhere) is the flat OB, or — when
+    ``n_ob_shards > 1`` — the eager two-level §5.2 hierarchy: the same
+    shard plane with no interior level and a summary per message.
+    ``depth ≥ 1`` switches the heartbeat plane to
     batched tree mode: shard summaries ride per-node
     :class:`~repro.sim.engine.PeriodicTimer` ticks through ``depth - 1``
     levels of transparent forwarding aggregators into the master, making

@@ -18,29 +18,25 @@ shard per update instead of one per participant, which is the scaling
 claim the ablation benchmark (`benchmarks/test_ablation_sharded_ob.py`)
 quantifies.
 
-The watermark-merge core now lives in :mod:`repro.core.aggregation`
-(:class:`HeartbeatAggregator` and its releasing root :class:`MasterOB`),
-which generalizes the two-level shape to configurable-fanout trees of
-transparent :class:`~repro.core.aggregation.ForwardingAggregator` nodes.
-This module keeps the leaf (:class:`ShardOB`) and the classic two-level
-builder; ``MasterOB`` is re-exported for backward compatibility.
+The watermark-merge core lives in :mod:`repro.core.aggregation`
+(:class:`~repro.core.aggregation.HeartbeatAggregator` and its releasing
+root :class:`~repro.core.aggregation.MasterOB`), which generalizes the
+two-level shape to configurable-fanout trees of transparent
+:class:`~repro.core.aggregation.ForwardingAggregator` nodes.  This module
+holds only the leaf, :class:`ShardOB`; the shard plane — eager two-level
+or tree — is wired by :class:`~repro.core.system.DBODeployment`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence
 
-from repro.core.aggregation import MasterOB, UpstreamSend
+from repro.core.aggregation import UpstreamSend
 from repro.core.delivery_clock import DeliveryClockStamp
-from repro.core.ordering_buffer import OrderingBuffer, ReleaseSink
+from repro.core.ordering_buffer import OrderingBuffer
 from repro.exchange.messages import Heartbeat, TaggedTrade
 
-if TYPE_CHECKING:
-    from repro.net.latency import LatencyModel
-    from repro.net.transport import Transport
-    from repro.sim.engine import EventEngine
-
-__all__ = ["ShardOB", "MasterOB", "build_sharded_ob"]
+__all__ = ["ShardOB"]
 
 
 class ShardOB:
@@ -56,26 +52,14 @@ class ShardOB:
         Unique shard name.
     participants:
         The subset of participant ids this shard owns.
-    master:
-        The master OB receiving safe trades and summaries (the classic
-        two-level deployment).  May be ``None`` when ``parent_send`` is
-        given instead.
-    engine / hop_latency:
-        When both are given, the shard→master hop travels over a real
-        FIFO link with that latency — the §5.2 "standalone VM" shard
-        deployment.  Trades and summaries share the link, preserving the
-        in-order property the master's release rule depends on.  Omitted
-        (threads on one host), the hop is a direct call.
-    transport:
-        Optional :class:`~repro.net.transport.Transport`: when given (and
-        the hop is a real link), the hop is registered as the channel
-        ``"{shard_id}->master"`` so faults can address it by name and its
-        message odometers appear in the run's channel report.
     parent_send:
-        Tree deployments: a callable carrying ``("trade", tagged)`` /
-        ``("summary", watermark)`` tuples to the shard's parent
-        aggregator over that edge's channel.  Mutually exclusive with
-        ``master``/``hop_latency``.
+        Carries this shard's :data:`~repro.core.aggregation.UpstreamSend`
+        tuples — ``("trade", tagged)``, ``("summary", watermark)``,
+        ``("marker", mp_id)``, ``("fence", shard_id)`` — to its parent
+        over one FIFO edge.  Trades and summaries sharing that edge is
+        the in-order property the parent's release rule depends on;
+        whether the edge is a direct call or a faultable channel is the
+        deployment's choice, invisible here.
     eager_summaries:
         ``True`` (the §5.2 default): publish a summary after *every*
         trade and heartbeat, minimising release latency at O(N) parent
@@ -88,20 +72,13 @@ class ShardOB:
         self,
         shard_id: str,
         participants: Sequence[str],
-        master: Optional[MasterOB] = None,
+        parent_send: UpstreamSend,
         generation_time_of: Optional[Callable[[int], float]] = None,
         straggler_threshold: Optional[float] = None,
         latest_point_id: Optional[Callable[[], int]] = None,
-        engine: Optional["EventEngine"] = None,
-        hop_latency: Optional["LatencyModel"] = None,
-        transport: Optional["Transport"] = None,
-        parent_send: Optional[UpstreamSend] = None,
         eager_summaries: bool = True,
     ) -> None:
-        if master is None and parent_send is None:
-            raise ValueError(f"shard {shard_id!r} needs a master or a parent_send")
         self.shard_id = shard_id
-        self.master = master
         self._parent_send = parent_send
         self._eager_summaries = eager_summaries
         self._inner = OrderingBuffer(
@@ -114,40 +91,6 @@ class ShardOB:
         self.heartbeats_processed = 0
         self.summaries_published = 0
         self.trades_reforwarded = 0
-        self._hop_link = None
-        if hop_latency is not None:
-            if engine is None:
-                raise ValueError("a hop_latency needs an engine")
-            if parent_send is not None:
-                raise ValueError("parent_send already carries the upstream hop")
-            from repro.net.link import Link
-
-            link = Link(engine, hop_latency, name=f"{shard_id}->master")
-            if transport is not None:
-                # Master-side key-dedup owns at-least-once semantics, so
-                # the channel itself carries no dedup hook.
-                self._hop_link = transport.open_channel(
-                    link.name,
-                    link,
-                    source=shard_id,
-                    destination="master-ob",
-                    handler=self._on_hop_arrival,
-                )
-            else:
-                link.connect(self._on_hop_arrival)
-                self._hop_link = link
-
-    def _on_hop_arrival(self, message: tuple, send_time: float, arrival_time: float) -> None:
-        kind, payload = message
-        assert self.master is not None
-        if kind == "trade":
-            self.master.on_shard_trade(self.shard_id, payload, arrival_time)
-        elif kind == "marker":
-            self.master.on_child_marker(payload, arrival_time)
-        elif kind == "fence":
-            self.master.on_child_fence(self.shard_id, arrival_time)
-        else:
-            self.master.on_shard_summary(self.shard_id, payload, arrival_time)
 
     # ------------------------------------------------------------------
     @property
@@ -173,6 +116,18 @@ class ShardOB:
     def warming_up(self) -> bool:
         return self._inner.warming_up
 
+    @property
+    def warmup_holds(self) -> int:
+        return self._inner.warmup_holds
+
+    @property
+    def warmup_markers_received(self) -> int:
+        return self._inner.warmup_markers_received
+
+    @property
+    def warmup_timeouts(self) -> int:
+        return self._inner.warmup_timeouts
+
     def begin_warmup(self, mp_ids: Iterable[str]) -> None:
         """Hold this shard's releases until the listed RBs' markers land.
 
@@ -190,25 +145,19 @@ class ShardOB:
         recovery) and travels upstream as a ``("marker", mp_id)`` tuple
         on the same FIFO edge as the trades it fences.
         """
-        if mp_id in self._inner._warmup_pending:
-            self._inner.on_recovery_marker(mp_id, now)
-            if not self._inner.warming_up and self._eager_summaries:
-                self.publish_summary(now)
-            return
-        if self._parent_send is not None:
+        consumed_before = self.warmup_markers_received
+        self._inner.on_recovery_marker(mp_id, now)
+        if self.warmup_markers_received == consumed_before:
             self._parent_send(("marker", mp_id))
-        elif self._hop_link is not None:
-            self._hop_link.send(("marker", mp_id))
-        else:
-            assert self.master is not None
-            self.master.on_child_marker(mp_id, now)
+        elif not self.warming_up and self._eager_summaries:
+            self.publish_summary()
 
     def end_warmup(self, now: float) -> None:
         """Force-lift the warm-up hold (supervisor safety valve)."""
         if self._inner.warming_up:
             self._inner.end_warmup(now)
             if self._eager_summaries:
-                self.publish_summary(now)
+                self.publish_summary()
 
     # ------------------------------------------------------------------
     def on_tagged_trade(self, tagged: TaggedTrade, send_time: float, arrival_time: float) -> None:
@@ -218,16 +167,16 @@ class ShardOB:
             # so re-forward it: the master's key-dedup absorbs the
             # duplicate if the original made it through.
             self.trades_reforwarded += 1
-            self._forward_up(tagged, arrival_time)
+            self._parent_send(("trade", tagged))
         self._inner.on_tagged_trade(tagged, send_time, arrival_time)
         if self._eager_summaries:
-            self.publish_summary(arrival_time)
+            self.publish_summary()
 
     def on_heartbeat(self, heartbeat: Heartbeat, send_time: float, arrival_time: float) -> None:
         self.heartbeats_processed += 1
         self._inner.on_heartbeat(heartbeat, send_time, arrival_time)
         if self._eager_summaries:
-            self.publish_summary(arrival_time)
+            self.publish_summary()
 
     # ------------------------------------------------------------------
     def _subset_watermark(self) -> Optional[DeliveryClockStamp]:
@@ -239,7 +188,7 @@ class ShardOB:
                 minimum = state.watermark
         return minimum
 
-    def publish_summary(self, now: float) -> None:
+    def publish_summary(self) -> None:
         """Send the subset-minimum watermark upstream.
 
         Called inline after every message in the eager (§5.2) mode, or by
@@ -249,81 +198,16 @@ class ShardOB:
         """
         watermark = None if self._inner.warming_up else self._subset_watermark()
         self.summaries_published += 1
-        if self._parent_send is not None:
-            self._parent_send(("summary", watermark))
-        elif self._hop_link is not None:
-            self._hop_link.send(("summary", watermark))
-        else:
-            assert self.master is not None
-            self.master.on_shard_summary(self.shard_id, watermark, now)
+        self._parent_send(("summary", watermark))
 
-    def publish_fence(self, now: float = 0.0) -> None:
+    def send_fence(self) -> None:
         """Emit a freeze fence upstream (same FIFO edge as summaries).
 
         Sent once at the instant this shard adopts orphans: the parent
         froze our stored watermark, and every summary of ours ahead of
         this message describes the pre-adoption subset.
         """
-        if self._parent_send is not None:
-            self._parent_send(("fence", self.shard_id))
-        elif self._hop_link is not None:
-            self._hop_link.send(("fence", self.shard_id))
-        else:
-            assert self.master is not None
-            self.master.on_child_fence(self.shard_id, now)
-
-    # Backwards-compatible private alias (older tests drive it directly).
-    _publish_summary = publish_summary
+        self._parent_send(("fence", self.shard_id))
 
     def _forward_up(self, tagged: TaggedTrade, now: float) -> None:
-        if self._parent_send is not None:
-            self._parent_send(("trade", tagged))
-        elif self._hop_link is not None:
-            self._hop_link.send(("trade", tagged))
-        else:
-            assert self.master is not None
-            self.master.on_shard_trade(self.shard_id, tagged, now)
-
-
-def build_sharded_ob(
-    participants: Sequence[str],
-    n_shards: int,
-    sink: Optional[ReleaseSink] = None,
-    generation_time_of: Optional[Callable[[int], float]] = None,
-    straggler_threshold: Optional[float] = None,
-    latest_point_id: Optional[Callable[[], int]] = None,
-    engine: Optional["EventEngine"] = None,
-    hop_latency: Optional["LatencyModel"] = None,
-    transport: Optional["Transport"] = None,
-) -> Tuple[MasterOB, List[ShardOB], Dict[str, ShardOB]]:
-    """Partition participants round-robin across ``n_shards`` shards.
-
-    Returns ``(master, shards, participant→shard routing table)``.
-    """
-    if n_shards <= 0:
-        raise ValueError("n_shards must be positive")
-    if n_shards > len(participants):
-        raise ValueError("more shards than participants")
-    shard_ids = [f"shard-{index}" for index in range(n_shards)]
-    master = MasterOB(shard_ids, sink=sink)
-    assignments: List[List[str]] = [[] for _ in range(n_shards)]
-    for index, mp_id in enumerate(participants):
-        assignments[index % n_shards].append(mp_id)
-    shards = [
-        ShardOB(
-            shard_ids[index],
-            assignments[index],
-            master,
-            generation_time_of=generation_time_of,
-            straggler_threshold=straggler_threshold,
-            latest_point_id=latest_point_id,
-            engine=engine,
-            hop_latency=hop_latency,
-            transport=transport,
-        )
-        for index in range(n_shards)
-    ]
-    routing = {
-        mp_id: shards[index % n_shards] for index, mp_id in enumerate(participants)
-    }
-    return master, shards, routing
+        self._parent_send(("trade", tagged))

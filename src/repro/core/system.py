@@ -17,13 +17,19 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.baselines.base import BaseDeployment, NetworkSpec
-from repro.core.aggregation import ForwardingAggregator, plan_tree
+from repro.core.aggregation import (
+    ForwardingAggregator,
+    MasterOB,
+    UpstreamSend,
+    deliver_upstream,
+    plan_tree,
+)
 from repro.core.batcher import Batcher
 from repro.core.gateway import EgressGateway
 from repro.core.ordering_buffer import OrderingBuffer, ReleaseSink
 from repro.core.params import AggregationTopology, DBOParams, SupervisionPolicy
 from repro.core.release_buffer import ReleaseBuffer, RetransmitPolicy
-from repro.core.sharded_ob import MasterOB, ShardOB, build_sharded_ob
+from repro.core.sharded_ob import ShardOB
 from repro.core.supervisor import Supervisor
 from repro.core.sync_delivery import SyncAssistedReleaseBuffer
 from repro.exchange.feed import FeedConfig
@@ -57,11 +63,19 @@ class DBODeployment(BaseDeployment):
         δ, κ, τ and the straggler threshold.
     n_ob_shards:
         1 (default) uses a single ordering buffer; >1 builds the §5.2
-        hierarchy with a master merger.
+        hierarchy with a master merger.  Must not exceed the number of
+        participants unless a topology is enabled (which clamps it).
+    shard_master_latency:
+        ``None`` (default): shards are threads on the master's host and
+        forward by direct call.  A latency model: each shard is a
+        standalone VM whose forwards ride a faultable
+        ``"{shard}->master"`` channel (in tree mode: the latency of the
+        ``"agg-{node}"`` edges, unless the topology sets its own).
     topology:
         Optional :class:`~repro.core.params.AggregationTopology`.  At the
         default ``depth = 0`` behaviour is exactly as without it (flat
-        OB, or the eager two-level hierarchy when ``n_ob_shards > 1``).
+        OB, or the eager two-level hierarchy when ``n_ob_shards > 1`` —
+        shards directly under the master, a summary per message).
         ``depth ≥ 1`` switches the heartbeat plane into batched tree
         mode: shards publish subset-minimum summaries once per tick
         (instead of per message) through ``depth - 1`` levels of
@@ -136,10 +150,11 @@ class DBODeployment(BaseDeployment):
         self.n_ob_shards = n_ob_shards
         self.shard_master_latency = shard_master_latency
         self.topology = topology
-        # Aggregation-tree state (tree mode only): interior nodes by id,
-        # the mutable child→parent routing (re-parenting on node crash
-        # must redirect in-flight channel arrivals), per-node summary
-        # timers, and per-node "publish now" hooks for orphan re-reports.
+        # Shard-plane state: the mutable child→parent routing of every
+        # shard and interior node (re-parenting on node crash must
+        # redirect in-flight channel arrivals) and, in tree mode only,
+        # interior nodes by id, per-node summary timers and per-node
+        # "publish now" hooks for orphan re-reports.
         self._agg_nodes: Dict[str, ForwardingAggregator] = {}
         self._agg_parent: Dict[str, str] = {}
         self._agg_timers: Dict[str, object] = {}
@@ -278,9 +293,8 @@ class DBODeployment(BaseDeployment):
 
         self._release_sink = release_sink
 
-        if self.topology is not None and self.topology.enabled:
-            self._build_aggregation_tree(release_sink)
-        elif self.n_ob_shards <= 1:
+        tree = self.topology is not None and self.topology.enabled
+        if self.n_ob_shards <= 1 and not tree:
             self.ordering_buffer = self._make_ordering_buffer(release_sink)
             # Standby adoption (release log + counters) rides a channel so
             # it is observable/faultable like any other control traffic.
@@ -295,17 +309,7 @@ class DBODeployment(BaseDeployment):
                 priority=-1,
             )
         else:
-            self.master_ob, self.shards, self._shard_routing = build_sharded_ob(
-                self.mp_ids,
-                self.n_ob_shards,
-                sink=release_sink,
-                generation_time_of=self.ces.generation_time_of,
-                straggler_threshold=params.straggler_threshold,
-                latest_point_id=lambda: self.ces.points_generated - 1,
-                engine=self.engine,
-                hop_latency=self.shard_master_latency,
-                transport=self.transport,
-            )
+            self._build_shard_plane(release_sink)
 
         # Emit-on-determination needs a known cadence; Poisson feeds fall
         # back to window-timer closes.
@@ -474,7 +478,7 @@ class DBODeployment(BaseDeployment):
     def _resolve_agg_parent(
         self, child_id: str
     ) -> Union[MasterOB, ForwardingAggregator]:
-        """The node object currently parenting ``child_id`` (tree mode).
+        """The node object currently parenting ``child_id``.
 
         Resolved per arrival, not captured at build time: a node crash
         re-parents its children, and messages already in flight on their
@@ -486,30 +490,51 @@ class DBODeployment(BaseDeployment):
             return self.master_ob
         return self._agg_nodes[parent_id]
 
-    def _build_aggregation_tree(
+    def _build_shard_plane(
         self, release_sink: Callable[[TaggedTrade, float], None]
     ) -> None:
-        """Wire the batched hierarchical heartbeat plane (tree mode).
+        """Wire shards, interior aggregators and the master (§5.2).
 
-        RB heartbeats still arrive per participant at their leaf shard
-        (the delivery-clock data path is untouched); what changes is the
-        summary plane above the shards: each tree node re-publishes its
-        subtree-minimum watermark once per tick over its own faultable
-        ``agg-{node}`` channel, so every parent — the master included —
-        does O(children) heartbeat work per tick regardless of N.
+        RB heartbeats always arrive per participant at their leaf shard
+        (the delivery-clock data path is untouched); the topology decides
+        the summary plane above the shards:
+
+        * no enabled topology — the paper's eager two-level hierarchy:
+          shards sit directly under the master and publish a summary
+          after every message, over a direct call or, with
+          ``shard_master_latency`` set, the ``{shard}->master`` channel;
+        * ``depth ≥ 1`` — the batched tree: each node re-publishes its
+          subtree-minimum watermark once per tick over its own faultable
+          ``agg-{node}`` channel, so every parent — the master included —
+          does O(children) heartbeat work per tick regardless of N.
         """
         topology = self.topology
-        assert topology is not None
-        params = self.params
+        if topology is not None and not topology.enabled:
+            topology = None
+        tree = topology is not None
         n_participants = len(self.mp_ids)
-        n_shards = (
-            self.n_ob_shards
-            if self.n_ob_shards > 1
-            else topology.n_shards_for(n_participants)
-        )
-        n_shards = min(n_shards, n_participants)
+        edge_model = self.shard_master_latency
+        if topology is not None:
+            n_shards = (
+                self.n_ob_shards
+                if self.n_ob_shards > 1
+                else topology.n_shards_for(n_participants)
+            )
+            n_shards = min(n_shards, n_participants)
+            if topology.edge_latency is not None:
+                edge_model = ConstantLatency(topology.edge_latency)
+            elif edge_model is None:
+                edge_model = ConstantLatency(0.0)
+        else:
+            n_shards = self.n_ob_shards
+            if n_shards > n_participants:
+                raise ValueError("more shards than participants")
         shard_ids = [f"shard-{index}" for index in range(n_shards)]
-        levels = plan_tree(shard_ids, topology.fanout, topology.depth)
+        levels = (
+            plan_tree(shard_ids, topology.fanout, topology.depth)
+            if topology is not None
+            else []
+        )
         for level in levels:
             for node_id, children in level:
                 for child_id in children:
@@ -517,74 +542,58 @@ class DBODeployment(BaseDeployment):
         master_children = [node_id for node_id, _ in levels[-1]] if levels else shard_ids
         for child_id in master_children:
             self._agg_parent[child_id] = "master"
-        # With shards directly under the master (depth 1) the children
-        # release in stamp order, so the master keeps the §5.2 min2
-        # self-exception; transparent interior nodes interleave streams,
-        # so deeper trees bound every release by the global minimum.
+        # With shards directly under the master the children release in
+        # stamp order, so the master keeps the §5.2 min2 self-exception;
+        # transparent interior nodes interleave streams, so deeper trees
+        # bound every release by the global minimum.
         self.master_ob = MasterOB(
             master_children,
             sink=release_sink,
             releasing_children=not levels,
         )
-        if topology.edge_latency is not None:
-            edge_model = ConstantLatency(topology.edge_latency)
-        elif self.shard_master_latency is not None:
-            edge_model = self.shard_master_latency
-        else:
-            edge_model = ConstantLatency(0.0)
 
-        def open_edge(child_id: str) -> Channel:
-            def handler(message: tuple, send_time: float, arrival_time: float,
-                        child_id: str = child_id) -> None:
-                kind, payload = message
-                parent = self._resolve_agg_parent(child_id)
-                if kind == "trade":
-                    parent.on_child_trade(child_id, payload, arrival_time)
-                elif kind == "marker":
-                    # A warm-up fence climbing toward the master on the
-                    # same FIFO edge as the resends it trails.
-                    parent.on_child_marker(payload, arrival_time)
-                elif kind == "fence":
-                    parent.on_child_fence(child_id, arrival_time)
-                else:
-                    parent.on_child_summary(child_id, payload, arrival_time)
+        master, engine = self.master_ob, self.engine
 
+        def open_edge(child_id: str) -> UpstreamSend:
+            if edge_model is None:
+                # Shards as threads on the master's host: no hop to fault,
+                # and nothing in flight for a re-parenting to redirect.
+                return lambda message: deliver_upstream(
+                    master, child_id, message, engine.now
+                )
+            # Master-side key-dedup owns at-least-once semantics, so the
+            # channel itself carries no dedup hook.
             return self._open_control_channel(
-                f"agg-{child_id}",
+                f"agg-{child_id}" if tree else f"{child_id}->master",
                 edge_model,
                 source=child_id,
-                destination=self._agg_parent[child_id],
-                handler=handler,
-            )
+                destination=self._agg_parent[child_id] if tree else "master-ob",
+                handler=lambda message, send_time, arrival_time: deliver_upstream(
+                    self._resolve_agg_parent(child_id), child_id, message, arrival_time
+                ),
+            ).send
 
         for level in levels:
             for node_id, children in level:
-                node = ForwardingAggregator(node_id, children)
+                node = ForwardingAggregator(node_id, children, open_edge(node_id))
                 self._agg_nodes[node_id] = node
-                node.connect_upstream(open_edge(node_id).send)
                 self._agg_publishers[node_id] = node.publish_tick
-        assignments: List[List[str]] = [[] for _ in range(n_shards)]
-        for index, mp_id in enumerate(self.mp_ids):
-            assignments[index % n_shards].append(mp_id)
         for index, shard_id in enumerate(shard_ids):
+            # Participants are dealt round-robin across the shards.
             shard = ShardOB(
                 shard_id,
-                assignments[index],
-                master=None,
+                self.mp_ids[index::n_shards],
+                open_edge(shard_id),
                 generation_time_of=self.ces.generation_time_of,
-                straggler_threshold=params.straggler_threshold,
+                straggler_threshold=self.params.straggler_threshold,
                 latest_point_id=lambda: self.ces.points_generated - 1,
-                parent_send=open_edge(shard_id).send,
-                eager_summaries=False,
+                eager_summaries=not tree,
             )
             self.shards.append(shard)
-            self._agg_publishers[shard_id] = (
-                lambda shard=shard: shard.publish_summary(self.engine.now)
-            )
-        self._shard_routing = {
-            mp_id: self.shards[index % n_shards]
-            for index, mp_id in enumerate(self.mp_ids)
-        }
+            for mp_id in shard.participants:
+                self._shard_routing[mp_id] = shard
+            if tree:
+                self._agg_publishers[shard_id] = shard.publish_summary
 
     def _make_ob_dispatcher(
         self, mp_id: str
@@ -841,7 +850,7 @@ class DBODeployment(BaseDeployment):
         publishes ``None`` summaries) while the orphans' RBs resend their
         unacked windows, and every stored watermark on the adopter's path
         to the master regresses to ``None``
-        (:meth:`~repro.core.aggregation.HeartbeatAggregator.regress_child`)
+        (:meth:`~repro.core.aggregation.HeartbeatAggregator.freeze_child`)
         so the merge cannot release above stamps the in-flight resends
         could still undercut.  Returns the number of orphans rerouted.
         """
@@ -871,14 +880,11 @@ class DBODeployment(BaseDeployment):
                 adopter.begin_warmup(adopters[adopter_id])
                 self._regress_to_master(adopter_id)
                 self._schedule_warmup_valve(adopter)
-        if shard_id in self._agg_parent:
-            # Tree mode: whoever parents the shard stops waiting on it.
-            self._resolve_agg_parent(shard_id).remove_child(shard_id, now)
-            timer = self._agg_timers.pop(shard_id, None)
-            if timer is not None:
-                timer.cancel()
-        else:
-            self.master_ob.remove_shard(shard_id, now)
+        # Whoever parents the shard stops waiting on it.
+        self._resolve_agg_parent(shard_id).remove_child(shard_id, now)
+        timer = self._agg_timers.pop(shard_id, None)
+        if timer is not None:
+            timer.cancel()
         self._crashed_shards.discard(shard_id)
         self._failed_shards.add(shard_id)
         if self.retransmit_policy is not None and orphans:
@@ -905,26 +911,15 @@ class DBODeployment(BaseDeployment):
         freeze, after which only post-adoption summaries count.
         """
         current = child_id
-        while True:
-            parent_id = self._agg_parent.get(current)
-            if parent_id is None or parent_id == "master":
-                # Classic two-level mode, or the top of the tree: the
-                # master parents ``current`` directly.
-                assert self.master_ob is not None
-                self.master_ob.freeze_child(current)
-                self._emit_fence(current)
-                return
-            self._agg_nodes[parent_id].freeze_child(current)
+        while current != "master":
+            self._resolve_agg_parent(current).freeze_child(current)
             self._emit_fence(current)
-            current = parent_id
+            current = self._agg_parent[current]
 
     def _emit_fence(self, child_id: str) -> None:
         """Have ``child_id`` send its freeze fence on its upstream edge."""
-        node = self._agg_nodes.get(child_id)
-        if node is not None:
-            node.send_fence()
-        else:
-            self._find_shard(child_id).publish_fence(self.engine.now)
+        node = self._agg_nodes.get(child_id) or self._find_shard(child_id)
+        node.send_fence()
 
     def fail_aggregator(self, node_id: str) -> None:
         """Fail-stop one interior aggregation-tree node and re-parent its
@@ -1281,7 +1276,7 @@ class DBODeployment(BaseDeployment):
                 if self.aggregator_failures:
                     counters["aggregator_failures"] = float(self.aggregator_failures)
                     counters["master_late_shard_messages"] = float(
-                        self.master_ob.late_shard_messages
+                        self.master_ob.late_child_messages
                     )
             if self.shard_failures:
                 counters["shard_failures"] = float(self.shard_failures)
@@ -1289,7 +1284,7 @@ class DBODeployment(BaseDeployment):
                     sum(shard.trades_lost_to_crash for shard in self.shards)
                 )
                 counters["master_late_shard_messages"] = float(
-                    self.master_ob.late_shard_messages
+                    self.master_ob.late_child_messages
                 )
             if self.master_ob.duplicates_ignored:
                 counters["master_duplicates_ignored"] = float(
@@ -1303,22 +1298,17 @@ class DBODeployment(BaseDeployment):
             )
             if warmup_resent:
                 counters["trades_warmup_resent"] = float(warmup_resent)
-            holds = markers = timeouts = 0
-            if self.ordering_buffer is not None:
-                holds += self.ordering_buffer.warmup_holds
-                markers += self.ordering_buffer.warmup_markers_received
-                timeouts += self.ordering_buffer.warmup_timeouts
-            if self.master_ob is not None:
-                holds += self.master_ob.warmup_holds
-                markers += self.master_ob.warmup_markers_received
-                timeouts += self.master_ob.warmup_timeouts
-            for shard in self.shards:
-                holds += shard._inner.warmup_holds
-                markers += shard._inner.warmup_markers_received
-                timeouts += shard._inner.warmup_timeouts
+            components: List[Union[OrderingBuffer, MasterOB, ShardOB, None]] = [
+                self.ordering_buffer, self.master_ob, *self.shards
+            ]
+            buffers = [component for component in components if component is not None]
+            holds = sum(component.warmup_holds for component in buffers)
             if holds:
                 counters["warmup_holds"] = float(holds)
-                counters["warmup_markers_received"] = float(markers)
+                counters["warmup_markers_received"] = float(
+                    sum(component.warmup_markers_received for component in buffers)
+                )
+            timeouts = sum(component.warmup_timeouts for component in buffers)
             if timeouts:
                 counters["warmup_timeouts"] = float(timeouts)
             reforwarded = sum(shard.trades_reforwarded for shard in self.shards)

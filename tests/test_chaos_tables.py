@@ -227,3 +227,54 @@ class TestSweepParallelBackend:
                 grid={"nonsense_kwarg": [1, 2]},
                 jobs=2,
             )
+
+
+class TestKnownHazards:
+    """A scripted shard failure *without* a retransmit policy releases
+    out of stamp order.
+
+    This is the paper's §4.2.1 "will incur unfairness" case surfacing as
+    an audit violation: the orphans' trades reach their adopter after it
+    has already vouched for later stamps, and ``retire_shard`` freezes
+    the adopter's watermark at the master only when a retransmit policy
+    is armed.  PR 11 found
+    both cells and worked around them (the observatory's shard plans arm
+    a ``RetransmitPolicy``).  A later correctness PR — freeze-fence on
+    adoption regardless of retransmit policy — is expected to flip
+    ``safe`` and re-pin these digests; until then any other change must
+    reproduce both byte for byte.
+    """
+
+    @pytest.mark.parametrize(
+        "plan_name, seed, digest",
+        [
+            (
+                "shard-loss",
+                123139792,
+                "67b3df43aa7349bac0d7618652d8ea79fa70dfaf7773fb3750e4cf9577a9f3f3",
+            ),
+            (
+                "shard-crash",
+                2728269741,
+                "5b35e362f3fdea95bde41f7f47f684b393c7097a57ffc9f9af6cf1b42dcb5eb4",
+            ),
+        ],
+    )
+    def test_shard_failure_without_retransmit_misorders(self, plan_name, seed, digest):
+        from repro.exchange.feed import FeedConfig
+        from repro.experiments.chaos import make_plan, run_chaos
+        from repro.experiments.scenarios import cloud_specs
+
+        report = run_chaos(
+            "dbo",
+            lambda: cloud_specs(8, seed=seed),
+            duration=6_000.0,
+            plan=make_plan(plan_name, 6_000.0, 8),
+            seed=seed,
+            engine="heap",
+            feed_config=FeedConfig(interval=40.0),
+        )
+        assert report.safe is False
+        assert report.clean_audit.counts() == {}
+        assert report.faulted_audit.counts() == {"release_order": 2}
+        assert report.faulted_digest == digest

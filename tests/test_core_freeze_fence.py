@@ -80,15 +80,15 @@ class TestFrozenTradeForwards:
     def test_forward_does_not_advance_watermark_while_frozen(self):
         released = []
         master = MasterOB(["s0", "s1"], sink=lambda t, now: released.append(t))
-        master.on_shard_summary("s1", stamp(10), 0.0)
+        master.on_child_summary("s1", stamp(10), 0.0)
         master.freeze_child("s0")
         # An in-flight pre-change forward: enqueued but proves nothing.
-        master.on_shard_trade("s0", tag("mp0", 1, 5), 1.0)
+        master.on_child_trade("s0", tag("mp0", 1, 5), 1.0)
         assert master.subtree_watermark() is None
         assert released == []
         master.on_child_fence("s0", 2.0)
         # Post-fence forwards advance again (plain-minimum regime).
-        master.on_shard_trade("s0", tag("mp1", 1, 3), 3.0)
+        master.on_child_trade("s0", tag("mp1", 1, 3), 3.0)
         assert master.subtree_watermark() == stamp(3)
 
 
@@ -98,20 +98,20 @@ class TestRebuiltChildLosesSelfException:
         # immediately (min2 = TOP self-exception).
         released = []
         master = MasterOB(["s0", "s1"], sink=lambda t, now: released.append(t))
-        master.remove_shard("s1")
-        master.on_shard_trade("s0", tag("mp0", 1, 5), 1.0)
+        master.remove_child("s1")
+        master.on_child_trade("s0", tag("mp0", 1, 5), 1.0)
         assert len(released) == 1
 
         # With a freeze/fence cycle the exception is off: the same
         # forward is held until the child's *summary* covers it.
         released2 = []
         master2 = MasterOB(["s0", "s1"], sink=lambda t, now: released2.append(t))
-        master2.remove_shard("s1")
+        master2.remove_child("s1")
         master2.freeze_child("s0")
         master2.on_child_fence("s0", 0.0)
-        master2.on_shard_trade("s0", tag("mp0", 1, 5), 1.0)
+        master2.on_child_trade("s0", tag("mp0", 1, 5), 1.0)
         assert released2 == []
-        master2.on_shard_summary("s0", stamp(6), 2.0)
+        master2.on_child_summary("s0", stamp(6), 2.0)
         assert len(released2) == 1
 
     def test_stale_heap_cannot_flood_past_rerouted_resends(self):
@@ -121,21 +121,21 @@ class TestRebuiltChildLosesSelfException:
         order = []
         master = MasterOB(["s0", "s1"],
                           sink=lambda t, now: order.append(t.clock.as_tuple()))
-        master.on_shard_summary("s0", stamp(2), 0.0)
+        master.on_child_summary("s0", stamp(2), 0.0)
         # s1 forwarded stamps 13..15 pre-crash; s0's low watermark holds them.
         for seq, point in enumerate((13, 14, 15), start=1):
-            master.on_shard_trade("s1", tag("mp1", seq, point), 0.0)
+            master.on_child_trade("s1", tag("mp1", seq, point), 0.0)
         assert order == []
         # s0 dies; s1 adopts its participants.
         master.freeze_child("s1")
         master.on_child_fence("s1", 1.0)
-        master.remove_shard("s0")
+        master.remove_child("s0")
         # The adopter's post-warm-up flush arrives in stamp order,
         # starting *below* the stale heap entries.
-        master.on_shard_trade("s1", tag("mp0", 1, 11), 2.0)
-        master.on_shard_trade("s1", tag("mp0", 2, 12), 2.0)
-        master.on_shard_trade("s1", tag("mp0", 3, 14, 0.5), 2.0)
-        master.on_shard_summary("s1", stamp(16), 3.0)
+        master.on_child_trade("s1", tag("mp0", 1, 11), 2.0)
+        master.on_child_trade("s1", tag("mp0", 2, 12), 2.0)
+        master.on_child_trade("s1", tag("mp0", 3, 14, 0.5), 2.0)
+        master.on_child_summary("s1", stamp(16), 3.0)
         master.flush(4.0)
         assert order == sorted(order)
 
@@ -143,7 +143,7 @@ class TestRebuiltChildLosesSelfException:
         master = MasterOB(["s0", "s1"])
         master.freeze_child("s0")
         assert "s0" in master._rebuilt
-        master.remove_shard("s0")
+        master.remove_child("s0")
         assert "s0" not in master._rebuilt
         master.add_child("s0")
         assert "s0" not in master._rebuilt

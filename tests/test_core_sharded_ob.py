@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.baselines.base import default_network_specs
+from repro.core.aggregation import MasterOB, deliver_upstream
 from repro.core.delivery_clock import DeliveryClockStamp
 from repro.core.ordering_buffer import OrderingBuffer
-from repro.core.sharded_ob import MasterOB, build_sharded_ob
+from repro.core.sharded_ob import ShardOB
+from repro.core.system import DBODeployment
 from repro.exchange.messages import Heartbeat, Side, TaggedTrade, TradeOrder
 from repro.sim.randomness import SubstreamCounter
 
@@ -18,20 +21,40 @@ def heartbeat(mp, point, elapsed):
     return Heartbeat(mp_id=mp, clock=DeliveryClockStamp(point, elapsed))
 
 
+def two_level(participants, n_shards, sink=None):
+    """The eager §5.2 plane over direct edges, as ``DBODeployment`` wires
+    it for ``n_ob_shards > 1`` — minus the engine, so tests drive it by
+    hand.  Returns ``(master, shards, participant→shard routing)``."""
+    shard_ids = [f"shard-{index}" for index in range(n_shards)]
+    master = MasterOB(shard_ids, sink=sink)
+    shards = [
+        ShardOB(
+            shard_id,
+            participants[index::n_shards],
+            lambda message, shard_id=shard_id: deliver_upstream(
+                master, shard_id, message, 0.0
+            ),
+        )
+        for index, shard_id in enumerate(shard_ids)
+    ]
+    routing = {
+        mp_id: shards[index % n_shards] for index, mp_id in enumerate(participants)
+    }
+    return master, shards, routing
+
+
 class TestBuild:
     def test_round_robin_assignment(self):
-        master, shards, routing = build_sharded_ob(["a", "b", "c", "d"], 2)
-        assert len(shards) == 2
-        assert routing["a"] is shards[0]
-        assert routing["b"] is shards[1]
-        assert routing["c"] is shards[0]
-        assert routing["d"] is shards[1]
+        deployment = DBODeployment(default_network_specs(4, seed=1), n_ob_shards=2)
+        deployment.run(duration=200.0, drain=200.0)
+        assert [shard.shard_id for shard in deployment.shards] == ["shard-0", "shard-1"]
+        assert deployment.shards[0].participants == ["mp0", "mp2"]
+        assert deployment.shards[1].participants == ["mp1", "mp3"]
+        assert deployment.master_ob.child_ids == ["shard-0", "shard-1"]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            build_sharded_ob(["a"], 0)
-        with pytest.raises(ValueError):
-            build_sharded_ob(["a"], 2)
+        with pytest.raises(ValueError, match="more shards than participants"):
+            DBODeployment(default_network_specs(1, seed=1), n_ob_shards=2).run(200.0)
         with pytest.raises(ValueError):
             MasterOB([])
 
@@ -39,7 +62,7 @@ class TestBuild:
 class TestRelease:
     def test_trade_needs_all_shards(self):
         released = []
-        master, shards, routing = build_sharded_ob(
+        master, shards, routing = two_level(
             ["a", "b", "c", "d"], 2, sink=lambda t, now: released.append(t.trade.key)
         )
         # a's trade: shard-0 also owns c; shard-1 owns b, d.
@@ -51,7 +74,7 @@ class TestRelease:
         assert released == [("a", 0)]
 
     def test_master_counts_summaries_not_heartbeats(self):
-        master, shards, routing = build_sharded_ob(["a", "b", "c", "d"], 2, sink=lambda t, n: None)
+        master, shards, routing = two_level(["a", "b", "c", "d"], 2, sink=lambda t, n: None)
         for mp in ["a", "b", "c", "d"]:
             routing[mp].on_heartbeat(heartbeat(mp, 0, 1.0), 0.0, 10.0)
         assert sum(s.heartbeats_processed for s in shards) == 4
@@ -60,9 +83,9 @@ class TestRelease:
     def test_unknown_shard_rejected(self):
         master = MasterOB(["shard-0"])
         with pytest.raises(KeyError):
-            master.on_shard_summary("nope", DeliveryClockStamp(0, 1.0), 0.0)
+            master.on_child_summary("nope", DeliveryClockStamp(0, 1.0), 0.0)
         with pytest.raises(KeyError):
-            master.on_shard_trade("nope", tagged("a", 0, 0, 1.0), 0.0)
+            master.on_child_trade("nope", tagged("a", 0, 0, 1.0), 0.0)
 
 
 class TestEquivalenceWithSingleOB:
@@ -84,7 +107,7 @@ class TestEquivalenceWithSingleOB:
 
     def run_sharded(self, events, n_shards):
         released = []
-        master, shards, routing = build_sharded_ob(
+        master, shards, routing = two_level(
             ["a", "b", "c", "d"], n_shards, sink=lambda t, now: released.append(t.trade.key)
         )
         for kind, payload, at in events:
@@ -96,7 +119,7 @@ class TestEquivalenceWithSingleOB:
         # Flush shards then master for end-of-run drain.
         for shard in shards:
             shard._inner.flush(1e9)
-            shard._publish_summary(1e9)
+            shard.publish_summary()
         master.flush(1e9)
         return released
 

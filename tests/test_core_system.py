@@ -3,11 +3,12 @@
 import pytest
 
 from repro.baselines.base import NetworkSpec, default_network_specs
-from repro.core.params import DBOParams
+from repro.core.params import AggregationTopology, DBOParams
 from repro.core.system import DBODeployment
 from repro.exchange.feed import FeedConfig
 from repro.metrics.fairness import causality_violations, evaluate_fairness
 from repro.metrics.latency import latency_stats, max_rtt_stats, trade_latencies
+from repro.metrics.serialization import trade_ordering_digest
 from repro.net.latency import ConstantLatency, UniformJitterLatency
 from repro.participants.response_time import RaceResponseTime, UniformResponseTime
 from repro.theory.fairness_defs import lrtf_violations
@@ -150,6 +151,28 @@ class TestShardedDeployment:
             return me.ordering()
 
         assert run(1) == run(2)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_shard_plane_orders_like_the_flat_ob(self, seed):
+        """One builder, five shapes: none may be visible in the ordering."""
+        from repro.experiments.scenarios import cloud_specs
+
+        planes = {
+            "flat": {},
+            "eager, direct": dict(n_ob_shards=4),
+            "eager, 3 us hop": dict(
+                n_ob_shards=4, shard_master_latency=ConstantLatency(3.0)
+            ),
+            "depth-1 tree": dict(n_ob_shards=4, topology=AggregationTopology(depth=1)),
+            "depth-2 tree": dict(topology=AggregationTopology(depth=2, fanout=2)),
+        }
+        digests = {}
+        for name, kwargs in planes.items():
+            deployment = DBODeployment(cloud_specs(64, seed=seed), seed=seed, **kwargs)
+            result = deployment.run(duration=1500.0, drain=1500.0)
+            assert result.completion_ratio() == 1.0, name
+            digests[name] = trade_ordering_digest(result)
+        assert set(digests.values()) == {digests["flat"]}, digests
 
     def test_master_processes_fewer_messages_than_flat_heartbeats(self):
         specs = default_network_specs(8, seed=19)

@@ -293,3 +293,47 @@ class TestChannelGlobs:
         injector.arm(deployment)
         with pytest.raises(KeyError, match="matched no channels"):
             deployment.run(duration=1_000.0)
+
+
+class TestShardHopFaultsAreCounted:
+    """Faults on the ``{shard}->master`` hop reach the run counters.
+
+    The hop used to be a ``Link`` private to ``ShardOB``, invisible to
+    ``BaseDeployment._links``: the channel odometer saw the drops, the
+    run-level ``packets_*`` counters did not.  Digests and odometers
+    are pinned from that parent — only the counters are new.
+    """
+
+    DURATION = 6_000.0
+
+    @pytest.mark.parametrize(
+        "kind, counter, dropped, digest",
+        [
+            ("link_burst_loss", "packets_dropped_in_burst", 161, "1c139a385952"),
+            ("partition", "packets_blackholed", 357, "f934bf61251e"),
+        ],
+    )
+    def test_counter_equals_channel_dropped(self, kind, counter, dropped, digest):
+        from repro.experiments.scenarios import cloud_specs
+
+        deployment = DBODeployment(
+            cloud_specs(4, seed=7),
+            seed=7,
+            n_ob_shards=2,
+            shard_master_latency=ConstantLatency(3.0),
+        )
+        plan = FaultSchedule.of(
+            FaultSpec(
+                kind=kind,
+                at=0.2 * self.DURATION,
+                duration=0.3 * self.DURATION,
+                channel="shard-0->master",
+                magnitude=0.5,
+                seed=3,
+            )
+        )
+        FaultInjector(plan).arm(deployment)
+        result = deployment.run(duration=self.DURATION)
+        assert result.channels["shard-0->master"]["dropped"] == dropped
+        assert result.counters[counter] == dropped
+        assert trade_ordering_digest(result).startswith(digest)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.baselines.base import NetworkSpec, default_network_specs
 from repro.core.params import DBOParams
-from repro.core.sharded_ob import ShardOB, MasterOB
 from repro.core.system import DBODeployment
 from repro.exchange.ces import CentralExchangeServer
 from repro.exchange.feed import FeedConfig, MarketDataFeed
@@ -44,10 +43,6 @@ class TestDistributedShards:
     def test_jittery_hop_still_fair(self):
         result = self.run_with_hop(UniformJitterLatency(3.0, 4.0, seed=9))
         assert evaluate_fairness(result).ratio == 1.0
-
-    def test_hop_requires_engine(self):
-        with pytest.raises(ValueError):
-            ShardOB("s", ["a"], MasterOB(["s"]), hop_latency=ConstantLatency(1.0))
 
 
 class TestPoissonFeed:

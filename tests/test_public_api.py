@@ -46,6 +46,27 @@ def test_sim_exports_one_production_scheduler():
         assert not hasattr(repro.sim, removed)
 
 
+def test_core_exports_one_shard_plane():
+    import inspect
+
+    import repro.core
+    import repro.core.aggregation
+    import repro.core.sharded_ob
+
+    assert repro.core.sharded_ob.__all__ == ["ShardOB"]
+    assert not hasattr(repro.core, "build_sharded_ob")
+    assert repro.core.MasterOB is repro.core.aggregation.MasterOB
+    assert list(inspect.signature(repro.core.ShardOB.__init__).parameters)[1:] == [
+        "shard_id",
+        "participants",
+        "parent_send",
+        "generation_time_of",
+        "straggler_threshold",
+        "latest_point_id",
+        "eager_summaries",
+    ]
+
+
 def test_top_level_quickstart_surface():
     import repro
 
