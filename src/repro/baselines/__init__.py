@@ -1,11 +1,7 @@
 """Baseline schemes: Direct, CloudEx, FBA, Libra — plus shared wiring."""
 
 from repro.baselines.base import BaseDeployment, NetworkSpec, default_network_specs
-from repro.baselines.cloudex import (
-    CloudExDeployment,
-    CloudExOrderingBuffer,
-    CloudExReleaseBuffer,
-)
+from repro.baselines.cloudex import CloudExDeployment, CloudExReleaseBuffer
 from repro.baselines.direct import DirectDeployment
 from repro.baselines.fba import FBADeployment
 from repro.baselines.libra import LibraDeployment
@@ -15,7 +11,6 @@ __all__ = [
     "NetworkSpec",
     "default_network_specs",
     "CloudExDeployment",
-    "CloudExOrderingBuffer",
     "CloudExReleaseBuffer",
     "DirectDeployment",
     "FBADeployment",

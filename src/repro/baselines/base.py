@@ -191,11 +191,9 @@ class BaseDeployment:
         self._external_configs: List[tuple] = []
         self.external_sources: List = []
         self.stream_merger = None
-        # Every link built via _make_link, for loss/partition accounting
-        # (and so the fault injector can find a participant's legs).
-        self._links: List[Link] = []
-        # The message plane: every point-to-point path is a named channel
-        # here, addressable by the fault injector and reported per run.
+        # The message plane: every point-to-point path (and the link
+        # under it) is a named channel here, addressable by the fault
+        # injector, summed for loss accounting and reported per run.
         self.transport = Transport()
         self._built = False
 
@@ -269,14 +267,15 @@ class BaseDeployment:
         appear when a fault actually consumed packets.
         """
         counters: Dict[str, float] = {}
-        if any(isinstance(link, LossyLink) for link in self._links):
+        links = [channel.link for channel in self.transport]
+        if any(isinstance(link, LossyLink) for link in links):
             counters["packets_lost"] = float(
-                sum(link.packets_lost for link in self._links if isinstance(link, LossyLink))
+                sum(link.packets_lost for link in links if isinstance(link, LossyLink))
             )
-        blackholed = sum(link.packets_blackholed for link in self._links)
+        blackholed = sum(link.packets_blackholed for link in links)
         if blackholed:
             counters["packets_blackholed"] = float(blackholed)
-        burst = sum(link.packets_dropped_in_burst for link in self._links)
+        burst = sum(link.packets_dropped_in_burst for link in links)
         if burst:
             counters["packets_dropped_in_burst"] = float(burst)
         duplicated = sum(channel.messages_duplicated for channel in self.transport)
@@ -311,7 +310,7 @@ class BaseDeployment:
         """A (possibly lossy) FIFO link for one leg of one participant."""
         loss = spec.loss_for(direction)
         if loss > 0.0:
-            link = LossyLink(
+            return LossyLink(
                 self.engine,
                 model,
                 loss_probability=loss,
@@ -319,10 +318,7 @@ class BaseDeployment:
                 seed=self.runtime.u64(seed_salt),
                 name=name,
             )
-        else:
-            link = Link(self.engine, model, name=name)
-        self._links.append(link)
-        return link
+        return Link(self.engine, model, name=name)
 
     def _open_channel(
         self,
@@ -338,10 +334,8 @@ class BaseDeployment:
     ) -> Channel:
         """A named channel over a participant leg built by :meth:`_make_link`.
 
-        The underlying link still lands in ``self._links`` (loss accounting
-        and legacy injector addressing by link name are unchanged); the
-        channel adds message odometers, the dedup hook, and fault
-        addressability by name.
+        The channel adds message odometers, the dedup hook, and fault
+        addressability by name; loss accounting reads ``channel.link``.
         """
         link = self._make_link(model, spec, name, seed_salt, direction=direction)
         return self.transport.open_channel(
@@ -367,14 +361,12 @@ class BaseDeployment:
 
         Control traffic (acks, shard hops, adoption, egress) has no
         :class:`NetworkSpec` leg of its own: it rides a plain FIFO link
-        with the given latency model.  The link is registered in
-        ``self._links`` so partition/burst faults account uniformly.
+        with the given latency model, and partition/burst faults on it
+        are accounted like any participant leg's.
         """
-        link = Link(self.engine, model, name=name, priority=priority)
-        self._links.append(link)
         return self.transport.open_channel(
             name,
-            link,
+            Link(self.engine, model, name=name, priority=priority),
             source=source,
             destination=destination,
             dedup_key=dedup_key,

@@ -17,15 +17,15 @@ additionally models imperfect synchronization.
 
 The trade-side hold rule is
 :class:`repro.ordering.cloudex.SyncDeadlinePolicy` on the shared
-:class:`repro.core.release_engine.ReleaseEngine`;
-:class:`CloudExOrderingBuffer` is the thin named wrapper binding the two
-(kept for its public name), and this module otherwise carries topology
-plus the data-side release buffer.
+:class:`repro.core.release_engine.ReleaseEngine`, built directly in
+:meth:`CloudExDeployment._build`; this module carries topology plus the
+data-side release buffer.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import math
+from typing import Dict, List, Optional
 
 from repro.baselines.base import BaseDeployment
 from repro.core.release_engine import ReleaseEngine
@@ -33,7 +33,7 @@ from repro.exchange.messages import MarketDataPoint, TradeOrder
 from repro.ordering.cloudex import SyncDeadlinePolicy
 from repro.sim.clocks import SynchronizedClock
 
-__all__ = ["CloudExDeployment", "CloudExReleaseBuffer", "CloudExOrderingBuffer"]
+__all__ = ["CloudExDeployment", "CloudExReleaseBuffer"]
 
 
 class CloudExReleaseBuffer:
@@ -70,41 +70,6 @@ class CloudExReleaseBuffer:
         self._mp_handler((point,), release)
 
 
-class CloudExOrderingBuffer(ReleaseEngine):
-    """CES-side buffer forwarding trades at ``S + C2``, ordered by ``S``.
-
-    Trades arriving after their deadline have missed their slot and are
-    forwarded immediately — out of order, i.e. unfairly.  A named
-    :class:`~repro.core.release_engine.ReleaseEngine` over
-    :class:`~repro.ordering.cloudex.SyncDeadlinePolicy`; messages are
-    the reverse-channel ``(order, submit_stamp)`` tuples.
-    """
-
-    def __init__(
-        self,
-        engine,
-        c2: float,
-        clock: SynchronizedClock,
-        sink: Callable[[TradeOrder, float], None],
-    ) -> None:
-        self.policy_: SyncDeadlinePolicy = SyncDeadlinePolicy(c2=c2, clock=clock)
-        super().__init__(
-            self.policy_,
-            sink=lambda stamped, now: sink(stamped[0], now),
-            engine=engine,
-        )
-
-    @property
-    def overruns(self) -> int:
-        return self.policy_.overruns
-
-    @property
-    def trades_forwarded(self) -> int:
-        # Historically every forward — including the duplicate deliveries
-        # the matching engine then rejected — incremented this.
-        return self.trades_released + self.duplicates_ignored
-
-
 class CloudExDeployment(BaseDeployment):
     """A runnable CloudEx system.
 
@@ -124,13 +89,17 @@ class CloudExDeployment(BaseDeployment):
         **kwargs,
     ) -> None:
         super().__init__(specs, **kwargs)
-        if c1 <= 0 or c2 <= 0:
-            raise ValueError("thresholds must be positive")
+        if not 0 < c1 < math.inf:  # also rejects NaN
+            raise ValueError("c1 must be positive and finite")
+        if not math.isfinite(sync_error):
+            raise ValueError("sync_error must be finite")
         self.c1 = c1
-        self.c2 = c2
+        self.c2 = SyncDeadlinePolicy.checked_c2(c2)
         self.sync_error = sync_error
         self.rbs: List[CloudExReleaseBuffer] = []
-        self.ob: Optional[CloudExOrderingBuffer] = None
+        # CES-side buffer forwarding trades at ``S + C2``, ordered by
+        # ``S``; items are the reverse-channel ``(order, stamp)`` tuples.
+        self.ob: Optional[ReleaseEngine] = None
 
     def _make_sync_clock(self, salt: int) -> SynchronizedClock:
         return SynchronizedClock(
@@ -139,11 +108,10 @@ class CloudExDeployment(BaseDeployment):
 
     def _build(self) -> None:
         me = self.ces.matching_engine
-        self.ob = CloudExOrderingBuffer(
-            self.engine,
-            c2=self.c2,
-            clock=self._make_sync_clock(9999),
-            sink=lambda order, now: me.submit(order, forward_time=now),
+        self.ob = ReleaseEngine(
+            SyncDeadlinePolicy(c2=self.c2, clock=self._make_sync_clock(9999)),
+            sink=lambda stamped, now: me.submit(stamped[0], forward_time=now),
+            engine=self.engine,
         )
         for index in range(len(self.specs)):
             mp_id = self.mp_ids[index]
@@ -181,8 +149,13 @@ class CloudExDeployment(BaseDeployment):
         return {rb.mp_id: dict(rb.release_times) for rb in self.rbs}
 
     def _counters(self) -> Dict[str, float]:
+        ob = self.ob
         return {
             "data_overruns": float(sum(rb.overruns for rb in self.rbs)),
-            "trade_overruns": float(self.ob.overruns if self.ob else 0),
-            "trades_forwarded": float(self.ob.trades_forwarded if self.ob else 0),
+            "trade_overruns": float(ob.policy.overruns if ob else 0),
+            # Historically every forward — including the duplicate
+            # deliveries the matching engine then rejected — counted.
+            "trades_forwarded": float(
+                ob.trades_released + ob.duplicates_ignored if ob else 0
+            ),
         }

@@ -20,6 +20,7 @@ the topology and the data-side batching.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Tuple
 
 from repro.baselines.base import BaseDeployment
@@ -46,8 +47,8 @@ class FBADeployment(BaseDeployment):
 
     def __init__(self, specs, batch_interval: float = 100_000.0, **kwargs) -> None:
         super().__init__(specs, **kwargs)
-        if batch_interval <= 0:
-            raise ValueError("batch_interval must be positive")
+        if not 0 < batch_interval < math.inf:  # also rejects NaN
+            raise ValueError("batch_interval must be positive and finite")
         self.batch_interval = batch_interval
         self._pending_points: List[MarketDataPoint] = []
         self._arrivals: Dict[str, Dict[int, float]] = {}

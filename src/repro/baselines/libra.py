@@ -19,6 +19,7 @@ topology.
 
 from __future__ import annotations
 
+import math
 from typing import Dict
 
 from repro.baselines.base import BaseDeployment
@@ -43,8 +44,8 @@ class LibraDeployment(BaseDeployment):
 
     def __init__(self, specs, window: float = 10.0, **kwargs) -> None:
         super().__init__(specs, **kwargs)
-        if window <= 0:
-            raise ValueError("window must be positive")
+        if not 0 < window < math.inf:  # also rejects NaN
+            raise ValueError("window must be positive and finite")
         self.window = window
         self._arrivals: Dict[str, Dict[int, float]] = {}
         self.release_engine = ReleaseEngine(

@@ -335,6 +335,10 @@ class MasterOB(HeartbeatAggregator):
     def set_sink(self, sink: ReleaseSink) -> None:
         self.sink = sink
 
+    @property
+    def queue_depth(self) -> int:
+        return len(self._heap)
+
     # ------------------------------------------------------------------
     # Push-based warm-up (supervised recovery)
     # ------------------------------------------------------------------

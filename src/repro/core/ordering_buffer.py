@@ -14,13 +14,16 @@ platform) and enforces the delivery-clock ordering:
 
 The *decision* state — watermarks, the lazy extremes cache, straggler
 mitigation (§4.2.1) — lives in
-:class:`repro.ordering.dbo.DeliveryClockPolicy`; this class is the fused
-production engine driving it: it owns the trade heap, dedup and warm-up
-machinery, and a release loop that reaches into the policy's state with
-local aliasing so the hot path stays exactly as fast (and byte-identical
-in behavior) as the historical monolith.  The scheme-generic driver for
-the same policy surface is
-:class:`repro.core.release_engine.ReleaseEngine`.
+:class:`repro.ordering.dbo.DeliveryClockPolicy`; this class is the one
+engine driving it: it owns the trade heap, dedup, warm-up and crash
+machinery, and a fused release loop that reaches into the policy's state
+with local aliasing (one call per heartbeat makes it the hottest entry
+point of a DBO run).  Every release, proven or flushed, is booked in
+:meth:`OrderingBuffer._release`;
+:class:`repro.ordering.deployment.ProbOrderingBuffer` swaps the release
+*decision* for the horizon rule and inherits everything else.  The four
+schemes with no recovery surface run on
+:class:`repro.core.release_engine.ReleaseEngine` instead.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ __all__ = ["OrderingBuffer", "ParticipantState"]
 # Sink receiving released trades in their final order:
 # (tagged_trade, forward_time).
 ReleaseSink = Callable[[TaggedTrade, float], None]
+
+# Heap entries: (stamp tuple, mp_id, trade_seq, TaggedTrade).
+HeapEntry = Tuple[Tuple[int, float], str, int, TaggedTrade]
 
 
 class OrderingBuffer:
@@ -92,8 +98,7 @@ class OrderingBuffer:
         # The per-participant view is the policy's; shared by reference
         # (crash() resets it in place, so the identity is stable).
         self.states: Dict[str, ParticipantState] = self._policy.states
-        # Heap entries: (stamp tuple, mp_id, trade_seq, TaggedTrade).
-        self._heap: List[Tuple[Tuple[int, float], str, int, TaggedTrade]] = []
+        self._heap: List[HeapEntry] = []
         self._released: Set[Tuple[str, int]] = set()
         # Keys currently sitting in the heap: retransmitted duplicates of
         # queued (or already released) trades are absorbed here instead of
@@ -268,15 +273,19 @@ class OrderingBuffer:
                 bound = min1_t
             if head[0] >= bound:
                 break
-            tagged = heapq.heappop(heap)[3]
-            key = tagged.trade.key
-            self._queued.discard(key)
-            if key in self._released:
-                raise RuntimeError(f"trade {key} queued twice in the OB")
-            self._released.add(key)
-            self.trades_released += 1
-            if self.sink is not None:
-                self.sink(tagged, now)
+            self._release(heapq.heappop(heap), now)
+
+    def _release(self, entry: HeapEntry, now: float) -> None:
+        """Book one popped heap entry as released and hand it to the sink."""
+        tagged = entry[3]
+        key = tagged.trade.key
+        self._queued.discard(key)
+        if key in self._released:
+            raise RuntimeError(f"trade {key} queued twice in the OB")
+        self._released.add(key)
+        self.trades_released += 1
+        if self.sink is not None:
+            self.sink(tagged, now)
 
     def crash(self) -> int:
         """Fail-stop the OB, losing every queued trade (§4.2.1).
@@ -306,16 +315,14 @@ class OrderingBuffer:
         """
         flushed = 0
         while self._heap:
-            _, _, _, tagged = heapq.heappop(self._heap)
-            key = tagged.trade.key
-            self._queued.discard(key)
-            if key in self._released:
+            entry = heapq.heappop(self._heap)
+            if entry[3].trade.key in self._released:
+                # Released by a predecessor whose log was adopted after
+                # this copy was queued: drop it, do not release it twice.
                 continue
-            self._released.add(key)
-            self.trades_released += 1
+            self._release(entry, now)
             flushed += 1
-            if self.sink is not None:
-                self.sink(tagged, now)
+        self._queued.clear()
         return flushed
 
     # ------------------------------------------------------------------

@@ -9,16 +9,18 @@ collapses the shared machinery into one place:
   programming error and raises;
 * **timer wiring** — when a policy's :class:`~repro.ordering.policy
   .Admission` carries a ``wake_at``, the engine schedules a drain at
-  that instant (priority ``wake_priority``, matching the historical
+  that instant (priority :data:`WAKE_PRIORITY`, matching the historical
   per-scheme callbacks event for event);
 * **counters** — ``trades_received`` / ``trades_released`` /
   ``duplicates_ignored``, which deployments map onto their public
   counter names.
 
-The DBO ordering buffer keeps its fused watermark fast path in
-:class:`repro.core.ordering_buffer.OrderingBuffer`; every other scheme
-(direct, cloudex, fba, libra, prob's conformance double) runs through
-this engine with a policy from :mod:`repro.ordering`.
+Four schemes — direct, cloudex, fba, libra — run through this engine
+with an :class:`~repro.ordering.policy.OrderingPolicy` from
+:mod:`repro.ordering`.  The two delivery-clock schemes (dbo, prob) need
+the recovery surface (warm-up, crash, release-log adoption) and the
+fused heartbeat path of :class:`repro.core.ordering_buffer.OrderingBuffer`
+and run there; nothing drives them through this engine.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ __all__ = ["ReleaseEngine"]
 # Receives released items in their final order: (item, forward_time).
 ReleaseCallback = Callable[[Any, float], None]
 
+# Event priority of scheduled drains (the historical CloudEx release
+# callback's).
+WAKE_PRIORITY = 2
+
 
 class ReleaseEngine:
     """Drives one :class:`~repro.ordering.policy.OrderingPolicy`.
@@ -48,9 +54,6 @@ class ReleaseEngine:
     engine:
         The event engine, required only when the policy requests timed
         wakes (``Admission.wake_at``).
-    wake_priority:
-        Event priority for scheduled drains (2 matches the historical
-        CloudEx release callback).
     """
 
     def __init__(
@@ -58,28 +61,20 @@ class ReleaseEngine:
         policy: "OrderingPolicy",
         sink: ReleaseCallback,
         engine: Optional["EventEngine"] = None,
-        wake_priority: int = 2,
     ) -> None:
         self.policy = policy
         self.sink = sink
         self._engine = engine
-        self.wake_priority = wake_priority
         self._released: Set[Hashable] = set()
         self._queued: Set[Hashable] = set()
         self.trades_received = 0
         self.trades_released = 0
         self.duplicates_ignored = 0
-        self.max_pending = 0
 
     # ------------------------------------------------------------------
     @property
     def pending_count(self) -> int:
         return len(self._queued)
-
-    @property
-    def released_keys(self) -> Set[Hashable]:
-        """Snapshot of every key released so far."""
-        return set(self._released)
 
     # ------------------------------------------------------------------
     def on_trade(self, item: Any, send_time: float, arrival_time: float) -> None:
@@ -94,8 +89,6 @@ class ReleaseEngine:
             self._release(item, key, arrival_time)
             return
         self._queued.add(key)
-        if len(self._queued) > self.max_pending:
-            self.max_pending = len(self._queued)
         if admission.wake_at is not None:
             if self._engine is None:
                 raise RuntimeError(
@@ -103,17 +96,12 @@ class ReleaseEngine:
                     "but the release engine has no event engine"
                 )
             self._engine.schedule_at(
-                admission.wake_at, self._drain, priority=self.wake_priority
+                admission.wake_at, self._drain, priority=WAKE_PRIORITY
             )
 
     def on_boundary(self, now: float) -> None:
         """A batch/auction boundary closed: let the policy regroup, drain."""
         self.policy.on_boundary(now)
-        self._pop_due(now)
-
-    def on_watermark(self, source: str, value: Any, now: float) -> None:
-        """Progress proof from ``source``: feed the policy, drain."""
-        self.policy.on_watermark(source, value, now)
         self._pop_due(now)
 
     # ------------------------------------------------------------------

@@ -98,6 +98,10 @@ class ShardOB:
         return list(self._inner.states)
 
     @property
+    def queue_depth(self) -> int:
+        return self._inner.queue_depth
+
+    @property
     def trades_lost_to_crash(self) -> int:
         return self._inner.trades_lost_to_crash
 

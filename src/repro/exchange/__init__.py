@@ -1,4 +1,4 @@
-"""Exchange substrate: feed, order book, matching engine, sequencer, CES."""
+"""Exchange substrate: feed, order book, matching engine, CES."""
 
 from repro.exchange.accounting import Account, Ledger
 from repro.exchange.ces import CentralExchangeServer
@@ -18,7 +18,6 @@ from repro.exchange.messages import (
 )
 from repro.exchange.order_book import BookLevel, LimitOrderBook, RestingOrder
 from repro.exchange.risk import Rejection, RiskGate, RiskLimits
-from repro.exchange.sequencer import FCFSSequencer
 
 __all__ = [
     "Account",
@@ -43,7 +42,6 @@ __all__ = [
     "BookLevel",
     "LimitOrderBook",
     "RestingOrder",
-    "FCFSSequencer",
     "Rejection",
     "RiskGate",
     "RiskLimits",

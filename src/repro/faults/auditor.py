@@ -320,10 +320,10 @@ class InvariantAuditor:
             return ob.queue_depth
         master = getattr(deployment, "master_ob", None)
         if master is not None:
-            depth = len(master._heap)
+            depth = master.queue_depth
             for shard in deployment.shards:
                 if shard.shard_id not in deployment._failed_shards:
-                    depth += shard._inner.queue_depth
+                    depth += shard.queue_depth
             return depth
         return 0
 
@@ -404,7 +404,7 @@ class InvariantAuditor:
         for shard in getattr(deployment, "shards", []) or []:
             if (
                 shard.shard_id not in getattr(deployment, "_failed_shards", set())
-                and shard._inner.warming_up
+                and shard.warming_up
             ):
                 warming.append(shard.shard_id)
         if warming:

@@ -8,7 +8,7 @@ Latency degradations are special: latency models live in the network
 specs and are read when links are built, so the injector wraps the
 affected models in :class:`~repro.net.latency.DegradedLatency` *before*
 the deployment builds (``arm`` must therefore be called before
-``run()``).  Everything else — links, release buffers, the OB — is
+``run()``).  Everything else — channels, release buffers, the OB — is
 resolved at fire time, because deployments build lazily inside ``run()``.
 """
 
@@ -19,7 +19,6 @@ from typing import Any, Dict, List, Tuple
 
 from repro.faults.plan import FaultSchedule, FaultSpec
 from repro.net.latency import DegradedLatency
-from repro.net.link import Link
 from repro.net.transport import Channel
 
 __all__ = ["FaultInjector"]
@@ -169,20 +168,6 @@ class FaultInjector:
             self._degraded[cache_key] = wrapper
 
     # ------------------------------------------------------------------
-    def _find_link(self, target: str, direction: str) -> Link:
-        prefix = "fwd" if direction == "forward" else "rev"
-        name = f"{prefix}-{target}"
-        for link in self.deployment._links:
-            if link.name == name:
-                return link
-        raise KeyError(f"no link named {name!r} in deployment")
-
-    def _links_for(self, fault: FaultSpec) -> List[Link]:
-        directions = (
-            ("forward", "reverse") if fault.direction == "both" else (fault.direction,)
-        )
-        return [self._find_link(fault.target, direction) for direction in directions]
-
     def _channels_for(self, fault: FaultSpec) -> List[Channel]:
         """Resolve the channels a channel-capable fault addresses.
 
@@ -225,19 +210,11 @@ class FaultInjector:
         deployment = self.deployment
         kind = fault.kind
         if kind == "link_burst_loss":
-            if fault.channel is not None:
-                for channel in self._channels_for(fault):
-                    channel.start_loss_burst(fault.magnitude, seed=fault.seed)
-            else:
-                for link in self._links_for(fault):
-                    link.start_loss_burst(fault.magnitude, seed=fault.seed)
+            for channel in self._channels_for(fault):
+                channel.start_loss_burst(fault.magnitude, seed=fault.seed)
         elif kind == "partition":
-            if fault.channel is not None:
-                for channel in self._channels_for(fault):
-                    channel.set_blackhole(True)
-            else:
-                for link in self._links_for(fault):
-                    link.set_blackhole(True)
+            for channel in self._channels_for(fault):
+                channel.set_blackhole(True)
         elif kind == "duplicate_delivery":
             for channel in self._channels_for(fault):
                 channel.start_duplication(fault.magnitude, seed=fault.seed)
@@ -285,19 +262,11 @@ class FaultInjector:
         deployment = self.deployment
         kind = fault.kind
         if kind == "link_burst_loss":
-            if fault.channel is not None:
-                for channel in self._channels_for(fault):
-                    channel.stop_loss_burst()
-            else:
-                for link in self._links_for(fault):
-                    link.stop_loss_burst()
+            for channel in self._channels_for(fault):
+                channel.stop_loss_burst()
         elif kind == "partition":
-            if fault.channel is not None:
-                for channel in self._channels_for(fault):
-                    channel.set_blackhole(False)
-            else:
-                for link in self._links_for(fault):
-                    link.set_blackhole(False)
+            for channel in self._channels_for(fault):
+                channel.set_blackhole(False)
         elif kind == "duplicate_delivery":
             for channel in self._channels_for(fault):
                 channel.stop_duplication()

@@ -1,34 +1,34 @@
-"""Pluggable ordering policies — the release decision as a first-class layer.
+"""Release rules — the ordering decision as a first-class layer.
 
 Every scheme in the repository answers the same three questions about a
 trade arriving at the exchange boundary: *may it go to the matching
 engine right now* (the hold predicate), *when does the hold lift* (a
 timer, a batch boundary, or a watermark proof), and *in what order do
-held trades leave* (stamp order, shuffled, arrival order).  Historically
-each deployment answered them with a bespoke loop — DBO inside
-:mod:`repro.core.ordering_buffer`, CloudEx/FBA/Libra/Direct each inside
-their ``baselines/`` module — so every cross-cutting feature (channels,
-faults, supervision, audits) was wired five times.
-
-This package extracts the decision into an :class:`OrderingPolicy`
-protocol (admit → hold predicate → release order → watermark
-contribution) with one concrete policy per scheme:
+held trades leave* (stamp order, shuffled, arrival order).  Each rule
+has one implementation, in one module of this package, driven by the
+one engine its workloads run:
 
 ========== ==================================== ===========================
-policy     hold predicate                       release order
+rule       hold predicate                       release order
 ========== ==================================== ===========================
 direct     never holds                          arrival order (FCFS)
 cloudex    until ``S + C2`` on the sync clock   submission-stamp order
 fba        until the next auction boundary      uniform random shuffle
 libra      until the window closes              uniform random shuffle
+---------- ------------------------------------ ---------------------------
 dbo        until every watermark passes         delivery-clock stamp order
 prob       until ``arrival + h`` (confidence)   stamp order, w.h.p. correct
 ========== ==================================== ===========================
 
-The generic driver lives in :class:`repro.core.release_engine.ReleaseEngine`;
-the DBO fast path keeps its fused loop in
-:class:`repro.core.ordering_buffer.OrderingBuffer`, which now delegates
-all watermark/straggler state to :class:`DeliveryClockPolicy`.
+The first four are :class:`OrderingPolicy` implementations — the policy
+owns its pending store — on
+:class:`repro.core.release_engine.ReleaseEngine`.  The two
+delivery-clock rules are *decision state* (:class:`DeliveryClockPolicy`:
+watermarks, extremes heap, stragglers; :class:`ProbabilisticPolicy`: due
+times, released maximum, inversion count) consulted by the recoverable
+:class:`repro.core.ordering_buffer.OrderingBuffer` and its
+:class:`~repro.ordering.deployment.ProbOrderingBuffer` subclass, which
+own the heap, dedup, warm-up and crash machinery.
 
 The probabilistic deployment (:class:`~repro.ordering.deployment
 .ProbDeployment`) is intentionally *not* imported here: it builds on

@@ -13,7 +13,8 @@ reverse channels; the deployment's sink unwraps the order.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Any, Iterator, List, Tuple
+import math
+from typing import TYPE_CHECKING, Iterator, List, Tuple
 
 from repro.ordering.policy import RELEASE_NOW, Admission
 
@@ -32,14 +33,19 @@ class SyncDeadlinePolicy:
     name = "cloudex"
 
     def __init__(self, c2: float, clock: "SynchronizedClock") -> None:
-        if c2 <= 0:
-            raise ValueError("c2 must be positive")
-        self.c2 = float(c2)
+        self.c2 = self.checked_c2(c2)
         self.clock = clock
         # Heap keyed by (stamped submission time, mp_id, seq): deadline
         # order == stamp order since C2 is constant.
         self._heap: List[Tuple[float, str, int, StampedOrder]] = []
         self.overruns = 0
+
+    @staticmethod
+    def checked_c2(c2: float) -> float:
+        """``c2`` as a float, or ``ValueError`` if it cannot be a hold."""
+        if not 0 < c2 < math.inf:  # also rejects NaN
+            raise ValueError("c2 must be positive and finite")
+        return float(c2)
 
     def key_of(self, item: StampedOrder) -> Tuple[str, int]:
         return item[0].key
@@ -67,9 +73,6 @@ class SyncDeadlinePolicy:
             yield heapq.heappop(heap)[3]
 
     def on_boundary(self, now: float) -> None:
-        pass
-
-    def on_watermark(self, source: str, value: Any, now: float) -> None:
         pass
 
     def pop_all(self, now: float) -> Iterator[StampedOrder]:

@@ -1,18 +1,16 @@
-"""DBO's delivery-clock LRTF policy — the watermark state machine (§4).
+"""DBO's delivery-clock LRTF rule — the watermark decision state (§4).
 
 This module owns everything about *when a delivery-clock-stamped trade
 may be released*: per-participant watermarks, the lazy (min, second-min)
-extremes cache, and straggler mitigation (§4.2.1).  Two engines drive
-it:
-
-* :class:`repro.core.ordering_buffer.OrderingBuffer` — the production
-  fast path.  It keeps its fused heap/release loop for speed and reaches
-  directly into this policy's state (aliasing the hot attributes into
-  locals), byte-identical to the historical monolith;
-* :class:`repro.core.release_engine.ReleaseEngine` — the generic driver
-  used by the policy-conformance suite, through the same
-  :class:`~repro.ordering.policy.OrderingPolicy` surface as every other
-  scheme (:meth:`admit` / :meth:`on_watermark` / :meth:`pop_due`).
+extremes heap, and straggler mitigation (§4.2.1).  One engine drives it:
+:class:`repro.core.ordering_buffer.OrderingBuffer`, whose fused
+heap/release loop reaches directly into this state (aliasing the hot
+attributes into locals) and carries the recovery surface — warm-up,
+crash, release-log adoption — that the flat OB, every shard and the
+probabilistic buffer share.  This is *decision state*, not an
+:class:`~repro.ordering.policy.OrderingPolicy`: it has no pending store
+of its own, so there is exactly one implementation of the watermark
+rule and the conformance suite checks it through the buffer that ships.
 
 The release rule: a trade from participant ``m`` needs every *other*
 non-straggler participant's watermark strictly past its stamp; ``m``'s
@@ -23,13 +21,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple
-
-from repro.ordering.policy import HOLD, Admission
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.core.delivery_clock import DeliveryClockStamp
-    from repro.exchange.messages import TaggedTrade
 
 __all__ = ["DeliveryClockPolicy", "ParticipantState"]
 
@@ -69,13 +64,6 @@ class DeliveryClockPolicy:
             raise ValueError("delivery-clock ordering needs at least one participant")
         if len(set(participants)) != len(participants):
             raise ValueError("duplicate participant ids")
-        # Imported lazily: this module must stay importable without
-        # touching repro.core (whose package init imports the ordering
-        # buffer, which imports this module — runtime imports either way
-        # round would cycle).
-        from repro.core.delivery_clock import DeliveryClockStamp
-
-        self._TOP = DeliveryClockStamp(2**62, float("inf"))
         self.generation_time_of = generation_time_of
         self.straggler_threshold = straggler_threshold
         # Latest point id the CES has generated (the OB is colocated with
@@ -99,12 +87,9 @@ class DeliveryClockPolicy:
         self._ext_dirty = False
         self.straggler_ejections = 0
         self.straggler_readmissions = 0
-        # Pending store for the *generic* engine path only; the fused
-        # OrderingBuffer keeps its own heap and never touches this.
-        self._heap: List[Tuple[WatermarkTuple, str, int, "TaggedTrade"]] = []
 
     # ------------------------------------------------------------------
-    # Watermark bookkeeping (shared by both engines)
+    # Watermark bookkeeping
     # ------------------------------------------------------------------
     def straggler_ids(self) -> List[str]:
         """Participants currently excluded from the release rule."""
@@ -169,42 +154,6 @@ class DeliveryClockPolicy:
                     self.straggler_ejections += 1
                     self._ext_dirty = True
 
-    def watermark_extremes(
-        self, now: float
-    ) -> Tuple[Optional[DeliveryClockStamp], Optional[str], Optional[DeliveryClockStamp]]:
-        """Lowest and second-lowest watermarks over non-straggler MPs.
-
-        Returns ``(min_watermark, min_mp_id, second_min_watermark)``.
-        A ``None`` min means some waited-on participant has not reported
-        yet; when every participant is a straggler both minima degrade to
-        a +∞ sentinel (release everything — pure FCFS degradation beats
-        stalling the market).
-        """
-        self.check_silent_stragglers(now)
-        min1: Optional[DeliveryClockStamp] = None
-        min1_mp: Optional[str] = None
-        min2: Optional[DeliveryClockStamp] = None
-        any_waited = False
-        for state in self.states.values():
-            if state.is_straggler:
-                continue
-            any_waited = True
-            if state.watermark is None:
-                return None, None, None
-            if min1 is None or state.watermark < min1:
-                min2 = min1
-                min1 = state.watermark
-                min1_mp = state.mp_id
-            elif min2 is None or state.watermark < min2:
-                min2 = state.watermark
-        if not any_waited:
-            return self._TOP, None, self._TOP
-        if min2 is None:
-            # Single waited-on participant: for its own trades there is
-            # nobody else to wait for.
-            min2 = self._TOP
-        return min1, min1_mp, min2
-
     def rebuild_ext_heap(self) -> None:
         """Rebuild the lazy watermark heap and the waited/unreported counts.
 
@@ -251,55 +200,3 @@ class DeliveryClockPolicy:
     def carry_over_counters(self, predecessor: "DeliveryClockPolicy") -> None:
         self.straggler_ejections += predecessor.straggler_ejections
         self.straggler_readmissions += predecessor.straggler_readmissions
-
-    # ------------------------------------------------------------------
-    # OrderingPolicy protocol (generic-engine path)
-    # ------------------------------------------------------------------
-    def key_of(self, item: "TaggedTrade") -> Tuple[str, int]:
-        return item.trade.key
-
-    def admit(self, item: "TaggedTrade", now: float) -> Admission:
-        heapq.heappush(
-            self._heap,
-            (item.clock.as_tuple(), item.trade.mp_id, item.trade.trade_seq, item),
-        )
-        # The trade itself is proof of its sender's progress (in-order
-        # delivery: nothing earlier from this participant is in flight).
-        self.advance_watermark(item.trade.mp_id, item.clock)
-        return HOLD
-
-    def on_watermark(self, source: str, value: Any, now: float) -> None:
-        state = self.states.get(source)
-        if state is None:
-            raise KeyError(f"heartbeat from unknown participant {source!r}")
-        state.last_heartbeat_arrival = now
-        if value is not None:
-            self.advance_watermark(source, value)
-            if self.straggler_threshold is not None:
-                self.update_straggler_state(state, value, now)
-
-    def pop_due(self, now: float) -> Iterator["TaggedTrade"]:
-        # Correctness-first release loop over `watermark_extremes` — the
-        # generic twin of OrderingBuffer's fused incremental fast path.
-        heap = self._heap
-        while heap:
-            min1, min1_mp, min2 = self.watermark_extremes(now)
-            if min1 is None:
-                return
-            head = heap[0]
-            bound = min2 if head[1] == min1_mp else min1
-            assert bound is not None
-            if head[0] >= bound.as_tuple():
-                return
-            yield heapq.heappop(heap)[3]
-
-    def on_boundary(self, now: float) -> None:
-        pass
-
-    def pop_all(self, now: float) -> Iterator["TaggedTrade"]:
-        heap = self._heap
-        while heap:
-            yield heapq.heappop(heap)[3]
-
-    def pending_count(self) -> int:
-        return len(self._heap)

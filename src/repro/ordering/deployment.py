@@ -6,7 +6,10 @@ failover machinery — and swaps only the ordering buffer's *release rule*:
 instead of waiting for watermark proof that no smaller-stamped trade is
 in flight (a heartbeat round, ~τ µs), :class:`ProbOrderingBuffer` holds
 each trade for a fixed confidence horizon ``h`` after arrival and then
-releases in stamp order.
+releases in stamp order.  The rule itself — due times, the released
+maximum, the inversion count — is
+:class:`~repro.ordering.prob.ProbabilisticPolicy`; the buffer arms the
+horizon wake and asks it, and every other line is the DBO buffer's.
 
 The trade-off is explicit and measured:
 
@@ -27,29 +30,29 @@ scheme registry imports this module directly instead.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.ordering_buffer import OrderingBuffer, ReleaseSink
+from repro.core.ordering_buffer import HeapEntry, OrderingBuffer, ReleaseSink
 from repro.baselines.base import NetworkSpec
 from repro.core.system import DBODeployment
 from repro.exchange.messages import TaggedTrade
+from repro.ordering.prob import ProbabilisticPolicy
 from repro.sim.engine import Scheduler
 
 __all__ = ["ProbOrderingBuffer", "ProbDeployment"]
-
-WatermarkTuple = Tuple[int, float]
 
 
 class ProbOrderingBuffer(OrderingBuffer):
     """A delivery-clock OB releasing on horizon expiry, not proof.
 
     Inherits the whole DBO buffer — heap, dedup, warm-up, crash/failover,
-    straggler bookkeeping — and overrides only the release decision: a
-    queued trade becomes *due* ``horizon`` µs after its arrival and is
-    released once it is due **and** every smaller-stamped queued trade
-    has been released (stamp-FIFO within the buffer).  Inversions can
-    therefore only arise from trades that arrive after a larger-stamped
-    trade already left; each one increments ``ordering_inversions``.
+    flush, straggler bookkeeping — and swaps only the release decision
+    for :class:`~repro.ordering.prob.ProbabilisticPolicy`: a queued trade
+    becomes *due* ``horizon`` µs after its arrival and is released once
+    it is due **and** every smaller-stamped queued trade has been
+    released (stamp-FIFO within the buffer).  Inversions can therefore
+    only arise from trades that arrive after a larger-stamped trade
+    already left; each one increments ``ordering_inversions``.
 
     Parameters beyond :class:`~repro.core.ordering_buffer.OrderingBuffer`:
 
@@ -72,8 +75,7 @@ class ProbOrderingBuffer(OrderingBuffer):
         straggler_threshold: Optional[float] = None,
         latest_point_id: Optional[Callable[[], int]] = None,
     ) -> None:
-        if horizon < 0:
-            raise ValueError("horizon must be non-negative")
+        self.horizon_policy = ProbabilisticPolicy(horizon)
         super().__init__(
             participants,
             sink=sink,
@@ -82,10 +84,14 @@ class ProbOrderingBuffer(OrderingBuffer):
             latest_point_id=latest_point_id,
         )
         self._engine = engine
-        self.horizon = float(horizon)
-        self._due: Dict[Tuple[str, int], float] = {}
-        self._max_released_t: Optional[WatermarkTuple] = None
-        self.ordering_inversions = 0
+
+    @property
+    def horizon(self) -> float:
+        return self.horizon_policy.horizon
+
+    @property
+    def ordering_inversions(self) -> int:
+        return self.horizon_policy.ordering_inversions
 
     # ------------------------------------------------------------------
     def on_tagged_trade(
@@ -93,72 +99,34 @@ class ProbOrderingBuffer(OrderingBuffer):
     ) -> None:
         key = tagged.trade.key
         if key not in self._released and key not in self._queued:
-            due = arrival_time + self.horizon
-            self._due[key] = due
+            due = self.horizon_policy.hold(key, arrival_time)
             self._engine.schedule_at(due, self._horizon_due, priority=2)
         super().on_tagged_trade(tagged, send_time, arrival_time)
 
     def _horizon_due(self) -> None:
         self._try_release(self._engine.now)
 
-    def _note_release(self, stamp_t: WatermarkTuple) -> None:
-        if self._max_released_t is not None and stamp_t < self._max_released_t:
-            self.ordering_inversions += 1
-        else:
-            self._max_released_t = stamp_t
-
     def _try_release(self, now: float) -> None:
         """Release every due head trade, in stamp order."""
         if self._warmup_pending:
             return
         heap = self._heap
-        due = self._due
-        while heap:
-            head = heap[0]
-            if due.get((head[1], head[2]), now) > now + 1e-9:
-                break
-            tagged = heapq.heappop(heap)[3]
-            key = tagged.trade.key
-            self._queued.discard(key)
-            due.pop(key, None)
-            if key in self._released:
-                raise RuntimeError(f"trade {key} queued twice in the OB")
-            self._released.add(key)
-            self.trades_released += 1
-            self._note_release(head[0])
-            if self.sink is not None:
-                self.sink(tagged, now)
+        is_due = self.horizon_policy.is_due
+        while heap and is_due(heap[0][1:3], now):
+            self._release(heapq.heappop(heap), now)
 
-    def flush(self, now: float) -> int:
-        flushed = 0
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            tagged = entry[3]
-            key = tagged.trade.key
-            self._queued.discard(key)
-            self._due.pop(key, None)
-            if key in self._released:
-                continue
-            self._released.add(key)
-            self.trades_released += 1
-            self._note_release(entry[0])
-            flushed += 1
-            if self.sink is not None:
-                self.sink(tagged, now)
-        return flushed
+    def _release(self, entry: HeapEntry, now: float) -> None:
+        self.horizon_policy.note_release(entry[3].trade.key, entry[0])
+        super()._release(entry, now)
 
     def crash(self) -> int:
-        self._due.clear()
+        self.horizon_policy.reset()
         return super().crash()
 
-    def carry_over_counters(self, predecessor: "OrderingBuffer") -> None:
+    def carry_over_counters(self, predecessor: OrderingBuffer) -> None:
         super().carry_over_counters(predecessor)
-        self.ordering_inversions += getattr(predecessor, "ordering_inversions", 0)
-        prior_max = getattr(predecessor, "_max_released_t", None)
-        if prior_max is not None and (
-            self._max_released_t is None or prior_max > self._max_released_t
-        ):
-            self._max_released_t = prior_max
+        assert isinstance(predecessor, ProbOrderingBuffer)
+        self.horizon_policy.carry_over_counters(predecessor.horizon_policy)
 
 
 class ProbDeployment(DBODeployment):
@@ -187,10 +155,8 @@ class ProbDeployment(DBODeployment):
         topology = kwargs.get("topology")
         if topology is not None and topology.enabled:
             raise ValueError("prob does not support aggregation-tree mode")
-        if horizon < 0:
-            raise ValueError("horizon must be non-negative")
+        self.horizon = ProbabilisticPolicy.checked_horizon(horizon)
         super().__init__(specs, **kwargs)
-        self.horizon = float(horizon)
 
     def _make_ordering_buffer(self, sink: ReleaseSink) -> ProbOrderingBuffer:
         return ProbOrderingBuffer(

@@ -34,9 +34,6 @@ class PassthroughPolicy:
     def on_boundary(self, now: float) -> None:
         pass
 
-    def on_watermark(self, source: str, value: Any, now: float) -> None:
-        pass
-
     def pop_all(self, now: float) -> Iterator[Any]:
         return iter(())
 

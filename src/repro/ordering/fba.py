@@ -8,7 +8,7 @@ deterministic seeded substream, so runs are reproducible bit for bit.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Tuple
 
 from repro.ordering.policy import HOLD, Admission
 
@@ -57,9 +57,6 @@ class BatchAuctionPolicy:
     def pop_due(self, now: float) -> Iterator["TradeOrder"]:
         while self._ready:
             yield self._ready.pop(0)
-
-    def on_watermark(self, source: str, value: Any, now: float) -> None:
-        pass
 
     def pop_all(self, now: float) -> Iterator["TradeOrder"]:
         # Boundary-shuffle anything still unshuffled, then drain.

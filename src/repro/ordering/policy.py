@@ -1,14 +1,18 @@
-"""The :class:`OrderingPolicy` protocol — one contract, six schemes.
+"""The :class:`OrderingPolicy` protocol — one contract, four schemes.
 
 A policy owns the *pending store* (whatever shape fits its hold rule —
 a stamp-keyed heap, a batch list, nothing at all) and answers the
-release question; the engine driving it
-(:class:`repro.core.release_engine.ReleaseEngine`, or the fused DBO
-fast path in :class:`repro.core.ordering_buffer.OrderingBuffer`) owns
-everything scheme-independent: dedup against retransmitted duplicates,
+release question; the engine driving it,
+:class:`repro.core.release_engine.ReleaseEngine`, owns everything
+scheme-independent: dedup against retransmitted duplicates,
 double-release protection, counters, timer wiring, and the sink.
+direct, cloudex, fba and libra implement it.  The two delivery-clock
+schemes do not: their buffer must survive crashes and adoptions, so the
+pending store lives in :class:`repro.core.ordering_buffer.OrderingBuffer`
+and :mod:`repro.ordering.dbo` / :mod:`repro.ordering.prob` hold only the
+decision state it consults.
 
-The lifecycle of one trade through the generic engine:
+The lifecycle of one trade through the engine:
 
 1. ``key_of(item)`` — the dedup identity (``(mp_id, trade_seq)``).
 2. ``admit(item, now)`` — the policy either keeps the item in its
@@ -16,11 +20,10 @@ The lifecycle of one trade through the generic engine:
    time the engine must schedule a drain for), or declines to store it
    and returns :data:`RELEASE_NOW` (the engine releases immediately).
 3. ``pop_due(now)`` — yields stored items whose hold has lifted, in
-   final release order.  Called by the engine after every wake, boundary
-   and watermark signal.
-4. ``on_boundary(now)`` / ``on_watermark(source, value, now)`` — the
-   two non-timer signals that can lift holds: a batch/auction boundary,
-   or progress proof from a participant.
+   final release order.  Called by the engine after every wake and
+   boundary.
+4. ``on_boundary(now)`` — the one non-timer signal that can lift holds:
+   a batch/auction boundary closed.
 """
 
 from __future__ import annotations
@@ -75,10 +78,6 @@ class OrderingPolicy(Protocol):
 
     def on_boundary(self, now: float) -> None:
         """A batch/auction boundary closed (no-op for non-batch policies)."""
-        ...
-
-    def on_watermark(self, source: str, value: Any, now: float) -> None:
-        """Progress proof from ``source`` (no-op for non-watermark policies)."""
         ...
 
     def pop_all(self, now: float) -> Iterator[Any]:

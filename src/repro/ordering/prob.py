@@ -13,29 +13,27 @@ with probability bounded by
 The payoff is latency: release waits ``h`` (microseconds) instead of a
 full heartbeat round, so p99 release latency drops below DBO's while
 the ordering stays correct with high probability.  Inversions that do
-occur are *measured*, not hidden: the engine counts a release whose
-stamp undercuts the running maximum as an ``ordering_inversion``, and
-the invariant auditor books them under the same name instead of flagging
+occur are *measured*, not hidden: a release whose stamp undercuts the
+running maximum is counted as an ``ordering_inversion``, and the
+invariant auditor books them under the same name instead of flagging
 the run unsafe (the scheme's contract is probabilistic by design).
 
-This module is the pure policy (generic-engine form, used by the
-conformance suite).  The production deployment — a delivery-clock OB
-subclass releasing on horizon expiry — lives in
-:mod:`repro.ordering.deployment` to keep the import graph acyclic.
+This module is the horizon rule's *decision state* — when each held
+trade falls due, and what has been released so far — the counterpart of
+:class:`repro.ordering.dbo.DeliveryClockPolicy`.  The heap, dedup and
+recovery machinery driving it is
+:class:`repro.ordering.deployment.ProbOrderingBuffer` (kept out of this
+module so the import graph stays acyclic).
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
-
-from repro.ordering.policy import Admission
-
-if TYPE_CHECKING:
-    from repro.exchange.messages import TaggedTrade
+import math
+from typing import Dict, Optional, Tuple
 
 __all__ = ["ProbabilisticPolicy"]
 
+TradeKey = Tuple[str, int]
 WatermarkTuple = Tuple[int, float]
 
 
@@ -45,57 +43,43 @@ class ProbabilisticPolicy:
     name = "prob"
 
     def __init__(self, horizon: float) -> None:
-        if horizon < 0:
-            raise ValueError("horizon must be non-negative")
-        self.horizon = float(horizon)
-        self._heap: List[Tuple[WatermarkTuple, str, int, "TaggedTrade"]] = []
-        self._due: Dict[Tuple[str, int], float] = {}
+        self.horizon = self.checked_horizon(horizon)
+        self._due: Dict[TradeKey, float] = {}
         self._max_released_t: Optional[WatermarkTuple] = None
         self.ordering_inversions = 0
 
-    def key_of(self, item: "TaggedTrade") -> Tuple[str, int]:
-        return item.trade.key
+    @staticmethod
+    def checked_horizon(horizon: float) -> float:
+        """``horizon`` as a float, or ``ValueError`` if it cannot be a hold."""
+        if not 0 <= horizon < math.inf:  # also rejects NaN
+            raise ValueError("horizon must be non-negative and finite")
+        return float(horizon)
 
-    def admit(self, item: "TaggedTrade", now: float) -> Admission:
-        due = now + self.horizon
-        self._due[item.trade.key] = due
-        heapq.heappush(
-            self._heap,
-            (item.clock.as_tuple(), item.trade.mp_id, item.trade.trade_seq, item),
-        )
-        return Admission(wake_at=due)
+    def hold(self, key: TradeKey, arrival: float) -> float:
+        """Start ``key``'s hold; returns the time it falls due."""
+        due = arrival + self.horizon
+        self._due[key] = due
+        return due
 
-    def _note_release(self, stamp_t: WatermarkTuple) -> None:
+    def is_due(self, key: TradeKey, now: float) -> bool:
+        return self._due.get(key, now) <= now + 1e-9
+
+    def note_release(self, key: TradeKey, stamp_t: WatermarkTuple) -> None:
+        """Book a release: a stamp below the running maximum is an inversion."""
+        self._due.pop(key, None)
         if self._max_released_t is not None and stamp_t < self._max_released_t:
             self.ordering_inversions += 1
         else:
             self._max_released_t = stamp_t
 
-    def pop_due(self, now: float) -> Iterator["TaggedTrade"]:
-        heap = self._heap
-        due = self._due
-        while heap:
-            head = heap[0]
-            if due[(head[1], head[2])] > now + 1e-9:
-                break
-            heapq.heappop(heap)
-            del due[(head[1], head[2])]
-            self._note_release(head[0])
-            yield head[3]
+    def reset(self) -> None:
+        """Forget every pending hold (OB crash); what was released stays."""
+        self._due.clear()
 
-    def on_boundary(self, now: float) -> None:
-        pass
-
-    def on_watermark(self, source: str, value: Any, now: float) -> None:
-        pass
-
-    def pop_all(self, now: float) -> Iterator["TaggedTrade"]:
-        heap = self._heap
-        while heap:
-            head = heapq.heappop(heap)
-            self._due.pop((head[1], head[2]), None)
-            self._note_release(head[0])
-            yield head[3]
-
-    def pending_count(self) -> int:
-        return len(self._heap)
+    def carry_over_counters(self, predecessor: "ProbabilisticPolicy") -> None:
+        self.ordering_inversions += predecessor.ordering_inversions
+        prior_max = predecessor._max_released_t
+        if prior_max is not None and (
+            self._max_released_t is None or prior_max > self._max_released_t
+        ):
+            self._max_released_t = prior_max

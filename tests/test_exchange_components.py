@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.release_engine import ReleaseEngine
 from repro.exchange.ces import CentralExchangeServer
 from repro.exchange.feed import FeedConfig, MarketDataFeed
 from repro.exchange.matching import MatchingEngine
@@ -11,7 +12,7 @@ from repro.exchange.messages import (
     Side,
     TradeOrder,
 )
-from repro.exchange.sequencer import FCFSSequencer
+from repro.ordering import PassthroughPolicy
 from repro.sim.engine import EventEngine
 
 
@@ -59,14 +60,19 @@ class TestMatchingEngine:
 
 
 class TestFCFSSequencer:
+    """FCFS is ``PassthroughPolicy`` on the shared release engine."""
+
     def test_forwards_in_arrival_order(self):
         me = MatchingEngine(execute=False)
-        seq = FCFSSequencer(me)
-        seq.on_trade(order("a", 0), arrival_time=5.0)
-        seq.on_trade(order("b", 0), arrival_time=6.0)
+        seq = ReleaseEngine(
+            PassthroughPolicy(),
+            sink=lambda trade, now: me.submit(trade, forward_time=now),
+        )
+        seq.on_trade(order("a", 0), 4.0, 5.0)
+        seq.on_trade(order("b", 0), 5.0, 6.0)
         assert me.ordering() == [("a", 0), ("b", 0)]
         assert me.forward_time_of(("a", 0)) == 5.0
-        assert seq.trades_sequenced == 2
+        assert seq.trades_released == 2
 
 
 class TestFeed:

@@ -87,6 +87,32 @@ class TestBuilderConstruction:
         assert deployment.scheme_name == "dbo"
         assert isinstance(deployment.engine, HeapEventEngine)
 
+    @pytest.mark.parametrize(
+        "scheme, kwargs",
+        [
+            ("prob", {"horizon": float("nan")}),
+            ("prob", {"horizon": float("inf")}),
+            ("libra", {"window": float("nan")}),
+            ("libra", {"window": float("inf")}),
+            ("fba", {"batch_interval": float("nan")}),
+            ("fba", {"batch_interval": float("inf")}),
+            ("cloudex", {"c1": float("nan")}),
+            ("cloudex", {"c2": float("nan")}),
+            ("cloudex", {"c2": float("inf")}),
+            ("cloudex", {"sync_error": float("nan")}),
+        ],
+    )
+    def test_non_finite_hold_parameter_is_rejected_at_construction(self, scheme, kwargs):
+        # These used to die inside the engine mid-run ("cannot schedule
+        # event at nan") or run to the end completing zero trades.
+        runtime = Runtime(seed=5)
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            build_deployment(
+                scheme, default_network_specs(4, seed=5), runtime=runtime, **kwargs
+            )
+        assert runtime.engine.pending_events == 0
+        assert runtime.engine.events_processed == 0
+
     def test_builder_runs_end_to_end(self):
         specs = default_network_specs(2, seed=3)
         result = get_builder("direct").build(specs, seed=3).run(duration=1500.0)

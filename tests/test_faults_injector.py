@@ -90,7 +90,7 @@ class TestFiring:
         injector = FaultInjector(plan)
         injector.arm(deployment)
         deployment.run(duration=4_000.0)
-        fwd = {link.name: link for link in deployment._links}
+        fwd = {c.name: c.link for c in deployment.transport}
         assert fwd["fwd-mp1"].packets_blackholed > 0
         assert fwd["fwd-mp0"].packets_blackholed == 0
         # Recovered: blackhole switched back off.

@@ -1,8 +1,12 @@
-"""Policy-conformance suite: every ordering policy obeys the engine contract.
+"""Policy-conformance suite: every release rule obeys the engine contract.
 
-One :class:`~repro.core.release_engine.ReleaseEngine` drives any
-registered :class:`~repro.ordering.policy.OrderingPolicy`; this suite
-pins the contract every policy — current and future — must satisfy:
+Each scheme is driven through the engine it ships on — direct, cloudex,
+fba and libra as an :class:`~repro.ordering.policy.OrderingPolicy` on
+:class:`~repro.core.release_engine.ReleaseEngine`; dbo and prob through
+the production :class:`~repro.core.ordering_buffer.OrderingBuffer` /
+:class:`~repro.ordering.deployment.ProbOrderingBuffer`, behind the
+test-local :class:`BufferDriver` that renames their entry points — and
+this suite pins the contract every one of them must satisfy:
 
 * **no double release** — a key reaches the sink exactly once, no matter
   how duplicates, timed wakes, boundaries and flushes interleave;
@@ -27,17 +31,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.delivery_clock import DeliveryClockStamp
+from repro.core.ordering_buffer import OrderingBuffer
 from repro.core.release_engine import ReleaseEngine
-from repro.exchange.messages import Side, TaggedTrade, TradeOrder
+from repro.exchange.messages import Heartbeat, Side, TaggedTrade, TradeOrder
 from repro.ordering import (
     BatchAuctionPolicy,
-    DeliveryClockPolicy,
     OrderingPolicy,
     PassthroughPolicy,
-    ProbabilisticPolicy,
     RandomizedWindowPolicy,
     SyncDeadlinePolicy,
 )
+from repro.ordering.deployment import ProbOrderingBuffer
 from repro.sim.clocks import SynchronizedClock
 from repro.sim.randomness import SubstreamCounter
 
@@ -47,6 +51,9 @@ MP_IDS = ["mp0", "mp1", "mp2"]
 # shufflers randomize *within* a window by design).
 FIFO_SCHEMES = ("direct", "cloudex", "dbo", "prob")
 ALL_SCHEMES = ("direct", "cloudex", "fba", "libra", "dbo", "prob")
+# Schemes on the delivery-clock plane: tagged trades, heartbeats, and the
+# production OrderingBuffer instead of an OrderingPolicy.
+CLOCK_SCHEMES = ("dbo", "prob")
 
 
 def make_policy(scheme: str) -> OrderingPolicy:
@@ -60,11 +67,37 @@ def make_policy(scheme: str) -> OrderingPolicy:
         return BatchAuctionPolicy(SubstreamCounter(7))
     if scheme == "libra":
         return RandomizedWindowPolicy(SubstreamCounter(8))
-    if scheme == "dbo":
-        return DeliveryClockPolicy(participants=list(MP_IDS))
-    if scheme == "prob":
-        return ProbabilisticPolicy(horizon=3.0)
     raise AssertionError(scheme)
+
+
+class BufferDriver:
+    """The production delivery-clock buffers under ``ReleaseEngine``'s names."""
+
+    def __init__(self, buffer: OrderingBuffer) -> None:
+        self.buffer = buffer
+        self.on_trade = buffer.on_tagged_trade
+        self.flush = buffer.flush
+
+    def on_watermark(self, mp: str, stamp: DeliveryClockStamp, now: float) -> None:
+        self.buffer.on_heartbeat(Heartbeat(mp, stamp), now - 0.1, now)
+
+    def on_boundary(self, now: float) -> None:
+        pass
+
+    pending_count = property(lambda self: self.buffer.queue_depth)
+    trades_released = property(lambda self: self.buffer.trades_released)
+    duplicates_ignored = property(lambda self: self.buffer.retransmits_ignored)
+
+
+def make_engine(scheme: str, sink, fake: "FakeEngine"):
+    """The engine ``scheme`` runs on in production, releasing into ``sink``."""
+    if scheme == "dbo":
+        return BufferDriver(OrderingBuffer(participants=list(MP_IDS), sink=sink))
+    if scheme == "prob":
+        return BufferDriver(
+            ProbOrderingBuffer(list(MP_IDS), engine=fake, horizon=3.0, sink=sink)
+        )
+    return ReleaseEngine(make_policy(scheme), sink=sink, engine=fake)
 
 
 def make_item(scheme: str, mp: str, seq: int, stamp_t: Tuple[int, float], now: float):
@@ -72,7 +105,7 @@ def make_item(scheme: str, mp: str, seq: int, stamp_t: Tuple[int, float], now: f
     if scheme == "cloudex":
         # Reverse-channel shape: (order, sync submission stamp).
         return (order, now)
-    if scheme in ("dbo", "prob"):
+    if scheme in CLOCK_SCHEMES:
         return TaggedTrade(trade=order, clock=DeliveryClockStamp(*stamp_t))
     return order
 
@@ -145,12 +178,9 @@ def op_sequence(draw):
 
 
 def drive(scheme: str, ops):
-    policy = make_policy(scheme)
     fake = FakeEngine()
     released: List[Any] = []
-    engine = ReleaseEngine(
-        policy, sink=lambda item, now: released.append(item), engine=fake
-    )
+    engine = make_engine(scheme, lambda item, now: released.append(item), fake)
     admitted: Dict[Tuple[str, int], int] = {}
     for kind, mp, seq, stamp_t, t in ops:
         fake.run_until(t)
@@ -159,21 +189,19 @@ def drive(scheme: str, ops):
             admitted[(mp, seq)] = admitted.get((mp, seq), 0) + 1
             engine.on_trade(item, t - 0.1, t)
         elif kind == "hb":
-            if scheme == "dbo":
+            if scheme in CLOCK_SCHEMES:
                 engine.on_watermark(mp, DeliveryClockStamp(*stamp_t), t)
-            else:
-                engine.on_watermark(mp, None, t)
         else:
             engine.on_boundary(t)
     fake.run_until(fake.now + 1_000.0)
     engine.flush(fake.now)
-    return policy, engine, released, admitted
+    return engine, released, admitted
 
 
 def released_key(scheme: str, item) -> Tuple[str, int]:
     if scheme == "cloudex":
         return item[0].key
-    if scheme in ("dbo", "prob"):
+    if scheme in CLOCK_SCHEMES:
         return item.trade.key
     return item.key
 
@@ -182,7 +210,7 @@ def released_key(scheme: str, item) -> Tuple[str, int]:
 @given(op_sequence())
 @settings(max_examples=40, deadline=None)
 def test_policy_conformance(scheme, ops):
-    policy, engine, released, admitted = drive(scheme, ops)
+    engine, released, admitted = drive(scheme, ops)
     keys = [released_key(scheme, item) for item in released]
 
     # No double release, ever.
@@ -190,7 +218,8 @@ def test_policy_conformance(scheme, ops):
 
     # Conservation: every admitted key out exactly once, nothing stuck.
     assert set(keys) == set(admitted)
-    assert policy.pending_count() == 0
+    if scheme not in CLOCK_SCHEMES:
+        assert engine.policy.pending_count() == 0
     assert engine.pending_count == 0
     assert engine.trades_released == len(admitted)
     assert engine.duplicates_ignored == sum(admitted.values()) - len(admitted)
@@ -212,23 +241,21 @@ def test_policy_conformance(scheme, ops):
                 regressions += 1
             else:
                 max_seen = stamp
-        assert policy.ordering_inversions == regressions
+        assert engine.buffer.horizon_policy.ordering_inversions == regressions
 
 
 @given(op_sequence())
 @settings(max_examples=40, deadline=None)
 def test_delivery_clock_watermarks_monotone(ops):
     """The DBO policy's per-participant watermarks never regress."""
-    policy = make_policy("dbo")
-    fake = FakeEngine()
-    engine = ReleaseEngine(policy, sink=lambda item, now: None, engine=fake)
+    engine = make_engine("dbo", lambda item, now: None, FakeEngine())
     last: Dict[str, Tuple[int, float]] = {}
     for kind, mp, seq, stamp_t, t in ops:
         if kind == "trade":
             engine.on_trade(make_item("dbo", mp, seq, stamp_t, t), t - 0.1, t)
         elif kind == "hb":
             engine.on_watermark(mp, DeliveryClockStamp(*stamp_t), t)
-        for mp_id, value in policy._wm.items():
+        for mp_id, value in engine.buffer.policy._wm.items():
             assert value >= last.get(mp_id, value)
             last[mp_id] = value
 
@@ -236,12 +263,8 @@ def test_delivery_clock_watermarks_monotone(ops):
 @pytest.mark.parametrize("scheme", ["dbo", "prob", "cloudex"])
 def test_equal_stamp_ties_release_in_key_order(scheme):
     """Stamp ties break deterministically on (mp_id, trade_seq)."""
-    policy = make_policy(scheme)
-    fake = FakeEngine()
     released: List[Any] = []
-    engine = ReleaseEngine(
-        policy, sink=lambda item, now: released.append(item), engine=fake
-    )
+    engine = make_engine(scheme, lambda item, now: released.append(item), FakeEngine())
     stamp_t = (3, 1.5)
     # Admit in an order that disagrees with the key order.
     for mp, seq in [("mp2", 0), ("mp0", 1), ("mp1", 0), ("mp0", 0)]:

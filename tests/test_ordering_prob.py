@@ -143,15 +143,15 @@ class TestProbOrderingBuffer:
         # Flush pops in stamp order, so no inversion here.
         assert [item.trade.key for item in released] == [("b", 0), ("a", 0)]
         assert buffer.ordering_inversions == 0
-        assert not buffer._heap and not buffer._due
+        assert not buffer._heap and not buffer.horizon_policy._due
 
     def test_crash_clears_due_map(self):
         fake, buffer, _ = make_buffer(horizon=5.0)
         buffer.on_tagged_trade(tagged("a", 0, (1, 0.0)), 9.0, 10.0)
-        assert buffer._due
+        assert buffer.horizon_policy._due
         lost = buffer.crash()
         assert lost == 1
-        assert not buffer._due
+        assert not buffer.horizon_policy._due
         # Stale horizon wakes after a crash must be harmless no-ops.
         fake.run_until(100.0)
         assert buffer.trades_released == 0

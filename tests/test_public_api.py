@@ -67,6 +67,42 @@ def test_core_exports_one_shard_plane():
     ]
 
 
+def test_each_release_rule_exists_once():
+    import inspect
+
+    import repro.baselines
+    import repro.exchange
+    from repro.core.release_engine import ReleaseEngine
+    from repro.ordering import DeliveryClockPolicy, OrderingPolicy, ProbabilisticPolicy
+
+    # FCFS is PassthroughPolicy on ReleaseEngine; CloudEx builds its
+    # ReleaseEngine directly.
+    assert not hasattr(repro.exchange, "FCFSSequencer")
+    assert "CloudExOrderingBuffer" not in repro.baselines.__all__
+    # The delivery-clock rules are decision state for OrderingBuffer /
+    # ProbOrderingBuffer, not a second pending store beside them.
+    engine_half = (
+        "admit", "pop_due", "pop_all", "pending_count", "key_of",
+        "on_boundary", "on_watermark",
+    )
+    for policy in (DeliveryClockPolicy, ProbabilisticPolicy):
+        for name in engine_half:
+            assert not hasattr(policy, name), f"{policy.__name__}.{name}"
+    assert not hasattr(DeliveryClockPolicy, "watermark_extremes")
+    members = set(OrderingPolicy.__annotations__) | {
+        name
+        for name, value in vars(OrderingPolicy).items()
+        if inspect.isfunction(value) and not name.startswith("_")
+    }
+    assert members == {
+        "name", "key_of", "admit", "pop_due", "on_boundary", "pop_all",
+        "pending_count",
+    }
+    parameters = inspect.signature(ReleaseEngine.__init__).parameters
+    assert list(parameters) == ["self", "policy", "sink", "engine"]
+    assert parameters["engine"].default is None
+
+
 def test_top_level_quickstart_surface():
     import repro
 
