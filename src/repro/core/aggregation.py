@@ -80,6 +80,9 @@ __all__ = [
 # direct call or a channel; :func:`deliver_upstream` decodes them.
 UpstreamSend = Callable[[Tuple[str, object]], object]
 
+# A watermark's ``DeliveryClockStamp.key``: what the merges compare.
+WatermarkKey = Tuple[int, float]
+
 # Sentinel above every real stamp (2**62 point ids is beyond any run).
 _TOP = DeliveryClockStamp(2**62, float("inf"))
 
@@ -253,7 +256,7 @@ class HeartbeatAggregator:
             # resends still undercut.
             return
         current = self._watermarks[child_id]
-        if watermark is not None and (current is None or watermark > current):
+        if watermark is not None and (current is None or watermark.key > current.key):
             self._watermarks[child_id] = watermark
         self._on_watermarks_advanced(now)
 
@@ -267,31 +270,32 @@ class HeartbeatAggregator:
         for watermark in self._watermarks.values():
             if watermark is None:
                 return None
-            if minimum is None or watermark < minimum:
+            if minimum is None or watermark.key < minimum.key:
                 minimum = watermark
         return minimum
 
     def _watermark_extremes(
         self,
-    ) -> Tuple[
-        Optional[DeliveryClockStamp], Optional[str], Optional[DeliveryClockStamp]
-    ]:
-        """Lowest and second-lowest child watermarks (see OrderingBuffer)."""
-        min1: Optional[DeliveryClockStamp] = None
+    ) -> Optional[Tuple[WatermarkKey, str, WatermarkKey]]:
+        """Keys of the lowest and second-lowest child watermarks, with the
+        lowest's child (see OrderingBuffer); ``None`` while any child has
+        not reported."""
+        min1: Optional[WatermarkKey] = None
         min1_child: Optional[str] = None
-        min2: Optional[DeliveryClockStamp] = None
+        min2: Optional[WatermarkKey] = None
         for child_id, watermark in self._watermarks.items():
             if watermark is None:
-                return None, None, None
-            if min1 is None or watermark < min1:
+                return None
+            key = watermark.key
+            if min1 is None or key < min1:
                 min2 = min1
-                min1 = watermark
+                min1 = key
                 min1_child = child_id
-            elif min2 is None or watermark < min2:
-                min2 = watermark
-        if min2 is None:
-            min2 = _TOP
-        return min1, min1_child, min2
+            elif min2 is None or key < min2:
+                min2 = key
+        if min1 is None or min1_child is None:
+            return None
+        return min1, min1_child, _TOP.key if min2 is None else min2
 
     def _on_watermarks_advanced(self, now: float) -> None:
         """Hook: the merged minimum may have moved.  Default: nothing."""
@@ -415,7 +419,7 @@ class MasterOB(HeartbeatAggregator):
             # so they prove nothing about the child's future stream.
             stamp: DeliveryClockStamp = tagged.clock
             current = self._watermarks[child_id]
-            if current is None or stamp > current:
+            if current is None or stamp.key > current.key:
                 self._watermarks[child_id] = stamp
         self._enqueue(child_id, tagged, now)
 
@@ -425,26 +429,19 @@ class MasterOB(HeartbeatAggregator):
             return
         heapq.heappush(
             self._heap,
-            (
-                tagged.clock.as_tuple(),
-                child_id,
-                tagged.trade.mp_id,
-                tagged.trade.trade_seq,
-                tagged,
-            ),
+            (tagged.clock.key, child_id, tagged.trade.mp_id, tagged.trade.trade_seq, tagged),
         )
         self._try_release(now)
 
-    def _on_watermarks_advanced(self, now: float) -> None:
-        self._try_release(now)
-
     def _try_release(self, now: float) -> None:
-        if self._warmup_pending:
-            # Warm-up hold: re-collected resends may still be in flight.
+        if self._warmup_pending or not self._heap:
+            # Warm-up hold (re-collected resends may still be in flight),
+            # or nothing to release.
             return
-        min1, min1_child, min2 = self._watermark_extremes()
-        if min1 is None:
+        extremes = self._watermark_extremes()
+        if extremes is None:
             return
+        min1, min1_child, min2 = extremes
         use_exception = self.releasing_children
         while self._heap:
             stamp_tuple, child_id, _, _, _ = self._heap[0]
@@ -457,7 +454,7 @@ class MasterOB(HeartbeatAggregator):
                 )
                 else min1
             )
-            if stamp_tuple >= bound.as_tuple():
+            if stamp_tuple >= bound:
                 break
             _, _, _, _, tagged = heapq.heappop(self._heap)
             key = tagged.trade.key
@@ -468,6 +465,10 @@ class MasterOB(HeartbeatAggregator):
             self.trades_released += 1
             if self.sink is not None:
                 self.sink(tagged, now)
+
+    # The merged minimum moved: the release attempt *is* the hook (no
+    # trampoline frame per child summary).
+    _on_watermarks_advanced = _try_release
 
     def flush(self, now: float) -> int:
         """Release every queued trade in stamp order (end-of-run drain)."""

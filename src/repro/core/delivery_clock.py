@@ -27,60 +27,98 @@ release buffer.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import FrozenInstanceError
+from typing import Any, Optional, Tuple
 
 from repro.sim.clocks import Clock, PerfectClock
 
 __all__ = ["DeliveryClockStamp", "DeliveryClock", "ClockNotStartedError"]
-
-# `object.__setattr__`, hoisted: frozen-dataclass instances can only be
-# filled this way, and the attribute chain costs on the read() hot path.
-_setattr = object.__setattr__
 
 
 class ClockNotStartedError(RuntimeError):
     """Reading a delivery clock before any data point was delivered."""
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
 class DeliveryClockStamp:
     """An immutable delivery-clock reading ``⟨last_point_id, elapsed⟩``.
 
     Stamps are ordered lexicographically — first by the id of the last
     delivered point, then by the locally measured elapsed time — which is
     exactly the trade ordering DBO enforces (Eq. 6).
+
+    ``key`` is that order as a plain tuple, built once per stamp: the
+    buffers' heaps, watermark maps and minima compare keys (one C-level
+    tuple compare), and every comparison operator here is one frame over
+    them.  Equality and hashing are the key's, between stamps only.
     """
+
+    __slots__ = ("last_point_id", "elapsed", "key")
 
     last_point_id: int
     elapsed: float
+    key: Tuple[int, float]
 
-    def __post_init__(self) -> None:
-        if self.last_point_id < 0:
+    def __init__(self, last_point_id: int, elapsed: float) -> None:
+        if last_point_id < 0:
             raise ValueError("last_point_id must be non-negative")
-        if self.elapsed < 0:
-            raise ValueError(f"elapsed must be non-negative, got {self.elapsed}")
+        if elapsed < 0:
+            raise ValueError(f"elapsed must be non-negative, got {elapsed}")
+        _set_point(self, last_point_id)
+        _set_elapsed(self, elapsed)
+        _set_key(self, (last_point_id, elapsed))
 
-    def as_tuple(self) -> tuple:
-        return (self.last_point_id, self.elapsed)
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> Tuple[type, Tuple[int, float]]:
+        return (DeliveryClockStamp, (self.last_point_id, self.elapsed))
+
+    def as_tuple(self) -> Tuple[int, float]:
+        return self.key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DeliveryClockStamp):
             return NotImplemented
-        return self.as_tuple() == other.as_tuple()
+        return self.key == other.key
 
     def __lt__(self, other: "DeliveryClockStamp") -> bool:
         if not isinstance(other, DeliveryClockStamp):
             return NotImplemented
-        return self.as_tuple() < other.as_tuple()
+        return self.key < other.key
+
+    def __le__(self, other: "DeliveryClockStamp") -> bool:
+        if not isinstance(other, DeliveryClockStamp):
+            return NotImplemented
+        return self.key <= other.key
+
+    def __gt__(self, other: "DeliveryClockStamp") -> bool:
+        if not isinstance(other, DeliveryClockStamp):
+            return NotImplemented
+        return self.key > other.key
+
+    def __ge__(self, other: "DeliveryClockStamp") -> bool:
+        if not isinstance(other, DeliveryClockStamp):
+            return NotImplemented
+        return self.key >= other.key
 
     def __hash__(self) -> int:
-        return hash(self.as_tuple())
+        return hash(self.key)
 
     def __repr__(self) -> str:
         return f"⟨{self.last_point_id}, {self.elapsed:.3f}⟩"
+
+
+# The slot setters, hoisted: ``__setattr__`` refuses every assignment, so
+# stamps are filled through the slot descriptors — also how
+# :meth:`DeliveryClock.read` builds its already-validated stamps without
+# an ``__init__`` frame.
+_new = object.__new__
+_set_point = DeliveryClockStamp.__dict__["last_point_id"].__set__
+_set_elapsed = DeliveryClockStamp.__dict__["elapsed"].__set__
+_set_key = DeliveryClockStamp.__dict__["key"].__set__
 
 
 class DeliveryClock:
@@ -158,9 +196,9 @@ class DeliveryClock:
             )
         # Hot path: a read happens per heartbeat and per trade tag.  The
         # components are already validated (non-negative id invariant,
-        # elapsed checked above), so skip the frozen-dataclass __init__ /
-        # __post_init__ machinery and build the stamp directly.
-        stamp = object.__new__(DeliveryClockStamp)
-        _setattr(stamp, "last_point_id", last_point_id)
-        _setattr(stamp, "elapsed", elapsed)
+        # elapsed checked above), so skip __init__ and fill the slots.
+        stamp = _new(DeliveryClockStamp)
+        _set_point(stamp, last_point_id)
+        _set_elapsed(stamp, elapsed)
+        _set_key(stamp, (last_point_id, elapsed))
         return stamp

@@ -162,10 +162,7 @@ class OrderingBuffer:
             self._try_release(arrival_time)
             return
         self._queued.add(key)
-        heapq.heappush(
-            self._heap,
-            (stamp.as_tuple(), mp_id, tagged.trade.trade_seq, tagged),
-        )
+        heapq.heappush(self._heap, (stamp.key, mp_id, tagged.trade.trade_seq, tagged))
         self.max_queue_depth = max(self.max_queue_depth, len(self._heap))
         # In-order delivery: a trade with stamp s proves everything from
         # this participant below s has been received — same as a heartbeat.
@@ -185,7 +182,7 @@ class OrderingBuffer:
         if stamp is not None:
             # `advance_watermark` inlined — one call per heartbeat
             # arrival makes this the OB's hottest entry point.
-            new_t = (stamp.last_point_id, stamp.elapsed)
+            new_t = stamp.key
             wm = pol._wm
             old_t = wm.get(mp_id)
             if old_t is None or new_t > old_t:
@@ -194,7 +191,10 @@ class OrderingBuffer:
                 if not state.is_straggler:
                     if old_t is None:
                         pol._n_unreported -= 1
-                    heapq.heappush(pol._ext_heap, (new_t, mp_id))
+                    ext_heap = pol._ext_heap
+                    heapq.heappush(ext_heap, (new_t, mp_id))
+                    if len(ext_heap) > 64 + 4 * pol._n_waited:
+                        pol.rebuild_ext_heap()
             if self.straggler_threshold is not None:
                 pol.update_straggler_state(state, stamp, arrival_time)
         # With nothing queued and no straggler tracking, `_try_release`
@@ -238,9 +238,6 @@ class OrderingBuffer:
             min1_mp = None
         else:
             ext_heap = pol._ext_heap
-            if len(ext_heap) > 64 + 4 * n_waited:
-                pol.rebuild_ext_heap()
-                ext_heap = pol._ext_heap
             wm = pol._wm
             while True:
                 entry = ext_heap[0]

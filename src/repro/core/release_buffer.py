@@ -529,17 +529,14 @@ class ReleaseBuffer:
                 self._heartbeat_timer.cancel()
             return
         now = self.engine.now
-        last_trade = self._last_trade_sent_at
-        if (
-            self.piggyback_suppression
-            and last_trade is not None
-            and now - last_trade < self.heartbeat_period
-        ):
-            # A recent trade already proved this participant's progress.
-            self.heartbeats_suppressed += 1
-        else:
-            clock = self.clock
-            stamp: Optional[DeliveryClockStamp]
-            stamp = clock.read(now) if clock._last_point_id is not None else None
-            self.heartbeats_sent += 1
-            self._heartbeat_sink(Heartbeat(self.mp_id, stamp, now))
+        if self.piggyback_suppression:
+            last_trade = self._last_trade_sent_at
+            if last_trade is not None and now - last_trade < self.heartbeat_period:
+                # A recent trade already proved this participant's progress.
+                self.heartbeats_suppressed += 1
+                return
+        clock = self.clock
+        stamp: Optional[DeliveryClockStamp]
+        stamp = clock.read(now) if clock._last_point_id is not None else None
+        self.heartbeats_sent += 1
+        self._heartbeat_sink(Heartbeat(self.mp_id, stamp, now))

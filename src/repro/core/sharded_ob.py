@@ -184,13 +184,19 @@ class ShardOB:
 
     # ------------------------------------------------------------------
     def _subset_watermark(self) -> Optional[DeliveryClockStamp]:
-        minimum: Optional[DeliveryClockStamp] = None
-        for state in self._inner.states.values():
-            if state.watermark is None:
-                return None
-            if minimum is None or state.watermark < minimum:
-                minimum = state.watermark
-        return minimum
+        """The lowest watermark over this shard's participants (stragglers
+        included); ``None`` while any has not reported.
+
+        Read off the policy's key map (``_wm``), which holds exactly the
+        reported participants' watermark keys: one C-level ``min`` over
+        tuples instead of a stamp comparison per participant.
+        """
+        inner = self._inner
+        states = inner.states
+        keys = inner._policy._wm
+        if len(keys) < len(states):
+            return None
+        return states[min(keys, key=keys.__getitem__)].watermark
 
     def publish_summary(self) -> None:
         """Send the subset-minimum watermark upstream.
@@ -200,7 +206,7 @@ class ShardOB:
         While warming up, ``None`` is published regardless of the subset
         state: resends still in flight could carry stamps below it.
         """
-        watermark = None if self._inner.warming_up else self._subset_watermark()
+        watermark = None if self._inner._warmup_pending else self._subset_watermark()
         self.summaries_published += 1
         self._parent_send(("summary", watermark))
 

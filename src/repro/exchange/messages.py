@@ -10,13 +10,20 @@ Naming follows the paper's notation (Table 1):
   are attached by the release buffer in a :class:`TaggedTrade` envelope.
 * :class:`Heartbeat` carries ``DC(i, h)`` for the ordering buffer's
   release rule (§4.1.3).
+
+The three messages built per heartbeat or per trade — :class:`Heartbeat`,
+:class:`TaggedTrade`, :class:`TradeOrder` — are frozen, slotted
+dataclasses with a hand-written ``__init__`` that fills the slots through
+their descriptors: the generated frozen ``__init__`` routes every field
+through ``object.__setattr__`` and costs about twice as much.  Equality,
+hashing, ``repr`` and immutability are the dataclass's, unchanged.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Any, Callable, Optional, Tuple
 
 __all__ = [
     "Side",
@@ -115,7 +122,12 @@ class MarketDataBatch:
         return len(self.points)
 
 
-@dataclass(frozen=True)
+def _slot_setters(cls: type) -> Tuple[Callable[[Any, Any], None], ...]:
+    """The ``__set__`` of each of dataclass ``cls``'s slots, in field order."""
+    return tuple(cls.__dict__[field.name].__set__ for field in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class TradeOrder:
     """A trade order as submitted by a market participant.
 
@@ -129,18 +141,36 @@ class TradeOrder:
     side: Side = Side.BUY
     price: float = 0.0
     quantity: int = 1
-    order_type: Optional[OrderType] = None  # defaults to LIMIT in __post_init__
-    time_in_force: Optional[TimeInForce] = None  # defaults to GTC
+    order_type: Optional[OrderType] = None  # None → LIMIT
+    time_in_force: Optional[TimeInForce] = None  # None → GTC
     # --- ground truth for evaluation only -----------------------------
     trigger_point: Optional[int] = None
     response_time: Optional[float] = None
     submission_time: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        if self.order_type is None:
-            object.__setattr__(self, "order_type", OrderType.LIMIT)
-        if self.time_in_force is None:
-            object.__setattr__(self, "time_in_force", TimeInForce.GTC)
+    def __init__(
+        self,
+        mp_id: str,
+        trade_seq: int,
+        side: Side = Side.BUY,
+        price: float = 0.0,
+        quantity: int = 1,
+        order_type: Optional[OrderType] = None,
+        time_in_force: Optional[TimeInForce] = None,
+        trigger_point: Optional[int] = None,
+        response_time: Optional[float] = None,
+        submission_time: Optional[float] = None,
+    ) -> None:
+        _set_mp_id(self, mp_id)
+        _set_trade_seq(self, trade_seq)
+        _set_side(self, side)
+        _set_price(self, price)
+        _set_quantity(self, quantity)
+        _set_order_type(self, OrderType.LIMIT if order_type is None else order_type)
+        _set_time_in_force(self, TimeInForce.GTC if time_in_force is None else time_in_force)
+        _set_trigger_point(self, trigger_point)
+        _set_response_time(self, response_time)
+        _set_submission_time(self, submission_time)
 
     @property
     def key(self) -> Tuple[str, int]:
@@ -148,7 +178,14 @@ class TradeOrder:
         return (self.mp_id, self.trade_seq)
 
 
-@dataclass(frozen=True)
+(
+    _set_mp_id, _set_trade_seq, _set_side, _set_price, _set_quantity,
+    _set_order_type, _set_time_in_force, _set_trigger_point,
+    _set_response_time, _set_submission_time,
+) = _slot_setters(TradeOrder)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class TaggedTrade:
     """A trade order tagged with its delivery-clock timestamp by the RB."""
 
@@ -156,18 +193,34 @@ class TaggedTrade:
     clock: Any  # DeliveryClock; typed loosely to avoid a core<->exchange cycle
     tagged_at: float = 0.0
 
+    def __init__(self, trade: TradeOrder, clock: Any, tagged_at: float = 0.0) -> None:
+        _set_trade(self, trade)
+        _set_tagged_clock(self, clock)
+        _set_tagged_at(self, tagged_at)
+
     @property
     def key(self) -> Tuple[str, int]:
         return self.trade.key
 
 
-@dataclass(frozen=True)
+_set_trade, _set_tagged_clock, _set_tagged_at = _slot_setters(TaggedTrade)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Heartbeat:
     """Periodic liveness/progress beacon from a release buffer (§4.1.3)."""
 
     mp_id: str
     clock: Any  # DeliveryClock
     generated_at: float = 0.0
+
+    def __init__(self, mp_id: str, clock: Any, generated_at: float = 0.0) -> None:
+        _set_heartbeat_mp_id(self, mp_id)
+        _set_heartbeat_clock(self, clock)
+        _set_generated_at(self, generated_at)
+
+
+_set_heartbeat_mp_id, _set_heartbeat_clock, _set_generated_at = _slot_setters(Heartbeat)
 
 
 @dataclass(frozen=True)

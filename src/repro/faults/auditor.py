@@ -263,7 +263,7 @@ class InvariantAuditor:
             )
         else:
             self._released_keys.add(key)
-        stamp = tagged.clock.as_tuple()
+        stamp = tagged.clock.key
         if self._last_release_stamp is not None and stamp < self._last_release_stamp:
             self._record(
                 "ordering_inversion" if self._probabilistic else "release_order",
@@ -298,7 +298,7 @@ class InvariantAuditor:
         if heartbeat.clock is None:
             return
         self.heartbeats_checked += 1
-        stamp = heartbeat.clock.as_tuple()
+        stamp = heartbeat.clock.key
         previous = self._last_heartbeat_stamp.get(heartbeat.mp_id)
         if previous is not None and stamp < previous:
             self._record(

@@ -122,7 +122,7 @@ class UniformJitterLatency(LatencyModel):
         self._memo_value: float = self.base + self.jitter * stable_unit(self.seed, -1)
 
     def latency_at(self, t: float) -> float:
-        index = int(math.floor(t / self.slot))
+        index = math.floor(t / self.slot)  # an int: math.floor of a float
         if index == self._memo_index:
             return self._memo_value
         # Inline splitmix64((state0 ^ index) & MASK) / 2**64 — identical
@@ -201,12 +201,24 @@ class SpikeSchedule:
         self.seed = int(seed)
         self.amplitude_max_factor = float(amplitude_max_factor)
         self._spikes: List[Tuple[float, float]] = []  # (start, amplitude)
+        # Every spike starting at or before this time is in `_spikes`
+        # (spikes start at t >= 1, so the empty list covers t = 0).
         self._materialized_until = 0.0
+        # The quiet window: contribution_at(t) is exactly 0.0 for
+        # quiet_from <= t < quiet_until.  Left by the last query that
+        # found no spike in range (empty until then).
+        self.quiet_from = math.inf
+        self.quiet_until = -math.inf
 
     def _materialize(self, until: float) -> None:
-        """Extend the spike list to cover ``[0, until]`` deterministically."""
+        """Extend the spike list past ``until + 4·decay`` deterministically.
+
+        Records the horizon actually covered — the last spike's start
+        minus ``4·decay``, beyond ``until`` — so queries up to it never
+        come back here: each call appends at least one spike.
+        """
         if self.rate_per_second == 0.0:
-            self._materialized_until = until
+            self._materialized_until = math.inf
             return
         mean_gap = 1e6 / self.rate_per_second  # microseconds between spikes
         index = len(self._spikes)
@@ -218,7 +230,9 @@ class SpikeSchedule:
             amplitude = min(amplitude, self.amplitude_max_factor * self.amplitude_mean)
             self._spikes.append((t, amplitude))
             index += 1
-        self._materialized_until = until
+        # Spikes are generated in start order, so any spike still missing
+        # starts after t, past every query up to t - 4·decay.
+        self._materialized_until = t - 4.0 * self.decay
 
     def contribution_at(self, t: float) -> float:
         """Total spike-induced extra latency at time ``t``."""
@@ -226,13 +240,24 @@ class SpikeSchedule:
             return 0.0
         if t > self._materialized_until:
             self._materialize(t)
+        spikes = self._spikes
+        decay = self.decay
         total = 0.0
         # Only spikes within ~12 decay constants matter (exp(-12) ≈ 6e-6).
-        start_index = bisect.bisect_left(self._spikes, (t - 12.0 * self.decay, -1.0))
-        for spike_start, amplitude in self._spikes[start_index:]:
+        index = bisect.bisect_left(spikes, (t - 12.0 * decay, -1.0))
+        end = len(spikes)
+        if index == end or spikes[index][0] > t:
+            # No spike in range, and none enters it before the next one
+            # starts (the range's lower edge only moves up with t).
+            self.quiet_from = t
+            self.quiet_until = spikes[index][0] if index < end else math.inf
+            return total
+        while index < end:
+            spike_start, amplitude = spikes[index]
             if spike_start > t:
                 break
-            total += amplitude * math.exp(-(t - spike_start) / self.decay)
+            total += amplitude * math.exp(-(t - spike_start) / decay)
+            index += 1
         return total
 
 
@@ -265,7 +290,13 @@ class CloudLatencyModel(LatencyModel):
         )
 
     def latency_at(self, t: float) -> float:
-        return self.base_model.latency_at(t) + self.spikes.contribution_at(t)
+        latency = self.base_model.latency_at(t)
+        spikes = self.spikes
+        if spikes.quiet_from <= t < spikes.quiet_until:
+            # The spike term is exactly 0.0 here, and latency + 0.0 is
+            # latency (never -0.0): skip the call.
+            return latency
+        return latency + spikes.contribution_at(t)
 
     def mean_estimate(self) -> float:
         spike_mean = (

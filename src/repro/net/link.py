@@ -177,7 +177,8 @@ class Link:
         """
         if self.handler is None:
             raise RuntimeError(f"link {self.name!r} has no receive handler")
-        t_send = self.engine.now if send_time is None else send_time
+        engine = self.engine
+        t_send = engine.now if send_time is None else send_time
         if self.blackhole or self._burst_loss_probability:
             if self._fault_dropped(t_send):
                 # The packet vanished in a partition/burst; report the
@@ -204,10 +205,8 @@ class Link:
                     fifo_clamped=clamped,
                 )
             )
-
-        self.engine.schedule_at(
-            arrival, self._deliver_target, self.priority, (message, t_send, arrival)
-        )
+        # Deliveries are never cancelled: the handle-free push.
+        engine.post_at(arrival, self._deliver_target, self.priority, (message, t_send, arrival))
         return arrival
 
     def _deliver(self, message: Any, t_send: float, arrival: float) -> None:
@@ -298,17 +297,6 @@ class LossyLink(Link):
 
             # The recovery target is resolved at send time (historical
             # semantics); it rides along as a scheduled-call argument.
-            self.engine.schedule_at(
-                recovered,
-                self._deliver_recovered,
-                priority=0,
-                args=(target, message, t_send, recovered),
-            )
+            self.engine.post_at(recovered, target, 0, (message, t_send, recovered))
             return recovered
-        return super().send(message, send_time=send_time)
-
-    @staticmethod
-    def _deliver_recovered(
-        target: DeliveryHandler, message: Any, t_send: float, recovered: float
-    ) -> None:
-        target(message, t_send, recovered)
+        return super().send(message, send_time)

@@ -141,16 +141,20 @@ class Channel:
         """Send ``message``; returns the (primary copy's) arrival time.
 
         While duplication is active, a seeded per-index coin decides
-        whether an extra copy rides along at the same send time.
+        whether an extra copy rides along at the same send time.  The
+        duplication state is read here, per message — which is why
+        senders hold this bound method and never a pre-fused link send:
+        a :meth:`start_duplication` mid-run must reach the very next
+        message.
         """
         self._messages_sent += 1
-        arrival = self.link.send(message, send_time=send_time)
+        arrival = self.link.send(message, send_time)
         if self._dup_probability:
             index = self._dup_index
             self._dup_index += 1
             if stable_bool(self._dup_probability, self._dup_seed, index):
                 self._messages_duplicated += 1
-                self.link.send(message, send_time=send_time)
+                self.link.send(message, send_time)
         return arrival
 
     def arrival_time_for(self, send_time: float) -> float:

@@ -31,9 +31,10 @@ __all__ = ["DeliveryClockPolicy", "ParticipantState"]
 WatermarkTuple = Tuple[int, float]
 
 
-@dataclass
+@dataclass(slots=True)
 class ParticipantState:
-    """The policy's per-participant progress view."""
+    """The policy's per-participant progress view (slotted: written on
+    every heartbeat arrival)."""
 
     mp_id: str
     watermark: Optional["DeliveryClockStamp"] = None
@@ -73,10 +74,14 @@ class DeliveryClockPolicy:
         self.states: Dict[str, ParticipantState] = {
             mp_id: ParticipantState(mp_id) for mp_id in participants
         }
-        # Watermarks as plain tuples (mirrors states[*].watermark) plus a
-        # lazy min-heap of (watermark, mp_id) entries over non-straggler
-        # participants.  Advances push a fresh entry; reads pop entries
-        # whose tuple no longer matches `_wm` (stale).  Straggler flips,
+        # Watermark keys (mirrors states[*].watermark: an entry exactly for
+        # each participant that has reported — ShardOB takes its subset
+        # minimum over it) plus a lazy min-heap of (watermark, mp_id)
+        # entries over non-straggler participants.  Advances push a fresh
+        # entry; reads pop entries whose tuple no longer matches `_wm`
+        # (stale).  A push past 64 + 4 entries per waited participant
+        # compacts the heap — reads alone would not, since heartbeats
+        # with nothing queued never reach a read.  Straggler flips,
         # crashes and membership changes mark the heap dirty, forcing a
         # rare O(N) rebuild that also refreshes the waited/unreported
         # counts.
@@ -96,7 +101,7 @@ class DeliveryClockPolicy:
         return [s.mp_id for s in self.states.values() if s.is_straggler]
 
     def advance_watermark(self, mp_id: str, stamp: DeliveryClockStamp) -> None:
-        new_t = (stamp.last_point_id, stamp.elapsed)
+        new_t = stamp.key
         wm = self._wm
         old_t = wm.get(mp_id)
         if old_t is not None and new_t <= old_t:
@@ -107,7 +112,10 @@ class DeliveryClockPolicy:
         if not state.is_straggler:
             if old_t is None:
                 self._n_unreported -= 1
-            heapq.heappush(self._ext_heap, (new_t, mp_id))
+            ext_heap = self._ext_heap
+            heapq.heappush(ext_heap, (new_t, mp_id))
+            if len(ext_heap) > 64 + 4 * self._n_waited:
+                self.rebuild_ext_heap()
 
     def update_straggler_state(
         self,

@@ -103,13 +103,12 @@ class MarketParticipant:
                 )
                 self._trade_seq += 1
                 self.submitted.append(order)
-                self._schedule_submission(order, submission_time)
+                self.engine.schedule_at(submission_time, self._submit, 1, (order,))
 
-    def _schedule_submission(self, order: TradeOrder, when: float) -> None:
-        def submit(order=order) -> None:
-            self._submitter(order)
-
-        self.engine.schedule_at(when, submit, priority=1)
+    def _submit(self, order: TradeOrder) -> None:
+        # Resolved at submission time, so a re-connect reaches orders
+        # already scheduled.
+        self._submitter(order)  # type: ignore[misc]
 
     @property
     def trades_submitted(self) -> int:

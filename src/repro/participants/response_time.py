@@ -15,7 +15,7 @@ only thing that differs is the network and the ordering mechanism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from repro.sim.randomness import stable_uniform
+from repro.sim.randomness import _MASK64, splitmix64, stable_uniform
 
 __all__ = [
     "ResponseTimeModel",
@@ -48,9 +48,16 @@ class UniformResponseTime(ResponseTimeModel):
     def __post_init__(self) -> None:
         if self.low < 0 or self.high <= self.low:
             raise ValueError("need 0 <= low < high")
+        # The seed's SplitMix64 round, hoisted (not a field: equality,
+        # hashing and repr are unchanged).
+        object.__setattr__(self, "_state0", splitmix64(self.seed & _MASK64))
 
     def response_time(self, mp_index: int, point_id: int) -> float:
-        return stable_uniform(self.low, self.high, self.seed, mp_index, point_id)
+        """``stable_uniform(low, high, seed, mp_index, point_id)``, with
+        the seed round hoisted."""
+        state = splitmix64(self._state0 ^ (mp_index & _MASK64))  # type: ignore[attr-defined]
+        unit = splitmix64(state ^ (point_id & _MASK64)) / 18446744073709551616.0
+        return self.low + (self.high - self.low) * unit
 
 
 @dataclass(frozen=True)

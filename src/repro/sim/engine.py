@@ -11,9 +11,10 @@ module is layered:
 * :class:`ReferenceHeapEngine` — the same heap with periodic events
   pushed anew each tick: the oracle the differential and Hypothesis
   suites compare :class:`HeapEventEngine` against;
-* :class:`PeriodicTimer` — an engine-native recurring event that is
-  rescheduled in place (``heapreplace``) instead of pushed anew each
-  tick, which is what makes τ-period heartbeats cheap at large N.
+* :class:`PeriodicTimer` — an engine-native recurring event that fires
+  inline in the event loop and is rescheduled in place (its heap entry
+  re-keyed and sifted with one ``heapreplace``) instead of pushed anew
+  each tick, which is what makes τ-period heartbeats cheap at large N.
 
 Design notes
 ------------
@@ -29,6 +30,10 @@ Design notes
   None``) — O(1), no auxiliary set that could grow unboundedly — and
   executed entries are tombstoned too, so cancelling an already-executed
   event is a free no-op.
+* Events nobody will cancel — every link delivery — go through
+  :meth:`HeapEventEngine.post_at`, which pushes the same entry as
+  :meth:`~HeapEventEngine.schedule_at` without building the
+  :class:`ScheduledEvent` handle.
 * The engine knows nothing about networking or exchanges; components
   schedule plain callbacks.  Thin adapters in :mod:`repro.net` and
   :mod:`repro.core` translate domain events into callbacks.
@@ -84,6 +89,14 @@ class Scheduler(Protocol):
         priority: int = 1,
         args: Tuple[Any, ...] = (),
     ) -> "ScheduledEvent": ...
+
+    def post_at(
+        self,
+        time: float,
+        callback: Callable[..., None],
+        priority: int = 1,
+        args: Tuple[Any, ...] = (),
+    ) -> None: ...
 
     def schedule_after(
         self,
@@ -147,15 +160,15 @@ class PeriodicTimer:
     The engine fires ``callback`` at ``anchor``, ``anchor + period``,
     ``anchor + 2·period``, … — fire times are computed multiplicatively
     from the anchor, so the cadence is drift-free regardless of how many
-    ticks have elapsed.  On the heap engine's hot path the timer entry is
-    rescheduled with a single ``heapreplace`` sift instead of a
-    pop + push per tick.
+    ticks have elapsed.  On the heap engine's hot path the timer's one
+    heap entry is re-keyed and sifted with a single ``heapreplace``
+    instead of a pop + push per tick.
 
     Cancel with :meth:`cancel` (safe mid-period and from within the
     timer's own callback); the engine drops the queue entry lazily.
     """
 
-    __slots__ = ("_engine", "_anchor", "_period", "_callback", "_priority", "_fires", "_active", "_entry")
+    __slots__ = ("_engine", "_anchor", "_period", "_callback", "_priority", "_fires", "_active")
 
     def __init__(
         self,
@@ -174,7 +187,6 @@ class PeriodicTimer:
         self._priority = priority
         self._fires = 0
         self._active = True
-        self._entry: Optional[list] = None
 
     @property
     def period(self) -> float:
@@ -241,10 +253,13 @@ class HeapEventEngine:
     [1.0, 5.0]
     """
 
-    __slots__ = ("_now", "_sequence", "_running", "_events_processed", "_live", "_peak_pending", "_heap")
+    __slots__ = ("now", "_sequence", "_running", "_events_processed", "_live", "_peak_pending", "_heap")
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        # Current simulated time in microseconds.  A plain attribute, not
+        # a property: it is read a few times per event, and a property
+        # read is one more Python frame.  Only the event loop assigns it.
+        self.now: float = float(start_time)
         self._sequence = itertools.count()
         self._running = False
         self._events_processed = 0
@@ -258,11 +273,6 @@ class HeapEventEngine:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in microseconds."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Number of callbacks executed so far."""
@@ -302,9 +312,9 @@ class HeapEventEngine:
         SimulationError
             If ``time`` is before the current simulated time (or NaN).
         """
-        if not (time >= self._now):
+        if not (time >= self.now):
             raise SimulationError(
-                f"cannot schedule event at {time} before current time {self._now}"
+                f"cannot schedule event at {time} before current time {self.now}"
             )
         entry = [float(time), priority, next(self._sequence), callback, args]
         heap = self._heap
@@ -313,6 +323,34 @@ class HeapEventEngine:
             self._peak_pending = len(heap)
         self._live += 1
         return ScheduledEvent(entry)
+
+    def post_at(
+        self,
+        time: float,
+        callback: Callable[..., None],
+        priority: int = 1,
+        args: Tuple[Any, ...] = (),
+    ) -> None:
+        """Schedule ``callback(*args)`` at ``time``, returning no handle.
+
+        The event cannot be cancelled; otherwise it is exactly
+        :meth:`schedule_at` (same entry, same guard, same sequence draw).
+        Links deliver every message through it.
+
+        Raises
+        ------
+        SimulationError
+            If ``time`` is before the current simulated time (or NaN).
+        """
+        if not (time >= self.now):
+            raise SimulationError(
+                f"cannot schedule event at {time} before current time {self.now}"
+            )
+        heap = self._heap
+        heapq.heappush(heap, [float(time), priority, next(self._sequence), callback, args])
+        if len(heap) > self._peak_pending:
+            self._peak_pending = len(heap)
+        self._live += 1
 
     def schedule_after(
         self,
@@ -324,7 +362,7 @@ class HeapEventEngine:
         """Schedule ``callback`` to run ``delay`` microseconds from now."""
         if not (delay >= 0):
             raise SimulationError(f"negative delay {delay}")
-        return self.schedule_at(self._now + delay, callback, priority, args)
+        return self.schedule_at(self.now + delay, callback, priority, args)
 
     def schedule_periodic(
         self,
@@ -337,15 +375,13 @@ class HeapEventEngine:
 
         Returns the :class:`PeriodicTimer` handle (cancel to stop).
         """
-        if not (start_time >= self._now):
+        if not (start_time >= self.now):
             raise SimulationError(
-                f"cannot schedule timer at {start_time} before current time {self._now}"
+                f"cannot schedule timer at {start_time} before current time {self.now}"
             )
         timer = PeriodicTimer(self, start_time, period, callback, priority)
-        entry = [float(start_time), priority, next(self._sequence), timer, ()]
-        timer._entry = entry
         heap = self._heap
-        heapq.heappush(heap, entry)
+        heapq.heappush(heap, [float(start_time), priority, next(self._sequence), timer, ()])
         if len(heap) > self._peak_pending:
             self._peak_pending = len(heap)
         self._live += 1
@@ -374,71 +410,15 @@ class HeapEventEngine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _fire_timer(self, entry: list, timer: PeriodicTimer) -> None:
-        """Run one timer tick and reschedule (or drop) its entry in place."""
-        heap = self._heap
-        timer._fires += 1
-        timer._callback()
-        if timer._active:
-            entry_next = [
-                timer._anchor + timer._fires * timer._period,
-                entry[1],
-                next(self._sequence),
-                timer,
-                (),
-            ]
-            timer._entry = entry_next
-            if heap and heap[0] is entry:
-                # Fast path: one sift instead of pop + push.
-                heapq.heapreplace(heap, entry_next)
-            else:
-                # The callback scheduled something ahead of us (or drained
-                # the heap): orphan the old slot and push the next tick.
-                entry[3] = None
-                heapq.heappush(heap, entry_next)
-                if len(heap) > self._peak_pending:
-                    self._peak_pending = len(heap)
-        else:
-            # Cancelled from its own callback; cancel() already adjusted
-            # the live count.
-            if heap and heap[0] is entry:
-                heapq.heappop(heap)
-            else:
-                entry[3] = None
-
     def step(self) -> bool:
         """Execute the next pending event.
 
         Returns ``True`` if an event was executed, ``False`` if the queue
         is empty.
         """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            callback = entry[3]
-            if callback is None:
-                heapq.heappop(heap)
-                continue
-            if type(callback) is PeriodicTimer:
-                if not callback._active:
-                    heapq.heappop(heap)
-                    continue
-                self._now = entry[0]
-                self._events_processed += 1
-                self._fire_timer(entry, callback)
-                return True
-            heapq.heappop(heap)
-            entry[3] = None
-            self._live -= 1
-            self._now = entry[0]
-            self._events_processed += 1
-            args = entry[4]
-            if args:
-                callback(*args)
-            else:
-                callback()
-            return True
-        return False
+        before = self._events_processed
+        self._advance(None, 1)
+        return self._events_processed != before
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
@@ -455,43 +435,74 @@ class HeapEventEngine:
             raise SimulationError("engine is already running (re-entrant run())")
         self._running = True
         try:
-            heap = self._heap
-            processed = 0
-            while heap:
-                entry = heap[0]
-                callback = entry[3]
-                if callback is None:
-                    heapq.heappop(heap)
-                    continue
-                is_timer = type(callback) is PeriodicTimer
-                if is_timer and not callback._active:
-                    heapq.heappop(heap)
-                    continue
-                time = entry[0]
-                if until is not None and time > until:
-                    if until > self._now:
-                        self._now = until
-                    return
-                if max_events is not None and processed >= max_events:
-                    return
-                self._now = time
-                self._events_processed += 1
-                processed += 1
-                if is_timer:
-                    self._fire_timer(entry, callback)
-                else:
-                    heapq.heappop(heap)
-                    entry[3] = None
-                    self._live -= 1
-                    args = entry[4]
-                    if args:
-                        callback(*args)
-                    else:
-                        callback()
-            if until is not None and until > self._now:
-                self._now = until
+            self._advance(until, max_events)
         finally:
             self._running = False
+
+    def _advance(self, until: Optional[float], max_events: Optional[int]) -> None:
+        """The one event loop, shared by :meth:`run` and :meth:`step`.
+
+        A timer tick runs inline: its entry is re-keyed to the next tick
+        and sifted down with one ``heapreplace`` while it is still the
+        root; if the callback scheduled something ahead of it, the entry
+        is tombstoned and the next tick pushed afresh.
+        """
+        heap = self._heap
+        heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
+        sequence = self._sequence
+        timer_type = PeriodicTimer
+        processed = 0
+        while heap:
+            entry = heap[0]
+            callback = entry[3]
+            if callback is None:
+                heappop(heap)
+                continue
+            is_timer = type(callback) is timer_type
+            if is_timer and not callback._active:
+                heappop(heap)
+                continue
+            time = entry[0]
+            if until is not None and time > until:
+                if until > self.now:
+                    self.now = until
+                return
+            if max_events is not None and processed >= max_events:
+                return
+            self.now = time
+            self._events_processed += 1
+            processed += 1
+            if is_timer:
+                callback._fires += 1
+                callback._callback()
+                if callback._active:
+                    next_time = callback._anchor + callback._fires * callback._period
+                    if heap and heap[0] is entry:
+                        entry[0] = next_time
+                        entry[2] = next(sequence)
+                        heapreplace(heap, entry)
+                    else:
+                        entry[3] = None
+                        heappush(heap, [next_time, entry[1], next(sequence), callback, ()])
+                        if len(heap) > self._peak_pending:
+                            self._peak_pending = len(heap)
+                elif heap and heap[0] is entry:
+                    # Cancelled from its own callback (cancel() already
+                    # adjusted the live count): drop the entry.
+                    heappop(heap)
+                else:
+                    entry[3] = None
+                continue
+            heappop(heap)
+            entry[3] = None
+            self._live -= 1
+            args = entry[4]
+            if args:
+                callback(*args)
+            else:
+                callback()
+        if until is not None and until > self.now:
+            self.now = until
 
 
 class ReferenceHeapEngine(HeapEventEngine):
@@ -514,9 +525,9 @@ class ReferenceHeapEngine(HeapEventEngine):
         callback: Callable[[], None],
         priority: int = 1,
     ) -> PeriodicTimer:
-        if not (start_time >= self._now):
+        if not (start_time >= self.now):
             raise SimulationError(
-                f"cannot schedule timer at {start_time} before current time {self._now}"
+                f"cannot schedule timer at {start_time} before current time {self.now}"
             )
         timer = PeriodicTimer(self, start_time, period, callback, priority)
 

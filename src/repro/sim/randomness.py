@@ -127,12 +127,15 @@ class SubstreamCounter:
         self._seed = seed
         self._stream_id = stream_id
         self._counter = 0
+        # stable_u64(seed, stream_id, counter) with the rounds that do not
+        # depend on the counter done once, here.
+        self._prefix = stable_u64(seed, stream_id)
 
     def next_unit(self) -> float:
-        """Next float in ``[0, 1)``."""
-        value = stable_unit(self._seed, self._stream_id, self._counter)
-        self._counter += 1
-        return value
+        """Next float in ``[0, 1)``: ``stable_unit(seed, stream_id, counter)``."""
+        counter = self._counter
+        self._counter = counter + 1
+        return splitmix64(self._prefix ^ (counter & _MASK64)) / 18446744073709551616.0
 
     def next_uniform(self, low: float, high: float) -> float:
         """Next uniform draw in ``[low, high)``."""

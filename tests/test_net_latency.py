@@ -1,5 +1,7 @@
 """Unit tests for the time-indexed latency models."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from repro.net.latency import (
     TraceLatency,
     UniformJitterLatency,
 )
+from repro.sim.randomness import stable_exponential, stable_uniform, stable_unit
 
 TIMES = st.floats(min_value=0.0, max_value=1e7, allow_nan=False)
 
@@ -126,6 +129,73 @@ class TestCloudLatencyModel:
         quiet = CloudLatencyModel(base=10.0, jitter=0.0, spike_rate_per_second=0.0)
         spiky = CloudLatencyModel(base=10.0, jitter=0.0, spike_rate_per_second=100.0)
         assert spiky.mean_estimate() > quiet.mean_estimate()
+
+
+def _brute_force_latency(model: CloudLatencyModel, t: float) -> float:
+    """``model.latency_at(t)`` from the definitions alone: the jitter draw
+    of t's slot plus every spike of the Poisson schedule, regenerated from
+    index 0, that starts within 12 decay constants before t — summed in
+    start order, as the model does, so the result must match bit for bit."""
+    base_model, spikes = model.base_model, model.spikes
+    jitter = base_model.base + base_model.jitter * stable_unit(
+        base_model.seed, math.floor(t / base_model.slot)
+    )
+    cap = spikes.amplitude_max_factor * spikes.amplitude_mean
+    lower = t - 12.0 * spikes.decay
+    total, start, index = 0.0, 0.0, 0
+    while True:
+        start += max(stable_exponential(1e6 / spikes.rate_per_second, spikes.seed, index, 0), 1.0)
+        if start > t:
+            return jitter + total
+        if start >= lower:
+            amplitude = min(stable_exponential(spikes.amplitude_mean, spikes.seed, index, 1), cap)
+            total += amplitude * math.exp(-(t - start) / spikes.decay)
+        index += 1
+
+
+class TestSpikeScheduleHorizon:
+    """The spike list is extended only when a query passes the horizon it
+    really covers, and the quiet-window shortcut returns exactly the sum."""
+
+    def _model(self) -> CloudLatencyModel:
+        # Spikes every ~2 ms that decay over ~1 ms: a grid over 400 ms
+        # crosses ~200 spikes, quiet stretches and overlapping tails.
+        return CloudLatencyModel(
+            base=13.0, jitter=1.5, spike_rate_per_second=500.0,
+            spike_amplitude_mean=80.0, spike_decay=1000.0, seed=17,
+        )
+
+    def _grid(self) -> list:
+        return sorted(stable_uniform(0.0, 400_000.0, 23, i) for i in range(4000))
+
+    def test_latency_matches_brute_force_spike_sum(self):
+        model = self._model()
+        grid = self._grid()
+        # Ascending (the links' pattern) and then revisited out of order.
+        queries = grid + grid[::-7]
+        assert [model.latency_at(t) for t in queries] == [
+            _brute_force_latency(model, t) for t in queries
+        ]
+
+    def test_materialize_runs_once_per_spike_at_most(self):
+        model = self._model()
+        schedule = model.spikes
+        calls = []
+        materialize = schedule._materialize
+        schedule._materialize = lambda until: (calls.append(until), materialize(until))[1]
+        for t in self._grid():
+            model.latency_at(t)
+        # Every call appends at least one spike, so calls <= spikes; the
+        # seed code re-entered it on practically every query instead.
+        assert 0 < len(calls) <= len(schedule._spikes) < 4000 // 4
+
+    def test_zero_rate_materializes_once(self):
+        schedule = SpikeSchedule(0.0, 100.0, 1000.0, seed=1)
+        calls = []
+        materialize = schedule._materialize
+        schedule._materialize = lambda until: (calls.append(until), materialize(until))[1]
+        assert [schedule.contribution_at(float(t)) for t in range(1, 5000, 7)] == [0.0] * 715
+        assert len(calls) == 1
 
 
 class TestTraceLatency:
