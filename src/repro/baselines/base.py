@@ -18,7 +18,7 @@ Concrete schemes (`DBODeployment` in :mod:`repro.core.system`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exchange.ces import CentralExchangeServer
 from repro.exchange.feed import FeedConfig
@@ -185,8 +185,11 @@ class BaseDeployment:
         # Per-point network send times: stamped when a point (or the batch
         # carrying it) enters the network.
         self.network_send_times: Dict[int, float] = {}
-        # Forward-path fan-out; deployments join legs via _open_forward_leg.
+        # Forward-path fan-out; deployments join data legs via _open_leg.
         self.multicast = MulticastGroup()
+        # Per-participant raw arrival time per point, for schemes that hand
+        # points over on arrival (what the default _raw_arrivals reads).
+        self._arrivals: Dict[str, Dict[int, float]] = {}
         # External stream configs: (name, latency_model, mean_interval, seed).
         self._external_configs: List[tuple] = []
         self.external_sources: List = []
@@ -249,11 +252,14 @@ class BaseDeployment:
 
     def _raw_arrivals(self) -> Dict[str, Dict[int, float]]:
         """Per-participant raw network arrival time per point."""
-        raise NotImplementedError
+        return {mp_id: dict(points) for mp_id, points in self._arrivals.items()}
 
     def _delivery_times(self) -> Dict[str, Dict[int, float]]:
-        """Per-participant ``D(i, x)`` (after any scheme hold)."""
-        raise NotImplementedError
+        """Per-participant ``D(i, x)`` (after any scheme hold).
+
+        Default: no hold anywhere, so delivery is the raw arrival.
+        """
+        return self._raw_arrivals()
 
     def _counters(self) -> Dict[str, float]:
         """Scheme-specific odometers merged into the result."""
@@ -373,47 +379,78 @@ class BaseDeployment:
             handler=handler,
         )
 
-    def _open_forward_leg(
-        self, index: int, dedup_key: MessageKey, handler: DeliveryHandler
+    def _open_leg(
+        self, index: int, direction: str, dedup_key: MessageKey, handler: DeliveryHandler
     ) -> Channel:
-        """Participant ``index``'s data leg: a dedup'd forward channel with
-        out-of-band loss recovery, joined to ``self.multicast``."""
+        """Participant ``index``'s ``"forward"`` (data) or ``"reverse"``
+        (trade) leg: a dedup'd channel with out-of-band loss recovery.
+        Data legs join ``self.multicast``."""
         spec = self.specs[index]
         mp_id = self.mp_ids[index]
-        forward = self._open_channel(
-            spec.forward,
+        forward = direction == "forward"
+        name, salt, source, destination = (
+            (f"fwd-{mp_id}", 2 * index, "ces", mp_id) if forward
+            else (f"rev-{mp_id}", 2 * index + 1, mp_id, "ces")
+        )
+        channel = self._open_channel(
+            getattr(spec, direction),
             spec,
-            name=f"fwd-{mp_id}",
-            seed_salt=2 * index,
-            source="ces",
-            destination=mp_id,
+            name=name,
+            seed_salt=salt,
+            direction=direction,
+            source=source,
+            destination=destination,
             dedup_key=dedup_key,
             handler=handler,
         )
-        forward.set_loss_handler(handler)
-        self.multicast.add_member(mp_id, forward)
-        return forward
+        channel.set_loss_handler(handler)
+        if forward:
+            self.multicast.add_member(mp_id, channel)
+        return channel
 
-    def _open_reverse_leg(
-        self, index: int, dedup_key: MessageKey, handler: DeliveryHandler
-    ) -> Channel:
-        """Participant ``index``'s trade leg: a dedup'd reverse channel with
-        out-of-band loss recovery."""
-        spec = self.specs[index]
-        mp_id = self.mp_ids[index]
-        reverse = self._open_channel(
-            spec.reverse,
-            spec,
-            name=f"rev-{mp_id}",
-            seed_salt=2 * index + 1,
-            direction="reverse",
-            source=mp_id,
-            destination="ces",
-            dedup_key=dedup_key,
-            handler=handler,
+    def _build_unicast_legs(
+        self,
+        on_trade: DeliveryHandler,
+        distributor: Optional[Callable[[MarketDataPoint], None]] = None,
+    ) -> None:
+        """Wire every participant straight to the CES (Direct, Libra, FBA).
+
+        The CES hands each point to ``distributor`` — by default it goes
+        out at once as a one-point tuple through :meth:`_publish_points`.
+        Each participant takes a tuple on arrival, recorded in
+        ``self._arrivals``, and its trades ride the reverse leg into
+        ``on_trade``.  Published tuples are disjoint, so a tuple's last
+        point id is unique, as is an order's key: channel dedup absorbs
+        at-least-once delivery on both legs — a duplicated trade never
+        reaches the matching engine twice.
+        """
+        self._arrivals = {mp_id: {} for mp_id in self.mp_ids}
+        for index, mp in enumerate(self.participants):
+
+            def on_points(
+                points: Tuple[MarketDataPoint, ...],
+                send_time: float,
+                arrival_time: float,
+                mp: MarketParticipant = mp,
+                arrivals: Dict[int, float] = self._arrivals[mp.mp_id],
+            ) -> None:
+                for point in points:
+                    arrivals[point.point_id] = arrival_time
+                mp.on_data(points, arrival_time)
+
+            self._open_leg(index, "forward", lambda points: points[-1].point_id, on_points)
+            reverse = self._open_leg(index, "reverse", lambda order: order.key, on_trade)
+            self._wire_mp_submitter(index, lambda order, link=reverse: link.send(order))
+        self.ces.set_distributor(
+            distributor or (lambda point: self._publish_points((point,)))
         )
-        reverse.set_loss_handler(handler)
-        return reverse
+
+    def _publish_points(self, points: Tuple[MarketDataPoint, ...]) -> None:
+        """Stamp the points' network send time and multicast them as one message."""
+        now = self.engine.now
+        for point in points:
+            self.network_send_times[point.point_id] = now
+        self.multicast.broadcast(points, send_time=now)
 
     def _publish_point(self, point: MarketDataPoint) -> None:
         """Per-point multicast distributor: stamp send time, broadcast."""

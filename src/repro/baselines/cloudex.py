@@ -124,9 +124,9 @@ class CloudExDeployment(BaseDeployment):
 
             # Reverse messages are (order, sync stamp) tuples; the order
             # key dedups because the ME rejects duplicate submissions.
-            self._open_forward_leg(index, lambda point: point.point_id, rb.on_point)
-            reverse = self._open_reverse_leg(
-                index, lambda stamped: stamped[0].key, self.ob.on_trade
+            self._open_leg(index, "forward", lambda point: point.point_id, rb.on_point)
+            reverse = self._open_leg(
+                index, "reverse", lambda stamped: stamped[0].key, self.ob.on_trade
             )
 
             mp_clock = self._make_sync_clock(1000 + index)

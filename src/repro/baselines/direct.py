@@ -17,7 +17,6 @@ from typing import Dict
 
 from repro.baselines.base import BaseDeployment
 from repro.core.release_engine import ReleaseEngine
-from repro.exchange.messages import MarketDataPoint
 from repro.ordering.direct import PassthroughPolicy
 
 __all__ = ["DirectDeployment"]
@@ -34,41 +33,7 @@ class DirectDeployment(BaseDeployment):
             PassthroughPolicy(),
             sink=lambda order, now: me.submit(order, forward_time=now),
         )
-        self._arrivals: Dict[str, Dict[int, float]] = {mp_id: {} for mp_id in self.mp_ids}
-
-        for index in range(len(self.specs)):
-            mp_id = self.mp_ids[index]
-            mp = self.participants[index]
-
-            def on_point(
-                point: MarketDataPoint,
-                send_time: float,
-                arrival_time: float,
-                mp=mp,
-                mp_id=mp_id,
-            ) -> None:
-                self._arrivals[mp_id][point.point_id] = arrival_time
-                mp.on_data((point,), arrival_time)
-
-            # Point ids are unique, so channel dedup absorbs at-least-once
-            # delivery without the MP seeing the same point twice; the
-            # passthrough engine forwards straight into the matching
-            # engine, which rejects duplicate keys — dedup at the channel.
-            self._open_forward_leg(index, lambda point: point.point_id, on_point)
-            reverse = self._open_reverse_leg(
-                index, lambda order: order.key, self.release_engine.on_trade
-            )
-            self._wire_mp_submitter(index, lambda order, link=reverse: link.send(order))
-
-        self.ces.set_distributor(self._publish_point)
-
-    # ------------------------------------------------------------------
-    def _raw_arrivals(self) -> Dict[str, Dict[int, float]]:
-        return {mp_id: dict(points) for mp_id, points in self._arrivals.items()}
-
-    def _delivery_times(self) -> Dict[str, Dict[int, float]]:
-        # No hold anywhere: delivery is the raw arrival.
-        return self._raw_arrivals()
+        self._build_unicast_legs(self.release_engine.on_trade)
 
     def _counters(self) -> Dict[str, float]:
         # Duplicates historically reached the (idempotent) matching

@@ -21,7 +21,7 @@ the topology and the data-side batching.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.baselines.base import BaseDeployment
 from repro.core.release_engine import ReleaseEngine
@@ -51,8 +51,6 @@ class FBADeployment(BaseDeployment):
             raise ValueError("batch_interval must be positive and finite")
         self.batch_interval = batch_interval
         self._pending_points: List[MarketDataPoint] = []
-        self._arrivals: Dict[str, Dict[int, float]] = {}
-        self._deliveries: Dict[str, Dict[int, float]] = {}
         # One unit draw per batched trade at each non-empty boundary
         # (substream salts are position-independent, so creating the
         # stream here is digest-identical to the historical in-place
@@ -67,40 +65,12 @@ class FBADeployment(BaseDeployment):
         self.ces.matching_engine.submit(order, forward_time=now)
 
     def _build(self) -> None:
-        self._arrivals = {mp_id: {} for mp_id in self.mp_ids}
-        self._deliveries = self._arrivals  # no extra hold beyond CES batching
-
-        for index in range(len(self.specs)):
-            mp_id = self.mp_ids[index]
-            mp = self.participants[index]
-            def on_points(
-                points: Tuple[MarketDataPoint, ...],
-                send_time: float,
-                arrival_time: float,
-                mp=mp,
-                mp_id=mp_id,
-            ) -> None:
-                for point in points:
-                    self._arrivals[mp_id][point.point_id] = arrival_time
-                mp.on_data(points, arrival_time)
-
-            # Each auction publishes one point tuple; its id span is a
-            # unique identity for channel-level dedup.  A duplicated trade
-            # would reach the matching engine twice at the next auction —
-            # dedup by order key at the channel.
-            self._open_forward_leg(
-                index,
-                lambda points: (points[0].point_id, points[-1].point_id),
-                on_points,
-            )
-            reverse = self._open_reverse_leg(
-                index, lambda order: order.key, self.release_engine.on_trade
-            )
-            self._wire_mp_submitter(index, lambda order, link=reverse: link.send(order))
-
-        # Late-bound lambda: _auction swaps the pending list out, so the
-        # distributor must resolve the attribute at call time.
-        self.ces.set_distributor(lambda point: self._pending_points.append(point))
+        # Points wait at the CES for the next auction.  Late-bound: the
+        # auction swaps the pending list out.
+        self._build_unicast_legs(
+            self.release_engine.on_trade,
+            distributor=lambda point: self._pending_points.append(point),
+        )
 
     def _start(self, duration: float) -> None:
         self.engine.schedule_periodic(
@@ -113,20 +83,11 @@ class FBADeployment(BaseDeployment):
         if self._pending_points:
             points = tuple(self._pending_points)
             self._pending_points = []
-            for point in points:
-                self.network_send_times[point.point_id] = now
-            self.multicast.broadcast(points, send_time=now)
+            self._publish_points(points)
         # Equal priority: the policy shuffles the period's trades and the
         # engine releases them into the matching engine, all inside this
         # one boundary event (points first — the historical order).
         self.release_engine.on_boundary(now)
-
-    # ------------------------------------------------------------------
-    def _raw_arrivals(self) -> Dict[str, Dict[int, float]]:
-        return {mp_id: dict(points) for mp_id, points in self._arrivals.items()}
-
-    def _delivery_times(self) -> Dict[str, Dict[int, float]]:
-        return self._raw_arrivals()
 
     def _counters(self) -> Dict[str, float]:
         return {"auctions_held": float(self.auctions_held)}

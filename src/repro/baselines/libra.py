@@ -24,7 +24,6 @@ from typing import Dict
 
 from repro.baselines.base import BaseDeployment
 from repro.core.release_engine import ReleaseEngine
-from repro.exchange.messages import MarketDataPoint
 from repro.ordering.libra import RandomizedWindowPolicy
 
 __all__ = ["LibraDeployment"]
@@ -47,7 +46,6 @@ class LibraDeployment(BaseDeployment):
         if not 0 < window < math.inf:  # also rejects NaN
             raise ValueError("window must be positive and finite")
         self.window = window
-        self._arrivals: Dict[str, Dict[int, float]] = {}
         self.release_engine = ReleaseEngine(
             RandomizedWindowPolicy(self.runtime.substream(78)),
             sink=lambda order, now: self.ces.matching_engine.submit(
@@ -57,30 +55,7 @@ class LibraDeployment(BaseDeployment):
         self.windows_closed = 0
 
     def _build(self) -> None:
-        self._arrivals = {mp_id: {} for mp_id in self.mp_ids}
-
-        for index in range(len(self.specs)):
-            mp_id = self.mp_ids[index]
-            mp = self.participants[index]
-            def on_point(
-                point: MarketDataPoint,
-                send_time: float,
-                arrival_time: float,
-                mp=mp,
-                mp_id=mp_id,
-            ) -> None:
-                self._arrivals[mp_id][point.point_id] = arrival_time
-                mp.on_data((point,), arrival_time)
-
-            # A duplicated trade would hit the matching engine twice at
-            # window close — dedup by order key at the channel.
-            self._open_forward_leg(index, lambda point: point.point_id, on_point)
-            reverse = self._open_reverse_leg(
-                index, lambda order: order.key, self.release_engine.on_trade
-            )
-            self._wire_mp_submitter(index, lambda order, link=reverse: link.send(order))
-
-        self.ces.set_distributor(self._publish_point)
+        self._build_unicast_legs(self.release_engine.on_trade)
 
     def _start(self, duration: float) -> None:
         self.engine.schedule_periodic(self.window, self.window, self._close_window)
@@ -89,13 +64,6 @@ class LibraDeployment(BaseDeployment):
         now = self.engine.now
         self.windows_closed += 1
         self.release_engine.on_boundary(now)
-
-    # ------------------------------------------------------------------
-    def _raw_arrivals(self) -> Dict[str, Dict[int, float]]:
-        return {mp_id: dict(points) for mp_id, points in self._arrivals.items()}
-
-    def _delivery_times(self) -> Dict[str, Dict[int, float]]:
-        return self._raw_arrivals()
 
     def _counters(self) -> Dict[str, float]:
         return {"windows_closed": float(self.windows_closed)}

@@ -79,6 +79,8 @@ class ShardOB:
         eager_summaries: bool = True,
     ) -> None:
         self.shard_id = shard_id
+        # The failure detector's and the recovery table's name for it.
+        self.endpoint = f"shard:{shard_id}"
         self._parent_send = parent_send
         self._eager_summaries = eager_summaries
         self._inner = OrderingBuffer(

@@ -7,20 +7,13 @@ suspect through a deterministic probe ladder — probe *k* waits
 ``check_interval * probe_backoff**k`` — before confirming death.  A
 pulse at any point during probing clears the suspicion (a false alarm,
 counted, never acted on).  On CONFIRM_DEAD the supervisor invokes a
-recovery action supplied by the deployment:
-
-* ``ob`` — promote the standby OB (push-based warm-up: the standby
-  requests each RB's unacked window, holds releases until every
-  recovery marker lands);
-* ``shard:{id}`` — retire the shard, reroute its orphans to surviving
-  shards (adopters warm up the same way);
-* ``agg:{id}`` — splice the failed interior aggregator out of the tree
-  and re-collect its subtree's unacked windows under a master-level
-  warm-up;
-* ``gateway`` — resume a stalled egress gateway (fail-closed release);
-* ``rb:{mp}`` / ``feed`` — confirmation is recorded but no recovery
-  exists (an RB crash loses its pre-crash window by design; the feed is
-  external).
+recovery action supplied by the deployment.  For DBO that is the
+recover half of the endpoint's row in the crash/recover table,
+:meth:`repro.core.recovery.RecoveryPlaybooks.recover` — the same code
+the scripted fault injector runs (``ob``, ``shard:{id}``, ``agg:{id}``,
+``gateway``).  ``rb:{mp}`` / ``feed`` confirmations are recorded but
+have no recovery: an RB crash loses its pre-crash window by design and
+the feed is external.
 
 Escalation state is exported for the chaos auditor
 (:meth:`escalation_state`), so a recovery that never completes shows up
@@ -42,6 +35,8 @@ __all__ = ["Escalation", "Supervisor"]
 
 
 # (endpoint name, simulation time) -> True when a recovery action ran.
+# A RuntimeError counts as False: the confirmed endpoint is not down (a
+# live component fell silent, say every participant it serves crashed).
 RecoveryAction = Callable[[str, float], bool]
 
 
@@ -183,7 +178,11 @@ class Supervisor:
         esc.confirmed_at = now
         self.confirms += 1
         self._log(now, esc.name, "confirm")
-        if self._recover(esc.name, now):
+        try:
+            recovered = self._recover(esc.name, now)
+        except RuntimeError:
+            recovered = False
+        if recovered:
             esc.state = "recovered"
             esc.recovered_at = now
             self.recoveries += 1

@@ -28,6 +28,7 @@ from repro.core.batcher import Batcher
 from repro.core.gateway import EgressGateway
 from repro.core.ordering_buffer import OrderingBuffer, ReleaseSink
 from repro.core.params import AggregationTopology, DBOParams, SupervisionPolicy
+from repro.core.recovery import RecoveryPlaybooks
 from repro.core.release_buffer import ReleaseBuffer, RetransmitPolicy
 from repro.core.sharded_ob import ShardOB
 from repro.core.supervisor import Supervisor
@@ -45,6 +46,7 @@ from repro.net.multicast import MulticastGroup
 from repro.net.transport import Channel
 from repro.participants.response_time import ResponseTimeModel
 from repro.participants.strategies import Strategy
+from repro.sim.engine import PeriodicTimer
 from repro.sim.runtime import Runtime
 
 if TYPE_CHECKING:
@@ -157,9 +159,8 @@ class DBODeployment(BaseDeployment):
         # "publish now" hooks for orphan re-reports.
         self._agg_nodes: Dict[str, ForwardingAggregator] = {}
         self._agg_parent: Dict[str, str] = {}
-        self._agg_timers: Dict[str, object] = {}
+        self._agg_timers: Dict[str, PeriodicTimer] = {}
         self._agg_publishers: Dict[str, Callable[[], None]] = {}
-        self.aggregator_failures = 0
         self.disable_batching = disable_batching
         self.disable_pacing = disable_pacing
         self.sync_target_c1 = sync_target_c1
@@ -198,41 +199,28 @@ class DBODeployment(BaseDeployment):
         self.enable_egress_gateway = enable_egress_gateway
         self.egress_gateway: Optional[EgressGateway] = None
         self._rb_by_id: Dict[str, ReleaseBuffer] = {}
-        # The composed release sink (ME/risk-gate + acks + observers);
-        # standby OBs built on failover reuse it unchanged.
+        # The composed release sink (ME/risk-gate + observers); standby
+        # OBs built on failover reuse it unchanged.
         self._release_sink = None
         # Observation hooks called as (tagged, now) on every release and
         # (heartbeat, arrival) on every OB-bound heartbeat — the invariant
         # auditor taps the pipeline here without touching the data path.
-        # Appending is allowed any time before run().
+        # Appending is allowed any time before run(); _build appends the
+        # release acks last.
         self._release_observers: List[Callable[[TaggedTrade, float], None]] = []
         self._heartbeat_observers: List[Callable[[Heartbeat, float], None]] = []
-        self._failed_shards: set = set()
-        self.ob_failovers = 0
-        self.shard_failures = 0
-        # ----- self-healing control plane (detected-mode recovery) ------
-        # ``supervise`` arms the deterministic failure detector + the
-        # supervisor that escalates suspicions into the recovery methods
-        # below.  Crash halves (``crash_ob`` / ``crash_shard`` /
-        # ``crash_aggregator``) mark components dead so the dispatchers
-        # drop their traffic — the resulting frozen odometers are the
-        # detection signal; the scripted ``failover_ob`` / ``fail_shard``
-        # / ``fail_aggregator`` compose a crash with its recovery half.
+        # ----- failure handling (§4.2.1, §5.2) ----------------------------
+        # One crash/recover table keyed by endpoint name, driven by the
+        # fault injector and, with ``supervise``, by the supervisor once
+        # the deterministic failure detector confirms a silence.
+        self.playbooks = RecoveryPlaybooks(self)
         self.supervise = supervise
         if supervision_policy is None and supervise:
             supervision_policy = SupervisionPolicy()
         self.supervision_policy = supervision_policy
         self.detector: Optional[FailureDetector] = None
         self.supervisor: Optional[Supervisor] = None
-        self._ob_crashed = False
-        self._crashed_shards: set = set()
-        self._retired_aggs: set = set()
         self.messages_dropped_dead = 0
-        self._warmup_timeout = (
-            supervision_policy.warmup_timeout
-            if supervision_policy is not None
-            else 10_000.0
-        )
 
     # ------------------------------------------------------------------
     def _make_ordering_buffer(self, sink: ReleaseSink) -> OrderingBuffer:
@@ -282,19 +270,10 @@ class DBODeployment(BaseDeployment):
             base_sink(tagged, now)
             for observer in self._release_observers:
                 observer(tagged, now)
-            if self.retransmit_policy is not None:
-                # Ack the release back to the originating RB so it stops
-                # guarding the trade.  The ack is a real message on a
-                # named channel ("ack-{mp}"), so burst loss and partitions
-                # can eat it — which is what drives retransmission.
-                ack = self._ack_channels.get(tagged.trade.mp_id)
-                if ack is not None:
-                    ack.send(tagged.trade.key, send_time=now)
 
         self._release_sink = release_sink
 
-        tree = self.topology is not None and self.topology.enabled
-        if self.n_ob_shards <= 1 and not tree:
+        if "ob" in self.playbooks.kinds:
             self.ordering_buffer = self._make_ordering_buffer(release_sink)
             # Standby adoption (release log + counters) rides a channel so
             # it is observable/faultable like any other control traffic.
@@ -422,18 +401,6 @@ class DBODeployment(BaseDeployment):
                 marker_sink=reverse.send,
             )
 
-            if self.retransmit_policy is not None:
-                # OB→RB acks ride their own constant-latency channel at
-                # delivery priority 5, matching the historical scheduled-
-                # callback ordering against same-time data events.
-                self._ack_channels[mp_id] = self._open_control_channel(
-                    f"ack-{mp_id}",
-                    ConstantLatency(self.retransmit_policy.ack_latency),
-                    source="ob",
-                    destination=mp_id,
-                    handler=lambda key, sent, arrival, rb=rb: rb.on_ack(key),
-                    priority=5,
-                )
             mp_handler: Callable[..., None] = self.participants[index].on_data
             mp_submitter: Callable[..., None] = rb.on_mp_trade
             if self.egress_gateway is not None:
@@ -468,12 +435,33 @@ class DBODeployment(BaseDeployment):
             rb.connect_mp(mp_handler)
             self._wire_mp_submitter(index, mp_submitter)
 
-    def _agg_summary_period(self) -> float:
-        topology = self.topology
-        assert topology is not None
-        if topology.summary_period is not None:
-            return topology.summary_period
-        return self.params.tau
+        # Retransmission is decided here, once.  Unarmed, a recovered
+        # component starts cold.  Armed, every release is acked back to
+        # its RB so it stops guarding the trade, and recovery warms up
+        # from the RBs' unacked windows.
+        policy = self.retransmit_policy
+        if policy is None:
+            return
+        for mp_id, rb in self._rb_by_id.items():
+            # A real message on a named channel, so burst loss and
+            # partitions can eat it — which is what drives retransmission.
+            # Delivery priority 5 keeps the historical ordering against
+            # same-time data events.
+            self._ack_channels[mp_id] = self._open_control_channel(
+                f"ack-{mp_id}",
+                ConstantLatency(policy.ack_latency),
+                source="ob",
+                destination=mp_id,
+                handler=lambda key, sent, arrival, rb=rb: rb.on_ack(key),
+                priority=5,
+            )
+        acks = self._ack_channels
+        self._release_observers.append(
+            lambda tagged, now: acks[tagged.trade.mp_id].send(
+                tagged.trade.key, send_time=now
+            )
+        )
+        self.playbooks.warm_up = self.playbooks.push_warm_up
 
     def _resolve_agg_parent(
         self, child_id: str
@@ -604,13 +592,14 @@ class DBODeployment(BaseDeployment):
         OB failover swaps ``self.ordering_buffer`` for a standby, and a
         shard failure rewrites ``self._shard_routing`` — messages already
         in flight must land on whoever owns the participant on arrival.
-        The routing map, the crashed-shard set and the observer list are
-        only ever mutated in place, so the handler holds them directly.
+        The routing map, the recovery table's down-set and the observer
+        list are only ever mutated in place, so the handler holds them
+        directly.
         """
         flat = self.master_ob is None
         component_id = "ob" if flat else self._shard_routing[mp_id].shard_id
         routing = self._shard_routing
-        crashed_shards = self._crashed_shards
+        down = self.playbooks.down
         observers = self._heartbeat_observers
         pulse_key = f"rb:{mp_id}"
 
@@ -628,14 +617,14 @@ class DBODeployment(BaseDeployment):
             # reroutes the participant.
             target: Union[OrderingBuffer, ShardOB]
             if flat:
-                if self._ob_crashed:
+                if "ob" in down:
                     self.messages_dropped_dead += 1
                     return
                 assert self.ordering_buffer is not None
                 target = self.ordering_buffer
             else:
                 target = routing[mp_id]
-                if target.shard_id in crashed_shards:
+                if target.endpoint in down:
                     self.messages_dropped_dead += 1
                     return
             # One pass keyed on the exact type.  Heartbeats outnumber
@@ -683,98 +672,6 @@ class DBODeployment(BaseDeployment):
             self.network_send_times[point.point_id] = now
         self.multicast.broadcast(batch, send_time=now)
 
-    # ------------------------------------------------------------------
-    # Failure handling (§4.2.1, §5.2) — driven by the fault injector
-    # ------------------------------------------------------------------
-    def failover_ob(self) -> int:
-        """Crash the flat OB and immediately promote a cold standby.
-
-        The scripted composition of :meth:`crash_ob` and
-        :meth:`promote_standby`; detected mode fires only the crash half
-        and lets the supervisor drive the promotion once the detector
-        confirms the silence.  Returns the number of trades the dead OB
-        lost.
-        """
-        lost = self.crash_ob()
-        self.promote_standby()
-        return lost
-
-    def crash_ob(self) -> int:
-        """Fail-stop the flat OB without promoting a standby.
-
-        Every trade in its queue is lost; from here on the reverse-link
-        dispatchers drop its traffic, so its odometers freeze — the
-        signal the failure detector keys on.  Returns the number of
-        trades lost.
-        """
-        if self.ordering_buffer is None:
-            raise RuntimeError("OB failover requires the flat (non-sharded) deployment")
-        if self._ob_crashed:
-            raise RuntimeError("OB already crashed and not yet replaced")
-        lost = self.ordering_buffer.crash()
-        self._ob_crashed = True
-        return lost
-
-    def promote_standby(self) -> None:
-        """Promote a cold standby in place of the crashed flat OB.
-
-        The standby starts with empty queue and watermarks (rebuilt from
-        the next heartbeat round) but inherits the release log — the
-        matching engine is part of the durable CES platform, so which
-        trades it has consumed survives the crash.
-
-        With a retransmit policy armed, promotion runs the push-based
-        warm-up: the standby holds all releases
-        (:meth:`~repro.core.ordering_buffer.OrderingBuffer.begin_warmup`)
-        while every live RB resends its unacked window followed by a
-        :class:`~repro.exchange.messages.RecoveryMarker` on the same FIFO
-        reverse channel.  When the last marker lands, the heap holds
-        every recoverable trade and releases resume in stamp order —
-        zero lost trades *and* no old-stamp release after a newer one,
-        which is what keeps the LRTF audit clean and the trade digest
-        identical to a scripted failover.  Without a policy, the queue
-        contents are simply gone (the paper's stated unfairness).
-        """
-        if self.ordering_buffer is None:
-            raise RuntimeError("OB failover requires the flat (non-sharded) deployment")
-        if not self._ob_crashed:
-            raise RuntimeError("no crashed OB to replace")
-        old = self.ordering_buffer
-        standby = self._make_ordering_buffer(self._release_sink)
-        # The routing swap is immediate (dispatchers resolve per message);
-        # the durable state hand-off (release log + counters) travels on
-        # the "ob-adopt" channel, delivered ahead of any same-time data.
-        self.ordering_buffer = standby
-        self._ob_crashed = False
-        if self._ob_adopt_channel is not None:
-            self._ob_adopt_channel.send((old, standby), send_time=self.engine.now)
-        else:  # pragma: no cover - _build always opens the channel
-            standby.adopt_release_log(old.released_keys)
-            standby.carry_over_counters(old)
-        if self.retransmit_policy is not None:
-            now = self.engine.now
-            live = [
-                mp_id for mp_id in self.mp_ids
-                if not self._rb_by_id[mp_id].crashed
-            ]
-            if live:
-                standby.begin_warmup(live)
-                for mp_id in live:
-                    self._rb_by_id[mp_id].resend_unacked(now)
-                self._schedule_warmup_valve(standby)
-        self.ob_failovers += 1
-
-    def _schedule_warmup_valve(self, component: object) -> None:
-        """Arm the warm-up safety valve: markers are one-shot, so a
-        compound fault (the reverse channel blackholed mid-recovery) must
-        not hold releases forever."""
-        self.engine.schedule_after(
-            self._warmup_timeout, self._warmup_valve, priority=6, args=(component,)
-        )
-
-    def _warmup_valve(self, component: object) -> None:
-        component.end_warmup(self.engine.now)  # type: ignore[attr-defined]
-
     def _on_ob_adoption(
         self, handoff: tuple, send_time: float, arrival_time: float
     ) -> None:
@@ -782,246 +679,6 @@ class DBODeployment(BaseDeployment):
         old, standby = handoff
         standby.adopt_release_log(old.released_keys)
         standby.carry_over_counters(old)
-
-    def fail_shard(self, shard_id: str) -> int:
-        """Fail-stop one OB shard and immediately reroute its participants.
-
-        The scripted composition of :meth:`crash_shard` and
-        :meth:`retire_shard`; detected mode fires only the crash half and
-        lets the supervisor retire the shard once the detector confirms
-        the silence.  Returns the number of trades lost.
-        """
-        self._shard_survivors(shard_id)  # validate before killing anything
-        lost = self.crash_shard(shard_id)
-        self.retire_shard(shard_id)
-        return lost
-
-    def _find_shard(self, shard_id: str) -> ShardOB:
-        shard = next((s for s in self.shards if s.shard_id == shard_id), None)
-        if shard is None:
-            raise KeyError(f"unknown shard {shard_id!r}")
-        return shard
-
-    def _shard_survivors(self, shard_id: str) -> List[ShardOB]:
-        dead = self._find_shard(shard_id)
-        if shard_id in self._failed_shards:
-            raise RuntimeError(f"shard {shard_id!r} already failed")
-        survivors = [
-            s for s in self.shards
-            if s is not dead and s.shard_id not in self._failed_shards
-            and s.shard_id not in self._crashed_shards
-        ]
-        if not survivors:
-            raise RuntimeError("no surviving shard to reroute participants to")
-        return survivors
-
-    def crash_shard(self, shard_id: str) -> int:
-        """Fail-stop one OB shard without rerouting its participants.
-
-        Every trade queued inside it is lost and the dispatchers drop its
-        traffic from here on (frozen odometers are the detection signal).
-        Returns the number of trades lost.
-        """
-        if self.master_ob is None:
-            raise RuntimeError("shard failure requires n_ob_shards > 1")
-        dead = self._find_shard(shard_id)
-        if shard_id in self._failed_shards:
-            raise RuntimeError(f"shard {shard_id!r} already failed")
-        if shard_id in self._crashed_shards:
-            raise RuntimeError(f"shard {shard_id!r} already crashed")
-        lost = dead.fail()
-        self._crashed_shards.add(shard_id)
-        return lost
-
-    def retire_shard(self, shard_id: str) -> int:
-        """Splice a crashed shard out and reroute its orphans.
-
-        The shard's parent stops waiting on its watermark, surviving
-        shards adopt its participants round-robin, and the reverse-link
-        dispatchers pick up the new routing on the next arrival.
-
-        With a retransmit policy armed, each adopter runs the push-based
-        warm-up over the orphans it inherited: it holds its releases (and
-        publishes ``None`` summaries) while the orphans' RBs resend their
-        unacked windows, and every stored watermark on the adopter's path
-        to the master regresses to ``None``
-        (:meth:`~repro.core.aggregation.HeartbeatAggregator.freeze_child`)
-        so the merge cannot release above stamps the in-flight resends
-        could still undercut.  Returns the number of orphans rerouted.
-        """
-        if self.master_ob is None:
-            raise RuntimeError("shard failure requires n_ob_shards > 1")
-        survivors = self._shard_survivors(shard_id)
-        if shard_id not in self._crashed_shards:
-            raise RuntimeError(f"shard {shard_id!r} has not crashed")
-        dead = self._find_shard(shard_id)
-        now = self.engine.now
-        orphans = sorted(
-            mp for mp, shard in self._shard_routing.items() if shard is dead
-        )
-        adopters: Dict[str, List[str]] = {}
-        for index, mp in enumerate(orphans):
-            target = survivors[index % len(survivors)]
-            target.adopt_participant(mp)
-            self._shard_routing[mp] = target
-            adopters.setdefault(target.shard_id, []).append(mp)
-        # Warm-up and path regression MUST precede splicing the dead
-        # shard out of the merge: removing its frozen (low) watermark
-        # raises the merge bound and would release queued live-shard
-        # trades above stamps the orphans' resends still undercut.
-        if self.retransmit_policy is not None and orphans:
-            for adopter_id in sorted(adopters):
-                adopter = self._find_shard(adopter_id)
-                adopter.begin_warmup(adopters[adopter_id])
-                self._regress_to_master(adopter_id)
-                self._schedule_warmup_valve(adopter)
-        # Whoever parents the shard stops waiting on it.
-        self._resolve_agg_parent(shard_id).remove_child(shard_id, now)
-        timer = self._agg_timers.pop(shard_id, None)
-        if timer is not None:
-            timer.cancel()
-        self._crashed_shards.discard(shard_id)
-        self._failed_shards.add(shard_id)
-        if self.retransmit_policy is not None and orphans:
-            for mp in orphans:
-                rb = self._rb_by_id[mp]
-                if not rb.crashed:
-                    rb.resend_unacked(now)
-        if self.detector is not None:
-            self.detector.retire(f"shard:{shard_id}")
-        self.shard_failures += 1
-        return len(orphans)
-
-    def _regress_to_master(self, child_id: str) -> None:
-        """Freeze ``child_id``'s stored watermark at every ancestor up
-        to the master, with a fence emitted per hop.
-
-        A bare regression to ``None`` is insufficient twice over: (a)
-        ``None`` summaries are ignored on arrival, so a regression at
-        only one level would wash out at the next; (b) stale summaries
-        already in flight on each edge would re-raise the regressed
-        entry the moment they land.  So every ancestor *freezes* the
-        path child's entry and the child emits a fence on the same FIFO
-        edge — the fence trails the stale summaries and lifts the
-        freeze, after which only post-adoption summaries count.
-        """
-        current = child_id
-        while current != "master":
-            self._resolve_agg_parent(current).freeze_child(current)
-            self._emit_fence(current)
-            current = self._agg_parent[current]
-
-    def _emit_fence(self, child_id: str) -> None:
-        """Have ``child_id`` send its freeze fence on its upstream edge."""
-        node = self._agg_nodes.get(child_id) or self._find_shard(child_id)
-        node.send_fence()
-
-    def fail_aggregator(self, node_id: str) -> None:
-        """Fail-stop one interior aggregation-tree node and re-parent its
-        children under the dead node's own parent.
-
-        A transparent node queues nothing, so its death loses zero trades
-        — the hazard is purely on the watermark plane.  Two mechanisms
-        keep the hand-over safe:
-
-        * orphans are adopted with a ``None`` watermark, which stalls the
-          adopting parent's merged minimum until each orphan's first
-          post-failure summary arrives — and on the uniform-latency FIFO
-          tree edges those arrive *after* every trade the dead node had
-          already forwarded;
-        * the dead node is retired via
-          :meth:`~repro.core.aggregation.HeartbeatAggregator.reassign_child`,
-          so its in-flight forwarded trades are honoured on arrival (its
-          last merged watermark regresses into a surviving child as a
-          belt-and-braces lower bound) while its stale summaries are
-          dropped.
-
-        Orphans re-publish immediately so the stall lasts one edge
-        latency, not a full summary tick.
-        """
-        self.crash_aggregator(node_id)
-        self.recover_aggregator(node_id)
-
-    def crash_aggregator(self, node_id: str) -> None:
-        """Fail-stop one interior tree node without re-parenting.
-
-        The node stops merging, forwarding and publishing; its children's
-        upstream traffic is dropped on arrival until a recovery
-        re-parents them (frozen odometers are the detection signal).
-        """
-        node = self._agg_nodes.get(node_id)
-        if node is None:
-            raise KeyError(f"unknown aggregator {node_id!r}")
-        if node.failed:
-            raise RuntimeError(f"aggregator {node_id!r} already failed")
-        node.fail()
-        timer = self._agg_timers.pop(node_id, None)
-        if timer is not None:
-            timer.cancel()
-
-    def recover_aggregator(self, node_id: str) -> None:
-        """Re-parent a crashed interior node's children and re-collect.
-
-        With a retransmit policy armed, the crash window is healed by a
-        master-level warm-up: every RB under the dead node's subtree
-        resends its unacked window, the resends are re-forwarded up the
-        (re-parented) tree, and the master holds all releases until the
-        trailing markers climb to it — so trades the dead node dropped
-        rejoin the heap before anything newer releases.
-        """
-        node = self._agg_nodes.get(node_id)
-        if node is None:
-            raise KeyError(f"unknown aggregator {node_id!r}")
-        if not node.failed:
-            raise RuntimeError(f"aggregator {node_id!r} has not crashed")
-        if node_id in self._retired_aggs:
-            raise RuntimeError(f"aggregator {node_id!r} already recovered")
-        assert self.master_ob is not None
-        now = self.engine.now
-        parent = self._resolve_agg_parent(node_id)
-        parent_id = self._agg_parent[node_id]
-        subtree_mps = self._subtree_mps(node_id)
-        orphans = node.child_ids
-        for child_id in orphans:
-            self._agg_parent[child_id] = parent_id
-            parent.add_child(child_id)
-        into_id = next(
-            child_id for child_id in parent.child_ids if child_id != node_id
-        )
-        parent.reassign_child(node_id, into_id, now)
-        for child_id in orphans:
-            self._agg_publishers[child_id]()
-        self._retired_aggs.add(node_id)
-        if self.retransmit_policy is not None:
-            live = [
-                mp_id for mp_id in subtree_mps
-                if not self._rb_by_id[mp_id].crashed
-            ]
-            if live:
-                self.master_ob.begin_warmup(live)
-                for mp_id in live:
-                    self._rb_by_id[mp_id].resend_unacked(now)
-                self._schedule_warmup_valve(self.master_ob)
-        if self.detector is not None:
-            self.detector.retire(f"agg:{node_id}")
-        self.aggregator_failures += 1
-
-    def _subtree_mps(self, node_id: str) -> List[str]:
-        """Participants whose reverse path climbs through ``node_id``."""
-        shard_ids: set = set()
-        stack = [node_id]
-        while stack:
-            current = stack.pop()
-            interior = self._agg_nodes.get(current)
-            if interior is None:
-                shard_ids.add(current)
-            else:
-                stack.extend(interior.child_ids)
-        return sorted(
-            mp_id
-            for mp_id, shard in self._shard_routing.items()
-            if shard.shard_id in shard_ids
-        )
 
     def _start(self, duration: float) -> None:
         self.batcher.start(0.0)
@@ -1044,7 +701,8 @@ class DBODeployment(BaseDeployment):
         if self._agg_publishers:
             # Tree mode: one summary per node per tick, phases staggered
             # like the RB heartbeats so ticks don't synchronize.
-            period = self._agg_summary_period()
+            assert self.topology is not None
+            period = self.topology.summary_period or self.params.tau
             for index, node_id in enumerate(sorted(self._agg_publishers)):
                 offset = self.runtime.uniform(0.0, period, index, 300)
                 self._agg_timers[node_id] = self.engine.schedule_periodic(
@@ -1078,7 +736,7 @@ class DBODeployment(BaseDeployment):
         else:
             for shard in self.shards:
                 detector.register(
-                    f"shard:{shard.shard_id}",
+                    shard.endpoint,
                     poll=lambda shard=shard: float(
                         shard.heartbeats_processed + shard.summaries_published
                     ),
@@ -1098,7 +756,7 @@ class DBODeployment(BaseDeployment):
                 "gateway", poll=lambda: float(gateway.messages_released)
             )
         self.supervisor = Supervisor(
-            self.engine, detector, policy, self._supervised_recover
+            self.engine, detector, policy, self.playbooks.recover
         )
         # Stagger the check phase like every other periodic plane (its
         # own substream salt), so checks never synchronize with τ ticks.
@@ -1110,54 +768,6 @@ class DBODeployment(BaseDeployment):
         ob = self.ordering_buffer
         assert ob is not None
         return float(ob.heartbeats_processed + ob.trades_received)
-
-    def _supervised_recover(self, endpoint: str, now: float) -> bool:
-        """Recovery-action map the supervisor fires on CONFIRM_DEAD.
-
-        Returns ``True`` when a recovery actually ran.  ``rb:{mp}`` and
-        ``feed`` confirmations are recorded but have no recovery — an
-        RB's pre-crash window is gone by design and the feed is external.
-        """
-        try:
-            if endpoint == "ob":
-                if self.ordering_buffer is not None and self._ob_crashed:
-                    self.promote_standby()
-                    if self.detector is not None:
-                        # The standby inherits the endpoint; re-arm it.
-                        self.detector.resume("ob", now)
-                    return True
-                return False
-            if endpoint.startswith("shard:"):
-                shard_id = endpoint[len("shard:"):]
-                if shard_id in self._crashed_shards:
-                    self.retire_shard(shard_id)
-                    return True
-                return False
-            if endpoint.startswith("agg:"):
-                node_id = endpoint[len("agg:"):]
-                node = self._agg_nodes.get(node_id)
-                if (
-                    node is not None
-                    and node.failed
-                    and node_id not in self._retired_aggs
-                ):
-                    self.recover_aggregator(node_id)
-                    return True
-                return False
-            if endpoint == "gateway":
-                gateway = self.egress_gateway
-                if gateway is not None and gateway.stalled:
-                    gateway.resume(now)
-                    if self.detector is not None:
-                        self.detector.resume("gateway", now)
-                    return True
-                return False
-            return False
-        except RuntimeError:
-            # A cascading failure can make recovery impossible (e.g. no
-            # surviving shard to adopt orphans).  Count it, don't crash
-            # the simulation: the audit surfaces it as unrecoverable.
-            return False
 
     # ------------------------------------------------------------------
     def _raw_arrivals(self) -> Dict[str, Dict[int, float]]:
@@ -1174,6 +784,7 @@ class DBODeployment(BaseDeployment):
         return {rb.mp_id: dict(rb.delivery_times) for rb in self.release_buffers}
 
     def _counters(self) -> Dict[str, float]:
+        recovered = self.playbooks.recovered
         counters: Dict[str, float] = {
             "rb_max_queue_depth": max(rb.max_queue_depth for rb in self.release_buffers),
             "heartbeats_sent": sum(rb.heartbeats_sent for rb in self.release_buffers),
@@ -1197,16 +808,16 @@ class DBODeployment(BaseDeployment):
             counters["ob_max_queue_depth"] = self.ordering_buffer.max_queue_depth
             counters["ob_stragglers_now"] = len(self.ordering_buffer.straggler_ids())
             ob = self.ordering_buffer
-            if ob.trades_lost_to_crash or self.ob_failovers:
+            if ob.trades_lost_to_crash or recovered["ob"]:
                 counters["trades_lost_to_crash"] = float(ob.trades_lost_to_crash)
             if ob.retransmits_ignored:
                 counters["ob_retransmits_ignored"] = float(ob.retransmits_ignored)
             if ob.straggler_ejections:
                 counters["straggler_ejections"] = float(ob.straggler_ejections)
                 counters["straggler_readmissions"] = float(ob.straggler_readmissions)
-        if self.ob_failovers:
-            counters["ob_failovers"] = float(self.ob_failovers)
-        if self.retransmit_policy is not None:
+        if recovered["ob"]:
+            counters["ob_failovers"] = float(recovered["ob"])
+        if self._ack_channels:  # retransmission armed at build
             counters["trades_retransmitted"] = float(
                 sum(rb.trades_retransmitted for rb in self.release_buffers)
             )
@@ -1268,13 +879,13 @@ class DBODeployment(BaseDeployment):
                 counters["agg_trades_forwarded"] = float(
                     sum(node.trades_forwarded for node in self._agg_nodes.values())
                 )
-                if self.aggregator_failures:
-                    counters["aggregator_failures"] = float(self.aggregator_failures)
+                if recovered["agg"]:
+                    counters["aggregator_failures"] = float(recovered["agg"])
                     counters["master_late_shard_messages"] = float(
                         self.master_ob.late_child_messages
                     )
-            if self.shard_failures:
-                counters["shard_failures"] = float(self.shard_failures)
+            if recovered["shard"]:
+                counters["shard_failures"] = float(recovered["shard"])
                 counters["trades_lost_to_crash"] = float(
                     sum(shard.trades_lost_to_crash for shard in self.shards)
                 )
@@ -1287,7 +898,7 @@ class DBODeployment(BaseDeployment):
                 )
         if self.messages_dropped_dead:
             counters["messages_dropped_dead"] = float(self.messages_dropped_dead)
-        if self.retransmit_policy is not None:
+        if self._ack_channels:
             warmup_resent = sum(
                 rb.trades_warmup_resent for rb in self.release_buffers
             )

@@ -320,11 +320,11 @@ class InvariantAuditor:
             return ob.queue_depth
         master = getattr(deployment, "master_ob", None)
         if master is not None:
-            depth = master.queue_depth
-            for shard in deployment.shards:
-                if shard.shard_id not in deployment._failed_shards:
-                    depth += shard.queue_depth
-            return depth
+            retired = deployment.playbooks.retired
+            return master.queue_depth + sum(
+                shard.queue_depth for shard in deployment.shards
+                if shard.endpoint not in retired
+            )
         return 0
 
     def _released_count(self) -> int:
@@ -402,10 +402,7 @@ class InvariantAuditor:
         if master is not None and master.warming_up:
             warming.append("master")
         for shard in getattr(deployment, "shards", []) or []:
-            if (
-                shard.shard_id not in getattr(deployment, "_failed_shards", set())
-                and shard.warming_up
-            ):
+            if shard.endpoint not in deployment.playbooks.retired and shard.warming_up:
                 warming.append(shard.shard_id)
         if warming:
             out["warming_up"] = warming

@@ -21,7 +21,25 @@ from repro.faults.plan import FaultSchedule, FaultSpec
 from repro.net.latency import DegradedLatency
 from repro.net.transport import Channel
 
-__all__ = ["FaultInjector"]
+__all__ = ["FaultInjector", "PLAYBOOK_ENDPOINTS"]
+
+# The recovery-table endpoint each component fault crashes ("{}" takes
+# the fault's target).  Its recover half runs in scripted mode only — at
+# once for an instantaneous crash, at ``ends_at`` for a windowed stall —
+# and is the supervisor's in detected mode.
+PLAYBOOK_ENDPOINTS = {
+    "ob_failover": "ob",
+    "shard_failure": "shard:{}",
+    "aggregator_failure": "agg:{}",
+    "gateway_stall": "gateway",
+}
+# Why a fault's endpoint kind is missing from a deployment's table.
+_NOT_CRASHABLE = {
+    "ob": "applies to the flat OB; use shard_failure",
+    "shard": "requires n_ob_shards > 1 or an aggregation tree",
+    "agg": "requires an aggregation tree (topology depth >= 2 builds interior nodes)",
+    "gateway": "requires enable_egress_gateway=True",
+}
 
 
 class FaultInjector:
@@ -80,10 +98,9 @@ class FaultInjector:
         for fault in self.schedule:
             engine.schedule_at(fault.at, self._fire, priority=1, args=(fault,))
             if fault.ends_at is not None:
-                if self.recovery == "detected" and fault.kind == "gateway_stall":
-                    # The supervisor owns the resume: a hung gateway
-                    # can't resume itself, so the scripted heal would
-                    # mask the detection path under test.
+                if self.recovery == "detected" and fault.kind in PLAYBOOK_ENDPOINTS:
+                    # The supervisor owns the recovery: a scripted heal
+                    # would mask the detection path under test.
                     continue
                 engine.schedule_at(
                     fault.ends_at, self._recover, priority=1, args=(fault,)
@@ -120,33 +137,17 @@ class FaultInjector:
                 deployment, "_rb_by_id"
             ):
                 raise ValueError(f"{kind} requires a DBO deployment")
-            if kind == "ob_failover":
-                if not hasattr(deployment, "failover_ob"):
-                    raise ValueError("ob_failover requires a DBO deployment")
-                if getattr(deployment, "n_ob_shards", 1) > 1:
-                    raise ValueError("ob_failover applies to the flat OB; use shard_failure")
-            if kind == "shard_failure":
-                if getattr(deployment, "n_ob_shards", 1) <= 1:
-                    raise ValueError("shard_failure requires n_ob_shards > 1")
-            if kind == "gateway_stall" and not getattr(
-                deployment, "enable_egress_gateway", False
-            ):
-                raise ValueError("gateway_stall requires enable_egress_gateway=True")
-            if kind == "aggregator_failure":
-                topology = getattr(deployment, "topology", None)
-                if topology is None or not topology.enabled:
-                    raise ValueError(
-                        "aggregator_failure requires an aggregation tree "
-                        "(topology depth >= 2 builds interior nodes)"
-                    )
             if kind == "ces_hiccup" and not hasattr(deployment, "ces"):
                 raise ValueError("ces_hiccup requires a deployment with a CES")
-            if (
-                self.recovery == "detected"
-                and kind in {"ob_failover", "shard_failure", "aggregator_failure",
-                             "gateway_stall"}
-                and not getattr(deployment, "supervise", False)
-            ):
+            if kind not in PLAYBOOK_ENDPOINTS:
+                continue
+            playbooks = getattr(deployment, "playbooks", None)
+            if playbooks is None:
+                raise ValueError(f"{kind} requires a DBO deployment")
+            endpoint_kind = PLAYBOOK_ENDPOINTS[kind].partition(":")[0]
+            if endpoint_kind not in playbooks.kinds:
+                raise ValueError(f"{kind} {_NOT_CRASHABLE[endpoint_kind]}")
+            if self.recovery == "detected" and not deployment.supervise:
                 raise ValueError(
                     f"detected-mode {kind} needs a supervised deployment "
                     "(supervise=True); nothing else would ever recover it"
@@ -209,7 +210,16 @@ class FaultInjector:
     def _fire(self, fault: FaultSpec) -> None:
         deployment = self.deployment
         kind = fault.kind
-        if kind == "link_burst_loss":
+        if kind in PLAYBOOK_ENDPOINTS:
+            endpoint = PLAYBOOK_ENDPOINTS[kind].format(fault.target)
+            deployment.playbooks.crash(endpoint)
+            if (
+                self.recovery == "scripted"
+                and fault.ends_at is None
+                and not deployment.playbooks.recover(endpoint, deployment.engine.now)
+            ):
+                raise RuntimeError(f"no recovery possible for {endpoint!r}")
+        elif kind == "link_burst_loss":
             for channel in self._channels_for(fault):
                 channel.start_loss_burst(fault.magnitude, seed=fault.seed)
         elif kind == "partition":
@@ -234,25 +244,8 @@ class FaultInjector:
             deployment._rb_by_id[fault.target].crash()
         elif kind == "clock_drift":
             deployment._rb_by_id[fault.target].apply_clock_skew(fault.magnitude)
-        elif kind == "ob_failover":
-            if self.recovery == "detected":
-                deployment.crash_ob()
-            else:
-                deployment.failover_ob()
-        elif kind == "shard_failure":
-            if self.recovery == "detected":
-                deployment.crash_shard(fault.target)
-            else:
-                deployment.fail_shard(fault.target)
-        elif kind == "aggregator_failure":
-            if self.recovery == "detected":
-                deployment.crash_aggregator(fault.target)
-            else:
-                deployment.fail_aggregator(fault.target)
         elif kind == "ces_hiccup":
             deployment.ces.pause()
-        elif kind == "gateway_stall":
-            deployment.egress_gateway.stall()
         else:  # pragma: no cover - plan validation rejects unknown kinds
             raise ValueError(f"unhandled fault kind {kind!r}")
         self.faults_fired += 1
@@ -261,7 +254,11 @@ class FaultInjector:
     def _recover(self, fault: FaultSpec) -> None:
         deployment = self.deployment
         kind = fault.kind
-        if kind == "link_burst_loss":
+        if kind in PLAYBOOK_ENDPOINTS:
+            deployment.playbooks.recover(
+                PLAYBOOK_ENDPOINTS[kind].format(fault.target), deployment.engine.now
+            )
+        elif kind == "link_burst_loss":
             for channel in self._channels_for(fault):
                 channel.stop_loss_burst()
         elif kind == "partition":
@@ -288,8 +285,6 @@ class FaultInjector:
             # Healed by script in both modes: a wedged feed process has
             # no standby to promote, so the supervisor can only flag it.
             deployment.ces.resume()
-        elif kind == "gateway_stall":
-            deployment.egress_gateway.resume(deployment.engine.now)
         else:  # pragma: no cover - permanent kinds schedule no recovery
             raise ValueError(f"fault kind {kind!r} has no recovery action")
         self.faults_recovered += 1

@@ -235,9 +235,9 @@ class TestKnownHazards:
 
     This is the paper's §4.2.1 "will incur unfairness" case surfacing as
     an audit violation: the orphans' trades reach their adopter after it
-    has already vouched for later stamps, and ``retire_shard`` freezes
-    the adopter's watermark at the master only when a retransmit policy
-    is armed.  PR 11 found
+    has already vouched for later stamps, and the ``shard`` playbook's
+    recovery freezes the adopter's watermark at the master only when
+    the orphans resend (a retransmit policy is armed).  PR 11 found
     both cells and worked around them (the observatory's shard plans arm
     a ``RetransmitPolicy``).  A later correctness PR — freeze-fence on
     adoption regardless of retransmit policy — is expected to flip

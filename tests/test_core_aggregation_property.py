@@ -118,6 +118,13 @@ class TestMergeEqualsFlatMin:
             below = [node_id for node_id, _ in level]
 
 
+def fail_aggregator(deployment, node_id):
+    """Scripted recovery through the playbook table: crash, then recover."""
+    endpoint = f"agg:{node_id}"
+    deployment.playbooks.crash(endpoint)
+    assert deployment.playbooks.recover(endpoint, deployment.engine.now)
+
+
 class TestAggregatorCrashLosesNothing:
     def run_deployment(self, crash_at=None):
         from repro.baselines.base import NetworkSpec
@@ -140,8 +147,9 @@ class TestAggregatorCrashLosesNothing:
         if crash_at is not None:
             deployment.engine.schedule_at(
                 crash_at,
-                lambda: deployment.fail_aggregator("agg1-0"),
+                fail_aggregator,
                 priority=1,
+                args=(deployment, "agg1-0"),
             )
         result = deployment.run(duration=8_000.0)
         return deployment, result
@@ -149,7 +157,7 @@ class TestAggregatorCrashLosesNothing:
     def test_interior_node_crash_loses_zero_trades(self):
         clean_deployment, clean = self.run_deployment()
         crashed_deployment, crashed = self.run_deployment(crash_at=3_000.0)
-        assert crashed_deployment.aggregator_failures == 1
+        assert crashed_deployment.playbooks.recovered["agg"] == 1
         # Zero trades lost: every submitted trade reached the matching
         # engine in both runs, and they are the same trades.
         clean_keys = sorted(
@@ -184,7 +192,7 @@ class TestAggregatorCrashLosesNothing:
         auditor = InvariantAuditor()
         auditor.attach(deployment)
         deployment.engine.schedule_at(
-            3_000.0, lambda: deployment.fail_aggregator("agg1-0"), priority=1
+            3_000.0, fail_aggregator, priority=1, args=(deployment, "agg1-0")
         )
         deployment.run(duration=8_000.0)
         report = auditor.report()

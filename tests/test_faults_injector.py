@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.baselines.base import NetworkSpec
+from repro.baselines.base import NetworkSpec, default_network_specs
 from repro.baselines.direct import DirectDeployment
-from repro.core.params import DBOParams
+from repro.core.params import AggregationTopology, DBOParams
 from repro.core.system import DBODeployment
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultSchedule, FaultSpec
@@ -229,6 +229,32 @@ class TestClockDrift:
         assert rb.local_clock.drift_rate == pytest.approx(
             baseline._rb_by_id["mp0"].local_clock.drift_rate
         )
+
+
+class TestTreeApplicability:
+    """Arm-time validation asks the deployment which endpoint kinds it
+    can crash; an aggregation tree builds shards but no flat OB."""
+
+    def tree(self):
+        return DBODeployment(
+            default_network_specs(8, seed=3), seed=1,
+            topology=AggregationTopology(depth=2, fanout=2),
+        )
+
+    def test_shard_failure_arms_and_runs_on_a_tree(self):
+        deployment = self.tree()
+        plan = FaultSchedule.of(
+            FaultSpec(kind="shard_failure", at=1_000.0, target="shard-1")
+        )
+        FaultInjector(plan).arm(deployment)
+        result = deployment.run(duration=3_000.0)
+        assert result.counters["shard_failures"] == 1
+        assert deployment.playbooks.retired == {"shard:shard-1"}
+
+    def test_ob_failover_rejected_at_arm_on_a_tree(self):
+        plan = FaultSchedule.of(FaultSpec(kind="ob_failover", at=1_000.0))
+        with pytest.raises(ValueError, match="shard_failure"):
+            FaultInjector(plan).arm(self.tree())
 
 
 class TestNewKindValidation:

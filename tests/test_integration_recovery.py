@@ -11,6 +11,8 @@ from repro.baselines.base import NetworkSpec
 from repro.core.params import DBOParams
 from repro.core.release_buffer import RetransmitPolicy
 from repro.core.system import DBODeployment
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultSchedule, FaultSpec
 from repro.net.latency import ConstantLatency
 
 
@@ -25,13 +27,19 @@ CRASH_AT = 10_000.0
 DURATION = 25_000.0
 
 
+def fail(deployment, endpoint):
+    """Scripted recovery: crash ``endpoint``, then run its recover half."""
+    deployment.playbooks.crash(endpoint)
+    assert deployment.playbooks.recover(endpoint, deployment.engine.now)
+
+
 class TestOBFailover:
     def build(self, policy=None):
         deployment = DBODeployment(
             quiet_specs(), params=DBOParams(delta=20.0), seed=4,
             retransmit_policy=policy,
         )
-        deployment.engine.schedule_at(CRASH_AT, deployment.failover_ob)
+        deployment.engine.schedule_at(CRASH_AT, fail, args=(deployment, "ob"))
         return deployment
 
     def test_with_retransmission_zero_trades_lost(self):
@@ -68,7 +76,7 @@ class TestOBFailover:
         )
         deployment.run(duration=1_000.0)
         with pytest.raises(RuntimeError):
-            deployment.failover_ob()
+            deployment.playbooks.crash("ob")
 
 
 class TestShardFailure:
@@ -78,7 +86,7 @@ class TestShardFailure:
             n_ob_shards=2, retransmit_policy=policy,
         )
         deployment.engine.schedule_at(
-            CRASH_AT, lambda: deployment.fail_shard("shard-1")
+            CRASH_AT, fail, args=(deployment, "shard:shard-1")
         )
         return deployment
 
@@ -99,15 +107,29 @@ class TestShardFailure:
             quiet_specs(), params=DBOParams(delta=20.0), seed=4, n_ob_shards=2
         )
         deployment.engine.schedule_at(
-            CRASH_AT, lambda: deployment.fail_shard("shard-1")
+            CRASH_AT, fail, args=(deployment, "shard:shard-1")
         )
         deployment.run(duration=DURATION)
+        playbooks = deployment.playbooks
         with pytest.raises(KeyError):
-            deployment.fail_shard("shard-99")
+            playbooks.crash("shard:shard-99")
         with pytest.raises(RuntimeError):
-            deployment.fail_shard("shard-1")  # already failed
-        with pytest.raises(RuntimeError):
-            deployment.fail_shard("shard-0")  # no survivors left
+            playbooks.crash("shard:shard-1")  # already failed
+        playbooks.crash("shard:shard-0")
+        # No survivors left: the recovery cannot run.
+        assert playbooks.recover("shard:shard-0", deployment.engine.now) is False
+        assert "shard:shard-0" in playbooks.down
+
+    def test_scripted_failure_without_survivors_raises(self):
+        deployment = DBODeployment(
+            quiet_specs(), params=DBOParams(delta=20.0), seed=4, n_ob_shards=2
+        )
+        FaultInjector(FaultSchedule.of(
+            FaultSpec(kind="shard_failure", at=CRASH_AT, target="shard-1"),
+            FaultSpec(kind="shard_failure", at=CRASH_AT + 1_000.0, target="shard-0"),
+        )).arm(deployment)
+        with pytest.raises(RuntimeError, match="no recovery possible"):
+            deployment.run(duration=DURATION)
 
 
 class TestRBCrashStragglerTiming:

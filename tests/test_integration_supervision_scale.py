@@ -6,7 +6,7 @@ One deployment, four aggregator crashes in two waves:
   ``agg1-5``) fail-stop at the same instant, so the failure detector
   carries **three concurrent suspects** through confirm and recovery;
 * wave 2 — ``agg1-1`` fails *after* it adopted ``agg1-0``'s subtree
-  (``recover_aggregator`` reassigns a dead node's coverage into its
+  (the ``agg`` playbook's recovery reassigns a dead node's coverage into its
   first surviving sibling), so the same shards are re-parented twice —
   a **cascaded adoption**.
 

@@ -67,6 +67,27 @@ def test_core_exports_one_shard_plane():
     ]
 
 
+def test_one_recovery_playbook_table():
+    import inspect
+
+    from repro.core.system import DBODeployment
+    from repro.faults.injector import PLAYBOOK_ENDPOINTS
+
+    # The per-kind crash/recover families, their scripted compositions and
+    # the supervisor's string-prefix dispatcher are one table now.
+    for removed in (
+        "failover_ob", "fail_shard", "fail_aggregator", "_supervised_recover",
+        "crash_ob", "promote_standby", "crash_shard", "retire_shard",
+        "crash_aggregator", "recover_aggregator",
+    ):
+        assert not hasattr(DBODeployment, removed), removed
+    assert {
+        endpoint.partition(":")[0] for endpoint in PLAYBOOK_ENDPOINTS.values()
+    } == {"ob", "shard", "agg", "gateway"}
+    # No deployment option came with it.
+    assert len(inspect.signature(DBODeployment.__init__).parameters) - 1 == 25
+
+
 def test_each_release_rule_exists_once():
     import inspect
 
