@@ -138,7 +138,7 @@ class BaseDeployment:
     # What the scheme promises about its release order.  The fault
     # auditor keys off this: a "deterministic" scheme treats a
     # stamp-order regression as a safety violation, a "probabilistic"
-    # one (repro.ordering.deployment.ProbDeployment) reports it as a
+    # one (DBODeployment with a horizon, scheme ``prob``) reports it as a
     # measured — and theory-bounded — unfairness event instead.
     ordering_guarantee = "deterministic"
 

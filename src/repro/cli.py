@@ -28,10 +28,10 @@ from repro.core.params import AggregationTopology, DBOParams, SupervisionPolicy
 from repro.core.release_buffer import RetransmitPolicy
 from repro.exchange.feed import FeedConfig
 from repro.experiments.registry import REGISTRY, available_schemes
-from repro.experiments.runner import comparison_table, run_scheme, summarize
+from repro.experiments.runner import build_deployment, comparison_table, summarize
 from repro.metrics.serialization import summary_to_dict, trade_ordering_digest
 from repro.sim.engine import ENGINE_FACTORIES
-from repro.experiments.chaos import CHAOS_PLANS, make_plan, run_chaos
+from repro.experiments.chaos import CHAOS_PLANS, chaos_kwargs, make_plan, run_chaos
 from repro.experiments.chaos_tables import chaos_table
 from repro.experiments.scenarios import (
     baremetal_specs,
@@ -308,17 +308,16 @@ def _scheme_kwargs(scheme: str, args) -> dict:
             ),
         )
         if scheme == "prob":
-            # The probabilistic scheme swaps the release rule for a
-            # horizon; sharding/tree/sync knobs are DBO-only.
+            # The same deployment with the horizon release rule; it
+            # rejects shards and trees itself.
             kwargs["horizon"] = args.horizon
-        else:
-            kwargs["n_ob_shards"] = args.ob_shards
-            if args.agg_depth > 0:
-                kwargs["topology"] = AggregationTopology(
-                    fanout=args.agg_fanout, depth=args.agg_depth
-                )
-            if args.sync_c1 is not None:
-                kwargs["sync_target_c1"] = args.sync_c1
+        kwargs["n_ob_shards"] = args.ob_shards
+        if args.agg_depth > 0:
+            kwargs["topology"] = AggregationTopology(
+                fanout=args.agg_fanout, depth=args.agg_depth
+            )
+        if args.sync_c1 is not None:
+            kwargs["sync_target_c1"] = args.sync_c1
         if args.supervise:
             kwargs["supervise"] = True
             kwargs["supervision_policy"] = SupervisionPolicy(
@@ -337,18 +336,23 @@ def _scheme_kwargs(scheme: str, args) -> dict:
     return {}
 
 
-def _run_one(scheme: str, args):
-    return run_scheme(
+def _build_one(scheme: str, args, kwargs: Optional[dict] = None):
+    """Construct (not run) ``scheme`` from the command's options."""
+    return build_deployment(
         scheme,
         _build_specs(args),
-        duration=args.duration,
-        drain=getattr(args, "drain", None),
         feed_config=FeedConfig(interval=args.interval),
         response_time_model=_build_rt_model(args),
         seed=args.seed,
         engine=args.engine,
-        **_scheme_kwargs(scheme, args),
+        **(_scheme_kwargs(scheme, args) if kwargs is None else kwargs),
     )
+
+
+def _build_error(error: ValueError) -> int:
+    """Report options the deployment rejects in one line, argparse-style."""
+    print(f"repro: error: {error}", file=sys.stderr)
+    return 2
 
 
 def _run_context(args) -> dict:
@@ -362,7 +366,11 @@ def _run_context(args) -> dict:
 
 
 def cmd_run(args) -> int:
-    result = _run_one(args.scheme, args)
+    try:
+        deployment = _build_one(args.scheme, args)
+    except ValueError as error:
+        return _build_error(error)
+    result = deployment.run(duration=args.duration, drain=getattr(args, "drain", None))
     summary = summarize(result, with_bound=(args.scheme == "dbo"))
     if args.save:
         save_run_result(result, args.save)
@@ -388,10 +396,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    try:
+        deployments = [_build_one(scheme, args) for scheme in args.schemes]
+    except ValueError as error:
+        return _build_error(error)
     summaries = []
     digests: Dict[str, str] = {}
-    for scheme in args.schemes:
-        result = _run_one(scheme, args)
+    for scheme, deployment in zip(args.schemes, deployments):
+        result = deployment.run(duration=args.duration, drain=getattr(args, "drain", None))
         summaries.append(summarize(result, with_bound=(scheme == "dbo")))
         digests[scheme] = trade_ordering_digest(result)
     if args.json:
@@ -417,13 +429,19 @@ def cmd_chaos(args) -> int:
         plan = make_plan(args.plan, args.duration, args.participants)
     kwargs = _scheme_kwargs(args.scheme, args)
     kinds = set(plan.kinds)
-    if args.scheme == "dbo":
+    if args.scheme in ("dbo", "prob"):
         # These fault kinds need deployment knobs; turn them on rather
         # than failing arm-time validation on the default topology.
-        if "shard_failure" in kinds and kwargs.get("n_ob_shards", 1) < 2:
+        if "shard_failure" in kinds and kwargs["n_ob_shards"] < 2:
             kwargs["n_ob_shards"] = 2
-    if args.scheme in ("dbo", "prob") and "gateway_stall" in kinds:
-        kwargs["enable_egress_gateway"] = True
+        if "gateway_stall" in kinds:
+            kwargs["enable_egress_gateway"] = True
+    try:
+        # Build (not run) one twin up front, so options the deployment
+        # rejects end in a usage error rather than a traceback.
+        _build_one(args.scheme, args, chaos_kwargs(args.scheme, plan, kwargs))
+    except ValueError as error:
+        return _build_error(error)
     report = run_chaos(
         args.scheme,
         lambda: _build_specs(args),

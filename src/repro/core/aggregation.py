@@ -62,7 +62,7 @@ import heapq
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.delivery_clock import DeliveryClockStamp
-from repro.core.ordering_buffer import ReleaseSink
+from repro.core.ordering_buffer import ReleaseSink, WarmupHold
 from repro.exchange.messages import TaggedTrade
 
 __all__ = [
@@ -301,14 +301,16 @@ class HeartbeatAggregator:
         """Hook: the merged minimum may have moved.  Default: nothing."""
 
 
-class MasterOB(HeartbeatAggregator):
+class MasterOB(HeartbeatAggregator, WarmupHold):
     """The releasing root of the hierarchy: final merge + stamp-ordered heap.
 
     One logical "participant" per child.  ``releasing_children`` selects
     the child flavour (see the module docstring): ``True`` for shards
     (stamp-ordered forwards, watermark advance on trades, min2
     self-exception), ``False`` for transparent interior aggregators
-    (summaries only, global-minimum bound).
+    (summaries only, global-minimum bound).  After an interior
+    aggregator crash it holds releases behind the ordering buffer's
+    warm-up, :class:`~repro.core.ordering_buffer.WarmupHold`.
     """
 
     def __init__(
@@ -317,7 +319,8 @@ class MasterOB(HeartbeatAggregator):
         sink: Optional[ReleaseSink] = None,
         releasing_children: bool = True,
     ) -> None:
-        super().__init__(child_ids, node_id="master")
+        HeartbeatAggregator.__init__(self, child_ids, node_id="master")
+        WarmupHold.__init__(self)
         self.sink = sink
         self.releasing_children = releasing_children
         # Entries: (stamp tuple, child_id, mp_id, trade_seq, TaggedTrade).
@@ -326,58 +329,16 @@ class MasterOB(HeartbeatAggregator):
         # through a different shard after a shard failure must not reach
         # the matching engine twice.
         self._released: Set[Tuple[str, int]] = set()
-        # Push-based warm-up (aggregator recovery): while non-empty,
-        # releases are held until every listed participant's marker
-        # arrives from below (see OrderingBuffer.begin_warmup).
-        self._warmup_pending: Set[str] = set()
         self.trades_released = 0
         self.duplicates_ignored = 0
-        self.warmup_holds = 0
-        self.warmup_markers_received = 0
-        self.warmup_timeouts = 0
-
-    def set_sink(self, sink: ReleaseSink) -> None:
-        self.sink = sink
 
     @property
     def queue_depth(self) -> int:
         return len(self._heap)
 
-    # ------------------------------------------------------------------
-    # Push-based warm-up (supervised recovery)
-    # ------------------------------------------------------------------
-    @property
-    def warming_up(self) -> bool:
-        return bool(self._warmup_pending)
-
-    def begin_warmup(self, mp_ids: "Sequence[str] | Set[str]") -> None:
-        """Hold releases until each listed RB's recovery marker arrives.
-
-        Used after an interior aggregator crash: in-window trades the
-        dead node dropped are re-collected from the subtree's RBs, and
-        the markers ride the same FIFO edges as the re-forwards, so the
-        hold lifts exactly when the window is complete.
-        """
-        pending = set(mp_ids)
-        if not pending:
-            return
-        self._warmup_pending |= pending
-        self.warmup_holds += 1
-
-    def on_child_marker(self, mp_id: str, now: float) -> None:
-        """A warm-up fence forwarded up the tree reached the root."""
-        if mp_id in self._warmup_pending:
-            self._warmup_pending.discard(mp_id)
-            self.warmup_markers_received += 1
-            if not self._warmup_pending:
-                self._try_release(now)
-
-    def end_warmup(self, now: float) -> None:
-        """Force-lift the warm-up hold (supervisor safety valve)."""
-        if self._warmup_pending:
-            self._warmup_pending.clear()
-            self.warmup_timeouts += 1
-            self._try_release(now)
+    # A warm-up fence forwarded up the tree reached the root: the name
+    # deliver_upstream calls on every parent.
+    on_child_marker = WarmupHold.on_recovery_marker
 
     # Unused by the deployment: benchmarks/observatory/tracer.py names
     # these two as entry points and its test fails on a missing target.

@@ -19,9 +19,11 @@ engine driving it: it owns the trade heap, dedup, warm-up and crash
 machinery, and a fused release loop that reaches into the policy's state
 with local aliasing (one call per heartbeat makes it the hottest entry
 point of a DBO run).  Every release, proven or flushed, is booked in
-:meth:`OrderingBuffer._release`;
-:class:`repro.ordering.deployment.ProbOrderingBuffer` swaps the release
-*decision* for the horizon rule and inherits everything else.  The four
+:meth:`OrderingBuffer._release`; :class:`ProbOrderingBuffer` swaps the
+release *decision* for the horizon rule of
+:class:`repro.ordering.prob.ProbabilisticPolicy` and inherits everything
+else.  Their push-based warm-up hold, :class:`WarmupHold`, is shared
+with the hierarchy's :class:`~repro.core.aggregation.MasterOB`.  The four
 schemes with no recovery surface run on
 :class:`repro.core.release_engine.ReleaseEngine` instead.
 """
@@ -39,8 +41,10 @@ from repro.exchange.messages import Heartbeat, TaggedTrade
 # in ``repro.core.__all__``).  Safe at module level: repro.ordering has
 # no runtime dependency on repro.core.
 from repro.ordering.dbo import DeliveryClockPolicy, ParticipantState
+from repro.ordering.prob import ProbabilisticPolicy
+from repro.sim.engine import Scheduler
 
-__all__ = ["OrderingBuffer", "ParticipantState"]
+__all__ = ["OrderingBuffer", "ParticipantState", "ProbOrderingBuffer", "WarmupHold"]
 
 # Sink receiving released trades in their final order:
 # (tagged_trade, forward_time).
@@ -50,7 +54,60 @@ ReleaseSink = Callable[[TaggedTrade, float], None]
 HeapEntry = Tuple[Tuple[int, float], str, int, TaggedTrade]
 
 
-class OrderingBuffer:
+class WarmupHold:
+    """Push-based warm-up: hold releases until recovery markers arrive.
+
+    A recovering component (a promoted standby OB, a shard adopting
+    orphans, the master after an aggregator crash) asks the affected RBs
+    to resend their unacked windows; the FIFO reverse channels guarantee
+    each RB's :class:`~repro.exchange.messages.RecoveryMarker` trails its
+    resends, so lifting the hold on the last marker is a proof that every
+    resent trade is already queued.  Subclasses read ``_warmup_pending``
+    in their release loop and define ``_try_release(now)``.
+    """
+
+    def __init__(self) -> None:
+        # While non-empty, releases are held until every listed
+        # participant's RecoveryMarker arrives.
+        self._warmup_pending: Set[str] = set()
+        self.warmup_holds = 0
+        self.warmup_markers_received = 0
+        self.warmup_timeouts = 0
+
+    @property
+    def warming_up(self) -> bool:
+        """True while releases are held pending recovery markers."""
+        return bool(self._warmup_pending)
+
+    def begin_warmup(self, mp_ids: Iterable[str]) -> None:
+        """Hold releases until each listed RB's recovery marker arrives."""
+        pending = set(mp_ids)
+        if not pending:
+            return
+        self._warmup_pending |= pending
+        self.warmup_holds += 1
+
+    def on_recovery_marker(self, mp_id: str, now: float) -> None:
+        """A warm-up fence arrived; lift the hold once all are in."""
+        if mp_id in self._warmup_pending:
+            self._warmup_pending.discard(mp_id)
+            self.warmup_markers_received += 1
+            if not self._warmup_pending:
+                self._try_release(now)
+
+    def end_warmup(self, now: float) -> None:
+        """Force-lift the warm-up hold (the supervisor's safety valve,
+        for markers lost to compound faults)."""
+        if self._warmup_pending:
+            self._warmup_pending.clear()
+            self.warmup_timeouts += 1
+            self._try_release(now)
+
+    def _try_release(self, now: float) -> None:
+        raise NotImplementedError
+
+
+class OrderingBuffer(WarmupHold):
     """Priority-queue ordering with heartbeat-based release (§4.1.3).
 
     Parameters
@@ -85,6 +142,7 @@ class OrderingBuffer:
     ) -> None:
         if not participants:
             raise ValueError("ordering buffer needs at least one participant")
+        super().__init__()
         self.sink = sink
         self.generation_time_of = generation_time_of
         self.straggler_threshold = straggler_threshold
@@ -104,23 +162,14 @@ class OrderingBuffer:
         # queued (or already released) trades are absorbed here instead of
         # tripping the double-queue assertion in the release loop.
         self._queued: Set[Tuple[str, int]] = set()
-        # Push-based warm-up (recovery): while non-empty, releases are
-        # held until every listed participant's RecoveryMarker arrives.
-        self._warmup_pending: Set[str] = set()
         self.trades_received = 0
         self.trades_released = 0
         self.heartbeats_processed = 0
         self.max_queue_depth = 0
         self.trades_lost_to_crash = 0
         self.retransmits_ignored = 0
-        self.warmup_holds = 0
-        self.warmup_markers_received = 0
-        self.warmup_timeouts = 0
 
     # ------------------------------------------------------------------
-    def set_sink(self, sink: ReleaseSink) -> None:
-        self.sink = sink
-
     @property
     def policy(self) -> DeliveryClockPolicy:
         """The delivery-clock decision state this buffer drives."""
@@ -325,42 +374,6 @@ class OrderingBuffer:
     # ------------------------------------------------------------------
     # Recovery / failover support
     # ------------------------------------------------------------------
-    @property
-    def warming_up(self) -> bool:
-        """True while releases are held pending recovery markers."""
-        return bool(self._warmup_pending)
-
-    def begin_warmup(self, mp_ids: Iterable[str]) -> None:
-        """Hold releases until each listed RB's recovery marker arrives.
-
-        Push-based recovery: the promoted/adopting OB asks the affected
-        RBs to resend their unacked windows; the FIFO reverse channels
-        guarantee each RB's :class:`~repro.exchange.messages.RecoveryMarker`
-        trails its resends, so lifting the hold on the last marker is a
-        proof that every resent trade is already queued here.
-        """
-        pending = set(mp_ids)
-        if not pending:
-            return
-        self._warmup_pending |= pending
-        self.warmup_holds += 1
-
-    def on_recovery_marker(self, mp_id: str, now: float) -> None:
-        """A warm-up fence arrived; lift the hold once all are in."""
-        if mp_id in self._warmup_pending:
-            self._warmup_pending.discard(mp_id)
-            self.warmup_markers_received += 1
-            if not self._warmup_pending:
-                self._try_release(now)
-
-    def end_warmup(self, now: float) -> None:
-        """Force-lift the warm-up hold (the supervisor's safety valve,
-        for markers lost to compound faults)."""
-        if self._warmup_pending:
-            self._warmup_pending.clear()
-            self.warmup_timeouts += 1
-            self._try_release(now)
-
     def add_participant(self, mp_id: str) -> None:
         """Start waiting on a new participant (shard rerouting).
 
@@ -396,3 +409,90 @@ class OrderingBuffer:
         self.warmup_holds += predecessor.warmup_holds
         self.warmup_markers_received += predecessor.warmup_markers_received
         self.warmup_timeouts += predecessor.warmup_timeouts
+
+
+class ProbOrderingBuffer(OrderingBuffer):
+    """A delivery-clock OB releasing on horizon expiry, not proof.
+
+    Inherits the whole DBO buffer — heap, dedup, warm-up, crash/failover,
+    flush, straggler bookkeeping — and swaps only the release decision
+    for :class:`~repro.ordering.prob.ProbabilisticPolicy`: a queued trade
+    becomes *due* ``horizon`` µs after its arrival and is released once
+    it is due **and** every smaller-stamped queued trade has been
+    released (stamp-FIFO within the buffer).  Inversions can therefore
+    only arise from trades that arrive after a larger-stamped trade
+    already left; each one increments ``ordering_inversions``.
+
+    Parameters beyond :class:`OrderingBuffer`:
+
+    engine:
+        The event engine — horizon expiries are real scheduled events,
+        not piggybacks on unrelated traffic.
+    horizon:
+        Confidence hold in µs (``h``).  ``0`` releases in arrival order
+        (maximum speed, maximum inversion risk); ``h ≥`` the network's
+        arrival-lag spread reproduces DBO's order exactly.
+    """
+
+    def __init__(
+        self,
+        participants: List[str],
+        engine: Scheduler,
+        horizon: float,
+        sink: Optional[ReleaseSink] = None,
+        generation_time_of: Optional[Callable[[int], float]] = None,
+        straggler_threshold: Optional[float] = None,
+        latest_point_id: Optional[Callable[[], int]] = None,
+    ) -> None:
+        self.horizon_policy = ProbabilisticPolicy(horizon)
+        super().__init__(
+            participants,
+            sink=sink,
+            generation_time_of=generation_time_of,
+            straggler_threshold=straggler_threshold,
+            latest_point_id=latest_point_id,
+        )
+        self._engine = engine
+
+    @property
+    def horizon(self) -> float:
+        return self.horizon_policy.horizon
+
+    @property
+    def ordering_inversions(self) -> int:
+        return self.horizon_policy.ordering_inversions
+
+    # ------------------------------------------------------------------
+    def on_tagged_trade(
+        self, tagged: TaggedTrade, send_time: float, arrival_time: float
+    ) -> None:
+        key = tagged.trade.key
+        if key not in self._released and key not in self._queued:
+            due = self.horizon_policy.hold(key, arrival_time)
+            self._engine.schedule_at(due, self._horizon_due, priority=2)
+        super().on_tagged_trade(tagged, send_time, arrival_time)
+
+    def _horizon_due(self) -> None:
+        self._try_release(self._engine.now)
+
+    def _try_release(self, now: float) -> None:
+        """Release every due head trade, in stamp order."""
+        if self._warmup_pending:
+            return
+        heap = self._heap
+        is_due = self.horizon_policy.is_due
+        while heap and is_due(heap[0][1:3], now):
+            self._release(heapq.heappop(heap), now)
+
+    def _release(self, entry: HeapEntry, now: float) -> None:
+        self.horizon_policy.note_release(entry[3].trade.key, entry[0])
+        super()._release(entry, now)
+
+    def crash(self) -> int:
+        self.horizon_policy.reset()
+        return super().crash()
+
+    def carry_over_counters(self, predecessor: OrderingBuffer) -> None:
+        super().carry_over_counters(predecessor)
+        assert isinstance(predecessor, ProbOrderingBuffer)
+        self.horizon_policy.carry_over_counters(predecessor.horizon_policy)

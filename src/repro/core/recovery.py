@@ -16,21 +16,19 @@ its frozen odometers are the detection signal.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Set, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Set, Tuple
 
 from repro.core.params import SupervisionPolicy
 
 if TYPE_CHECKING:
-    from repro.core.aggregation import MasterOB
-    from repro.core.ordering_buffer import OrderingBuffer
+    from repro.core.ordering_buffer import WarmupHold
     from repro.core.sharded_ob import ShardOB
     from repro.core.system import DBODeployment
 
 __all__ = ["RecoveryPlaybooks"]
 
-WarmUpTarget = Union["OrderingBuffer", "ShardOB", "MasterOB"]
 # (component to hold, participants whose RBs resend, now) -> whether any RB resends.
-WarmUp = Callable[[WarmUpTarget, List[str], float], bool]
+WarmUp = Callable[["WarmupHold", List[str], float], bool]
 
 
 class RecoveryPlaybooks:
@@ -123,7 +121,7 @@ class RecoveryPlaybooks:
             detector.resume(endpoint, now)
         return True
 
-    def push_warm_up(self, component: WarmUpTarget, mp_ids: List[str], now: float) -> bool:
+    def push_warm_up(self, component: "WarmupHold", mp_ids: List[str], now: float) -> bool:
         """Hold ``component``'s releases until the live RBs among ``mp_ids``
         have resent their unacked windows; returns whether any RB resends.
 
@@ -178,7 +176,7 @@ class RecoveryPlaybooks:
         return next(s for s in self._deployment.shards if s.shard_id == shard_id)
 
     def _crash_shard(self, shard_id: str) -> int:
-        return self._shard(shard_id).fail()
+        return self._shard(shard_id).crash()
 
     def _retire_shard(self, shard_id: str, now: float) -> bool:
         """Surviving shards adopt the orphans round-robin; the dispatchers
@@ -203,7 +201,7 @@ class RecoveryPlaybooks:
         adopted: Dict[str, List[str]] = {}
         for index, mp_id in enumerate(orphans):
             adopter = survivors[index % len(survivors)]
-            adopter.adopt_participant(mp_id)
+            adopter.add_participant(mp_id)
             routing[mp_id] = adopter
             adopted.setdefault(adopter.shard_id, []).append(mp_id)
         # Warm-up and path regression MUST precede splicing the dead

@@ -29,7 +29,7 @@ or tree — is wired by :class:`~repro.core.system.DBODeployment`.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.aggregation import UpstreamSend
 from repro.core.delivery_clock import DeliveryClockStamp
@@ -39,12 +39,14 @@ from repro.exchange.messages import Heartbeat, TaggedTrade
 __all__ = ["ShardOB"]
 
 
-class ShardOB:
+class ShardOB(OrderingBuffer):
     """One shard of the hierarchical OB, serving a subset of participants.
 
-    Internally reuses :class:`OrderingBuffer` for the subset-safety logic;
-    trades it releases are safe with respect to the shard's participants
-    and flow upward to the parent, together with summary heartbeats.
+    An :class:`OrderingBuffer` over the shard's participants whose sink is
+    the parent edge: trades it releases are safe with respect to the
+    shard's participants and flow upward, together with summary
+    heartbeats.  Crash, adoption (``add_participant``) and the warm-up
+    hold are the buffer's own.
 
     Parameters
     ----------
@@ -78,71 +80,24 @@ class ShardOB:
         latest_point_id: Optional[Callable[[], int]] = None,
         eager_summaries: bool = True,
     ) -> None:
+        super().__init__(
+            list(participants),
+            sink=lambda tagged, now: parent_send(("trade", tagged)),
+            generation_time_of=generation_time_of,
+            straggler_threshold=straggler_threshold,
+            latest_point_id=latest_point_id,
+        )
         self.shard_id = shard_id
         # The failure detector's and the recovery table's name for it.
         self.endpoint = f"shard:{shard_id}"
         self._parent_send = parent_send
         self._eager_summaries = eager_summaries
-        self._inner = OrderingBuffer(
-            participants=list(participants),
-            sink=self._forward_up,
-            generation_time_of=generation_time_of,
-            straggler_threshold=straggler_threshold,
-            latest_point_id=latest_point_id,
-        )
-        self.heartbeats_processed = 0
         self.summaries_published = 0
         self.trades_reforwarded = 0
 
     # ------------------------------------------------------------------
-    @property
-    def participants(self) -> List[str]:
-        return list(self._inner.states)
-
-    @property
-    def queue_depth(self) -> int:
-        return self._inner.queue_depth
-
-    @property
-    def trades_lost_to_crash(self) -> int:
-        return self._inner.trades_lost_to_crash
-
-    def fail(self) -> int:
-        """Fail-stop this shard, losing every trade in its queue."""
-        return self._inner.crash()
-
-    def adopt_participant(self, mp_id: str) -> None:
-        """Take over a participant rerouted from a failed shard."""
-        self._inner.add_participant(mp_id)
-
-    # ------------------------------------------------------------------
     # Push-based warm-up (supervised recovery)
     # ------------------------------------------------------------------
-    @property
-    def warming_up(self) -> bool:
-        return self._inner.warming_up
-
-    @property
-    def warmup_holds(self) -> int:
-        return self._inner.warmup_holds
-
-    @property
-    def warmup_markers_received(self) -> int:
-        return self._inner.warmup_markers_received
-
-    @property
-    def warmup_timeouts(self) -> int:
-        return self._inner.warmup_timeouts
-
-    def begin_warmup(self, mp_ids: Iterable[str]) -> None:
-        """Hold this shard's releases until the listed RBs' markers land.
-
-        While warming, :meth:`publish_summary` reports ``None`` — the
-        master must not advance its merged minimum off watermark state
-        that held-back resends could still undercut.
-        """
-        self._inner.begin_warmup(mp_ids)
-
     def on_recovery_marker(self, mp_id: str, now: float) -> None:
         """Consume a warm-up fence, or forward it toward the master.
 
@@ -151,36 +106,37 @@ class ShardOB:
         recovery) and travels upstream as a ``("marker", mp_id)`` tuple
         on the same FIFO edge as the trades it fences.
         """
-        consumed_before = self.warmup_markers_received
-        self._inner.on_recovery_marker(mp_id, now)
-        if self.warmup_markers_received == consumed_before:
+        if mp_id not in self._warmup_pending:
             self._parent_send(("marker", mp_id))
-        elif not self.warming_up and self._eager_summaries:
+            return
+        super().on_recovery_marker(mp_id, now)
+        if not self._warmup_pending and self._eager_summaries:
             self.publish_summary()
 
     def end_warmup(self, now: float) -> None:
         """Force-lift the warm-up hold (supervisor safety valve)."""
-        if self._inner.warming_up:
-            self._inner.end_warmup(now)
+        if self._warmup_pending:
+            super().end_warmup(now)
             if self._eager_summaries:
                 self.publish_summary()
 
     # ------------------------------------------------------------------
     def on_tagged_trade(self, tagged: TaggedTrade, send_time: float, arrival_time: float) -> None:
-        if tagged.trade.key in self._inner._released:
+        if tagged.trade.key in self._released:
             # A retransmit of a trade this shard already forwarded up.
             # The copy above us may have died with a failed aggregator,
             # so re-forward it: the master's key-dedup absorbs the
             # duplicate if the original made it through.
             self.trades_reforwarded += 1
             self._parent_send(("trade", tagged))
-        self._inner.on_tagged_trade(tagged, send_time, arrival_time)
+        super().on_tagged_trade(tagged, send_time, arrival_time)
         if self._eager_summaries:
             self.publish_summary()
 
     def on_heartbeat(self, heartbeat: Heartbeat, send_time: float, arrival_time: float) -> None:
-        self.heartbeats_processed += 1
-        self._inner.on_heartbeat(heartbeat, send_time, arrival_time)
+        # Named base call rather than ``super()``: the heartbeat lane's
+        # hottest shard frame stays free of a super object.
+        OrderingBuffer.on_heartbeat(self, heartbeat, send_time, arrival_time)
         if self._eager_summaries:
             self.publish_summary()
 
@@ -193,9 +149,8 @@ class ShardOB:
         reported participants' watermark keys: one C-level ``min`` over
         tuples instead of a stamp comparison per participant.
         """
-        inner = self._inner
-        states = inner.states
-        keys = inner._policy._wm
+        states = self.states
+        keys = self._policy._wm
         if len(keys) < len(states):
             return None
         return states[min(keys, key=keys.__getitem__)].watermark
@@ -208,7 +163,7 @@ class ShardOB:
         While warming up, ``None`` is published regardless of the subset
         state: resends still in flight could carry stamps below it.
         """
-        watermark = None if self._inner._warmup_pending else self._subset_watermark()
+        watermark = None if self._warmup_pending else self._subset_watermark()
         self.summaries_published += 1
         self._parent_send(("summary", watermark))
 
@@ -220,6 +175,3 @@ class ShardOB:
         this message describes the pre-adoption subset.
         """
         self._parent_send(("fence", self.shard_id))
-
-    def _forward_up(self, tagged: TaggedTrade, now: float) -> None:
-        self._parent_send(("trade", tagged))

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.release_buffer import ReleaseBuffer
+from repro.core.release_buffer import ReleaseBuffer, RetransmitPolicy
 from repro.exchange.messages import MarketDataBatch
 from repro.net.latency import LatencyModel
 from repro.sim.clocks import Clock, SynchronizedClock
@@ -66,6 +66,8 @@ class SyncAssistedReleaseBuffer(ReleaseBuffer):
         target_delay: float,
         local_clock: Optional[Clock] = None,
         rb_to_mp: Optional[LatencyModel] = None,
+        piggyback_suppression: bool = False,
+        retransmit_policy: Optional[RetransmitPolicy] = None,
     ) -> None:
         super().__init__(
             engine,
@@ -74,6 +76,8 @@ class SyncAssistedReleaseBuffer(ReleaseBuffer):
             heartbeat_period=heartbeat_period,
             local_clock=local_clock,
             rb_to_mp=rb_to_mp,
+            piggyback_suppression=piggyback_suppression,
+            retransmit_policy=retransmit_policy,
         )
         if target_delay <= 0:
             raise ValueError("target_delay (C1) must be positive")

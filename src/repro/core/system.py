@@ -14,7 +14,8 @@ must not care (Challenge 1).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.baselines.base import BaseDeployment, NetworkSpec
 from repro.core.aggregation import (
@@ -26,7 +27,7 @@ from repro.core.aggregation import (
 )
 from repro.core.batcher import Batcher
 from repro.core.gateway import EgressGateway
-from repro.core.ordering_buffer import OrderingBuffer, ReleaseSink
+from repro.core.ordering_buffer import OrderingBuffer, ProbOrderingBuffer, ReleaseSink, WarmupHold
 from repro.core.params import AggregationTopology, DBOParams, SupervisionPolicy
 from repro.core.recovery import RecoveryPlaybooks
 from repro.core.release_buffer import ReleaseBuffer, RetransmitPolicy
@@ -44,8 +45,10 @@ from repro.faults.detector import FailureDetector
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.multicast import MulticastGroup
 from repro.net.transport import Channel
+from repro.ordering.prob import ProbabilisticPolicy
 from repro.participants.response_time import ResponseTimeModel
 from repro.participants.strategies import Strategy
+from repro.sim.clocks import SynchronizedClock
 from repro.sim.engine import PeriodicTimer
 from repro.sim.runtime import Runtime
 
@@ -97,6 +100,11 @@ class DBODeployment(BaseDeployment):
         ``sync_error`` — equalizing inter-delivery times when the network
         cooperates (better fairness beyond δ) while always preserving
         LRTF.  ``None`` (default) is plain DBO.
+    horizon:
+        ``None`` (default): DBO's watermark rule.  A confidence hold ``h``
+        in µs: the ``prob`` scheme, whose
+        :class:`~repro.core.ordering_buffer.ProbOrderingBuffer` releases
+        each trade ``h`` after its arrival.  Flat OB only.
 
     Examples
     --------
@@ -136,7 +144,18 @@ class DBODeployment(BaseDeployment):
         supervise: bool = False,
         supervision_policy: Optional[SupervisionPolicy] = None,
         runtime: Optional[Runtime] = None,
+        horizon: Optional[float] = None,
     ) -> None:
+        tree = topology is not None and topology.enabled
+        if horizon is not None:
+            if n_ob_shards > 1:
+                raise ValueError("prob supports only the flat (non-sharded) ordering buffer")
+            if tree:
+                raise ValueError("prob does not support aggregation-tree mode")
+            horizon = ProbabilisticPolicy.checked_horizon(horizon)
+            self.scheme_name = "prob"
+            self.ordering_guarantee = "probabilistic"
+        self.horizon = horizon
         super().__init__(
             specs,
             feed_config=feed_config,
@@ -149,6 +168,8 @@ class DBODeployment(BaseDeployment):
             runtime=runtime,
         )
         self.params = params if params is not None else DBOParams()
+        if n_ob_shards > len(self.mp_ids) and not tree:
+            raise ValueError("more shards than participants")
         self.n_ob_shards = n_ob_shards
         self.shard_master_latency = shard_master_latency
         self.topology = topology
@@ -224,14 +245,14 @@ class DBODeployment(BaseDeployment):
 
     # ------------------------------------------------------------------
     def _make_ordering_buffer(self, sink: ReleaseSink) -> OrderingBuffer:
-        """Construct the flat ordering buffer (also used for standbys).
-
-        The single extension seam for schemes that keep DBO's whole
-        topology but swap the release rule — the probabilistic scheme
-        (:class:`repro.ordering.deployment.ProbDeployment`) overrides
-        this to return a horizon-based buffer.
-        """
-        return OrderingBuffer(
+        """Construct the flat ordering buffer (also used for standbys):
+        the watermark rule, or with a ``horizon`` the ``prob`` rule."""
+        make: Callable[..., OrderingBuffer] = (
+            OrderingBuffer
+            if self.horizon is None
+            else partial(ProbOrderingBuffer, engine=self.engine, horizon=self.horizon)
+        )
+        return make(
             participants=list(self.mp_ids),
             sink=sink,
             generation_time_of=self.ces.generation_time_of,
@@ -328,38 +349,29 @@ class DBODeployment(BaseDeployment):
                 lambda message, now: self._egress_channel.send(message, send_time=now)
             )
 
+        pacing_gap = 1e-9 if self.disable_pacing else params.delta
+        rb_class = ReleaseBuffer if self.sync_target_c1 is None else SyncAssistedReleaseBuffer
         for index, spec in enumerate(self.specs):
             mp_id = self.mp_ids[index]
-            pacing_gap = 1e-9 if self.disable_pacing else params.delta
+            sync_kwargs: Dict[str, Any] = {}
             if self.sync_target_c1 is not None:
-                from repro.sim.clocks import SynchronizedClock
-
-                rb = SyncAssistedReleaseBuffer(
-                    self.engine,
-                    mp_id=mp_id,
-                    pacing_gap=pacing_gap,
-                    heartbeat_period=params.tau,
+                sync_kwargs = dict(
                     sync_clock=SynchronizedClock(
-                        error_bound=self.sync_error,
-                        seed=self.runtime.u64(500 + index),
+                        error_bound=self.sync_error, seed=self.runtime.u64(500 + index)
                     ),
                     target_delay=self.sync_target_c1,
-                    local_clock=self._make_rb_clock(index),
-                    rb_to_mp=spec.rb_to_mp,
                 )
-                rb.piggyback_suppression = self.piggyback_suppression
-                rb.retransmit_policy = self.retransmit_policy
-            else:
-                rb = ReleaseBuffer(
-                    self.engine,
-                    mp_id=mp_id,
-                    pacing_gap=pacing_gap,
-                    heartbeat_period=params.tau,
-                    local_clock=self._make_rb_clock(index),
-                    rb_to_mp=spec.rb_to_mp,
-                    piggyback_suppression=self.piggyback_suppression,
-                    retransmit_policy=self.retransmit_policy,
-                )
+            rb = rb_class(
+                self.engine,
+                mp_id=mp_id,
+                pacing_gap=pacing_gap,
+                heartbeat_period=params.tau,
+                local_clock=self._make_rb_clock(index),
+                rb_to_mp=spec.rb_to_mp,
+                piggyback_suppression=self.piggyback_suppression,
+                retransmit_policy=self.retransmit_policy,
+                **sync_kwargs,
+            )
             self.release_buffers.append(rb)
             self._rb_by_id[mp_id] = rb
 
@@ -515,8 +527,6 @@ class DBODeployment(BaseDeployment):
                 edge_model = ConstantLatency(0.0)
         else:
             n_shards = self.n_ob_shards
-            if n_shards > n_participants:
-                raise ValueError("more shards than participants")
         shard_ids = [f"shard-{index}" for index in range(n_shards)]
         levels = (
             plan_tree(shard_ids, topology.fanout, topology.depth)
@@ -578,7 +588,7 @@ class DBODeployment(BaseDeployment):
                 eager_summaries=not tree,
             )
             self.shards.append(shard)
-            for mp_id in shard.participants:
+            for mp_id in shard.states:
                 self._shard_routing[mp_id] = shard
             if tree:
                 self._agg_publishers[shard_id] = shard.publish_summary
@@ -615,7 +625,7 @@ class DBODeployment(BaseDeployment):
             # are what the failure detector keys on.  Messages keep being
             # dropped until the supervisor (or a scripted recovery)
             # reroutes the participant.
-            target: Union[OrderingBuffer, ShardOB]
+            target: OrderingBuffer
             if flat:
                 if "ob" in down:
                     self.messages_dropped_dead += 1
@@ -623,10 +633,11 @@ class DBODeployment(BaseDeployment):
                 assert self.ordering_buffer is not None
                 target = self.ordering_buffer
             else:
-                target = routing[mp_id]
-                if target.endpoint in down:
+                shard = routing[mp_id]
+                if shard.endpoint in down:
                     self.messages_dropped_dead += 1
                     return
+                target = shard
             # One pass keyed on the exact type.  Heartbeats outnumber
             # trades ~4:1 at N=64 (and worse at large N): tested first.
             if type(message) is Heartbeat:
@@ -904,10 +915,11 @@ class DBODeployment(BaseDeployment):
             )
             if warmup_resent:
                 counters["trades_warmup_resent"] = float(warmup_resent)
-            components: List[Union[OrderingBuffer, MasterOB, ShardOB, None]] = [
-                self.ordering_buffer, self.master_ob, *self.shards
+            buffers: List[WarmupHold] = [
+                component
+                for component in (self.ordering_buffer, self.master_ob, *self.shards)
+                if component is not None
             ]
-            buffers = [component for component in components if component is not None]
             holds = sum(component.warmup_holds for component in buffers)
             if holds:
                 counters["warmup_holds"] = float(holds)
@@ -926,4 +938,8 @@ class DBODeployment(BaseDeployment):
             counters.update(self.detector.counters())
         if self.supervisor is not None:
             counters.update(self.supervisor.counters())
+        ob = self.ordering_buffer
+        if isinstance(ob, ProbOrderingBuffer):
+            counters["ordering_inversions"] = float(ob.ordering_inversions)
+            counters["ob_trades_released"] = float(ob.trades_released)
         return counters

@@ -36,6 +36,7 @@ __all__ = [
     "CHAOS_PLANS",
     "ChaosRunReport",
     "audit_all_schemes",
+    "chaos_kwargs",
     "make_plan",
     "run_chaos",
 ]
@@ -341,6 +342,44 @@ class ChaosRunReport:
         }
 
 
+def chaos_kwargs(
+    scheme: str, plan: FaultSchedule, kwargs: Dict[str, Any]
+) -> Dict[str, Any]:
+    """``kwargs`` plus the deployment knobs ``plan`` needs on ``scheme``
+    (shards, a tree, the egress gateway, retransmission); a knob the
+    caller set is kept."""
+    kwargs = dict(kwargs)
+    kinds = set(plan.kinds)
+    if "shard_failure" in kinds:
+        kwargs.setdefault("n_ob_shards", 2)
+    if "gateway_stall" in kinds:
+        kwargs.setdefault("enable_egress_gateway", True)
+    if "aggregator_failure" in kinds:
+        from repro.core.params import AggregationTopology
+
+        kwargs.setdefault("topology", AggregationTopology(depth=2, fanout=2))
+        kwargs.setdefault("n_ob_shards", 4)
+    # Supervised recovery re-collects the unacked windows; without a
+    # retransmit policy the crash window is lost by design and the
+    # detected/scripted digest equivalence cannot hold.
+    supervised_crash = bool(kwargs.get("supervise")) and bool(
+        kinds & {"ob_failover", "shard_failure", "aggregator_failure"}
+    )
+    # Ack channels only exist when acks are on; losing them is only
+    # interesting if unacked trades actually get resent.
+    acks_faulted = any(
+        fault.channel is not None and fault.channel.startswith("ack-")
+        for fault in plan
+    )
+    # The retransmit/ack machinery exists on the DBO topology, which
+    # both ``dbo`` and ``prob`` run.
+    if scheme in ("dbo", "prob") and (supervised_crash or acks_faulted):
+        from repro.core.release_buffer import RetransmitPolicy
+
+        kwargs.setdefault("retransmit_policy", RetransmitPolicy())
+    return kwargs
+
+
 def run_chaos(
     scheme: str,
     specs_factory: Callable[[], Sequence[NetworkSpec]],
@@ -355,43 +394,12 @@ def run_chaos(
 
     ``specs_factory`` is called once per run — twins must not share
     mutable latency-model state.  Remaining kwargs reach the deployment
-    constructor (scheme params, ``n_ob_shards``, ...).  Plans containing
-    ``shard_failure`` or ``gateway_stall`` need the matching deployment
-    knobs (``n_ob_shards >= 2`` / ``enable_egress_gateway=True``) — the
-    injector's arm-time validation reports anything missing.
+    constructor (scheme params, ``n_ob_shards``, ...), completed by
+    :func:`chaos_kwargs`; the injector's arm-time validation reports any
+    knob still missing.
     """
-    kinds = set(plan.kinds)
-    if "shard_failure" in kinds:
-        kwargs.setdefault("n_ob_shards", 2)
-    if "gateway_stall" in kinds:
-        kwargs.setdefault("enable_egress_gateway", True)
-    if "aggregator_failure" in kinds:
-        from repro.core.params import AggregationTopology
-
-        kwargs.setdefault("topology", AggregationTopology(depth=2, fanout=2))
-        kwargs.setdefault("n_ob_shards", 4)
-    supervise = bool(kwargs.get("supervise"))
-    recovery = "detected" if supervise else "scripted"
-    crash_kinds = kinds & {"ob_failover", "shard_failure", "aggregator_failure"}
-    # The retransmit/ack machinery exists on the full DBO topology —
-    # which the probabilistic scheme shares wholesale.
-    dbo_topology = scheme in ("dbo", "prob")
-    if dbo_topology and supervise and crash_kinds:
-        # Supervised recovery re-collects the unacked windows; without a
-        # retransmit policy the crash window is lost by design and the
-        # detected/scripted digest equivalence cannot hold.
-        from repro.core.release_buffer import RetransmitPolicy
-
-        kwargs.setdefault("retransmit_policy", RetransmitPolicy())
-    if dbo_topology and any(
-        fault.channel is not None and fault.channel.startswith("ack-")
-        for fault in plan
-    ):
-        # Ack channels only exist when acks are on; losing them is only
-        # interesting if unacked trades actually get resent.
-        from repro.core.release_buffer import RetransmitPolicy
-
-        kwargs.setdefault("retransmit_policy", RetransmitPolicy())
+    kwargs = chaos_kwargs(scheme, plan, kwargs)
+    recovery = "detected" if kwargs.get("supervise") else "scripted"
 
     clean_deployment = build_deployment(scheme, specs_factory(), seed=seed, **kwargs)
     clean_auditor = InvariantAuditor(stall_timeout=stall_timeout)

@@ -14,6 +14,7 @@ stack needs to change.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.baselines.base import BaseDeployment, NetworkSpec
@@ -88,7 +89,7 @@ class SchemeBuilder:
         return self.factory(specs, runtime=runtime, **kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SchemeBuilder({self.name!r}, {self.factory.__name__})"
+        return f"SchemeBuilder({self.name!r}, {self.factory!r})"
 
 
 class SchemeRegistry:
@@ -165,16 +166,18 @@ def _register_builtin_schemes() -> None:
     from repro.baselines.fba import FBADeployment
     from repro.baselines.libra import LibraDeployment
     from repro.core.system import DBODeployment
-    from repro.ordering.deployment import ProbDeployment
 
     register_scheme("dbo", DBODeployment, "DBO: delivery-clock fair ordering (§4)")
     register_scheme("direct", DirectDeployment, "Direct delivery + FCFS (§6.1)")
     register_scheme("cloudex", CloudExDeployment, "CloudEx sync-clock hold (§2.1)")
     register_scheme("fba", FBADeployment, "Frequent batch auctions (§2.1)")
     register_scheme("libra", LibraDeployment, "Libra randomized windows (§2.1)")
+    # DBO's topology with the horizon release rule; 6 µs sits below the
+    # default τ = 20, so the latency win is real, while covering most of
+    # the cloud profile's reverse-lag spread.
     register_scheme(
         "prob",
-        ProbDeployment,
+        partial(DBODeployment, horizon=6.0),
         "Probabilistic ordering: fixed confidence horizon (beyond Lamport)",
     )
 

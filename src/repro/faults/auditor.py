@@ -46,7 +46,7 @@ __all__ = ["InvariantAuditor", "AuditReport", "Violation"]
 SAFETY_KINDS = ("release_order", "duplicate_release", "watermark_regression")
 LIVENESS_KINDS = ("progress_stall", "heartbeat_gap", "recovery_stalled")
 # Measured-degradation kinds: schemes with ``ordering_guarantee ==
-# "probabilistic"`` (repro.ordering.deployment.ProbDeployment) *expect*
+# "probabilistic"`` (the ``prob`` row of DBODeployment) *expect*
 # a bounded rate of stamp-order regressions; the auditor books them
 # under their own kind so they are counted, CI-estimated and compared
 # against the theory bound — without flagging the run unsafe.

@@ -27,14 +27,10 @@ delivery-clock rules are *decision state* (:class:`DeliveryClockPolicy`:
 watermarks, extremes heap, stragglers; :class:`ProbabilisticPolicy`: due
 times, released maximum, inversion count) consulted by the recoverable
 :class:`repro.core.ordering_buffer.OrderingBuffer` and its
-:class:`~repro.ordering.deployment.ProbOrderingBuffer` subclass, which
-own the heap, dedup, warm-up and crash machinery.
-
-The probabilistic deployment (:class:`~repro.ordering.deployment
-.ProbDeployment`) is intentionally *not* imported here: it builds on
-:mod:`repro.core.system`, which itself imports this package for
-:class:`DeliveryClockPolicy` — importing it at package level would
-create a cycle.  The scheme registry imports it directly.
+:class:`~repro.core.ordering_buffer.ProbOrderingBuffer` subclass, which
+own the heap, dedup, warm-up and crash machinery.  Both run in one
+deployment, :class:`repro.core.system.DBODeployment`; the ``prob``
+scheme is its registry row with a ``horizon``.
 """
 
 from __future__ import annotations

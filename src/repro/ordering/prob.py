@@ -22,8 +22,7 @@ This module is the horizon rule's *decision state* — when each held
 trade falls due, and what has been released so far — the counterpart of
 :class:`repro.ordering.dbo.DeliveryClockPolicy`.  The heap, dedup and
 recovery machinery driving it is
-:class:`repro.ordering.deployment.ProbOrderingBuffer` (kept out of this
-module so the import graph stays acyclic).
+:class:`repro.core.ordering_buffer.ProbOrderingBuffer`.
 """
 
 from __future__ import annotations

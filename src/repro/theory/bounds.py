@@ -150,7 +150,7 @@ def prob_ordering_bound(
     """Inversion-probability bound for horizon-based release (``prob``).
 
     The probabilistic ordering buffer
-    (:class:`repro.ordering.deployment.ProbOrderingBuffer`) releases a
+    (:class:`repro.core.ordering_buffer.ProbOrderingBuffer`) releases a
     trade ``h = horizon`` µs after its arrival, in stamp order among
     queued trades.  A released trade is *inverted* when a smaller-stamped
     rival arrives only after the release — i.e. when the rival's arrival

@@ -121,6 +121,61 @@ class TestRun:
         assert code == 0
 
 
+class TestDeploymentErrors:
+    """Options the deployment rejects end in one usage line, exit 2."""
+
+    def error_of(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro: error: ")
+        return lines[0]
+
+    def test_more_shards_than_participants(self, capsys):
+        line = self.error_of(
+            ["run", "--scheme", "dbo", "--participants", "8", "--ob-shards", "100"], capsys
+        )
+        assert "more shards than participants" in line
+
+    def test_negative_horizon(self, capsys):
+        line = self.error_of(["run", "--scheme", "prob", "--horizon", "-1"], capsys)
+        assert "horizon must be non-negative" in line
+
+    def test_prob_shards_are_not_dropped(self, capsys):
+        line = self.error_of(
+            ["run", "--scheme", "prob", "--participants", "8", "--ob-shards", "4"], capsys
+        )
+        assert "non-sharded" in line
+
+    def test_prob_tree_is_not_dropped(self, capsys):
+        line = self.error_of(["run", "--scheme", "prob", "--agg-depth", "2"], capsys)
+        assert "aggregation-tree" in line
+
+    def test_compare_builds_every_scheme_first(self, capsys):
+        line = self.error_of(
+            ["compare", "--schemes", "dbo", "prob", "--participants", "4", "--ob-shards", "2"],
+            capsys,
+        )
+        assert "non-sharded" in line
+
+    def test_chaos_build_error(self, capsys):
+        line = self.error_of(
+            ["chaos", "--scheme", "prob", "--plan", "shard-crash", "--participants", "4"],
+            capsys,
+        )
+        assert "non-sharded" in line
+
+    def test_prob_sync_c1_reaches_release_buffers(self, capsys):
+        code = main(
+            ["run", "--scheme", "prob", "--participants", "2",
+             "--duration", "2000", "--sync-c1", "30"]
+        )
+        assert code == 0
+        assert "sync_targets_met" in capsys.readouterr().out
+
+
 class TestCompare:
     def test_compare_prints_all_schemes(self, capsys):
         code = main(

@@ -48,8 +48,8 @@ class TestBuild:
         deployment = DBODeployment(default_network_specs(4, seed=1), n_ob_shards=2)
         deployment.run(duration=200.0, drain=200.0)
         assert [shard.shard_id for shard in deployment.shards] == ["shard-0", "shard-1"]
-        assert deployment.shards[0].participants == ["mp0", "mp2"]
-        assert deployment.shards[1].participants == ["mp1", "mp3"]
+        assert list(deployment.shards[0].states) == ["mp0", "mp2"]
+        assert list(deployment.shards[1].states) == ["mp1", "mp3"]
         assert deployment.master_ob.child_ids == ["shard-0", "shard-1"]
 
     def test_validation(self):
@@ -118,7 +118,7 @@ class TestEquivalenceWithSingleOB:
                 routing[mp].on_heartbeat(payload, 0.0, at)
         # Flush shards then master for end-of-run drain.
         for shard in shards:
-            shard._inner.flush(1e9)
+            shard.flush(1e9)
             shard.publish_summary()
         master.flush(1e9)
         return released

@@ -25,7 +25,7 @@ class TestRegistryContents:
             builder = get_builder(name)
             assert isinstance(builder, SchemeBuilder)
             assert builder.name == name
-            assert builder.factory.scheme_name == name
+            assert builder.build(default_network_specs(2)).scheme_name == name
 
     def test_legacy_schemes_view_matches_registry(self):
         assert set(SCHEMES) == ALL_SCHEMES

@@ -4,7 +4,7 @@ Each scheme is driven through the engine it ships on — direct, cloudex,
 fba and libra as an :class:`~repro.ordering.policy.OrderingPolicy` on
 :class:`~repro.core.release_engine.ReleaseEngine`; dbo and prob through
 the production :class:`~repro.core.ordering_buffer.OrderingBuffer` /
-:class:`~repro.ordering.deployment.ProbOrderingBuffer`, behind the
+:class:`~repro.core.ordering_buffer.ProbOrderingBuffer`, behind the
 test-local :class:`BufferDriver` that renames their entry points — and
 this suite pins the contract every one of them must satisfy:
 
@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.delivery_clock import DeliveryClockStamp
-from repro.core.ordering_buffer import OrderingBuffer
+from repro.core.ordering_buffer import OrderingBuffer, ProbOrderingBuffer
 from repro.core.release_engine import ReleaseEngine
 from repro.exchange.messages import Heartbeat, Side, TaggedTrade, TradeOrder
 from repro.ordering import (
@@ -41,7 +41,6 @@ from repro.ordering import (
     RandomizedWindowPolicy,
     SyncDeadlinePolicy,
 )
-from repro.ordering.deployment import ProbOrderingBuffer
 from repro.sim.clocks import SynchronizedClock
 from repro.sim.randomness import SubstreamCounter
 

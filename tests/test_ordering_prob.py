@@ -20,11 +20,12 @@ from repro.analysis.stats import wilson_interval
 from repro.baselines.base import default_network_specs
 from repro.core.delivery_clock import DeliveryClockStamp
 from repro.core.params import AggregationTopology
+from repro.core.ordering_buffer import ProbOrderingBuffer
 from repro.exchange.messages import Side, TaggedTrade, TradeOrder
+from repro.experiments.registry import get_builder
 from repro.experiments.runner import run_scheme
 from repro.metrics.latency import latency_stats
 from repro.metrics.serialization import trade_ordering_digest
-from repro.ordering.deployment import ProbDeployment, ProbOrderingBuffer
 from repro.theory.bounds import prob_ordering_bound
 
 # Pinned alongside the five deterministic schemes in
@@ -178,23 +179,25 @@ class TestProbOrderingBuffer:
 
 
 class TestProbDeployment:
+    """``prob`` is the ``DBODeployment`` registry row with a horizon."""
+
+    def build(self, **kwargs):
+        return get_builder("prob").build(default_network_specs(2, seed=3), **kwargs)
+
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError):
-            ProbDeployment(default_network_specs(2, seed=3), horizon=-0.5)
+            self.build(horizon=-0.5)
 
     def test_sharded_ob_rejected(self):
         with pytest.raises(ValueError, match="non-sharded"):
-            ProbDeployment(default_network_specs(2, seed=3), n_ob_shards=2)
+            self.build(n_ob_shards=2)
 
     def test_aggregation_tree_rejected(self):
         with pytest.raises(ValueError, match="aggregation-tree"):
-            ProbDeployment(
-                default_network_specs(2, seed=3),
-                topology=AggregationTopology(depth=1),
-            )
+            self.build(topology=AggregationTopology(depth=1))
 
     def test_scheme_metadata(self):
-        deployment = ProbDeployment(default_network_specs(2, seed=3), seed=3)
+        deployment = self.build(seed=3)
         assert deployment.scheme_name == "prob"
         assert deployment.ordering_guarantee == "probabilistic"
         deployment.run(duration=500.0)

@@ -85,7 +85,38 @@ def test_one_recovery_playbook_table():
         endpoint.partition(":")[0] for endpoint in PLAYBOOK_ENDPOINTS.values()
     } == {"ob", "shard", "agg", "gateway"}
     # No deployment option came with it.
-    assert len(inspect.signature(DBODeployment.__init__).parameters) - 1 == 25
+    assert len(inspect.signature(DBODeployment.__init__).parameters) - 1 == 26
+
+
+def test_one_dbo_pipeline_one_buffer_family():
+    import pathlib
+
+    from repro.baselines.base import default_network_specs
+    from repro.core.ordering_buffer import OrderingBuffer
+    from repro.core.sharded_ob import ShardOB
+    from repro.core.system import DBODeployment
+    from repro.experiments.registry import get_builder
+
+    # prob is a DBODeployment row, not a subclass in a module of its own.
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.ordering.deployment")
+    deployment = get_builder("prob").build(default_network_specs(2))
+    assert type(deployment) is DBODeployment
+    assert deployment.scheme_name == "prob"
+    assert deployment.ordering_guarantee == "probabilistic"
+    assert deployment.horizon == 6.0
+    # A shard is an OrderingBuffer, not a wrapper forwarding to one.
+    assert issubclass(ShardOB, OrderingBuffer)
+    shard = ShardOB("shard-0", ["mp0"], lambda message: None)
+    for removed in ("_inner", "fail", "adopt_participant", "participants"):
+        assert not hasattr(shard, removed), removed
+    # The warm-up hold is written once.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    definitions = sum(
+        path.read_text(encoding="utf-8").count("def begin_warmup(")
+        for path in src.rglob("*.py")
+    )
+    assert definitions == 1
 
 
 def test_each_release_rule_exists_once():
