@@ -427,18 +427,18 @@ def cmd_chaos(args) -> int:
         plan = FaultSchedule.load(args.faults)
     else:
         plan = make_plan(args.plan, args.duration, args.participants)
-    kwargs = _scheme_kwargs(args.scheme, args)
-    kinds = set(plan.kinds)
-    if args.scheme in ("dbo", "prob"):
-        # These fault kinds need deployment knobs; turn them on rather
-        # than failing arm-time validation on the default topology.
-        if "shard_failure" in kinds and kwargs["n_ob_shards"] < 2:
-            kwargs["n_ob_shards"] = 2
-        if "gateway_stall" in kinds:
-            kwargs["enable_egress_gateway"] = True
     try:
-        # Build (not run) one twin up front, so options the deployment
-        # rejects end in a usage error rather than a traceback.
+        # Build the options and (not run) one twin up front, so options
+        # the deployment rejects end in a usage error, not a traceback.
+        kwargs = _scheme_kwargs(args.scheme, args)
+        kinds = set(plan.kinds)
+        if args.scheme in ("dbo", "prob"):
+            # These fault kinds need deployment knobs; turn them on rather
+            # than failing arm-time validation on the default topology.
+            if "shard_failure" in kinds and kwargs["n_ob_shards"] < 2:
+                kwargs["n_ob_shards"] = 2
+            if "gateway_stall" in kinds:
+                kwargs["enable_egress_gateway"] = True
         _build_one(args.scheme, args, chaos_kwargs(args.scheme, plan, kwargs))
     except ValueError as error:
         return _build_error(error)

@@ -467,10 +467,14 @@ class ForwardingAggregator(HeartbeatAggregator):
         upstream: UpstreamSend,
     ) -> None:
         super().__init__(child_ids, node_id=node_id)
+        self.endpoint = f"agg:{node_id}"
         self._upstream = upstream
         self.failed = False
         self.trades_forwarded = 0
         self.summaries_published = 0
+
+    def odometer(self) -> float:
+        return float(self.summaries_published + self.trades_forwarded)
 
     def on_child_trade(self, child_id: str, tagged: TaggedTrade, now: float) -> None:
         """Forward immediately; arrival order preserves each child's FIFO."""

@@ -54,6 +54,8 @@ class EgressGateway:
         Receives ``(message, release_time)`` when a message clears.
     """
 
+    endpoint = "gateway"
+
     def __init__(self, participants: List[str], sink: Optional[EgressSink] = None) -> None:
         if not participants:
             raise ValueError("gateway needs at least one participant")
@@ -146,6 +148,9 @@ class EgressGateway:
             self.max_hold = max(self.max_hold, now - message.submitted_at)
             if self.sink is not None:
                 self.sink(message, now)
+
+    def odometer(self) -> float:
+        return float(self.messages_released)
 
     @property
     def pending_count(self) -> int:

@@ -132,6 +132,9 @@ class OrderingBuffer(WarmupHold):
     participant leaves the cache valid.
     """
 
+    # The failure detector's and the recovery table's name for it.
+    endpoint = "ob"
+
     def __init__(
         self,
         participants: List[str],
@@ -382,6 +385,10 @@ class OrderingBuffer(WarmupHold):
         its progress could reorder its in-flight trades.
         """
         self._policy.add_participant(mp_id)
+
+    def odometer(self) -> float:
+        """Work done so far; a frozen value is the detector's death signal."""
+        return float(self.heartbeats_processed + self.trades_received)
 
     @property
     def released_keys(self) -> Set[Tuple[str, int]]:

@@ -24,6 +24,7 @@ The three knobs (§4.2.1):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 __all__ = ["DBOParams", "AggregationTopology", "SupervisionPolicy"]
@@ -42,15 +43,16 @@ class DBOParams:
     straggler_threshold: float | None = None
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive (batch rate must be "
+        # ``not 0 < x < math.inf`` also rejects NaN.
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError("kappa must be positive and finite (batch rate must be "
                              "slower than the pacing dequeue rate)")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.straggler_threshold is not None and self.straggler_threshold <= 0:
-            raise ValueError("straggler_threshold must be positive when set")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
+        if self.straggler_threshold is not None and not 0 < self.straggler_threshold < math.inf:
+            raise ValueError("straggler_threshold must be positive and finite when set")
 
     @property
     def batch_span(self) -> float:
@@ -114,10 +116,10 @@ class AggregationTopology:
             raise ValueError("depth must be non-negative")
         if self.fanout < 2:
             raise ValueError("fanout must be at least 2")
-        if self.summary_period is not None and self.summary_period <= 0:
-            raise ValueError("summary_period must be positive when set")
-        if self.edge_latency is not None and self.edge_latency < 0:
-            raise ValueError("edge_latency must be non-negative when set")
+        if self.summary_period is not None and not 0 < self.summary_period < math.inf:
+            raise ValueError("summary_period must be positive and finite when set")
+        if self.edge_latency is not None and not 0 <= self.edge_latency < math.inf:
+            raise ValueError("edge_latency must be non-negative and finite when set")
 
     @property
     def enabled(self) -> bool:
@@ -162,13 +164,13 @@ class SupervisionPolicy:
     def __post_init__(self) -> None:
         if self.detector_window < 2:
             raise ValueError("detector_window must be at least 2")
-        if self.check_interval is not None and self.check_interval <= 0:
-            raise ValueError("check_interval must be positive when set")
-        if self.suspect_after <= 1.0:
-            raise ValueError("suspect_after must exceed 1 expected gap")
+        if self.check_interval is not None and not 0 < self.check_interval < math.inf:
+            raise ValueError("check_interval must be positive and finite when set")
+        if not 1.0 < self.suspect_after < math.inf:
+            raise ValueError("suspect_after must exceed 1 expected gap and be finite")
         if self.confirm_after < 1:
             raise ValueError("confirm_after must be at least 1")
-        if self.probe_backoff < 1.0:
-            raise ValueError("probe_backoff must be at least 1.0")
-        if self.warmup_timeout <= 0:
-            raise ValueError("warmup_timeout must be positive")
+        if not 1.0 <= self.probe_backoff < math.inf:
+            raise ValueError("probe_backoff must be at least 1.0 and finite")
+        if not 0 < self.warmup_timeout < math.inf:
+            raise ValueError("warmup_timeout must be positive and finite")

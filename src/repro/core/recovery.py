@@ -16,12 +16,14 @@ its frozen odometers are the detection signal.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Set, Tuple
 
 from repro.core.params import SupervisionPolicy
 
 if TYPE_CHECKING:
-    from repro.core.ordering_buffer import WarmupHold
+    from repro.core.aggregation import ForwardingAggregator
+    from repro.core.gateway import EgressGateway
+    from repro.core.ordering_buffer import OrderingBuffer, WarmupHold
     from repro.core.sharded_ob import ShardOB
     from repro.core.system import DBODeployment
 
@@ -34,13 +36,17 @@ WarmUp = Callable[["WarmupHold", List[str], float], bool]
 class RecoveryPlaybooks:
     """The crash/recover table of one :class:`~repro.core.system.DBODeployment`.
 
+    ``kinds`` are the endpoint kinds the deployment can crash, fixed by
+    its constructor so that they are known before the build; each row
+    acts on the component ``deployment.endpoints`` maps its endpoint to.
     ``down`` holds the endpoints crashed and not yet recovered; ``retired``
     the shards and interior nodes spliced out for good.  ``recovered``
     counts the recoveries run per endpoint kind.
     """
 
-    def __init__(self, deployment: "DBODeployment") -> None:
+    def __init__(self, deployment: "DBODeployment", kinds: FrozenSet[str]) -> None:
         self._deployment = deployment
+        self.kinds = kinds
         self.down: Set[str] = set()
         self.retired: Set[str] = set()
         self.recovered: Counter[str] = Counter()
@@ -48,49 +54,29 @@ class RecoveryPlaybooks:
         # set.  Otherwise nothing is resent and a crashed queue is simply
         # gone — the unfairness §4.2.1 accepts.
         self.warm_up: WarmUp = lambda component, mp_ids, now: False
-        self._rows: Dict[str, Tuple[Callable[[str], int], Callable[[str, float], bool]]] = {
-            "ob": (self._crash_ob, self._promote_standby),
-            "shard": (self._crash_shard, self._retire_shard),
+        self._rows: Dict[str, Tuple[Callable[[Any], int], Callable[[Any, float], bool]]] = {
+            "ob": (self._crash_buffer, self._promote_standby),
+            "shard": (self._crash_buffer, self._retire_shard),
             "agg": (self._crash_aggregator, self._recover_aggregator),
             "gateway": (self._stall_gateway, self._resume_gateway),
         }
 
-    @property
-    def kinds(self) -> FrozenSet[str]:
-        """The endpoint kinds this deployment can crash, read off its
-        configuration so that they are known before the build."""
-        deployment = self._deployment
-        topology = deployment.topology
-        tree = topology is not None and topology.enabled
-        kinds = {"shard"} if tree or deployment.n_ob_shards > 1 else {"ob"}
-        if topology is not None and topology.depth >= 2:
-            kinds.add("agg")
-        if deployment.enable_egress_gateway:
-            kinds.add("gateway")
-        return frozenset(kinds)
-
-    def _resolve(self, endpoint: str) -> Tuple[str, str]:
-        kind, _, target = endpoint.partition(":")
+    def _resolve(self, endpoint: str) -> Tuple[str, Any]:
+        kind = endpoint.partition(":")[0]
         if kind not in self.kinds:
             raise RuntimeError(f"this deployment has no {kind!r} endpoint to fail")
-        deployment = self._deployment
-        if kind == "shard":
-            known = any(shard.shard_id == target for shard in deployment.shards)
-        elif kind == "agg":
-            known = target in deployment._agg_nodes
-        else:
-            known = target == ""
-        if not known:
+        component = self._deployment.endpoints.get(endpoint)
+        if component is None:
             raise KeyError(f"unknown endpoint {endpoint!r}")
-        return kind, target
+        return kind, component
 
     # ------------------------------------------------------------------
     def crash(self, endpoint: str) -> int:
         """Fail-stop ``endpoint`` without recovering it; returns trades lost."""
-        kind, target = self._resolve(endpoint)
+        kind, component = self._resolve(endpoint)
         if endpoint in self.down or endpoint in self.retired:
             raise RuntimeError(f"{endpoint!r} is already down")
-        lost = self._rows[kind][0](target)
+        lost = self._rows[kind][0](component)
         self.down.add(endpoint)
         return lost
 
@@ -103,10 +89,10 @@ class RecoveryPlaybooks:
         """
         if endpoint.partition(":")[0] not in self._rows:
             return False
-        kind, target = self._resolve(endpoint)
+        kind, component = self._resolve(endpoint)
         if endpoint not in self.down:
             raise RuntimeError(f"{endpoint!r} is not down")
-        if not self._rows[kind][1](target, now):
+        if not self._rows[kind][1](component, now):
             return False
         self.down.discard(endpoint)
         self.recovered[kind] += 1
@@ -150,12 +136,12 @@ class RecoveryPlaybooks:
         return True
 
     # ----- ob: §4.2.1's standby ----------------------------------------
-    def _crash_ob(self, _target: str) -> int:
-        ob = self._deployment.ordering_buffer
-        assert ob is not None
-        return ob.crash()
+    @staticmethod
+    def _crash_buffer(buffer: "OrderingBuffer") -> int:
+        """The flat OB or a shard fail-stops, losing its queue."""
+        return buffer.crash()
 
-    def _promote_standby(self, _target: str, now: float) -> bool:
+    def _promote_standby(self, old: "OrderingBuffer", now: float) -> bool:
         """The standby starts with an empty queue and watermarks (rebuilt
         from the next heartbeat round) but inherits the release log: the
         matching engine is part of the durable CES platform.  The routing
@@ -163,22 +149,15 @@ class RecoveryPlaybooks:
         hand-off rides the ``ob-adopt`` channel, ahead of same-time data.
         """
         deployment = self._deployment
-        old = deployment.ordering_buffer
         standby = deployment._make_ordering_buffer(deployment._release_sink)
-        deployment.ordering_buffer = standby
+        deployment._install_ob(standby)
         assert deployment._ob_adopt_channel is not None
         deployment._ob_adopt_channel.send((old, standby), send_time=now)
         self.warm_up(standby, deployment.mp_ids, now)
         return True
 
     # ----- shard:{id}: §5.2's hierarchy ---------------------------------
-    def _shard(self, shard_id: str) -> "ShardOB":
-        return next(s for s in self._deployment.shards if s.shard_id == shard_id)
-
-    def _crash_shard(self, shard_id: str) -> int:
-        return self._shard(shard_id).crash()
-
-    def _retire_shard(self, shard_id: str, now: float) -> bool:
+    def _retire_shard(self, dead: "ShardOB", now: float) -> bool:
         """Surviving shards adopt the orphans round-robin; the dispatchers
         pick up the new routing on the next arrival.
 
@@ -189,33 +168,33 @@ class RecoveryPlaybooks:
         stamps the in-flight resends could still undercut.
         """
         deployment = self._deployment
-        dead = self._shard(shard_id)
         survivors = [
             shard for shard in deployment.shards
             if shard.endpoint not in self.down and shard.endpoint not in self.retired
         ]
         if not survivors:
             return False
-        routing = deployment._shard_routing
+        routing = deployment.ob_routing
         orphans = sorted(mp_id for mp_id, shard in routing.items() if shard is dead)
         adopted: Dict[str, List[str]] = {}
         for index, mp_id in enumerate(orphans):
             adopter = survivors[index % len(survivors)]
             adopter.add_participant(mp_id)
             routing[mp_id] = adopter
-            adopted.setdefault(adopter.shard_id, []).append(mp_id)
+            adopted.setdefault(adopter.endpoint, []).append(mp_id)
         # Warm-up and path regression MUST precede splicing the dead
         # shard out of the merge: removing its frozen (low) watermark
         # raises the merge bound and would release queued live-shard
         # trades above stamps the orphans' resends still undercut.
-        for adopter_id in sorted(adopted):
-            if self.warm_up(self._shard(adopter_id), adopted[adopter_id], now):
-                self._regress_to_master(adopter_id)
-        deployment._resolve_agg_parent(shard_id).remove_child(shard_id, now)
-        self._cancel_summary_timer(shard_id)
+        for endpoint in sorted(adopted):
+            adopter = deployment.endpoints[endpoint]
+            if self.warm_up(adopter, adopted[endpoint], now):
+                self._regress_to_master(adopter.shard_id, adopter)
+        deployment._agg_parent[dead.shard_id].remove_child(dead.shard_id, now)
+        self._cancel_summary_timer(dead.shard_id)
         return True
 
-    def _regress_to_master(self, child_id: str) -> None:
+    def _regress_to_master(self, child_id: str, child: Any) -> None:
         """Freeze ``child_id``'s stored watermark at every ancestor up
         to the master, with a fence emitted per hop.
 
@@ -228,23 +207,22 @@ class RecoveryPlaybooks:
         edge — the fence trails the stale summaries and lifts the
         freeze, after which only post-adoption summaries count.
         """
-        deployment = self._deployment
-        current = child_id
-        while current != "master":
-            deployment._resolve_agg_parent(current).freeze_child(current)
-            node = deployment._agg_nodes.get(current) or self._shard(current)
-            node.send_fence()
-            current = deployment._agg_parent[current]
+        parents = self._deployment._agg_parent
+        while child_id != "master":
+            parent = parents[child_id]
+            parent.freeze_child(child_id)
+            child.send_fence()
+            child_id, child = parent.node_id, parent
 
     # ----- agg:{id}: interior aggregation-tree nodes --------------------
-    def _crash_aggregator(self, node_id: str) -> int:
+    def _crash_aggregator(self, node: "ForwardingAggregator") -> int:
         """The node stops merging, forwarding and publishing; a transparent
         node queues nothing, so its death loses no trades."""
-        self._deployment._agg_nodes[node_id].fail()
-        self._cancel_summary_timer(node_id)
+        node.fail()
+        self._cancel_summary_timer(node.node_id)
         return 0
 
-    def _recover_aggregator(self, node_id: str, now: float) -> bool:
+    def _recover_aggregator(self, node: "ForwardingAggregator", now: float) -> bool:
         """Re-parent the dead node's children under its own parent.
 
         Orphans join with a ``None`` watermark, stalling the parent's
@@ -258,38 +236,37 @@ class RecoveryPlaybooks:
         over every RB in the dead node's subtree.
         """
         deployment = self._deployment
-        node = deployment._agg_nodes[node_id]
-        parent = deployment._resolve_agg_parent(node_id)
-        parent_id = deployment._agg_parent[node_id]
-        subtree_mps = self._subtree_mps(node_id)
+        parents = deployment._agg_parent
+        parent = parents[node.node_id]
+        subtree_mps = self._subtree_mps(node)
         orphans = node.child_ids
         for child_id in orphans:
-            deployment._agg_parent[child_id] = parent_id
+            parents[child_id] = parent
             parent.add_child(child_id)
-        into_id = next(child_id for child_id in parent.child_ids if child_id != node_id)
-        parent.reassign_child(node_id, into_id, now)
+        into_id = next(child_id for child_id in parent.child_ids if child_id != node.node_id)
+        parent.reassign_child(node.node_id, into_id, now)
         for child_id in orphans:
             deployment._agg_publishers[child_id]()
         assert deployment.master_ob is not None
         self.warm_up(deployment.master_ob, subtree_mps, now)
         return True
 
-    def _subtree_mps(self, node_id: str) -> List[str]:
-        """Participants whose reverse path climbs through ``node_id``."""
-        deployment = self._deployment
-        shard_ids: Set[str] = set()
-        stack = [node_id]
+    def _subtree_mps(self, node: "ForwardingAggregator") -> List[str]:
+        """Participants whose reverse path climbs through ``node``."""
+        endpoints = self._deployment.endpoints
+        leaves: Set[str] = set()
+        stack = list(node.child_ids)
         while stack:
             current = stack.pop()
-            interior = deployment._agg_nodes.get(current)
+            interior = endpoints.get(f"agg:{current}")
             if interior is None:
-                shard_ids.add(current)
+                leaves.add(f"shard:{current}")
             else:
                 stack.extend(interior.child_ids)
         return sorted(
             mp_id
-            for mp_id, shard in deployment._shard_routing.items()
-            if shard.shard_id in shard_ids
+            for mp_id, shard in self._deployment.ob_routing.items()
+            if shard.endpoint in leaves
         )
 
     def _cancel_summary_timer(self, node_id: str) -> None:
@@ -298,14 +275,10 @@ class RecoveryPlaybooks:
             timer.cancel()
 
     # ----- gateway: the egress gateway ----------------------------------
-    def _stall_gateway(self, _target: str) -> int:
-        gateway = self._deployment.egress_gateway
-        assert gateway is not None
+    def _stall_gateway(self, gateway: "EgressGateway") -> int:
         gateway.stall()
         return 0
 
-    def _resume_gateway(self, _target: str, now: float) -> bool:
-        gateway = self._deployment.egress_gateway
-        assert gateway is not None
+    def _resume_gateway(self, gateway: "EgressGateway", now: float) -> bool:
         gateway.resume(now)
         return True

@@ -23,6 +23,7 @@ interception at the RB.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
@@ -82,14 +83,15 @@ class RetransmitPolicy:
     ack_latency: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError("retransmit timeout must be positive")
-        if self.backoff < 1.0:
-            raise ValueError("retransmit backoff must be >= 1")
+        # ``not 0 < x < math.inf`` also rejects NaN.
+        if not 0 < self.timeout < math.inf:
+            raise ValueError("retransmit timeout must be positive and finite")
+        if not 1.0 <= self.backoff < math.inf:
+            raise ValueError("retransmit backoff must be >= 1 and finite")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.ack_latency < 0:
-            raise ValueError("ack_latency must be non-negative")
+        if not 0 <= self.ack_latency < math.inf:
+            raise ValueError("ack_latency must be non-negative and finite")
 
 
 class ReleaseBuffer:

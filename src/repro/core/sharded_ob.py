@@ -95,6 +95,9 @@ class ShardOB(OrderingBuffer):
         self.summaries_published = 0
         self.trades_reforwarded = 0
 
+    def odometer(self) -> float:
+        return float(self.heartbeats_processed + self.summaries_published)
+
     # ------------------------------------------------------------------
     # Push-based warm-up (supervised recovery)
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ must not care (Challenge 1).
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.baselines.base import BaseDeployment, NetworkSpec
 from repro.core.aggregation import (
@@ -68,8 +68,10 @@ class DBODeployment(BaseDeployment):
         δ, κ, τ and the straggler threshold.
     n_ob_shards:
         1 (default) uses a single ordering buffer; >1 builds the §5.2
-        hierarchy with a master merger.  Must not exceed the number of
-        participants unless a topology is enabled (which clamps it).
+        hierarchy with a master merger.  At least 1, and at most the
+        number of participants unless a topology is enabled (which
+        clamps it, and picks one shard per ``fanout`` participants
+        when left at 1).
     shard_master_latency:
         ``None`` (default): shards are threads on the master's host and
         forward by direct call.  A latency model: each shard is a
@@ -105,6 +107,13 @@ class DBODeployment(BaseDeployment):
         in µs: the ``prob`` scheme, whose
         :class:`~repro.core.ordering_buffer.ProbOrderingBuffer` releases
         each trade ``h`` after its arrival.  Flat OB only.
+
+    The constructor decides the ordering plane's shape (``topology`` is
+    ``None`` unless enabled, ``n_ob_shards`` resolved) and so
+    ``playbooks.kinds``; the build fills ``endpoints`` (endpoint name →
+    component: ``ob``, ``shard:{id}``, ``agg:{id}``, ``gateway``) and
+    ``ob_routing`` (participant → its buffer), the two maps every
+    reader shares.
 
     Examples
     --------
@@ -146,11 +155,16 @@ class DBODeployment(BaseDeployment):
         runtime: Optional[Runtime] = None,
         horizon: Optional[float] = None,
     ) -> None:
-        tree = topology is not None and topology.enabled
+        # The ordering-plane shape is decided here, once: a depth-0
+        # topology is no topology, and the shard count is resolved below.
+        if topology is not None and not topology.enabled:
+            topology = None
+        if n_ob_shards < 1:
+            raise ValueError("n_ob_shards must be at least 1")
         if horizon is not None:
             if n_ob_shards > 1:
                 raise ValueError("prob supports only the flat (non-sharded) ordering buffer")
-            if tree:
+            if topology is not None:
                 raise ValueError("prob does not support aggregation-tree mode")
             horizon = ProbabilisticPolicy.checked_horizon(horizon)
             self.scheme_name = "prob"
@@ -168,18 +182,26 @@ class DBODeployment(BaseDeployment):
             runtime=runtime,
         )
         self.params = params if params is not None else DBOParams()
-        if n_ob_shards > len(self.mp_ids) and not tree:
+        n_participants = len(self.mp_ids)
+        if topology is not None:
+            if n_ob_shards == 1:
+                n_ob_shards = topology.n_shards_for(n_participants)
+            n_ob_shards = min(n_ob_shards, n_participants)
+        elif n_ob_shards > n_participants:
             raise ValueError("more shards than participants")
         self.n_ob_shards = n_ob_shards
         self.shard_master_latency = shard_master_latency
         self.topology = topology
-        # Shard-plane state: the mutable child→parent routing of every
-        # shard and interior node (re-parenting on node crash must
-        # redirect in-flight channel arrivals) and, in tree mode only,
-        # interior nodes by id, per-node summary timers and per-node
+        # The built ordering plane, in two maps every reader shares and
+        # failover or shard adoption rewrite in place: endpoint name →
+        # component, and participant → the buffer it reports to.
+        self.endpoints: Dict[str, Any] = {}
+        self.ob_routing: Dict[str, OrderingBuffer] = {}
+        # Shard plane only: every shard's and interior node's parent node
+        # (re-parenting on node crash must redirect in-flight channel
+        # arrivals) and, in tree mode, per-node summary timers and
         # "publish now" hooks for orphan re-reports.
-        self._agg_nodes: Dict[str, ForwardingAggregator] = {}
-        self._agg_parent: Dict[str, str] = {}
+        self._agg_parent: Dict[str, Union[MasterOB, ForwardingAggregator]] = {}
         self._agg_timers: Dict[str, PeriodicTimer] = {}
         self._agg_publishers: Dict[str, Callable[[], None]] = {}
         self.disable_batching = disable_batching
@@ -199,10 +221,7 @@ class DBODeployment(BaseDeployment):
         self.risk_limits = risk_limits
         self.risk_gate = None
         self.release_buffers: List[ReleaseBuffer] = []
-        self.ordering_buffer: Optional[OrderingBuffer] = None
         self.master_ob: Optional[MasterOB] = None
-        self.shards: List[ShardOB] = []
-        self._shard_routing: Dict[str, ShardOB] = {}
         self.multicast = MulticastGroup()
         # Message plane: per-MP reverse channels plus the control channels
         # (acks, standby adoption, egress) — all addressable by name via
@@ -234,7 +253,12 @@ class DBODeployment(BaseDeployment):
         # One crash/recover table keyed by endpoint name, driven by the
         # fault injector and, with ``supervise``, by the supervisor once
         # the deterministic failure detector confirms a silence.
-        self.playbooks = RecoveryPlaybooks(self)
+        kinds = {"shard"} if topology is not None or n_ob_shards > 1 else {"ob"}
+        if topology is not None and topology.depth >= 2:
+            kinds.add("agg")
+        if enable_egress_gateway:
+            kinds.add("gateway")
+        self.playbooks = RecoveryPlaybooks(self, frozenset(kinds))
         self.supervise = supervise
         if supervision_policy is None and supervise:
             supervision_policy = SupervisionPolicy()
@@ -244,6 +268,31 @@ class DBODeployment(BaseDeployment):
         self.messages_dropped_dead = 0
 
     # ------------------------------------------------------------------
+    @property
+    def ordering_buffer(self) -> Optional[OrderingBuffer]:
+        """The flat OB (``None`` on a shard plane); failover swaps it."""
+        return self.endpoints.get("ob")
+
+    @property
+    def shards(self) -> List[ShardOB]:
+        """The shard plane's leaves, in build order."""
+        return [c for c in self.endpoints.values() if isinstance(c, ShardOB)]
+
+    def _install_ob(self, ob: OrderingBuffer) -> None:
+        """Make ``ob`` the flat plane's buffer in both maps."""
+        self.endpoints["ob"] = ob
+        self.ob_routing.update(dict.fromkeys(self.mp_ids, ob))
+
+    def live_buffers(self) -> List[Tuple[str, Union[OrderingBuffer, MasterOB]]]:
+        """The releasing root, then the shards not retired, by report name."""
+        roots: Dict[str, Union[OrderingBuffer, MasterOB, None]] = {
+            "ob": self.ordering_buffer, "master": self.master_ob
+        }
+        retired = self.playbooks.retired
+        return [(name, root) for name, root in roots.items() if root is not None] + [
+            (shard.shard_id, shard) for shard in self.shards if shard.endpoint not in retired
+        ]
+
     def _make_ordering_buffer(self, sink: ReleaseSink) -> OrderingBuffer:
         """Construct the flat ordering buffer (also used for standbys):
         the watermark rule, or with a ``horizon`` the ``prob`` rule."""
@@ -295,7 +344,7 @@ class DBODeployment(BaseDeployment):
         self._release_sink = release_sink
 
         if "ob" in self.playbooks.kinds:
-            self.ordering_buffer = self._make_ordering_buffer(release_sink)
+            self._install_ob(self._make_ordering_buffer(release_sink))
             # Standby adoption (release log + counters) rides a channel so
             # it is observable/faultable like any other control traffic.
             # Priority -1 at zero latency delivers before every same-time
@@ -333,6 +382,7 @@ class DBODeployment(BaseDeployment):
 
         if self.enable_egress_gateway:
             self.egress_gateway = EgressGateway(list(self.mp_ids))
+            self.endpoints["gateway"] = self.egress_gateway
             # Cleared outbound data leaves the cloud over a real channel
             # ("egress"), so a stalled-then-resumed gateway's burst is
             # visible (and faultable) like any other traffic.
@@ -475,21 +525,6 @@ class DBODeployment(BaseDeployment):
         )
         self.playbooks.warm_up = self.playbooks.push_warm_up
 
-    def _resolve_agg_parent(
-        self, child_id: str
-    ) -> Union[MasterOB, ForwardingAggregator]:
-        """The node object currently parenting ``child_id``.
-
-        Resolved per arrival, not captured at build time: a node crash
-        re-parents its children, and messages already in flight on their
-        ``agg-{child}`` channels must land on the adopter.
-        """
-        parent_id = self._agg_parent[child_id]
-        if parent_id == "master":
-            assert self.master_ob is not None
-            return self.master_ob
-        return self._agg_nodes[parent_id]
-
     def _build_shard_plane(
         self, release_sink: Callable[[TaggedTrade, float], None]
     ) -> None:
@@ -499,7 +534,7 @@ class DBODeployment(BaseDeployment):
         (the delivery-clock data path is untouched); the topology decides
         the summary plane above the shards:
 
-        * no enabled topology — the paper's eager two-level hierarchy:
+        * no topology — the paper's eager two-level hierarchy:
           shards sit directly under the master and publish a summary
           after every message, over a direct call or, with
           ``shard_master_latency`` set, the ``{shard}->master`` channel;
@@ -509,48 +544,25 @@ class DBODeployment(BaseDeployment):
           does O(children) heartbeat work per tick regardless of N.
         """
         topology = self.topology
-        if topology is not None and not topology.enabled:
-            topology = None
         tree = topology is not None
-        n_participants = len(self.mp_ids)
         edge_model = self.shard_master_latency
         if topology is not None:
-            n_shards = (
-                self.n_ob_shards
-                if self.n_ob_shards > 1
-                else topology.n_shards_for(n_participants)
-            )
-            n_shards = min(n_shards, n_participants)
             if topology.edge_latency is not None:
                 edge_model = ConstantLatency(topology.edge_latency)
             elif edge_model is None:
                 edge_model = ConstantLatency(0.0)
-        else:
-            n_shards = self.n_ob_shards
-        shard_ids = [f"shard-{index}" for index in range(n_shards)]
-        levels = (
-            plan_tree(shard_ids, topology.fanout, topology.depth)
-            if topology is not None
-            else []
-        )
-        for level in levels:
-            for node_id, children in level:
-                for child_id in children:
-                    self._agg_parent[child_id] = node_id
+        shard_ids = [f"shard-{index}" for index in range(self.n_ob_shards)]
+        levels = plan_tree(shard_ids, topology.fanout, topology.depth) if tree else []
         master_children = [node_id for node_id, _ in levels[-1]] if levels else shard_ids
-        for child_id in master_children:
-            self._agg_parent[child_id] = "master"
         # With shards directly under the master the children release in
         # stamp order, so the master keeps the §5.2 min2 self-exception;
         # transparent interior nodes interleave streams, so deeper trees
         # bound every release by the global minimum.
-        self.master_ob = MasterOB(
-            master_children,
-            sink=release_sink,
-            releasing_children=not levels,
+        self.master_ob = master = MasterOB(
+            master_children, sink=release_sink, releasing_children=not levels
         )
-
-        master, engine = self.master_ob, self.engine
+        engine, parents = self.engine, self._agg_parent
+        parents.update(dict.fromkeys(master_children, master))
 
         def open_edge(child_id: str) -> UpstreamSend:
             if edge_model is None:
@@ -560,36 +572,39 @@ class DBODeployment(BaseDeployment):
                     master, child_id, message, engine.now
                 )
             # Master-side key-dedup owns at-least-once semantics, so the
-            # channel itself carries no dedup hook.
+            # channel itself carries no dedup hook.  The parent is looked
+            # up per arrival: a node crash re-parents its children, and
+            # messages already in flight must land on the adopter.
             return self._open_control_channel(
                 f"agg-{child_id}" if tree else f"{child_id}->master",
                 edge_model,
                 source=child_id,
-                destination=self._agg_parent[child_id] if tree else "master-ob",
+                destination=parents[child_id].node_id if tree else "master-ob",
                 handler=lambda message, send_time, arrival_time: deliver_upstream(
-                    self._resolve_agg_parent(child_id), child_id, message, arrival_time
+                    parents[child_id], child_id, message, arrival_time
                 ),
             ).send
 
-        for level in levels:
+        # Top down, so that every node's parent exists when its edge opens.
+        for level in reversed(levels):
             for node_id, children in level:
                 node = ForwardingAggregator(node_id, children, open_edge(node_id))
-                self._agg_nodes[node_id] = node
+                self.endpoints[node.endpoint] = node
                 self._agg_publishers[node_id] = node.publish_tick
+                parents.update(dict.fromkeys(children, node))
         for index, shard_id in enumerate(shard_ids):
             # Participants are dealt round-robin across the shards.
             shard = ShardOB(
                 shard_id,
-                self.mp_ids[index::n_shards],
+                self.mp_ids[index::self.n_ob_shards],
                 open_edge(shard_id),
                 generation_time_of=self.ces.generation_time_of,
                 straggler_threshold=self.params.straggler_threshold,
                 latest_point_id=lambda: self.ces.points_generated - 1,
                 eager_summaries=not tree,
             )
-            self.shards.append(shard)
-            for mp_id in shard.states:
-                self._shard_routing[mp_id] = shard
+            self.endpoints[shard.endpoint] = shard
+            self.ob_routing.update(dict.fromkeys(shard.states, shard))
             if tree:
                 self._agg_publishers[shard_id] = shard.publish_summary
 
@@ -599,16 +614,13 @@ class DBODeployment(BaseDeployment):
         """Reverse-link handler routing trades/heartbeats to the right OB.
 
         The target is resolved per message, not captured at build time:
-        OB failover swaps ``self.ordering_buffer`` for a standby, and a
-        shard failure rewrites ``self._shard_routing`` — messages already
-        in flight must land on whoever owns the participant on arrival.
-        The routing map, the recovery table's down-set and the observer
-        list are only ever mutated in place, so the handler holds them
-        directly.
+        OB failover and a shard failure both rewrite ``self.ob_routing`` —
+        messages already in flight must land on whoever owns the
+        participant on arrival.  The routing map, the recovery table's
+        down-set and the observer list are only ever mutated in place, so
+        the handler holds them directly.
         """
-        flat = self.master_ob is None
-        component_id = "ob" if flat else self._shard_routing[mp_id].shard_id
-        routing = self._shard_routing
+        routing = self.ob_routing
         down = self.playbooks.down
         observers = self._heartbeat_observers
         pulse_key = f"rb:{mp_id}"
@@ -625,19 +637,10 @@ class DBODeployment(BaseDeployment):
             # are what the failure detector keys on.  Messages keep being
             # dropped until the supervisor (or a scripted recovery)
             # reroutes the participant.
-            target: OrderingBuffer
-            if flat:
-                if "ob" in down:
-                    self.messages_dropped_dead += 1
-                    return
-                assert self.ordering_buffer is not None
-                target = self.ordering_buffer
-            else:
-                shard = routing[mp_id]
-                if shard.endpoint in down:
-                    self.messages_dropped_dead += 1
-                    return
-                target = shard
+            target = routing[mp_id]
+            if target.endpoint in down:
+                self.messages_dropped_dead += 1
+                return
             # One pass keyed on the exact type.  Heartbeats outnumber
             # trades ~4:1 at N=64 (and worse at large N): tested first.
             if type(message) is Heartbeat:
@@ -660,6 +663,7 @@ class DBODeployment(BaseDeployment):
         # One deterministic-service server per OB component (§5.2): the
         # flat OB funnels everything through one queue; shards each own
         # one, restoring the parallelism the hierarchy buys.
+        component_id = routing[mp_id].endpoint
         if component_id not in self._ob_service_queues:
             from repro.sim.service import ServiceQueue
 
@@ -709,10 +713,9 @@ class DBODeployment(BaseDeployment):
             # Stagger heartbeat phases so τ-periodic sends don't synchronize.
             offset = self.runtime.uniform(0.0, self.params.tau, index, 200)
             rb.start_heartbeats(start_time=offset)
-        if self._agg_publishers:
+        if self.topology is not None:
             # Tree mode: one summary per node per tick, phases staggered
             # like the RB heartbeats so ticks don't synchronize.
-            assert self.topology is not None
             period = self.topology.summary_period or self.params.tau
             for index, node_id in enumerate(sorted(self._agg_publishers)):
                 offset = self.runtime.uniform(0.0, period, index, 300)
@@ -742,30 +745,10 @@ class DBODeployment(BaseDeployment):
         self.detector = detector
         for mp_id in self.mp_ids:
             detector.register(f"rb:{mp_id}")
-        if self.master_ob is None:
-            detector.register("ob", poll=self._ob_odometer)
-        else:
-            for shard in self.shards:
-                detector.register(
-                    shard.endpoint,
-                    poll=lambda shard=shard: float(
-                        shard.heartbeats_processed + shard.summaries_published
-                    ),
-                )
-            for node_id in sorted(self._agg_nodes):
-                node = self._agg_nodes[node_id]
-                detector.register(
-                    f"agg:{node_id}",
-                    poll=lambda node=node: float(
-                        node.summaries_published + node.trades_forwarded
-                    ),
-                )
         detector.register("feed", poll=lambda: float(self.ces.points_generated))
-        if self.egress_gateway is not None:
-            gateway = self.egress_gateway
-            detector.register(
-                "gateway", poll=lambda: float(gateway.messages_released)
-            )
+        for endpoint in self.endpoints:
+            # Resolved per sample: a failover swaps the OB instance.
+            detector.register(endpoint, poll=lambda e=endpoint: self.endpoints[e].odometer())
         self.supervisor = Supervisor(
             self.engine, detector, policy, self.playbooks.recover
         )
@@ -774,11 +757,6 @@ class DBODeployment(BaseDeployment):
         offset = self.runtime.uniform(0.0, interval, 0, 400)
         detector.start(offset, duration)
         self.supervisor.start(duration)
-
-    def _ob_odometer(self) -> float:
-        ob = self.ordering_buffer
-        assert ob is not None
-        return float(ob.heartbeats_processed + ob.trades_received)
 
     # ------------------------------------------------------------------
     def _raw_arrivals(self) -> Dict[str, Dict[int, float]]:
@@ -814,11 +792,11 @@ class DBODeployment(BaseDeployment):
             counters["sync_targets_missed"] = sum(
                 rb.targets_missed for rb in self.release_buffers
             )
-        if self.ordering_buffer is not None:
-            counters["ob_heartbeats_processed"] = self.ordering_buffer.heartbeats_processed
-            counters["ob_max_queue_depth"] = self.ordering_buffer.max_queue_depth
-            counters["ob_stragglers_now"] = len(self.ordering_buffer.straggler_ids())
-            ob = self.ordering_buffer
+        ob = self.ordering_buffer
+        if ob is not None:
+            counters["ob_heartbeats_processed"] = ob.heartbeats_processed
+            counters["ob_max_queue_depth"] = ob.max_queue_depth
+            counters["ob_stragglers_now"] = len(ob.straggler_ids())
             if ob.trades_lost_to_crash or recovered["ob"]:
                 counters["trades_lost_to_crash"] = float(ob.trades_lost_to_crash)
             if ob.retransmits_ignored:
@@ -870,7 +848,8 @@ class DBODeployment(BaseDeployment):
             counters["shard_heartbeats_processed"] = sum(
                 shard.heartbeats_processed for shard in self.shards
             )
-            if self.topology is not None and self.topology.enabled:
+            if self.topology is not None:
+                agg_nodes = [n for n in self.endpoints.values() if isinstance(n, ForwardingAggregator)]
                 # The master's entire heartbeat-plane workload: one merge
                 # per child summary.  O(tree width × ticks), not O(N) —
                 # the scaling benchmark pins this against heartbeats_sent.
@@ -878,17 +857,13 @@ class DBODeployment(BaseDeployment):
                     self.master_ob.summaries_processed
                 )
                 counters["agg_tree_width"] = float(len(self.master_ob.child_ids))
-                counters["agg_tree_nodes"] = float(
-                    len(self.shards) + len(self._agg_nodes)
-                )
+                counters["agg_tree_nodes"] = float(len(self.shards) + len(agg_nodes))
                 counters["agg_summaries_published"] = float(
                     sum(shard.summaries_published for shard in self.shards)
-                    + sum(
-                        node.summaries_published for node in self._agg_nodes.values()
-                    )
+                    + sum(node.summaries_published for node in agg_nodes)
                 )
                 counters["agg_trades_forwarded"] = float(
-                    sum(node.trades_forwarded for node in self._agg_nodes.values())
+                    sum(node.trades_forwarded for node in agg_nodes)
                 )
                 if recovered["agg"]:
                     counters["aggregator_failures"] = float(recovered["agg"])
@@ -915,11 +890,7 @@ class DBODeployment(BaseDeployment):
             )
             if warmup_resent:
                 counters["trades_warmup_resent"] = float(warmup_resent)
-            buffers: List[WarmupHold] = [
-                component
-                for component in (self.ordering_buffer, self.master_ob, *self.shards)
-                if component is not None
-            ]
+            buffers = [c for c in (self.master_ob, *self.endpoints.values()) if isinstance(c, WarmupHold)]
             holds = sum(component.warmup_holds for component in buffers)
             if holds:
                 counters["warmup_holds"] = float(holds)
@@ -938,7 +909,6 @@ class DBODeployment(BaseDeployment):
             counters.update(self.detector.counters())
         if self.supervisor is not None:
             counters.update(self.supervisor.counters())
-        ob = self.ordering_buffer
         if isinstance(ob, ProbOrderingBuffer):
             counters["ordering_inversions"] = float(ob.ordering_inversions)
             counters["ob_trades_released"] = float(ob.trades_released)

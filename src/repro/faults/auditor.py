@@ -37,9 +37,13 @@ monotonicity at the matching engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.exchange.messages import Heartbeat, TaggedTrade
+
+if TYPE_CHECKING:
+    from repro.core.aggregation import MasterOB
+    from repro.core.ordering_buffer import OrderingBuffer
 
 __all__ = ["InvariantAuditor", "AuditReport", "Violation"]
 
@@ -170,6 +174,12 @@ class InvariantAuditor:
         # Set at attach() from the deployment's ordering_guarantee: a
         # probabilistic scheme's stamp regressions are expected events.
         self._probabilistic = False
+        # The DBO ordering plane's buffers as (report name, buffer), the
+        # releasing root first; read per probe, since a failover swaps
+        # the OB.  Empty for the other schemes.
+        self._live_buffers: Callable[
+            [], List[Tuple[str, Union["OrderingBuffer", "MasterOB"]]]
+        ] = lambda: []
         self.violations: List[Violation] = []
         self.releases_checked = 0
         self.heartbeats_checked = 0
@@ -207,6 +217,7 @@ class InvariantAuditor:
         if hasattr(deployment, "_release_observers"):
             deployment._release_observers.append(self._on_release)
             deployment._heartbeat_observers.append(self._on_heartbeat)
+            self._live_buffers = deployment.live_buffers
             if self.stall_timeout is not None:
                 deployment.engine.schedule_periodic(
                     self.stall_check_interval,
@@ -314,28 +325,11 @@ class InvariantAuditor:
     # Liveness probe
     # ------------------------------------------------------------------
     def _queued_depth(self) -> int:
-        deployment = self.deployment
-        ob = getattr(deployment, "ordering_buffer", None)
-        if ob is not None:
-            return ob.queue_depth
-        master = getattr(deployment, "master_ob", None)
-        if master is not None:
-            retired = deployment.playbooks.retired
-            return master.queue_depth + sum(
-                shard.queue_depth for shard in deployment.shards
-                if shard.endpoint not in retired
-            )
-        return 0
+        return sum(buffer.queue_depth for _, buffer in self._live_buffers())
 
     def _released_count(self) -> int:
-        deployment = self.deployment
-        ob = getattr(deployment, "ordering_buffer", None)
-        if ob is not None:
-            return ob.trades_released
-        master = getattr(deployment, "master_ob", None)
-        if master is not None:
-            return master.trades_released
-        return 0
+        buffers = self._live_buffers()
+        return buffers[0][1].trades_released if buffers else 0
 
     def _stall_probe(self) -> None:
         now = self.deployment.engine.now
@@ -394,16 +388,7 @@ class InvariantAuditor:
                         f"trades at report time (attempt {state['max_attempt']:.0f})",
                         mp_id,
                     )
-        warming: List[str] = []
-        ob = getattr(deployment, "ordering_buffer", None)
-        if ob is not None and ob.warming_up:
-            warming.append("ob")
-        master = getattr(deployment, "master_ob", None)
-        if master is not None and master.warming_up:
-            warming.append("master")
-        for shard in getattr(deployment, "shards", []) or []:
-            if shard.endpoint not in deployment.playbooks.retired and shard.warming_up:
-                warming.append(shard.shard_id)
+        warming = [name for name, buffer in self._live_buffers() if buffer.warming_up]
         if warming:
             out["warming_up"] = warming
             for name in warming:

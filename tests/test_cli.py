@@ -167,6 +167,20 @@ class TestDeploymentErrors:
         )
         assert "non-sharded" in line
 
+    def test_non_positive_shard_count(self, capsys):
+        line = self.error_of(["run", "--scheme", "dbo", "--ob-shards", "-2"], capsys)
+        assert "n_ob_shards must be at least 1" in line
+
+    def test_chaos_rejected_params(self, capsys):
+        line = self.error_of(["chaos", "--plan", "link-flaky", "--tau", "0"], capsys)
+        assert "tau must be positive" in line
+
+    def test_chaos_rejected_supervision_policy(self, capsys):
+        line = self.error_of(
+            ["chaos", "--plan", "ob-crash", "--supervise", "--detector-window", "1"], capsys
+        )
+        assert "detector_window must be at least 2" in line
+
     def test_prob_sync_c1_reaches_release_buffers(self, capsys):
         code = main(
             ["run", "--scheme", "prob", "--participants", "2",

@@ -1,8 +1,11 @@
-"""Unit tests for DBOParams."""
+"""Unit tests for DBOParams and the other frozen parameter records."""
+
+import math
 
 import pytest
 
-from repro.core.params import DBOParams
+from repro.core.params import AggregationTopology, DBOParams, SupervisionPolicy
+from repro.core.release_buffer import RetransmitPolicy
 
 
 def test_paper_defaults():
@@ -62,6 +65,30 @@ def test_with_horizon_rejects_span_at_or_below_delta():
 def test_validation(kwargs):
     with pytest.raises(ValueError):
         DBOParams(**kwargs)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (DBOParams, "delta"),
+        (DBOParams, "kappa"),
+        (DBOParams, "tau"),
+        (DBOParams, "straggler_threshold"),
+        (AggregationTopology, "summary_period"),
+        (AggregationTopology, "edge_latency"),
+        (SupervisionPolicy, "check_interval"),
+        (SupervisionPolicy, "suspect_after"),
+        (SupervisionPolicy, "probe_backoff"),
+        (SupervisionPolicy, "warmup_timeout"),
+        (RetransmitPolicy, "timeout"),
+        (RetransmitPolicy, "backoff"),
+        (RetransmitPolicy, "ack_latency"),
+    ],
+)
+def test_non_finite_values_are_rejected(record, field, value):
+    with pytest.raises(ValueError, match="finite"):
+        record(**{field: value})
 
 
 def test_frozen():

@@ -125,3 +125,64 @@ def test_confirmed_silence_of_a_live_component_is_unrecoverable():
     deployment, states = _supervised(plan, n=3)
     assert states["ob"]["state"] == "unrecoverable"
     assert deployment.playbooks.down == set()
+
+
+PLANES = {
+    "flat": (4, {}, ["ob"]),
+    "eager": (4, {"n_ob_shards": 2}, ["shard:shard-0", "shard:shard-1"]),
+    "tree": (
+        8,
+        {"topology": AggregationTopology(depth=2, fanout=2)},
+        ["agg:agg1-0", "agg:agg1-1", "shard:shard-0", "shard:shard-1",
+         "shard:shard-2", "shard:shard-3"],
+    ),
+    "gateway": (4, {"enable_egress_gateway": True}, ["gateway", "ob"]),
+}
+
+
+@pytest.mark.parametrize("plane", sorted(PLANES))
+def test_one_endpoint_map_per_shape(plane):
+    n, kwargs, expected = PLANES[plane]
+    deployment = DBODeployment(
+        quiet_specs(n), params=DBOParams(delta=20.0), seed=4, supervise=True, **kwargs
+    )
+    deployment.run(duration=1_000.0)
+    assert sorted(deployment.endpoints) == expected
+    for endpoint, component in deployment.endpoints.items():
+        assert component.endpoint == endpoint
+        assert component.odometer() > 0
+    # Every participant reports to exactly one live buffer of the plane.
+    assert sorted(deployment.ob_routing) == sorted(deployment.mp_ids)
+    assert {buffer.endpoint for buffer in deployment.ob_routing.values()} <= set(expected)
+    # The detector watches the table plus the RBs and the feed.
+    assert deployment.detector.endpoints == sorted(
+        [*expected, *(f"rb:{mp_id}" for mp_id in deployment.mp_ids), "feed"]
+    )
+
+
+def test_a_disabled_topology_is_the_flat_plane():
+    deployment = DBODeployment(
+        quiet_specs(4), seed=4, topology=AggregationTopology(depth=0)
+    )
+    assert deployment.topology is None
+    assert deployment.playbooks.kinds == frozenset({"ob"})
+    with pytest.raises(ValueError, match="at least 1"):
+        DBODeployment(quiet_specs(4), n_ob_shards=0)
+
+
+def test_standby_promotion_rewrites_both_maps():
+    deployment = DBODeployment(quiet_specs(4), params=DBOParams(delta=20.0), seed=4)
+    deployment.run(duration=1_000.0)
+    old = deployment.ordering_buffer
+    deployment.playbooks.crash("ob")
+    deployment.playbooks.recover("ob", deployment.engine.now)
+    standby = deployment.ordering_buffer
+    assert standby is not old and deployment.endpoints["ob"] is standby
+    assert set(deployment.ob_routing.values()) == {standby}
+
+
+def test_unknown_shard_is_a_key_error():
+    deployment = DBODeployment(quiet_specs(4), seed=4, n_ob_shards=2)
+    deployment.run(duration=1_000.0)
+    with pytest.raises(KeyError):
+        deployment.playbooks.crash("shard:nope")

@@ -119,6 +119,37 @@ def test_one_dbo_pipeline_one_buffer_family():
     assert definitions == 1
 
 
+def test_one_ordering_plane_table():
+    from repro.baselines.base import default_network_specs
+    from repro.core.aggregation import HeartbeatAggregator
+    from repro.core.ordering_buffer import OrderingBuffer
+    from repro.core.params import AggregationTopology
+    from repro.core.system import DBODeployment
+
+    deployment = DBODeployment(
+        default_network_specs(8, seed=1), seed=1,
+        topology=AggregationTopology(depth=2, fanout=2),
+    )
+    deployment.run(duration=500.0)
+    plane = (OrderingBuffer, HeartbeatAggregator)
+
+    def holds_plane(value):
+        items = value.values() if isinstance(value, dict) else value
+        return isinstance(value, (dict, list)) and any(isinstance(v, plane) for v in items)
+
+    # The built plane lives in the endpoint table, the participant
+    # routing and the child-to-parent node map, and nowhere else.
+    holders = sorted(name for name, value in vars(deployment).items() if holds_plane(value))
+    assert holders == ["_agg_parent", "endpoints", "ob_routing"]
+    assert all(isinstance(parent, HeartbeatAggregator) for parent in deployment._agg_parent.values())
+    # Components answer for their own odometers; nothing maps an id to a
+    # node or polls one on its behalf.
+    assert not [
+        name for name in dir(DBODeployment) if "odometer" in name or name.startswith("_resolve")
+    ]
+    assert "ordering_buffer" not in vars(deployment)
+
+
 def test_each_release_rule_exists_once():
     import inspect
 
