@@ -18,11 +18,13 @@ trade-off would be invisible — try swapping in
 Run:  python examples/parameter_sweep.py
 """
 
-from repro.analysis.stats import aggregate_fairness, aggregate_latency, run_across_seeds
+from repro.analysis.stats import pooled_fairness, summarize_samples
 from repro.baselines.base import NetworkSpec
 from repro.core.params import DBOParams
 from repro.core.system import DBODeployment
 from repro.exchange.feed import FeedConfig
+from repro.metrics.fairness import evaluate_fairness
+from repro.metrics.latency import latency_stats
 from repro.metrics.report import render_table
 from repro.net.latency import UniformJitterLatency
 from repro.participants.response_time import UniformResponseTime
@@ -44,26 +46,27 @@ def jitter_specs():
     ]
 
 
-def run_for_delta(delta: float):
-    def run(seed: int):
-        deployment = DBODeployment(
-            jitter_specs(),
-            params=DBOParams(delta=delta, kappa=0.25, tau=20.0),
-            feed_config=FeedConfig(interval=20.0),
-            response_time_model=UniformResponseTime(low=5.0, high=50.0, seed=seed),
-            seed=seed,
-        )
-        return deployment.run(duration=DURATION_US)
-
-    return run_across_seeds(run, seeds=SEEDS)
+def run(delta: float, seed: int):
+    deployment = DBODeployment(
+        jitter_specs(),
+        params=DBOParams(delta=delta, kappa=0.25, tau=20.0),
+        feed_config=FeedConfig(interval=20.0),
+        response_time_model=UniformResponseTime(low=5.0, high=50.0, seed=seed),
+        seed=seed,
+    )
+    return deployment.run(duration=DURATION_US)
 
 
 def main() -> None:
     rows = []
     for delta in DELTAS:
-        multi = run_for_delta(delta)
-        fairness = aggregate_fairness(multi)
-        latency = aggregate_latency(multi, statistic="avg")
+        results = [run(delta, seed) for seed in SEEDS]
+        # Seeds are independent runs: their race pairs pool into one
+        # Wilson interval; the per-run average latencies into mean ± CI.
+        fairness = pooled_fairness(
+            [(f.correct_pairs, f.total_pairs) for f in map(evaluate_fairness, results)]
+        )
+        latency = summarize_samples([latency_stats(result).avg for result in results])
         ci_low, ci_high = fairness["ci"]
         rows.append(
             [

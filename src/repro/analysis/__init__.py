@@ -1,27 +1,15 @@
-"""Analysis tooling: multi-seed statistics and parameter sweeps."""
+"""Analysis tooling: multi-seed statistics (Wilson CIs, mean ± CI)."""
 
 from repro.analysis.stats import (
-    MultiSeedResult,
     SampleSummary,
-    aggregate_fairness,
-    aggregate_latency,
     pooled_fairness,
-    run_across_seeds,
     summarize_samples,
     wilson_interval,
 )
-from repro.analysis.sweep import SweepRow, sweep, sweep_table
 
 __all__ = [
-    "MultiSeedResult",
     "SampleSummary",
-    "aggregate_fairness",
-    "aggregate_latency",
     "pooled_fairness",
-    "run_across_seeds",
     "summarize_samples",
     "wilson_interval",
-    "SweepRow",
-    "sweep",
-    "sweep_table",
 ]

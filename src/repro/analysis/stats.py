@@ -7,33 +7,24 @@ module provides:
 * :func:`wilson_interval` — a binomial confidence interval for fairness
   ratios (pairs ordered correctly out of pairs observed), which behaves
   sanely at ratios near 0 and 1 where the normal approximation fails;
-* :func:`summarize_samples` — mean / std / CI for latency-style samples;
-* :class:`MultiSeedResult` and :func:`aggregate_fairness` /
-  :func:`aggregate_latency` — run a scheme across seeds and fold the
-  per-seed metrics into mean ± CI.
+* :func:`pooled_fairness` — per-seed pair counts pooled into one
+  Wilson interval;
+* :func:`summarize_samples` — mean / std / CI for latency-style samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-
-from repro.metrics.fairness import evaluate_fairness
-from repro.metrics.latency import latency_stats
-from repro.metrics.records import RunResult
 
 __all__ = [
     "wilson_interval",
     "pooled_fairness",
     "summarize_samples",
     "SampleSummary",
-    "MultiSeedResult",
-    "run_across_seeds",
-    "aggregate_fairness",
-    "aggregate_latency",
 ]
 
 # Two-sided z for common confidence levels.
@@ -89,8 +80,7 @@ def pooled_fairness(
     binomial: the headline ratio with a Wilson interval, plus the
     per-seed ratios for spread.  With zero trials everywhere the ratio
     degenerates to 1.0 (no pair was misordered) and the interval to the
-    uninformative ``(0, 1)`` — the same convention as
-    :func:`aggregate_fairness`.
+    uninformative ``(0, 1)``.
     """
     successes = 0
     trials = 0
@@ -134,62 +124,3 @@ def summarize_samples(samples: Sequence[float], confidence: float = 0.95) -> Sam
     std = float(array.std(ddof=1)) if array.size > 1 else 0.0
     half = _z_for(confidence) * std / math.sqrt(array.size) if array.size > 1 else 0.0
     return SampleSummary(int(array.size), mean, std, mean - half, mean + half)
-
-
-@dataclass
-class MultiSeedResult:
-    """Per-seed run results for one configuration."""
-
-    seeds: List[int]
-    results: List[RunResult]
-
-    def __post_init__(self) -> None:
-        if len(self.seeds) != len(self.results):
-            raise ValueError("seeds and results must align")
-
-
-def run_across_seeds(
-    run_fn: Callable[[int], RunResult],
-    seeds: Sequence[int],
-) -> MultiSeedResult:
-    """Run ``run_fn(seed)`` for every seed and collect the results."""
-    if not seeds:
-        raise ValueError("need at least one seed")
-    results = [run_fn(seed) for seed in seeds]
-    return MultiSeedResult(list(seeds), results)
-
-
-def aggregate_fairness(
-    multi: MultiSeedResult,
-    confidence: float = 0.95,
-) -> Dict[str, object]:
-    """Pooled fairness across seeds: ratio + Wilson CI + per-seed spread.
-
-    Pools all pairs across seeds (runs are independent by construction)
-    for the headline interval, and also reports the per-seed ratios.
-    """
-    per_seed = [evaluate_fairness(result) for result in multi.results]
-    pooled = pooled_fairness(
-        [(r.correct_pairs, r.total_pairs) for r in per_seed], confidence
-    )
-    return {
-        "ratio": pooled["ratio"],
-        "ci": pooled["ci"],
-        "pairs": pooled["pairs"],
-        "per_seed": dict(zip(multi.seeds, [r.ratio for r in per_seed])),
-    }
-
-
-def aggregate_latency(
-    multi: MultiSeedResult,
-    statistic: str = "avg",
-    confidence: float = 0.95,
-) -> SampleSummary:
-    """Across-seed summary of a per-run latency statistic (avg/p50/p99...)."""
-    values = []
-    for result in multi.results:
-        stats = latency_stats(result)
-        if not hasattr(stats, statistic):
-            raise ValueError(f"unknown latency statistic {statistic!r}")
-        values.append(getattr(stats, statistic))
-    return summarize_samples(values, confidence)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.params import AggregationTopology, DBOParams, SupervisionPolicy
 from repro.core.release_buffer import RetransmitPolicy
@@ -33,29 +33,18 @@ from repro.metrics.serialization import summary_to_dict, trade_ordering_digest
 from repro.sim.engine import ENGINE_FACTORIES
 from repro.experiments.chaos import CHAOS_PLANS, chaos_kwargs, make_plan, run_chaos
 from repro.experiments.chaos_tables import chaos_table
-from repro.experiments.scenarios import (
-    baremetal_specs,
-    cloud_specs,
-    congested_specs,
-    multizone_specs,
-    trace_specs,
-)
+from repro.experiments.scenarios import SCENARIOS
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultSchedule
 from repro.lint.cli import add_lint_arguments, run_lint
 from repro.experiments import figures as figures_mod
 from repro.experiments import tables as tables_mod
+from repro.metrics.report import render_table
 from repro.metrics.serialization import save_run_result
+from repro.parallel import CellSpec, run_cells
 from repro.participants.response_time import RaceResponseTime, UniformResponseTime
 
 __all__ = ["main", "build_parser"]
-
-SCENARIOS: Dict[str, Callable[..., list]] = {
-    "cloud": cloud_specs,
-    "baremetal": baremetal_specs,
-    "congested": congested_specs,
-    "trace": trace_specs,
-    "multizone": multizone_specs,
-}
 
 TABLES = {
     "2": tables_mod.table2_baremetal,
@@ -241,7 +230,10 @@ def _add_scheme_knobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kappa", type=float, default=0.25, help="DBO batch factor κ")
     p.add_argument("--tau", type=float, default=20.0, help="DBO heartbeat period τ (µs)")
     p.add_argument("--straggler-threshold", type=float, default=None)
-    p.add_argument("--ob-shards", type=int, default=1)
+    p.add_argument(
+        "--ob-shards", type=int, default=None,
+        help="OB shards (default: 1, or what the chaos plan needs)",
+    )
     p.add_argument(
         "--agg-depth", type=int, default=0,
         help="heartbeat aggregation tree depth (0 = flat/eager default)",
@@ -279,10 +271,7 @@ def _add_scheme_knobs(p: argparse.ArgumentParser) -> None:
 
 
 def _build_specs(args) -> list:
-    factory = SCENARIOS[args.scenario]
-    if args.scenario == "trace":
-        return factory(args.participants, seed=args.seed)
-    return factory(args.participants, seed=args.seed)
+    return SCENARIOS[args.scenario](args.participants, seed=args.seed)
 
 
 def _build_rt_model(args):
@@ -311,7 +300,9 @@ def _scheme_kwargs(scheme: str, args) -> dict:
             # The same deployment with the horizon release rule; it
             # rejects shards and trees itself.
             kwargs["horizon"] = args.horizon
-        kwargs["n_ob_shards"] = args.ob_shards
+        if args.ob_shards is not None:
+            # Unset leaves the default, or the shards a chaos plan needs.
+            kwargs["n_ob_shards"] = args.ob_shards
         if args.agg_depth > 0:
             kwargs["topology"] = AggregationTopology(
                 fanout=args.agg_fanout, depth=args.agg_depth
@@ -428,18 +419,13 @@ def cmd_chaos(args) -> int:
     else:
         plan = make_plan(args.plan, args.duration, args.participants)
     try:
-        # Build the options and (not run) one twin up front, so options
-        # the deployment rejects end in a usage error, not a traceback.
+        # Build (not run) one twin and arm the plan on it up front, so
+        # options the deployment or the plan rejects end in a usage
+        # error, not a traceback.
         kwargs = _scheme_kwargs(args.scheme, args)
-        kinds = set(plan.kinds)
-        if args.scheme in ("dbo", "prob"):
-            # These fault kinds need deployment knobs; turn them on rather
-            # than failing arm-time validation on the default topology.
-            if "shard_failure" in kinds and kwargs["n_ob_shards"] < 2:
-                kwargs["n_ob_shards"] = 2
-            if "gateway_stall" in kinds:
-                kwargs["enable_egress_gateway"] = True
-        _build_one(args.scheme, args, chaos_kwargs(args.scheme, plan, kwargs))
+        twin = _build_one(args.scheme, args, chaos_kwargs(args.scheme, plan, kwargs))
+        recovery = "detected" if kwargs.get("supervise") else "scripted"
+        FaultInjector(plan, recovery=recovery).arm(twin)
     except ValueError as error:
         return _build_error(error)
     report = run_chaos(
@@ -528,28 +514,37 @@ def cmd_table(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from repro.analysis.sweep import sweep, sweep_table
-
-    def params_for(value: float) -> DBOParams:
-        if args.param == "delta":
-            return DBOParams(delta=value)
-        return DBOParams(tau=value)
-
-    rows = sweep(
-        scheme="dbo",
-        specs_factory=lambda: _build_specs(args),
-        duration=args.duration,
-        grid={"params": [params_for(v) for v in args.values]},
-        feed_config=FeedConfig(interval=args.interval),
-        response_time_model=_build_rt_model(args),
-        seed=args.seed,
-        engine=args.engine,
-    )
-    # Show the swept value, not the whole params repr.
-    for row, value in zip(rows, args.values):
-        row.config = {args.param: value}
+    try:
+        cells = [
+            CellSpec(
+                scheme="dbo",
+                seed=args.seed,
+                scenario=args.scenario,
+                participants=args.participants,
+                duration=args.duration,
+                engine=args.engine,
+                feed_interval=args.interval,
+                scheme_kwargs={
+                    "params": DBOParams(**{args.param: value}),
+                    "response_time_model": _build_rt_model(args),
+                },
+            )
+            for value in args.values
+        ]
+    except ValueError as error:
+        return _build_error(error)
+    results = run_cells(cells)
+    failed = next((result for result in results if not result.ok), None)
+    if failed is not None:
+        print(f"repro: error: {failed.error}", file=sys.stderr)
+        return 2
+    rows = [
+        [str(value), s["fairness"]["percent"], s["latency"]["avg"], s["latency"]["p99"]]
+        for value, s in zip(args.values, (result.summary for result in results))
+    ]
     print(
-        sweep_table(
+        render_table(
+            [args.param, "fairness %", "avg latency", "p99 latency"],
             rows,
             title=f"DBO {args.param} sweep on {args.scenario} "
                   f"({args.participants} MPs)",

@@ -162,10 +162,13 @@ class RecoveryPlaybooks:
         pick up the new routing on the next arrival.
 
         Each adopter warms up over the orphans it inherited, publishing
-        ``None`` summaries meanwhile, and — when resends exist — every
-        stored watermark on its path to the master freezes
-        (:meth:`_regress_to_master`) so the merge cannot release above
-        stamps the in-flight resends could still undercut.
+        ``None`` summaries meanwhile, and every stored watermark on its
+        path to the master freezes (:meth:`_regress_to_master`) so the
+        merge cannot release above stamps that the orphans' in-flight
+        trades or resends could still undercut.  The freeze runs with or
+        without a retransmit policy: without one, what remains of
+        §4.2.1's "will incur unfairness" is that the dead shard's queue
+        is lost, not that the adopter releases out of stamp order.
         """
         deployment = self._deployment
         survivors = [
@@ -188,8 +191,8 @@ class RecoveryPlaybooks:
         # trades above stamps the orphans' resends still undercut.
         for endpoint in sorted(adopted):
             adopter = deployment.endpoints[endpoint]
-            if self.warm_up(adopter, adopted[endpoint], now):
-                self._regress_to_master(adopter.shard_id, adopter)
+            self.warm_up(adopter, adopted[endpoint], now)
+            self._regress_to_master(adopter.shard_id, adopter)
         deployment._agg_parent[dead.shard_id].remove_child(dead.shard_id, now)
         self._cancel_summary_timer(dead.shard_id)
         return True

@@ -663,6 +663,9 @@ class DBODeployment(BaseDeployment):
         # One deterministic-service server per OB component (§5.2): the
         # flat OB funnels everything through one queue; shards each own
         # one, restoring the parallelism the hierarchy buys.
+        # Participants share their component's queue, so each queued
+        # item carries its sender's handler: the detector pulse and the
+        # routing lookup are per participant.
         component_id = routing[mp_id].endpoint
         if component_id not in self._ob_service_queues:
             from repro.sim.service import ServiceQueue
@@ -670,14 +673,13 @@ class DBODeployment(BaseDeployment):
             self._ob_service_queues[component_id] = ServiceQueue(
                 self.engine,
                 self.ob_service_time,
-                handler=lambda message, completion: None,  # set per message below
+                handler=lambda item, completion: item[0](item[1], completion, completion),
                 name=f"svc-{component_id}",
             )
         queue = self._ob_service_queues[component_id]
-        queue.connect(lambda message, completion: process(message, completion, completion))
 
         def dispatch(message: object, send_time: float, arrival_time: float) -> None:
-            queue.submit(message)
+            queue.submit((process, message))
 
         return dispatch
 

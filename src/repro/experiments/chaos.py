@@ -347,8 +347,15 @@ def chaos_kwargs(
 ) -> Dict[str, Any]:
     """``kwargs`` plus the deployment knobs ``plan`` needs on ``scheme``
     (shards, a tree, the egress gateway, retransmission); a knob the
-    caller set is kept."""
+    caller set is kept.
+
+    Only the DBO pipeline, which both ``dbo`` and ``prob`` run, has
+    these knobs; other schemes get ``kwargs`` back unchanged, and the
+    injector's arm-time validation names what they lack.
+    """
     kwargs = dict(kwargs)
+    if scheme not in ("dbo", "prob"):
+        return kwargs
     kinds = set(plan.kinds)
     if "shard_failure" in kinds:
         kwargs.setdefault("n_ob_shards", 2)
@@ -371,9 +378,7 @@ def chaos_kwargs(
         fault.channel is not None and fault.channel.startswith("ack-")
         for fault in plan
     )
-    # The retransmit/ack machinery exists on the DBO topology, which
-    # both ``dbo`` and ``prob`` run.
-    if scheme in ("dbo", "prob") and (supervised_crash or acks_faulted):
+    if supervised_crash or acks_faulted:
         from repro.core.release_buffer import RetransmitPolicy
 
         kwargs.setdefault("retransmit_policy", RetransmitPolicy())

@@ -12,7 +12,7 @@ Each builder returns ``List[NetworkSpec]`` so any scheme can run on it.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.baselines.base import NetworkSpec
 from repro.net.latency import (
@@ -27,6 +27,7 @@ from repro.net.trace import NetworkTrace, generate_figure11_trace, one_way_model
 from repro.sim.randomness import stable_u64, stable_uniform
 
 __all__ = [
+    "SCENARIOS",
     "baremetal_specs",
     "cloud_specs",
     "congested_specs",
@@ -216,3 +217,14 @@ def congested_specs(
         )
         specs.append(NetworkSpec(forward=forward, reverse=reverse))
     return specs
+
+
+# The one scenario-name map: the CLI's ``--scenario`` choices and the
+# matrix runner's ``CellSpec.scenario`` both resolve through it.
+SCENARIOS: Dict[str, Callable[..., List[NetworkSpec]]] = {
+    "cloud": cloud_specs,
+    "baremetal": baremetal_specs,
+    "congested": congested_specs,
+    "trace": trace_specs,
+    "multizone": multizone_specs,
+}

@@ -121,26 +121,6 @@ class CellResult:
         }
 
 
-def _scenario_builders() -> Dict[str, Any]:
-    # Imported lazily: repro.experiments imports this package (via
-    # chaos_tables), so top-level imports here would cycle.
-    from repro.experiments.scenarios import (
-        baremetal_specs,
-        cloud_specs,
-        congested_specs,
-        multizone_specs,
-        trace_specs,
-    )
-
-    return {
-        "cloud": cloud_specs,
-        "baremetal": baremetal_specs,
-        "congested": congested_specs,
-        "multizone": multizone_specs,
-        "trace": trace_specs,
-    }
-
-
 @dataclass(frozen=True)
 class _SpecsFactory:
     """A module-level, *picklable* specs thunk (DBO104-clean by construction).
@@ -157,14 +137,19 @@ class _SpecsFactory:
     seed: int
 
     def __call__(self) -> list:
-        return _scenario_builders()[self.scenario](self.participants, seed=self.seed)
+        from repro.experiments.scenarios import SCENARIOS
+
+        return SCENARIOS[self.scenario](self.participants, seed=self.seed)
 
 
 def _specs_factory(cell: CellSpec) -> _SpecsFactory:
-    builders = _scenario_builders()
-    if cell.scenario not in builders:
+    # Imported lazily: repro.experiments imports this package (via
+    # chaos_tables), so a top-level import here would cycle.
+    from repro.experiments.scenarios import SCENARIOS
+
+    if cell.scenario not in SCENARIOS:
         raise ValueError(
-            f"unknown scenario {cell.scenario!r}; choose from {sorted(builders)}"
+            f"unknown scenario {cell.scenario!r}; choose from {sorted(SCENARIOS)}"
         )
     return _SpecsFactory(cell.scenario, cell.participants, cell.seed)
 

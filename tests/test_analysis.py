@@ -1,21 +1,10 @@
-"""Tests for the analysis package: statistics and sweeps."""
+"""Tests for the analysis package: multi-seed statistics."""
 
 import math
 
 import pytest
 
-from repro.analysis.stats import (
-    MultiSeedResult,
-    aggregate_fairness,
-    aggregate_latency,
-    run_across_seeds,
-    summarize_samples,
-    wilson_interval,
-)
-from repro.analysis.sweep import sweep, sweep_table
-from repro.core.params import DBOParams
-from repro.core.system import DBODeployment
-from repro.experiments.scenarios import cloud_specs
+from repro.analysis.stats import summarize_samples, wilson_interval
 
 
 class TestWilson:
@@ -64,77 +53,3 @@ class TestSummarizeSamples:
 
     def test_str(self):
         assert "n=2" in str(summarize_samples([1.0, 2.0]))
-
-
-class TestMultiSeed:
-    @pytest.fixture(scope="class")
-    def multi(self):
-        def run(seed):
-            deployment = DBODeployment(cloud_specs(3, seed=12), seed=seed)
-            return deployment.run(duration=2000.0)
-
-        return run_across_seeds(run, seeds=[1, 2, 3])
-
-    def test_run_across_seeds_shapes(self, multi):
-        assert multi.seeds == [1, 2, 3]
-        assert len(multi.results) == 3
-
-    def test_aggregate_fairness_pools_pairs(self, multi):
-        agg = aggregate_fairness(multi)
-        assert agg["ratio"] == 1.0
-        assert agg["pairs"] > 100
-        low, high = agg["ci"]
-        assert low < 1.0 <= high
-        assert set(agg["per_seed"]) == {1, 2, 3}
-
-    def test_aggregate_latency(self, multi):
-        summary = aggregate_latency(multi, statistic="avg")
-        assert summary.count == 3
-        assert summary.mean > 0
-
-    def test_aggregate_latency_unknown_statistic(self, multi):
-        with pytest.raises(ValueError):
-            aggregate_latency(multi, statistic="p42")
-
-    def test_misaligned_rejected(self, multi):
-        with pytest.raises(ValueError):
-            MultiSeedResult(seeds=[1], results=multi.results)
-
-    def test_empty_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            run_across_seeds(lambda s: None, seeds=[])
-
-
-class TestSweep:
-    def test_grid_product(self):
-        rows = sweep(
-            scheme="dbo",
-            specs_factory=lambda: cloud_specs(2, seed=12),
-            duration=1500.0,
-            grid={
-                "params": [DBOParams(delta=10.0), DBOParams(delta=45.0)],
-                "seed": [1, 2],
-            },
-        )
-        assert len(rows) == 4
-        deltas = {row.config["params"].delta for row in rows}
-        assert deltas == {10.0, 45.0}
-
-    def test_sweep_table_renders(self):
-        rows = sweep(
-            scheme="direct",
-            specs_factory=lambda: cloud_specs(2, seed=12),
-            duration=1500.0,
-            grid={"seed": [1, 2]},
-        )
-        text = sweep_table(rows, title="demo")
-        assert "demo" in text
-        assert "fairness %" in text
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            sweep("dbo", lambda: cloud_specs(2), 1000.0, grid={})
-
-    def test_empty_rows_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_table([])

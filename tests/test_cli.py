@@ -181,6 +181,22 @@ class TestDeploymentErrors:
         )
         assert "detector_window must be at least 2" in line
 
+    def test_chaos_plan_file_with_unknown_target(self, tmp_path, capsys):
+        from repro.faults.plan import FaultSchedule, FaultSpec
+
+        path = tmp_path / "plan.json"
+        path.write_text(FaultSchedule.of(FaultSpec(kind="rb_crash", at=1_000.0, target="mp99")).to_json())
+        line = self.error_of(["chaos", "--faults", str(path), "--participants", "3"], capsys)
+        assert "unknown participant 'mp99'" in line
+
+    def test_chaos_tree_plan_on_a_baseline(self, capsys):
+        line = self.error_of(["chaos", "--scheme", "direct", "--plan", "aggregator-crash"], capsys)
+        assert "requires a DBO deployment" in line
+
+    def test_chaos_single_shard_conflicts_with_shard_plan(self, capsys):
+        line = self.error_of(["chaos", "--plan", "shard-loss", "--ob-shards", "1"], capsys)
+        assert "shard_failure requires n_ob_shards > 1" in line
+
     def test_prob_sync_c1_reaches_release_buffers(self, capsys):
         code = main(
             ["run", "--scheme", "prob", "--participants", "2",
@@ -385,6 +401,38 @@ class TestChaos:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["chaos"]["plan"]["name"] == "file-plan"
+
+    @pytest.mark.parametrize(
+        "plan", ["ob-failover", "ob-crash", "shard-loss", "shard-crash", "aggregator-crash",
+                 "gateway-stall"],
+    )
+    def test_cli_builds_run_chaos_plane(self, plan, monkeypatch):
+        """``repro chaos`` builds the ordering plane ``run_chaos`` defaults
+        to for the plan, whatever endpoints the plan crashes."""
+        import repro.experiments.chaos as chaos_mod
+        from repro.experiments.runner import build_deployment
+        from repro.experiments.scenarios import cloud_specs
+
+        class Captured(Exception):
+            pass
+
+        built = []
+
+        def capture(scheme, specs, **kwargs):
+            built.append(kwargs)
+            raise Captured  # stop before the twins run
+
+        monkeypatch.setattr(chaos_mod, "build_deployment", capture)
+        with pytest.raises(Captured):
+            main(["chaos", "--plan", plan, "--participants", "4", "--duration", "6000"])
+        defaults = chaos_mod.chaos_kwargs("dbo", chaos_mod.make_plan(plan, 6_000.0, 4), {})
+
+        def endpoints(kwargs):
+            deployment = build_deployment("dbo", cloud_specs(4, seed=12), **kwargs)
+            deployment._build()
+            return sorted(deployment.endpoints)
+
+        assert endpoints(built[0]) == endpoints(defaults)
 
     def test_congested_scenario_available(self):
         args = build_parser().parse_args(["run", "--scenario", "congested"])

@@ -17,9 +17,6 @@ MODULE_NAMES = [
     "repro.exchange.accounting",
     "repro.core.delivery_clock",
     "repro.core.system",
-    # NB: fetched via sys.modules — the package re-exports a same-named
-    # *function* that shadows the submodule as an attribute.
-    "repro.analysis.sweep",
 ]
 
 

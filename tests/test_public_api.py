@@ -186,6 +186,38 @@ def test_each_release_rule_exists_once():
     assert parameters["engine"].default is None
 
 
+def test_one_grid_runner_one_scenario_table():
+    import repro.analysis
+    import repro.cli
+    import repro.parallel.matrix
+    from repro.experiments.scenarios import SCENARIOS
+
+    # Grids of runs go through repro.parallel.run_cells; the analysis
+    # package keeps statistics only.
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.analysis.sweep")
+    assert sorted(repro.analysis.__all__) == [
+        "SampleSummary", "pooled_fairness", "summarize_samples", "wilson_interval",
+    ]
+    # Scenario names resolve through one map.
+    for module in (repro.cli, repro.parallel.matrix):
+        assert not [
+            name for name, value in vars(module).items()
+            if isinstance(value, dict) and value is not SCENARIOS
+            and set(value) & set(SCENARIOS)
+        ], module.__name__
+    assert not hasattr(repro.parallel.matrix, "_scenario_builders")
+    parser = repro.cli.build_parser()
+    subparsers = next(
+        action for action in parser._actions if action.dest == "command"
+    ).choices
+    for command in ("run", "compare", "sweep", "chaos", "chaos-table"):
+        scenario = next(
+            action for action in subparsers[command]._actions if action.dest == "scenario"
+        )
+        assert list(scenario.choices) == sorted(SCENARIOS), command
+
+
 def test_top_level_quickstart_surface():
     import repro
 

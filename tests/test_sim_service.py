@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.base import default_network_specs
 from repro.core.params import DBOParams
 from repro.core.system import DBODeployment
 from repro.experiments.scenarios import cloud_specs
@@ -109,3 +110,13 @@ class TestOBCapacityModel:
         # is still by stamp, so fairness holds even while latency explodes.
         flat = self.run(16, 1, service=1.5)
         assert evaluate_fairness(flat).ratio > 0.999
+
+    def test_supervisor_hears_every_participant_through_the_queue(self):
+        # Participants share their OB's queue; each item must be served by
+        # its sender's handler, or the detector hears only the last
+        # participant's RB and confirms the live others dead.
+        result = DBODeployment(
+            default_network_specs(4, seed=5), seed=5, supervise=True, ob_service_time=0.3
+        ).run(duration=5000.0)
+        for counter in ("detector_suspects", "supervisor_confirms", "supervisor_unrecoverable"):
+            assert result.counters[counter] == 0
