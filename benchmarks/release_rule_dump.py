@@ -1,7 +1,7 @@
 """Behaviour dump for refactors of the release rules (PR 16).
 
 Prints digest, ``RunResult.counters``, per-channel odometers and audit
-counts for 31 cells as canonical JSON, one cell per line.  Run it at two
+counts for 43 cells as canonical JSON, one cell per line.  Run it at two
 commits and ``cmp`` the outputs::
 
     PYTHONPATH=src python benchmarks/release_rule_dump.py > change.jsonl
@@ -11,14 +11,17 @@ commits and ``cmp`` the outputs::
 Cells: the six schemes clean at N=6, ``prob`` with a straggler
 threshold, ``dbo`` / ``prob`` x ``ob-failover`` / ``ob-crash`` /
 ``link-flaky`` x plain / ``RetransmitPolicy()`` / ``supervise=True``
-through ``run_chaos`` at N=8, and the target-addressed ``partition``
-plan on all six schemes (the injector's former link-addressing path).
+through ``run_chaos`` at N=8, the target-addressed ``partition``
+plan on all six schemes (the injector's former link-addressing path),
+and the six schemes at N=6 with Appendix D loss and recovery on the
+even participants' legs, forward+reverse and reverse-only.
 Uses only the public experiment API, so the same file runs unchanged on
 either side of the refactor.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any, Dict, Iterator, Tuple
 
@@ -49,9 +52,23 @@ def _run_doc(result: Any, audit: Any) -> Dict[str, Any]:
     }
 
 
-def _clean(scheme: str, **kwargs: Any) -> Dict[str, Any]:
+# Loss on the even participants' legs: forward+reverse, and reverse only.
+LOSSES: Tuple[Tuple[str, Dict[str, Any]], ...] = (
+    ("fwd+rev", {"loss_probability": 0.05}),
+    ("rev-only", {"loss_probability": 0.0, "reverse_loss_probability": 0.08}),
+)
+
+
+def _lossy_specs(loss: Dict[str, Any]) -> list:
+    return [
+        dataclasses.replace(spec, recovery_delay=300.0, **loss) if index % 2 == 0 else spec
+        for index, spec in enumerate(default_network_specs(6, seed=5))
+    ]
+
+
+def _clean(scheme: str, specs: Any = None, **kwargs: Any) -> Dict[str, Any]:
     deployment = build_deployment(
-        scheme, default_network_specs(6, seed=5), seed=5, **kwargs
+        scheme, specs or default_network_specs(6, seed=5), seed=5, **kwargs
     )
     auditor = InvariantAuditor()
     auditor.attach(deployment)
@@ -91,6 +108,11 @@ def cells() -> Iterator[Tuple[str, Dict[str, Any]]]:
         yield f"chaos/{scheme}/partition/plain", _chaos(
             scheme, "partition", **CLEAN_KWARGS.get(scheme, {})
         )
+    for scheme in SCHEMES:
+        for label, loss in LOSSES:
+            yield f"lossy/{scheme}/{label}", _clean(
+                scheme, _lossy_specs(loss), **CLEAN_KWARGS.get(scheme, {})
+            )
 
 
 if __name__ == "__main__":

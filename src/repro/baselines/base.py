@@ -18,14 +18,14 @@ Concrete schemes (`DBODeployment` in :mod:`repro.core.system`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exchange.ces import CentralExchangeServer
 from repro.exchange.feed import FeedConfig
 from repro.exchange.messages import MarketDataPoint, TradeOrder
 from repro.metrics.records import RunResult, TradeRecord
 from repro.net.latency import LatencyModel, UniformJitterLatency
-from repro.net.link import DeliveryHandler, Link, LossyLink
+from repro.net.link import DeliveryHandler
 from repro.net.multicast import MulticastGroup
 from repro.net.transport import Channel, MessageKey, Transport
 from repro.participants.mp import MarketParticipant
@@ -273,11 +273,9 @@ class BaseDeployment:
         appear when a fault actually consumed packets.
         """
         counters: Dict[str, float] = {}
-        links = [channel.link for channel in self.transport]
-        if any(isinstance(link, LossyLink) for link in links):
-            counters["packets_lost"] = float(
-                sum(link.packets_lost for link in links if isinstance(link, LossyLink))
-            )
+        links = list(self.transport)
+        if any(link.loss_probability for link in links):
+            counters["packets_lost"] = float(sum(link.packets_lost for link in links))
         blackholed = sum(link.packets_blackholed for link in links)
         if blackholed:
             counters["packets_blackholed"] = float(blackholed)
@@ -305,79 +303,32 @@ class BaseDeployment:
         drift = self.runtime.uniform(-self.rb_clock_drift, self.rb_clock_drift, index, 101)
         return DriftingClock(offset=offset, drift_rate=drift)
 
-    def _make_link(
-        self,
-        model: LatencyModel,
-        spec: NetworkSpec,
-        name: str,
-        seed_salt: int,
-        direction: str = "forward",
-    ) -> Link:
-        """A (possibly lossy) FIFO link for one leg of one participant."""
-        loss = spec.loss_for(direction)
-        if loss > 0.0:
-            return LossyLink(
-                self.engine,
-                model,
-                loss_probability=loss,
-                recovery_delay=spec.recovery_delay,
-                seed=self.runtime.u64(seed_salt),
-                name=name,
-            )
-        return Link(self.engine, model, name=name)
-
-    def _open_channel(
-        self,
-        model: LatencyModel,
-        spec: NetworkSpec,
-        name: str,
-        seed_salt: int,
-        direction: str = "forward",
-        source: str = "",
-        destination: str = "",
-        dedup_key: Optional[MessageKey] = None,
-        handler: Optional[DeliveryHandler] = None,
-    ) -> Channel:
-        """A named channel over a participant leg built by :meth:`_make_link`.
-
-        The channel adds message odometers, the dedup hook, and fault
-        addressability by name; loss accounting reads ``channel.link``.
-        """
-        link = self._make_link(model, spec, name, seed_salt, direction=direction)
+    def _open_channel(self, index: int, direction: str, **options: Any) -> Channel:
+        """Participant ``index``'s ``"forward"`` (``fwd-{mp}``, data) or
+        ``"reverse"`` (``rev-{mp}``, trades) leg, lossy (with out-of-band
+        recovery) when its spec gives that leg a loss rate.  ``options``
+        go to :meth:`Transport.open_channel`."""
+        spec = self.specs[index]
+        forward = direction == "forward"
         return self.transport.open_channel(
-            name,
-            link,
-            source=source,
-            destination=destination,
-            dedup_key=dedup_key,
-            handler=handler,
+            f"{'fwd' if forward else 'rev'}-{self.mp_ids[index]}",
+            self.engine,
+            getattr(spec, direction),
+            loss_probability=spec.loss_for(direction),
+            recovery_delay=spec.recovery_delay,
+            seed=self.runtime.u64(2 * index if forward else 2 * index + 1),
+            **options,
         )
 
-    def _open_control_channel(
-        self,
-        name: str,
-        model: LatencyModel,
-        source: str = "",
-        destination: str = "",
-        dedup_key: Optional[MessageKey] = None,
-        handler: Optional[DeliveryHandler] = None,
-        priority: int = 0,
-    ) -> Channel:
-        """A named channel over a fresh loss-free control link.
+    def _open_control_channel(self, name: str, model: LatencyModel, **options: Any) -> Channel:
+        """A named, loss-free control channel.
 
         Control traffic (acks, shard hops, adoption, egress) has no
-        :class:`NetworkSpec` leg of its own: it rides a plain FIFO link
+        :class:`NetworkSpec` leg of its own: it rides a plain FIFO channel
         with the given latency model, and partition/burst faults on it
         are accounted like any participant leg's.
         """
-        return self.transport.open_channel(
-            name,
-            Link(self.engine, model, name=name, priority=priority),
-            source=source,
-            destination=destination,
-            dedup_key=dedup_key,
-            handler=handler,
-        )
+        return self.transport.open_channel(name, self.engine, model, **options)
 
     def _open_leg(
         self, index: int, direction: str, dedup_key: MessageKey, handler: DeliveryHandler
@@ -385,25 +336,18 @@ class BaseDeployment:
         """Participant ``index``'s ``"forward"`` (data) or ``"reverse"``
         (trade) leg: a dedup'd channel with out-of-band loss recovery.
         Data legs join ``self.multicast``."""
-        spec = self.specs[index]
         mp_id = self.mp_ids[index]
         forward = direction == "forward"
-        name, salt, source, destination = (
-            (f"fwd-{mp_id}", 2 * index, "ces", mp_id) if forward
-            else (f"rev-{mp_id}", 2 * index + 1, mp_id, "ces")
-        )
+        source, destination = ("ces", mp_id) if forward else (mp_id, "ces")
         channel = self._open_channel(
-            getattr(spec, direction),
-            spec,
-            name=name,
-            seed_salt=salt,
-            direction=direction,
+            index,
+            direction,
             source=source,
             destination=destination,
             dedup_key=dedup_key,
             handler=handler,
+            loss_handler=handler,
         )
-        channel.set_loss_handler(handler)
         if forward:
             self.multicast.add_member(mp_id, channel)
         return channel

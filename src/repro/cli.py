@@ -226,9 +226,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_scheme_knobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--delta", type=float, default=20.0, help="DBO horizon δ (µs)")
-    p.add_argument("--kappa", type=float, default=0.25, help="DBO batch factor κ")
-    p.add_argument("--tau", type=float, default=20.0, help="DBO heartbeat period τ (µs)")
+    # Knobs left unset keep the library's defaults (DBOParams, the
+    # deployments, the `prob` registry row, SupervisionPolicy).
+    p.add_argument("--delta", type=float, default=None, help="DBO horizon δ (µs)")
+    p.add_argument("--kappa", type=float, default=None, help="DBO batch factor κ")
+    p.add_argument("--tau", type=float, default=None, help="DBO heartbeat period τ (µs)")
     p.add_argument("--straggler-threshold", type=float, default=None)
     p.add_argument(
         "--ob-shards", type=int, default=None,
@@ -249,11 +251,11 @@ def _add_scheme_knobs(p: argparse.ArgumentParser) -> None:
         help="arm the failure detector + supervised automatic recovery",
     )
     p.add_argument(
-        "--detector-window", type=int, default=8,
+        "--detector-window", type=int, default=None,
         help="inter-pulse gap history per endpoint (with --supervise)",
     )
     p.add_argument(
-        "--confirm-after", type=int, default=2,
+        "--confirm-after", type=int, default=None,
         help="failed probes before a suspect is confirmed dead (with --supervise)",
     )
     p.add_argument(
@@ -261,13 +263,13 @@ def _add_scheme_knobs(p: argparse.ArgumentParser) -> None:
         help="arm the RB ack/retransmit protocol (implied by --supervise)",
     )
     p.add_argument(
-        "--horizon", type=float, default=6.0,
+        "--horizon", type=float, default=None,
         help="prob confidence horizon h (µs); trades release h after arrival",
     )
-    p.add_argument("--c1", type=float, default=50.0, help="CloudEx data threshold (µs)")
-    p.add_argument("--c2", type=float, default=50.0, help="CloudEx trade threshold (µs)")
-    p.add_argument("--batch-interval", type=float, default=100_000.0, help="FBA period (µs)")
-    p.add_argument("--window", type=float, default=10.0, help="Libra window (µs)")
+    p.add_argument("--c1", type=float, default=None, help="CloudEx data threshold (µs)")
+    p.add_argument("--c2", type=float, default=None, help="CloudEx trade threshold (µs)")
+    p.add_argument("--batch-interval", type=float, default=None, help="FBA period (µs)")
+    p.add_argument("--window", type=float, default=None, help="Libra window (µs)")
 
 
 def _build_specs(args) -> list:
@@ -286,20 +288,20 @@ def _build_rt_model(args):
     return UniformResponseTime(low=args.rt_low, high=args.rt_high, seed=args.seed + 1)
 
 
+def _given(args, *names: str) -> dict:
+    """``{name: value}`` for the options among ``names`` the user gave."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _scheme_kwargs(scheme: str, args) -> dict:
     if scheme in ("dbo", "prob"):
         kwargs = dict(
-            params=DBOParams(
-                delta=args.delta,
-                kappa=args.kappa,
-                tau=args.tau,
-                straggler_threshold=args.straggler_threshold,
-            ),
+            params=DBOParams(**_given(args, "delta", "kappa", "tau", "straggler_threshold")),
         )
         if scheme == "prob":
             # The same deployment with the horizon release rule; it
             # rejects shards and trees itself.
-            kwargs["horizon"] = args.horizon
+            kwargs.update(_given(args, "horizon"))
         if args.ob_shards is not None:
             # Unset leaves the default, or the shards a chaos plan needs.
             kwargs["n_ob_shards"] = args.ob_shards
@@ -312,18 +314,17 @@ def _scheme_kwargs(scheme: str, args) -> dict:
         if args.supervise:
             kwargs["supervise"] = True
             kwargs["supervision_policy"] = SupervisionPolicy(
-                detector_window=args.detector_window,
-                confirm_after=args.confirm_after,
+                **_given(args, "detector_window", "confirm_after")
             )
         if args.retransmit or args.supervise:
             kwargs["retransmit_policy"] = RetransmitPolicy()
         return kwargs
     if scheme == "cloudex":
-        return dict(c1=args.c1, c2=args.c2)
+        return _given(args, "c1", "c2")
     if scheme == "fba":
-        return dict(batch_interval=args.batch_interval)
+        return _given(args, "batch_interval")
     if scheme == "libra":
-        return dict(window=args.window)
+        return _given(args, "window")
     return {}
 
 
@@ -437,6 +438,7 @@ def cmd_chaos(args) -> int:
         feed_config=FeedConfig(interval=args.interval),
         response_time_model=_build_rt_model(args),
         engine=args.engine,
+        drain=args.drain,
         **kwargs,
     )
     violated = not report.safe
@@ -524,6 +526,7 @@ def cmd_sweep(args) -> int:
                 duration=args.duration,
                 engine=args.engine,
                 feed_interval=args.interval,
+                drain=args.drain,
                 scheme_kwargs={
                     "params": DBOParams(**{args.param: value}),
                     "response_time_model": _build_rt_model(args),

@@ -429,16 +429,14 @@ class DBODeployment(BaseDeployment):
             # unique, so channel-level dedup makes duplicate delivery a
             # no-op for the data plane.
             forward = self._open_channel(
-                spec.forward,
-                spec,
-                name=f"fwd-{mp_id}",
-                seed_salt=2 * index,
+                index,
+                "forward",
                 source="ces",
                 destination=mp_id,
                 dedup_key=lambda batch: batch.batch_id,
                 handler=rb.on_batch,
+                loss_handler=rb.on_recovered_batch,
             )
-            forward.set_loss_handler(rb.on_recovered_batch)
             self.multicast.add_member(mp_id, forward)
 
             # Reverse path: trades and heartbeats share one FIFO channel
@@ -446,11 +444,8 @@ class DBODeployment(BaseDeployment):
             # No channel dedup — the OB's key-dedup owns at-least-once
             # semantics here, and heartbeats are idempotent.
             reverse = self._open_channel(
-                spec.reverse,
-                spec,
-                name=f"rev-{mp_id}",
-                seed_salt=2 * index + 1,
-                direction="reverse",
+                index,
+                "reverse",
                 source=mp_id,
                 destination="ob",
                 handler=self._make_ob_dispatcher(mp_id),

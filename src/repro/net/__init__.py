@@ -13,7 +13,7 @@ from repro.net.latency import (
     TraceLatency,
     UniformJitterLatency,
 )
-from repro.net.link import DeliveryRecord, Link, LossyLink
+from repro.net.link import Link
 from repro.net.multicast import MulticastGroup, Sendable
 from repro.net.transport import Channel, Transport
 from repro.net.trace import (
@@ -37,9 +37,7 @@ __all__ = [
     "TraceLatency",
     "UniformJitterLatency",
     "Channel",
-    "DeliveryRecord",
     "Link",
-    "LossyLink",
     "MulticastGroup",
     "Sendable",
     "Transport",

@@ -1,4 +1,4 @@
-"""Simulated network links with FIFO delivery and lossy variants.
+"""Simulated FIFO links with seeded loss and out-of-band recovery.
 
 The paper's network assumptions (§3):
 
@@ -10,37 +10,25 @@ The paper's network assumptions (§3):
 
 :class:`Link` enforces in-order delivery on top of an arbitrary
 :class:`~repro.net.latency.LatencyModel` by clamping each arrival to be no
-earlier than the previous arrival.  :class:`LossyLink` adds deterministic,
-seeded packet loss with the out-of-band recovery path.
+earlier than the previous arrival, and, when ``loss_probability`` is
+positive, adds deterministic, seeded packet loss with the out-of-band
+recovery path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+import math
+from typing import Any, Callable, Optional
 
 from repro.net.latency import LatencyModel
 from repro.sim.engine import EventEngine
 from repro.sim.randomness import stable_bool
 from repro.sim.runtime import as_runtime
 
-__all__ = ["Link", "LossyLink", "DeliveryRecord"]
+__all__ = ["Link"]
 
 # A delivery handler receives (message, send_time, arrival_time).
 DeliveryHandler = Callable[[Any, float, float], None]
-
-
-@dataclass
-class DeliveryRecord:
-    """Book-keeping for one packet traversal (used by metrics and tests)."""
-
-    message: Any
-    send_time: float
-    arrival_time: float
-    raw_latency: float
-    fifo_clamped: bool
-    lost: bool = False
-    recovered_at: Optional[float] = None
 
 
 class Link:
@@ -57,15 +45,32 @@ class Link:
         delivery.  May be set after construction via :meth:`connect`.
     name:
         Optional label for diagnostics.
-    record:
-        When true, keeps a :class:`DeliveryRecord` per packet (tests and
-        metric computation); large experiments leave it off.
     priority:
         Engine priority for delivery events.  Data-plane links deliver at
         the default priority 0; control channels that must order after
         (e.g. acks, priority 5) or before (e.g. standby adoption, -1)
         same-time data deliveries set it explicitly.
+    loss_probability / recovery_delay / seed:
+        Appendix D loss.  Each packet is lost with ``loss_probability``,
+        decided deterministically from ``(seed, packet index)``.  A lost
+        packet is not simply gone: the receiver notices and requests
+        retransmission over a slower path, so it arrives
+        ``recovery_delay`` microseconds after its normal arrival, outside
+        the FIFO clamp.
+    loss_handler:
+        Where recovered packets go, so receivers (e.g. the release
+        buffer) can apply the paper's rule that retransmitted data does
+        not advance the delivery clock.  Without one they reach the
+        receive handler, uncounted in :attr:`packets_delivered`.
     """
+
+    __slots__ = (
+        "runtime", "engine", "latency_model", "handler", "name", "priority",
+        "loss_probability", "recovery_delay", "seed", "loss_handler",
+        "_last_arrival", "_sent", "_delivered", "_packet_index", "_losses",
+        "blackhole", "_burst_loss_probability", "_burst_seed", "_blackholed",
+        "_burst_dropped", "_impaired",
+    )
 
     def __init__(
         self,
@@ -73,41 +78,46 @@ class Link:
         latency_model: LatencyModel,
         handler: Optional[DeliveryHandler] = None,
         name: str = "link",
-        record: bool = False,
         priority: int = 0,
+        loss_probability: float = 0.0,
+        recovery_delay: float = 1000.0,
+        seed: int = 0,
+        loss_handler: Optional[DeliveryHandler] = None,
     ) -> None:
+        if not 0.0 <= loss_probability < 1.0:
+            raise ValueError("loss_probability must be in [0, 1)")
+        if not 0 <= recovery_delay < math.inf:
+            raise ValueError("recovery_delay must be non-negative and finite")
         self.runtime = as_runtime(engine)
         self.engine = self.runtime.engine
         self.latency_model = latency_model
         self.handler = handler
         self.name = name
-        self.record = record
         self.priority = priority
-        self.records: List[DeliveryRecord] = []
-        # The callback `send` schedules for arrivals.  Defaults to the
-        # layered `_deliver`; a channel may install a fused closure that
-        # folds the link and channel delivery frames into one (it must
-        # keep the `_delivered` odometer exact).
-        self._deliver_target: DeliveryHandler = self._deliver
+        self.loss_probability = loss_probability
+        self.recovery_delay = recovery_delay
+        self.seed = seed
+        self.loss_handler = loss_handler
         self._last_arrival = float("-inf")
         self._sent = 0
         self._delivered = 0
+        self._packet_index = 0
+        self._losses = 0
         # Fault-injection state: a blackholed link silently drops every
         # packet (network partition); a loss burst drops each packet with
         # a deterministic per-index probability (congestion collapse).
-        # Unlike LossyLink drops, these are *not* recovered out-of-band.
+        # Unlike Appendix D losses, these are *not* recovered out-of-band.
         self.blackhole = False
         self._burst_loss_probability = 0.0
         self._burst_seed = 0
         self._blackholed = 0
         self._burst_dropped = 0
+        self._reimpair()
 
     # ------------------------------------------------------------------
     def connect(self, handler: DeliveryHandler) -> None:
         """Attach the receive handler (components are built before wiring)."""
         self.handler = handler
-        # A plain re-connect drops any previously installed fused target.
-        self._deliver_target = self._deliver
 
     @property
     def packets_sent(self) -> int:
@@ -116,6 +126,10 @@ class Link:
     @property
     def packets_delivered(self) -> int:
         return self._delivered
+
+    @property
+    def packets_lost(self) -> int:
+        return self._losses
 
     @property
     def packets_blackholed(self) -> int:
@@ -131,6 +145,7 @@ class Link:
     def set_blackhole(self, active: bool) -> None:
         """Partition this link: while active, every packet vanishes."""
         self.blackhole = bool(active)
+        self._reimpair()
 
     def start_loss_burst(self, loss_probability: float, seed: int = 0) -> None:
         """Begin a loss burst: drop each packet with this probability.
@@ -143,11 +158,19 @@ class Link:
             raise ValueError("loss_probability must be in [0, 1]")
         self._burst_loss_probability = float(loss_probability)
         self._burst_seed = int(seed)
+        self._reimpair()
 
     def stop_loss_burst(self) -> None:
         self._burst_loss_probability = 0.0
+        self._reimpair()
 
-    def _fault_dropped(self, send_time: float) -> bool:
+    def _reimpair(self) -> None:
+        """Re-derive the one flag the send path tests: loss, partition or burst."""
+        self._impaired = bool(
+            self.loss_probability or self.blackhole or self._burst_loss_probability
+        )
+
+    def _fault_dropped(self) -> bool:
         """Whether injected faults consume the packet being sent now."""
         if self.blackhole:
             self._blackholed += 1
@@ -179,124 +202,48 @@ class Link:
             raise RuntimeError(f"link {self.name!r} has no receive handler")
         engine = self.engine
         t_send = engine.now if send_time is None else send_time
-        if self.blackhole or self._burst_loss_probability:
-            if self._fault_dropped(t_send):
-                # The packet vanished in a partition/burst; report the
-                # arrival it would have seen so callers keep a uniform
-                # signature.
-                return t_send + self.latency_model.latency_at(t_send)
-        raw = self.latency_model.latency_at(t_send)
-        arrival = t_send + raw
+        arrival = t_send + self.latency_model.latency_at(t_send)
+        if self._impaired:
+            taken = self._impair(message, t_send, arrival)
+            if taken is not None:
+                return taken
         last = self._last_arrival
         if arrival < last:
-            clamped = True
             arrival = last
-        else:
-            clamped = False
         self._last_arrival = arrival
         self._sent += 1
-        if self.record:
-            self.records.append(
-                DeliveryRecord(
-                    message=message,
-                    send_time=t_send,
-                    arrival_time=arrival,
-                    raw_latency=raw,
-                    fifo_clamped=clamped,
-                )
-            )
         # Deliveries are never cancelled: the handle-free push.
-        engine.post_at(arrival, self._deliver_target, self.priority, (message, t_send, arrival))
+        engine.post_at(arrival, self._deliver, self.priority, (message, t_send, arrival))
         return arrival
 
+    def _impair(self, message: Any, t_send: float, arrival: float) -> Optional[float]:
+        """Appendix D loss and injected faults: the arrival :meth:`send`
+        reports for a packet they take, ``None`` for one that takes the
+        normal FIFO path (``arrival`` is its unclamped arrival)."""
+        if self.loss_probability:
+            index = self._packet_index
+            self._packet_index += 1
+            if stable_bool(self.loss_probability, self.seed, index):
+                if self._fault_dropped():
+                    # An injected partition/burst swallows even the
+                    # recovery request: the packet is gone for good.
+                    return arrival
+                # Out-of-band recovery: the message arrives late via the
+                # slow path; FIFO state is not advanced for it.
+                self._losses += 1
+                arrival += self.recovery_delay
+                target = self.loss_handler or self._accept
+                self.engine.post_at(arrival, target, 0, (message, t_send, arrival))
+                return arrival
+        # A packet that vanished in a partition/burst reports the arrival
+        # it would have seen, so callers keep a uniform signature.
+        return arrival if self._fault_dropped() else None
+
     def _deliver(self, message: Any, t_send: float, arrival: float) -> None:
-        handler = self.handler
-        if handler is None:  # pragma: no cover - send() validates before scheduling
-            raise RuntimeError(f"link {self.name!r} lost its handler in flight")
         self._delivered += 1
-        handler(message, t_send, arrival)
+        self.handler(message, t_send, arrival)  # type: ignore[misc]
 
-
-class LossyLink(Link):
-    """A FIFO link that drops packets and recovers them out-of-band.
-
-    Matching Appendix D, a dropped packet is not simply lost: the receiver
-    notices and requests retransmission over a slower path, so the message
-    eventually arrives after ``recovery_delay`` extra microseconds.  The
-    delivery handler receives a ``lost`` keyword through the optional
-    ``loss_handler`` channel so receivers (e.g. the release buffer) can
-    apply the paper's rule that retransmitted data does not advance the
-    delivery clock.
-
-    Loss decisions are a deterministic function of ``(seed, packet_index)``
-    so runs are reproducible.
-    """
-
-    def __init__(
-        self,
-        engine: EventEngine,
-        latency_model: LatencyModel,
-        loss_probability: float = 0.0,
-        recovery_delay: float = 1000.0,
-        seed: int = 0,
-        handler: Optional[DeliveryHandler] = None,
-        loss_handler: Optional[DeliveryHandler] = None,
-        name: str = "lossy-link",
-        record: bool = False,
-        priority: int = 0,
-    ) -> None:
-        super().__init__(
-            engine, latency_model, handler=handler, name=name, record=record, priority=priority
-        )
-        if not 0.0 <= loss_probability < 1.0:
-            raise ValueError("loss_probability must be in [0, 1)")
-        if recovery_delay < 0:
-            raise ValueError("recovery_delay must be non-negative")
-        self.loss_probability = loss_probability
-        self.recovery_delay = recovery_delay
-        self.seed = seed
-        self.loss_handler = loss_handler
-        self._packet_index = 0
-        self._losses = 0
-
-    @property
-    def packets_lost(self) -> int:
-        return self._losses
-
-    def send(self, message: Any, send_time: Optional[float] = None) -> float:
-        index = self._packet_index
-        self._packet_index += 1
-        t_send = self.engine.now if send_time is None else send_time
-        if self.loss_probability and stable_bool(self.loss_probability, self.seed, index):
-            # Out-of-band recovery: the message arrives late via the slow
-            # path; FIFO state is not advanced for it (it is out-of-band).
-            # The recovery target is validated *before* loss statistics
-            # are mutated so a wiring error leaves the counters clean.
-            target = self.loss_handler or self.handler
-            if target is None:
-                raise RuntimeError(f"link {self.name!r} has no receive handler")
-            if self._fault_dropped(t_send):
-                # An injected partition/burst swallows even the recovery
-                # request: the packet is gone for good.
-                return t_send + self.latency_model.latency_at(t_send)
-            self._losses += 1
-            raw = self.latency_model.latency_at(t_send)
-            recovered = t_send + raw + self.recovery_delay
-            if self.record:
-                self.records.append(
-                    DeliveryRecord(
-                        message=message,
-                        send_time=t_send,
-                        arrival_time=recovered,
-                        raw_latency=raw,
-                        fifo_clamped=False,
-                        lost=True,
-                        recovered_at=recovered,
-                    )
-                )
-
-            # The recovery target is resolved at send time (historical
-            # semantics); it rides along as a scheduled-call argument.
-            self.engine.post_at(recovered, target, 0, (message, t_send, recovered))
-            return recovered
-        return super().send(message, send_time)
+    def _accept(self, message: Any, send_time: float, arrival_time: float) -> None:
+        """Hand a packet to the receiver without counting a wire delivery:
+        where recoveries land when no ``loss_handler`` is set."""
+        self.handler(message, send_time, arrival_time)  # type: ignore[misc]

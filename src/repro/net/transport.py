@@ -2,14 +2,11 @@
 
 The paper's guarantees (§4.1.3, Appendix E) are stated over a network in
 which *every* message — market data, trades, heartbeats, acks — can be
-delayed, dropped, or duplicated.  Historically only the market-data and
-trade paths travelled over real :class:`~repro.net.link.Link` objects;
-control traffic (OB→RB acks, shard↔master forwarding, standby adoption,
-gateway egress) was wired through ad-hoc callbacks that faults could not
-reach.  This module closes that gap:
+delayed, dropped, or duplicated, so every message path is a channel:
 
-* a :class:`Channel` is one named unidirectional message path backed by a
-  ``Link`` and its latency model.  It adds per-channel odometers
+* a :class:`Channel` is one named unidirectional message path: a
+  :class:`~repro.net.link.Link` (latency model, FIFO clamp, Appendix D
+  loss, partition/burst faults) that adds per-channel odometers
   (sent/delivered/dropped/duplicated/deduped), optional **at-least-once
   duplication** (each message is delivered a second time with a seeded
   per-index probability — the classic behaviour of retry-based
@@ -33,7 +30,8 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Set
 
 from repro.net.latency import DegradedLatency, LatencyModel
-from repro.net.link import DeliveryHandler, Link, LossyLink
+from repro.net.link import DeliveryHandler, Link
+from repro.sim.engine import EventEngine
 from repro.sim.randomness import stable_bool
 
 __all__ = ["Channel", "Transport"]
@@ -42,16 +40,17 @@ __all__ = ["Channel", "Transport"]
 MessageKey = Callable[[Any], Hashable]
 
 
-class Channel:
-    """One named unidirectional message path over a FIFO link.
+class Channel(Link):
+    """One named unidirectional message path: a FIFO link with a name.
 
     Parameters
     ----------
     name:
         Unique channel name (the fault injector's address).
-    link:
-        The underlying :class:`~repro.net.link.Link` (or
-        :class:`~repro.net.link.LossyLink`) carrying the messages.
+    engine / latency_model / **link_options:
+        As for :class:`~repro.net.link.Link` (``handler``, ``priority``,
+        ``loss_probability``, ``recovery_delay``, ``seed``,
+        ``loss_handler``).
     source / destination:
         Endpoint labels, for reports and the architecture table.
     dedup_key:
@@ -63,21 +62,33 @@ class Channel:
         are first deliveries, merely late.
     """
 
+    # ``_deliver`` is a slot here: it shadows :meth:`Link._deliver` with
+    # the arrival method picked once, at construction, so dedup-free
+    # channels (the heartbeat lane) pay one frame per arrival.
+    __slots__ = (
+        "source", "destination", "_dedup_key", "_seen", "_deliver",
+        "_dup_probability", "_dup_seed", "_dup_index", "_messages_sent",
+        "_messages_delivered", "_messages_duplicated", "_messages_deduped",
+    )
+
     def __init__(
         self,
         name: str,
-        link: Link,
+        engine: EventEngine,
+        latency_model: LatencyModel,
         source: str = "",
         destination: str = "",
         dedup_key: Optional[MessageKey] = None,
+        **link_options: Any,
     ) -> None:
-        self.name = name
-        self.link = link
+        super().__init__(engine, latency_model, name=name, **link_options)
         self.source = source
         self.destination = destination
         self._dedup_key = dedup_key
-        self._handler: Optional[DeliveryHandler] = None
         self._seen: Set[Hashable] = set()
+        self._deliver = (  # type: ignore[method-assign]
+            self._deliver_all if dedup_key is None else self._deliver_once
+        )
         # At-least-once duplication state (fault injection).
         self._dup_probability = 0.0
         self._dup_seed = 0
@@ -88,43 +99,20 @@ class Channel:
         self._messages_deduped = 0
 
     # ------------------------------------------------------------------
-    # Wiring
+    # Delivery
     # ------------------------------------------------------------------
-    def connect(self, handler: DeliveryHandler) -> None:
-        """Attach the receive handler (behind the dedup hook, if any)."""
-        self._handler = handler
-        link = self.link
-        link.connect(self._on_delivery)
-        if self._dedup_key is None:
-            # Dedup-free channel: fold the link and channel delivery
-            # frames into one closure on the arrival path.  Both
-            # odometers stay exact, and the handler is read through the
-            # channel so a later re-connect takes effect.
-            def fused_delivery(
-                message: Any,
-                send_time: float,
-                arrival_time: float,
-                _ch: "Channel" = self,
-                _link: Link = link,
-            ) -> None:
-                _link._delivered += 1
-                _ch._messages_delivered += 1
-                _ch._handler(message, send_time, arrival_time)  # type: ignore[misc]
+    def _deliver_all(self, message: Any, send_time: float, arrival_time: float) -> None:
+        self._delivered += 1
+        self._messages_delivered += 1
+        self.handler(message, send_time, arrival_time)  # type: ignore[misc]
 
-            link._deliver_target = fused_delivery
+    def _deliver_once(self, message: Any, send_time: float, arrival_time: float) -> None:
+        self._delivered += 1
+        self._accept(message, send_time, arrival_time)
 
-    def set_loss_handler(self, handler: DeliveryHandler) -> None:
-        """Attach the out-of-band recovery target (Appendix D).
-
-        A no-op on loss-free links, so call sites stay uniform across
-        lossless and lossy network specs.
-        """
-        if isinstance(self.link, LossyLink):
-            self.link.loss_handler = handler
-
-    def _on_delivery(self, message: Any, send_time: float, arrival_time: float) -> None:
-        if self._handler is None:  # pragma: no cover - connect() precedes sends
-            raise RuntimeError(f"channel {self.name!r} has no receive handler")
+    def _accept(self, message: Any, send_time: float, arrival_time: float) -> None:
+        """The receiver side: dedup hook, channel odometer, handler.
+        Recoveries land here when no ``loss_handler`` is set."""
         if self._dedup_key is not None:
             key = self._dedup_key(message)
             if key in self._seen:
@@ -132,7 +120,7 @@ class Channel:
                 return
             self._seen.add(key)
         self._messages_delivered += 1
-        self._handler(message, send_time, arrival_time)
+        self.handler(message, send_time, arrival_time)  # type: ignore[misc]
 
     # ------------------------------------------------------------------
     # Sending
@@ -143,38 +131,23 @@ class Channel:
         While duplication is active, a seeded per-index coin decides
         whether an extra copy rides along at the same send time.  The
         duplication state is read here, per message — which is why
-        senders hold this bound method and never a pre-fused link send:
+        senders hold this bound method and never a bare link send:
         a :meth:`start_duplication` mid-run must reach the very next
         message.
         """
         self._messages_sent += 1
-        arrival = self.link.send(message, send_time)
+        arrival = Link.send(self, message, send_time)
         if self._dup_probability:
             index = self._dup_index
             self._dup_index += 1
             if stable_bool(self._dup_probability, self._dup_seed, index):
                 self._messages_duplicated += 1
-                self.link.send(message, send_time)
+                Link.send(self, message, send_time)
         return arrival
 
-    def arrival_time_for(self, send_time: float) -> float:
-        """Pure query: arrival a packet sent at ``send_time`` would see."""
-        return self.link.arrival_time_for(send_time)
-
     # ------------------------------------------------------------------
-    # Fault injection (uniform surface for the injector)
+    # Fault injection (partition and burst loss are the link's)
     # ------------------------------------------------------------------
-    def set_blackhole(self, active: bool) -> None:
-        """Partition this channel: while active, every message vanishes."""
-        self.link.set_blackhole(active)
-
-    def start_loss_burst(self, loss_probability: float, seed: int = 0) -> None:
-        """Drop each message with this probability (no recovery)."""
-        self.link.start_loss_burst(loss_probability, seed=seed)
-
-    def stop_loss_burst(self) -> None:
-        self.link.stop_loss_burst()
-
     def start_duplication(self, probability: float, seed: int = 0) -> None:
         """Begin at-least-once delivery: duplicate each message with
         ``probability``, decided deterministically per message index."""
@@ -189,19 +162,19 @@ class Channel:
     def degrade(self, extra: float = 0.0, factor: float = 1.0) -> None:
         """Worsen this channel's latency: ``latency ← factor·base + extra``.
 
-        The link's latency model is wrapped in a
+        The latency model is wrapped in a
         :class:`~repro.net.latency.DegradedLatency` on first use; the
         wrapper is transparent while healed, so wrapping alone never
         perturbs a run.
         """
-        model: LatencyModel = self.link.latency_model
+        model: LatencyModel = self.latency_model
         if not isinstance(model, DegradedLatency):
             model = DegradedLatency(model)
-            self.link.latency_model = model
+            self.latency_model = model
         model.set_degradation(extra=extra, factor=factor)
 
     def clear_degradation(self) -> None:
-        model = self.link.latency_model
+        model = self.latency_model
         if isinstance(model, DegradedLatency):
             model.clear()
 
@@ -227,7 +200,7 @@ class Channel:
     @property
     def messages_dropped(self) -> int:
         """Messages consumed by injected faults (partition/burst)."""
-        return self.link.packets_blackholed + self.link.packets_dropped_in_burst
+        return self._blackholed + self._burst_dropped
 
     def counters(self) -> Dict[str, float]:
         """Per-channel odometers, mirroring the link-level counters."""
@@ -238,8 +211,8 @@ class Channel:
             "duplicated": float(self._messages_duplicated),
             "deduped": float(self._messages_deduped),
         }
-        if isinstance(self.link, LossyLink):
-            out["lost"] = float(self.link.packets_lost)
+        if self.loss_probability:
+            out["lost"] = float(self._losses)
         return out
 
 
@@ -257,17 +230,24 @@ class Transport:
     def open_channel(
         self,
         name: str,
-        link: Link,
+        engine: EventEngine,
+        latency_model: LatencyModel,
         source: str = "",
         destination: str = "",
         dedup_key: Optional[MessageKey] = None,
         handler: Optional[DeliveryHandler] = None,
+        **link_options: Any,
     ) -> Channel:
-        """Register ``link`` as the channel ``name``; names are unique."""
+        """Build and register the channel ``name``; names are unique.
+
+        ``link_options`` are :class:`~repro.net.link.Link`'s (``priority``,
+        ``loss_probability``, ``recovery_delay``, ``seed``,
+        ``loss_handler``)."""
         if name in self._channels:
             raise ValueError(f"duplicate channel name: {name!r}")
         channel = Channel(
-            name, link, source=source, destination=destination, dedup_key=dedup_key
+            name, engine, latency_model, source=source, destination=destination,
+            dedup_key=dedup_key, **link_options,
         )
         if handler is not None:
             channel.connect(handler)

@@ -58,6 +58,7 @@ class CellSpec:
     engine: str = "heap"
     feed_interval: float = 40.0
     scheme_kwargs: Dict[str, Any] = field(default_factory=dict)
+    drain: Optional[float] = None  # None: the deployment's default drain
 
     @property
     def label(self) -> str:
@@ -75,6 +76,8 @@ class CellSpec:
             "engine": self.engine,
             "feed_interval": self.feed_interval,
             "scheme_kwargs": {k: repr(v) for k, v in sorted(self.scheme_kwargs.items())},
+            # Only when set, so default cells keep their artifacts' bytes.
+            **({} if self.drain is None else {"drain": self.drain}),
         }
 
 
@@ -164,6 +167,7 @@ def run_cell(cell: CellSpec) -> CellResult:
     factory = _specs_factory(cell)
     common = dict(
         duration=cell.duration,
+        drain=cell.drain,
         seed=cell.seed,
         engine=cell.engine,
         feed_config=FeedConfig(interval=cell.feed_interval),

@@ -63,7 +63,24 @@ class TestParser:
         )
         assert args.scheme == "prob"
         assert args.horizon == 4.5
-        assert build_parser().parse_args(["run"]).horizon == 6.0
+        # Unset, the `prob` registry row's horizon applies.
+        assert build_parser().parse_args(["run"]).horizon is None
+
+    def test_unset_knobs_keep_library_defaults(self):
+        from repro.cli import _scheme_kwargs
+        from repro.core.params import DBOParams
+
+        args = build_parser().parse_args(["run", "--supervise"])
+        for scheme in ("direct", "cloudex", "fba", "libra"):
+            assert _scheme_kwargs(scheme, args) == {}
+        for scheme in ("dbo", "prob"):
+            kwargs = _scheme_kwargs(scheme, args)
+            assert kwargs["params"] == DBOParams()
+            assert "horizon" not in kwargs
+            assert kwargs["supervision_policy"] == type(kwargs["supervision_policy"])()
+        args = build_parser().parse_args(["run", "--c1", "7", "--window", "3"])
+        assert _scheme_kwargs("cloudex", args) == {"c1": 7.0}
+        assert _scheme_kwargs("libra", args) == {"window": 3.0}
 
 
 class TestRun:
@@ -245,6 +262,15 @@ class TestSweep:
         assert "delta" in out
         assert "10.0" in out and "45.0" in out
 
+    def test_sweep_passes_drain(self, capsys):
+        def table(*drain):
+            argv = ["sweep", "--values", "10", "20", "--participants", "4",
+                    "--duration", "2000", *drain]
+            assert main(argv) == 0
+            return capsys.readouterr().out
+
+        assert table("--drain", "1") != table()
+
     def test_sweep_tau(self, capsys):
         code = main(
             ["sweep", "--param", "tau", "--values", "5", "40",
@@ -384,6 +410,14 @@ class TestChaos:
         assert chaos["plan"]["name"] == "ob-failover"
         assert chaos["degradation"]["fault_counters"]["ob_failovers"] == 1.0
         assert len(chaos["clean_digest"]) == 64
+
+    def test_chaos_passes_drain(self, capsys):
+        def clean_digest(*drain):
+            argv = ["chaos", "--participants", "4", "--duration", "2000", "--json", *drain]
+            assert main(argv) == 0
+            return json.loads(capsys.readouterr().out)["chaos"]["clean_digest"]
+
+        assert clean_digest("--drain", "1") != clean_digest()
 
     def test_chaos_from_plan_file(self, tmp_path, capsys):
         from repro.faults.plan import FaultSchedule, FaultSpec

@@ -90,7 +90,7 @@ class TestFiring:
         injector = FaultInjector(plan)
         injector.arm(deployment)
         deployment.run(duration=4_000.0)
-        fwd = {c.name: c.link for c in deployment.transport}
+        fwd = {c.name: c for c in deployment.transport}
         assert fwd["fwd-mp1"].packets_blackholed > 0
         assert fwd["fwd-mp0"].packets_blackholed == 0
         # Recovered: blackhole switched back off.
@@ -303,7 +303,7 @@ class TestChannelGlobs:
         assert injector.faults_recovered == 1
         # All three participants' ack channels were blackholed.
         dropped = sum(
-            channel.link.packets_blackholed
+            channel.packets_blackholed
             for channel in deployment.transport
             if channel.name.startswith("ack-")
         )

@@ -64,7 +64,7 @@ class TestDuplicationStartedMidRun:
         assert clean_channel.messages_duplicated == 0
         # Duplication adds copies, not sends, and every copy hit the link.
         assert 0 < channel.messages_duplicated < channel.messages_sent == clean_channel.messages_sent
-        assert channel.link.packets_sent == channel.messages_sent + channel.messages_duplicated
+        assert channel.packets_sent == channel.messages_sent + channel.messages_duplicated
         # The OB saw the trade copies (key dedup) and the heartbeat copies.
         assert clean.ordering_buffer.retransmits_ignored == 0
         assert duplicated.ordering_buffer.retransmits_ignored > 0

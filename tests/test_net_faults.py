@@ -1,13 +1,13 @@
 """Tests for the net-layer fault surface: blackhole, bursts, degradation.
 
-Also pins the LossyLink fix: a missing receive handler must fail before
+Also pins the lossy-link fix: a missing receive handler must fail before
 any loss statistic is mutated, so a wiring error leaves counters clean.
 """
 
 import pytest
 
 from repro.net.latency import ConstantLatency, DegradedLatency
-from repro.net.link import Link, LossyLink
+from repro.net.link import Link
 from repro.sim.engine import EventEngine
 
 
@@ -76,7 +76,7 @@ class TestLossBurst:
 class TestLossyLinkHandlerValidation:
     def test_missing_handler_fails_before_stats(self):
         engine = EventEngine()
-        link = LossyLink(
+        link = Link(
             engine, ConstantLatency(10.0), loss_probability=0.99, seed=1
         )
         # Find an index the loss draw hits, with no handler wired at all.
@@ -88,7 +88,7 @@ class TestLossyLinkHandlerValidation:
     def test_burst_swallows_even_the_recovery_path(self):
         engine = EventEngine()
         got, recovered = [], []
-        link = LossyLink(
+        link = Link(
             engine,
             ConstantLatency(10.0),
             loss_probability=0.99,

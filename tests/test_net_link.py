@@ -1,15 +1,17 @@
-"""Unit tests for FIFO links and lossy links."""
+"""Unit tests for FIFO links, with and without Appendix D loss."""
+
+import math
 
 import pytest
 
 from repro.net.latency import ConstantLatency, StepLatency
-from repro.net.link import Link, LossyLink
+from repro.net.link import Link
 from repro.sim.engine import EventEngine
 
 
-def make_link(engine, model, record=False):
+def make_link(engine, model):
     got = []
-    link = Link(engine, model, handler=lambda m, s, a: got.append((m, s, a)), record=record)
+    link = Link(engine, model, handler=lambda m, s, a: got.append((m, s, a)))
     return link, got
 
 
@@ -69,17 +71,6 @@ class TestLink:
         engine.run()
         assert got == ["x"]
 
-    def test_records_when_enabled(self):
-        engine = EventEngine()
-        link, _ = make_link(engine, ConstantLatency(5.0), record=True)
-        link.send("x")
-        engine.run()
-        assert len(link.records) == 1
-        record = link.records[0]
-        assert record.raw_latency == 5.0
-        assert not record.fifo_clamped
-        assert not record.lost
-
     def test_counters(self):
         engine = EventEngine()
         link, _ = make_link(engine, ConstantLatency(5.0))
@@ -94,7 +85,7 @@ class TestLink:
 class TestLossyLink:
     def make(self, engine, loss, recovery=100.0, seed=0):
         got, recovered = [], []
-        link = LossyLink(
+        link = Link(
             engine,
             ConstantLatency(5.0),
             loss_probability=loss,
@@ -147,7 +138,7 @@ class TestLossyLink:
     def test_recovery_falls_back_to_main_handler(self):
         engine = EventEngine()
         got = []
-        link = LossyLink(
+        link = Link(
             engine,
             ConstantLatency(5.0),
             loss_probability=0.9999,
@@ -162,9 +153,16 @@ class TestLossyLink:
     def test_validation(self):
         engine = EventEngine()
         with pytest.raises(ValueError):
-            LossyLink(engine, ConstantLatency(1.0), loss_probability=1.5)
+            Link(engine, ConstantLatency(1.0), loss_probability=1.5)
         with pytest.raises(ValueError):
-            LossyLink(engine, ConstantLatency(1.0), recovery_delay=-1.0)
+            Link(engine, ConstantLatency(1.0), recovery_delay=-1.0)
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf])
+    def test_recovery_delay_must_be_finite(self, delay):
+        # NaN passes a bare `< 0` check and would only fail mid-run, when
+        # the first recovery is scheduled at a NaN time.
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            Link(EventEngine(), ConstantLatency(1.0), recovery_delay=delay)
 
     def test_lost_packets_do_not_block_fifo(self):
         # A lost packet's (late) recovery must not delay later packets.

@@ -10,7 +10,7 @@ from repro.net.latency import (
     TraceLatency,
     UniformJitterLatency,
 )
-from repro.net.link import Link, LossyLink
+from repro.net.link import Link
 from repro.sim.engine import EventEngine
 
 
@@ -89,7 +89,7 @@ def test_lossy_link_conserves_messages(model, times, loss, seed):
     """Every sent message arrives exactly once (normal or recovered)."""
     engine = EventEngine()
     normal, recovered = [], []
-    link = LossyLink(
+    link = Link(
         engine,
         model,
         loss_probability=loss,

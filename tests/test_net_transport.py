@@ -24,19 +24,14 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultSchedule, FaultSpec
 from repro.metrics.serialization import summary_to_dict, trade_ordering_digest
 from repro.net.latency import ConstantLatency
-from repro.net.link import Link, LossyLink
 from repro.net.transport import Channel, Transport
 from repro.sim.engine import EventEngine
 
 
-def make_channel(dedup_key=None, latency=10.0, lossy=False, **link_kwargs):
+def make_channel(dedup_key=None, latency=10.0, **link_kwargs):
     engine = EventEngine()
-    if lossy:
-        link = LossyLink(engine, ConstantLatency(latency), **link_kwargs)
-    else:
-        link = Link(engine, ConstantLatency(latency), **link_kwargs)
-    channel = Channel("test", link, source="a", destination="b",
-                      dedup_key=dedup_key)
+    channel = Channel("test", engine, ConstantLatency(latency), source="a",
+                      destination="b", dedup_key=dedup_key, **link_kwargs)
     got = []
     channel.connect(lambda m, s, a: got.append((m, s, a)))
     return engine, channel, got
@@ -46,15 +41,15 @@ class TestTransportRegistry:
     def test_names_are_unique(self):
         engine = EventEngine()
         transport = Transport()
-        transport.open_channel("x", Link(engine, ConstantLatency(1.0)))
+        transport.open_channel("x", engine, ConstantLatency(1.0))
         with pytest.raises(ValueError, match="duplicate channel name"):
-            transport.open_channel("x", Link(engine, ConstantLatency(1.0)))
+            transport.open_channel("x", engine, ConstantLatency(1.0))
 
     def test_unknown_name_lists_available(self):
         engine = EventEngine()
         transport = Transport()
-        transport.open_channel("b", Link(engine, ConstantLatency(1.0)))
-        transport.open_channel("a", Link(engine, ConstantLatency(1.0)))
+        transport.open_channel("b", engine, ConstantLatency(1.0))
+        transport.open_channel("a", engine, ConstantLatency(1.0))
         with pytest.raises(KeyError, match=r"'a', 'b'"):
             transport.channel("zz")
 
@@ -62,7 +57,7 @@ class TestTransportRegistry:
         engine = EventEngine()
         transport = Transport()
         for name in ("rev-mp1", "ack-mp0", "fwd-mp0"):
-            transport.open_channel(name, Link(engine, ConstantLatency(1.0)))
+            transport.open_channel(name, engine, ConstantLatency(1.0))
         assert transport.names() == ["ack-mp0", "fwd-mp0", "rev-mp1"]
         assert [c.name for c in transport] == transport.names()
         assert list(transport.counters()) == transport.names()
@@ -119,20 +114,61 @@ class TestChannelDelivery:
         assert got[1][2] == 210.0
 
     def test_loss_handler_noop_on_plain_link(self):
-        _, channel, _ = make_channel()
-        channel.set_loss_handler(lambda m, s, a: None)  # must not raise
+        engine, channel, got = make_channel()
+        channel.loss_handler = lambda m, s, a: pytest.fail("a loss-free channel recovered")
+        channel.send("a", send_time=0.0)
+        engine.run()
+        assert [m for m, _, _ in got] == ["a"]
 
     def test_loss_handler_installed_on_lossy_link(self):
-        engine, channel, got = make_channel(lossy=True, loss_probability=0.99,
-                                            recovery_delay=50.0)
+        engine, channel, got = make_channel(loss_probability=0.99, recovery_delay=50.0)
         recovered = []
-        channel.set_loss_handler(lambda m, s, a: recovered.append(m))
+        channel.loss_handler = lambda m, s, a: recovered.append(m)
         for i in range(20):
             channel.send(i, send_time=float(i))
         engine.run()
         assert recovered  # some packets went the out-of-band way
         assert len(got) + len(recovered) == 20
         assert channel.counters()["lost"] == float(len(recovered))
+
+
+class TestLossRecoveryRoutes:
+    """Appendix D recoveries reach the receiver by one of two routes."""
+
+    def _run(self, with_loss_handler):
+        hooked, recovered = [], []
+
+        def key(message):
+            hooked.append(message)
+            return message
+
+        engine, channel, got = make_channel(
+            dedup_key=key, loss_probability=0.5, recovery_delay=50.0, seed=1
+        )
+        if with_loss_handler:
+            channel.loss_handler = lambda m, s, a: recovered.append(m)
+        for i in range(40):
+            channel.send(i, send_time=float(i))
+        engine.run()
+        return channel, [m for m, _, _ in got], hooked, recovered
+
+    def test_loss_handler_bypasses_dedup_and_delivered(self):
+        channel, got, hooked, recovered = self._run(with_loss_handler=True)
+        assert 0 < len(recovered) < 40
+        assert sorted(got + recovered) == list(range(40))
+        assert hooked == got  # the hook never saw a recovered packet
+        assert channel.packets_lost == len(recovered)
+        assert channel.messages_delivered == channel.packets_delivered == len(got)
+
+    def test_without_loss_handler_recoveries_pass_the_hook(self):
+        channel, got, hooked, recovered = self._run(with_loss_handler=False)
+        assert recovered == []
+        assert sorted(got) == sorted(hooked) == list(range(40))
+        lost = channel.packets_lost
+        assert 0 < lost < 40
+        # Counted as channel deliveries, not as wire deliveries.
+        assert channel.messages_delivered == 40
+        assert channel.packets_delivered == 40 - lost
 
 
 class TestDuplicateDelivery:

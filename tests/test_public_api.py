@@ -218,6 +218,28 @@ def test_one_grid_runner_one_scenario_table():
         assert list(scenario.choices) == sorted(SCENARIOS), command
 
 
+def test_one_object_per_message_path():
+    import repro.net
+    from repro.net.latency import ConstantLatency
+    from repro.net.link import Link
+    from repro.net.transport import Channel, Transport
+    from repro.sim.engine import EventEngine
+
+    # Loss is a Link parameter; a channel is a link with a name.
+    for removed in ("LossyLink", "DeliveryRecord"):
+        assert removed not in repro.net.__all__
+        assert not hasattr(repro.net, removed)
+    assert issubclass(Channel, Link)
+    engine = EventEngine()
+    channel = Transport().open_channel("x", engine, ConstantLatency(1.0))
+    assert isinstance(channel, Channel)
+    assert not hasattr(channel, "link")
+    # Slotted: an unslotted channel carries ~33 attributes, past the size
+    # at which CPython stops sharing instance-dict keys.
+    for instance in (channel, Link(engine, ConstantLatency(1.0))):
+        assert not hasattr(instance, "__dict__")
+
+
 def test_top_level_quickstart_surface():
     import repro
 
