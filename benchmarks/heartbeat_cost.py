@@ -1,6 +1,6 @@
 """Host cost of one heartbeat: a drain-only 8-participant cloud DBO run.
 
-The feed stops after 200 µs and the run drains for 400 ms, so almost
+The feed stops after 200 µs and the run drains for the full 400 ms, so almost
 every engine event is an RB heartbeat tick or its delivery (the batcher's
 idle window timer is the rest).  Prints the host microseconds per
 heartbeat — ``deployment.run`` wall over ``heartbeats_sent`` — for each
@@ -27,6 +27,10 @@ from repro.sim.runtime import Runtime
 def heartbeat_cost(seed: int) -> Tuple[float, int]:
     """``(host µs per heartbeat, heartbeats sent)`` of one drain-only run."""
     deployment = get_builder("dbo").build(cloud_specs(8, seed=seed), runtime=Runtime.create(seed=seed))
+    # A no-op event at the cap keeps the run from settling early, so the
+    # whole 400 ms drain is simulated (a settled run would stop within
+    # one drain checkpoint of the last trade).
+    deployment.engine.schedule_at(200.0 + 400_000.0, lambda: None)
     start = time.perf_counter()
     result = deployment.run(duration=200.0, drain=400_000.0)
     wall = time.perf_counter() - start

@@ -66,7 +66,9 @@ def _run_cell(n_participants: int, duration: float, drain: float) -> dict:
     wall = time.perf_counter() - wall_start
     counters = result.counters
     completed = sum(1 for t in result.trades if t.position is not None)
-    total_time = duration + drain
+    # Simulated time the run covered: it stops once settled, short of
+    # duration + drain.
+    total_time = counters["settled_at"]
     master_hb = counters["ob_heartbeats_processed"]
     width = counters["agg_tree_width"]
     row = {

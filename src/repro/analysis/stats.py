@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 __all__ = [
     "wilson_interval",
     "pooled_fairness",
@@ -119,8 +117,12 @@ def summarize_samples(samples: Sequence[float], confidence: float = 0.95) -> Sam
     """Mean, standard deviation, and a normal-approximation CI."""
     if not samples:
         return SampleSummary(0, math.nan, math.nan, math.nan, math.nan)
-    array = np.asarray(samples, dtype=float)
-    mean = float(array.mean())
-    std = float(array.std(ddof=1)) if array.size > 1 else 0.0
-    half = _z_for(confidence) * std / math.sqrt(array.size) if array.size > 1 else 0.0
-    return SampleSummary(int(array.size), mean, std, mean - half, mean + half)
+    values = [float(sample) for sample in samples]
+    count = len(values)
+    mean = math.fsum(values) / count
+    if count > 1:
+        std = math.sqrt(math.fsum((value - mean) * (value - mean) for value in values) / (count - 1))
+        half = _z_for(confidence) * std / math.sqrt(count)
+    else:
+        std = half = 0.0
+    return SampleSummary(count, mean, std, mean - half, mean + half)

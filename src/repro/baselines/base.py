@@ -35,7 +35,13 @@ from repro.sim.clocks import Clock, DriftingClock
 from repro.sim.randomness import stable_u64, stable_uniform
 from repro.sim.runtime import Runtime
 
-__all__ = ["NetworkSpec", "BaseDeployment", "default_network_specs"]
+__all__ = ["NetworkSpec", "BaseDeployment", "default_network_specs", "DRAIN_CHECKPOINTS"]
+
+# :meth:`BaseDeployment.run` cuts the drain into this many equal slices
+# and ends the run at the first slice boundary where it has settled, so
+# a settled run simulates at most ``drain / DRAIN_CHECKPOINTS`` of idle
+# time past the point where nothing could change any more.
+DRAIN_CHECKPOINTS = 32
 
 
 @dataclass
@@ -198,6 +204,10 @@ class BaseDeployment:
         # under it) is a named channel here, addressable by the fault
         # injector, summed for loss accounting and reported per run.
         self.transport = Transport()
+        # Fault injectors armed against this deployment (they register
+        # themselves): a fault that holds for the rest of the run keeps
+        # the full drain.
+        self.fault_injectors: List[Any] = []
         self._built = False
 
     # ------------------------------------------------------------------
@@ -264,6 +274,12 @@ class BaseDeployment:
     def _counters(self) -> Dict[str, float]:
         """Scheme-specific odometers merged into the result."""
         return {}
+
+    def _idle_message(self, message: Any) -> bool:
+        """Whether a pending delivery of ``message`` could change no trade,
+        digest, audit violation or liveness event once every trade is
+        forwarded (see :meth:`_settled`).  Default: no message is idle."""
+        return False
 
     def _link_counters(self) -> Dict[str, float]:
         """Network loss odometers, shared by every scheme.
@@ -425,9 +441,15 @@ class BaseDeployment:
         """Generate data for ``duration`` µs, drain in-flight trades,
         and assemble the :class:`RunResult`.
 
-        ``drain`` defaults to a generous window (covers spike-scale
-        latencies); trades still unfinished after it are reported
-        incomplete rather than waited for indefinitely.
+        ``drain`` is an upper bound: a generous window by default (covers
+        spike-scale latencies).  The run checks before each of
+        :data:`DRAIN_CHECKPOINTS` equal slices of it whether it has
+        settled (:meth:`_settled`) and stops at the first checkpoint where
+        it has, so heartbeat-only time after the last trade is not
+        simulated.  Trades still unfinished after the whole drain are
+        reported incomplete rather than waited for indefinitely.  The
+        result's ``counters["settled_at"]`` is the simulated end time;
+        ``duration + drain`` means the cap was hit.
         """
         if duration <= 0:
             raise ValueError("duration must be positive")
@@ -439,8 +461,48 @@ class BaseDeployment:
         self.ces.start(start_time=0.0, stop_time=duration)
         self._wire_external_sources(duration)
         self._start(duration)
-        self.engine.run(until=duration + drain)
+        engine = self.engine
+        # run(until=a) then run(until=b) processes exactly the events
+        # run(until=b) does, so slicing alone changes nothing.
+        engine.run(until=duration)
+        for checkpoint in range(1, DRAIN_CHECKPOINTS + 1):
+            if self._settled():
+                break
+            engine.run(until=duration + drain * checkpoint / DRAIN_CHECKPOINTS)
         return self._assemble(duration)
+
+    def _settled(self) -> bool:
+        """Whether the rest of the drain could change no trade, digest,
+        audit violation or liveness event.
+
+        True only when every trade a participant decided on has been
+        forwarded, every pending one-shot event is a channel delivery of
+        an idle message (:meth:`_idle_message`; periodic timers are
+        idle), no channel has Appendix D loss (a recovered message lands
+        late and out of order), no injected fault holds for the rest of
+        the run and no telemetry is sampling.  A lost or dropped trade is
+        never forwarded, so such a run keeps the full drain.  A scheme
+        that holds work for one of its periodic timers to release extends
+        this with that condition.
+        """
+        forwarded = len(self.ces.matching_engine.forwarded)
+        if forwarded != sum(len(mp.submitted) for mp in self.participants):
+            return False
+        if self.runtime.telemetry is not None:
+            return False
+        if any(injector.holding for injector in self.fault_injectors):
+            return False
+        if any(channel.loss_probability for channel in self.transport):
+            return False
+        for callback, args in self.engine.pending_calls():
+            channel = getattr(callback, "__self__", None)
+            if not (
+                isinstance(channel, Channel)
+                and callback == channel._deliver
+                and self._idle_message(args[0])
+            ):
+                return False
+        return True
 
     def _assemble(self, duration: float) -> RunResult:
         me = self.ces.matching_engine
@@ -470,6 +532,7 @@ class BaseDeployment:
 
         counters = dict(self._counters())
         counters.update(self._link_counters())
+        counters["settled_at"] = self.engine.now
         return RunResult(
             scheme=self.scheme_name,
             trades=trades,

@@ -89,5 +89,10 @@ class FBADeployment(BaseDeployment):
         # one boundary event (points first — the historical order).
         self.release_engine.on_boundary(now)
 
+    def _settled(self) -> bool:
+        # Points wait for the next auction, a periodic timer the base
+        # predicate counts as idle.
+        return not self._pending_points and super()._settled()
+
     def _counters(self) -> Dict[str, float]:
         return {"auctions_held": float(self.auctions_held)}

@@ -341,7 +341,7 @@ def _build_one(scheme: str, args, kwargs: Optional[dict] = None):
     )
 
 
-def _build_error(error: ValueError) -> int:
+def _build_error(error: Exception) -> int:
     """Report options the deployment rejects in one line, argparse-style."""
     print(f"repro: error: {error}", file=sys.stderr)
     return 2
@@ -378,7 +378,8 @@ def cmd_run(args) -> int:
                                             f"({args.participants} MPs, {args.duration:.0f} µs)"))
     print()
     print(f"fairness: {summary.fairness}")
-    print(f"completion: {100 * summary.completion:.2f} %")
+    completion = f"{100 * summary.completion:.2f} %" if result.trades else "n/a (no trades)"
+    print(f"completion: {completion}")
     if summary.counters:
         interesting = {k: v for k, v in sorted(summary.counters.items())}
         print(f"counters: {interesting}")
@@ -415,11 +416,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    if args.faults:
-        plan = FaultSchedule.load(args.faults)
-    else:
-        plan = make_plan(args.plan, args.duration, args.participants)
     try:
+        if args.faults:
+            plan = FaultSchedule.load(args.faults)
+        else:
+            plan = make_plan(args.plan, args.duration, args.participants)
         # Build (not run) one twin and arm the plan on it up front, so
         # options the deployment or the plan rejects end in a usage
         # error, not a traceback.
@@ -427,7 +428,7 @@ def cmd_chaos(args) -> int:
         twin = _build_one(args.scheme, args, chaos_kwargs(args.scheme, plan, kwargs))
         recovery = "detected" if kwargs.get("supervise") else "scripted"
         FaultInjector(plan, recovery=recovery).arm(twin)
-    except ValueError as error:
+    except (OSError, ValueError) as error:
         return _build_error(error)
     report = run_chaos(
         args.scheme,

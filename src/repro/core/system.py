@@ -755,6 +755,20 @@ class DBODeployment(BaseDeployment):
         detector.start(offset, duration)
         self.supervisor.start(duration)
 
+    def _settled(self) -> bool:
+        # An open batch window is closed by the batcher's periodic window
+        # timer, which the base predicate counts as idle.
+        batcher = self.batcher
+        return (batcher is None or not batcher.pending_count) and super()._settled()
+
+    def _idle_message(self, message: object) -> bool:
+        """Heartbeats and upstream watermark summaries: once every trade
+        is forwarded they only prove that nothing lower-stamped is still
+        in flight (§4.1.3), which can release nothing more."""
+        return type(message) is Heartbeat or (
+            type(message) is tuple and message[0] == "summary"
+        )
+
     # ------------------------------------------------------------------
     def _raw_arrivals(self) -> Dict[str, Dict[int, float]]:
         arrivals: Dict[str, Dict[int, float]] = {}

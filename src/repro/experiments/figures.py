@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.baselines.base import NetworkSpec
 from repro.core.params import DBOParams
 from repro.exchange.feed import FeedConfig
@@ -260,9 +258,13 @@ def figure10_latency_cdfs(
 def _cdf_series(values: Sequence[float], points: int = 200) -> List[Tuple[float, float]]:
     if len(values) == 0:
         return []
-    array = np.sort(np.asarray(values, dtype=float))
-    idx = np.linspace(0, array.size - 1, min(points, array.size)).astype(int)
-    return [(float(array[i]), (i + 1) / array.size) for i in idx]
+    ordered = sorted(map(float, values))
+    size = len(ordered)
+    count = min(points, size)
+    # numpy.linspace(0, size - 1, count).astype(int), last index exact.
+    step = (size - 1) / (count - 1) if count > 1 else 0.0
+    idx = [int(i * step) for i in range(count - 1)] + [size - 1]
+    return [(ordered[i], (i + 1) / size) for i in idx]
 
 
 def figure11_network_trace(seed: int = 2023) -> FigureResult:

@@ -74,7 +74,7 @@ class SchemeSummary:
     def table_row(self) -> List[object]:
         return [
             self.scheme,
-            self.fairness.percent,
+            self.fairness.percent if self.fairness.total_pairs else "n/a",
             self.latency.avg,
             self.latency.p50,
             self.latency.p99,

@@ -79,6 +79,8 @@ class FaultInjector:
         self.log: List[Dict[str, Any]] = []
         self.faults_fired = 0
         self.faults_recovered = 0
+        # Fired faults that no heal will ever undo (see ``holding``).
+        self._permanent_fired = 0
 
     # ------------------------------------------------------------------
     def arm(self, deployment: Any) -> None:
@@ -105,7 +107,16 @@ class FaultInjector:
                 engine.schedule_at(
                     fault.ends_at, self._recover, priority=1, args=(fault,)
                 )
+        deployment.fault_injectors.append(self)
         self.armed = True
+
+    @property
+    def holding(self) -> bool:
+        """Whether a fired fault holds for the rest of the run: a link, RB
+        or clock fault without a duration.  A timed fault's pending heal
+        is an engine event of its own, and a component crash is undone by
+        its playbook (scripted) or the supervisor (detected)."""
+        return self._permanent_fired > 0
 
     def _validate(self, deployment: Any) -> None:
         mp_ids = set(deployment.mp_ids)
@@ -249,6 +260,8 @@ class FaultInjector:
         else:  # pragma: no cover - plan validation rejects unknown kinds
             raise ValueError(f"unhandled fault kind {kind!r}")
         self.faults_fired += 1
+        if fault.ends_at is None and kind not in PLAYBOOK_ENDPOINTS:
+            self._permanent_fired += 1
         self._record("fire", fault)
 
     def _recover(self, fault: FaultSpec) -> None:

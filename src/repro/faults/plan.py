@@ -62,6 +62,7 @@ paths that have no participant leg.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
@@ -146,10 +147,16 @@ class FaultSpec:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of {sorted(FAULT_KINDS)}"
             )
-        if self.at < 0:
-            raise ValueError("fault trigger time must be non-negative")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError("fault duration must be positive when given")
+        # Written ``not lo <= x < inf`` so that NaN, for which every
+        # comparison is false, is rejected with infinity.
+        if not 0 <= self.at < math.inf:
+            raise ValueError(f"fault trigger time must be non-negative and finite, got {self.at}")
+        if self.duration is not None and not 0 < self.duration < math.inf:
+            raise ValueError(f"fault duration must be positive and finite when given, got {self.duration}")
+        if not -math.inf < self.magnitude < math.inf:
+            raise ValueError(f"fault magnitude must be finite, got {self.magnitude}")
+        if not 0 < self.factor < math.inf:
+            raise ValueError(f"fault factor must be positive and finite, got {self.factor}")
         if self.kind in _DURATION_REQUIRED and self.duration is None:
             raise ValueError(f"{self.kind} requires a duration")
         if (
@@ -186,8 +193,6 @@ class FaultSpec:
         if self.kind == "latency_degradation":
             if self.magnitude < 0:
                 raise ValueError("latency_degradation magnitude (extra µs) must be >= 0")
-            if self.factor <= 0:
-                raise ValueError("latency_degradation factor must be positive")
             if self.magnitude == 0 and self.factor == 1.0:
                 raise ValueError("latency_degradation must change something")
 
@@ -227,7 +232,10 @@ class FaultSpec:
             raise ValueError(f"unknown fault fields: {sorted(unknown)}")
         if "kind" not in data or "at" not in data:
             raise ValueError("a fault needs at least 'kind' and 'at'")
-        return cls(**data)
+        try:
+            return cls(**data)
+        except TypeError as error:  # e.g. a string where a number goes
+            raise ValueError(f"malformed fault {data!r}: {error}") from None
 
 
 @dataclass(frozen=True)

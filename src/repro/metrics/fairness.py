@@ -89,8 +89,10 @@ class FairnessReport:
         return 100.0 * self.ratio
 
     def __str__(self) -> str:
+        # n/a, not the vacuous 100 %, when no pairs competed.
+        percent = f"{self.percent:.2f}%" if self.total_pairs else "n/a"
         return (
-            f"fairness {self.percent:.2f}% "
+            f"fairness {percent} "
             f"({self.correct_pairs}/{self.total_pairs} pairs over {self.races} races)"
         )
 

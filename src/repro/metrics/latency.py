@@ -25,11 +25,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from repro.metrics.records import RunResult
 
 __all__ = [
+    "percentile",
     "LatencyStats",
     "trade_latencies",
     "latency_stats",
@@ -37,6 +36,24 @@ __all__ = [
     "max_rtt_stats",
     "data_delivery_latencies",
 ]
+
+
+def percentile(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (``0 <= q <= 100``) of a sorted, non-empty
+    sample: ``numpy.percentile`` with its default linear method, bit for
+    bit, including the interpolation from the upper neighbour when the
+    fraction is at least one half."""
+    last = len(ordered) - 1
+    index = last * (q / 100)
+    if index >= last:
+        return float(ordered[last])
+    below = math.floor(index)
+    low, high = ordered[below], ordered[below + 1]
+    fraction = index - below
+    diff = high - low
+    if fraction >= 0.5:
+        return float(high - diff * (1 - fraction))
+    return float(low + diff * fraction)
 
 
 @dataclass(frozen=True)
@@ -56,18 +73,16 @@ class LatencyStats:
     def from_samples(cls, samples: Sequence[float]) -> "LatencyStats":
         if not samples:
             return cls(0, math.nan, math.nan, math.nan, math.nan, math.nan, math.nan, math.nan)
-        array = np.asarray(samples, dtype=float)
-        # One call partitions the sample once for all four ranks.
-        p50, p99, p999, p9999 = np.percentile(array, [50, 99, 99.9, 99.99])
+        ordered = sorted(map(float, samples))
         return cls(
-            count=int(array.size),
-            avg=float(array.mean()),
-            p50=float(p50),
-            p99=float(p99),
-            p999=float(p999),
-            p9999=float(p9999),
-            minimum=float(array.min()),
-            maximum=float(array.max()),
+            count=len(ordered),
+            avg=math.fsum(ordered) / len(ordered),
+            p50=percentile(ordered, 50),
+            p99=percentile(ordered, 99),
+            p999=percentile(ordered, 99.9),
+            p9999=percentile(ordered, 99.99),
+            minimum=ordered[0],
+            maximum=ordered[-1],
         )
 
     def row(self) -> str:

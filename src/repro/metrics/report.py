@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
+from repro.metrics.latency import percentile
 
 __all__ = ["render_table", "render_cdf", "cdf_points", "render_series"]
 
@@ -55,11 +55,11 @@ def cdf_points(samples: Sequence[float], quantiles: Optional[Sequence[float]] = 
     """
     if not samples:
         return []
-    array = np.sort(np.asarray(samples, dtype=float))
+    ordered = sorted(map(float, samples))
     if quantiles is not None:
-        return [(float(np.percentile(array, 100.0 * q)), q) for q in quantiles]
-    n = array.size
-    return [(float(v), (i + 1) / n) for i, v in enumerate(array)]
+        return [(percentile(ordered, 100.0 * q), q) for q in quantiles]
+    n = len(ordered)
+    return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
 
 
 def render_cdf(
@@ -70,15 +70,12 @@ def render_cdf(
     """A compact multi-series CDF table (rows = quantiles, cols = series)."""
     names = list(named_samples)
     headers = ["quantile"] + names
+    ordered = {name: sorted(map(float, named_samples[name])) for name in names}
     rows: List[List[object]] = []
     for q in quantiles:
         row: List[object] = [f"p{100 * q:g}"]
         for name in names:
-            samples = named_samples[name]
-            if len(samples) == 0:
-                row.append("-")
-            else:
-                row.append(float(np.percentile(np.asarray(samples, dtype=float), 100.0 * q)))
+            row.append(percentile(ordered[name], 100.0 * q) if ordered[name] else "-")
         rows.append(row)
     return render_table(headers, rows, title=f"CDF of {value_label}")
 

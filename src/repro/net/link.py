@@ -66,7 +66,7 @@ class Link:
 
     __slots__ = (
         "runtime", "engine", "latency_model", "handler", "name", "priority",
-        "loss_probability", "recovery_delay", "seed", "loss_handler",
+        "_loss_probability", "recovery_delay", "seed", "loss_handler",
         "_last_arrival", "_sent", "_delivered", "_packet_index", "_losses",
         "blackhole", "_burst_loss_probability", "_burst_seed", "_blackholed",
         "_burst_dropped", "_impaired",
@@ -84,8 +84,6 @@ class Link:
         seed: int = 0,
         loss_handler: Optional[DeliveryHandler] = None,
     ) -> None:
-        if not 0.0 <= loss_probability < 1.0:
-            raise ValueError("loss_probability must be in [0, 1)")
         if not 0 <= recovery_delay < math.inf:
             raise ValueError("recovery_delay must be non-negative and finite")
         self.runtime = as_runtime(engine)
@@ -94,7 +92,6 @@ class Link:
         self.handler = handler
         self.name = name
         self.priority = priority
-        self.loss_probability = loss_probability
         self.recovery_delay = recovery_delay
         self.seed = seed
         self.loss_handler = loss_handler
@@ -112,12 +109,24 @@ class Link:
         self._burst_seed = 0
         self._blackholed = 0
         self._burst_dropped = 0
-        self._reimpair()
+        self.loss_probability = loss_probability
 
     # ------------------------------------------------------------------
     def connect(self, handler: DeliveryHandler) -> None:
         """Attach the receive handler (components are built before wiring)."""
         self.handler = handler
+
+    @property
+    def loss_probability(self) -> float:
+        """Appendix D loss rate; a write takes effect from the next send."""
+        return self._loss_probability
+
+    @loss_probability.setter
+    def loss_probability(self, value: float) -> None:
+        if not 0.0 <= value < 1.0:
+            raise ValueError("loss_probability must be in [0, 1)")
+        self._loss_probability = value
+        self._reimpair()
 
     @property
     def packets_sent(self) -> int:
@@ -167,7 +176,7 @@ class Link:
     def _reimpair(self) -> None:
         """Re-derive the one flag the send path tests: loss, partition or burst."""
         self._impaired = bool(
-            self.loss_probability or self.blackhole or self._burst_loss_probability
+            self._loss_probability or self.blackhole or self._burst_loss_probability
         )
 
     def _fault_dropped(self) -> bool:
@@ -220,10 +229,10 @@ class Link:
         """Appendix D loss and injected faults: the arrival :meth:`send`
         reports for a packet they take, ``None`` for one that takes the
         normal FIFO path (``arrival`` is its unclamped arrival)."""
-        if self.loss_probability:
+        if self._loss_probability:
             index = self._packet_index
             self._packet_index += 1
-            if stable_bool(self.loss_probability, self.seed, index):
+            if stable_bool(self._loss_probability, self.seed, index):
                 if self._fault_dropped():
                     # An injected partition/burst swallows even the
                     # recovery request: the packet is gone for good.

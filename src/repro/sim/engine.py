@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple, Union, runtime_checkable
+from typing import Any, Callable, Dict, Iterator, List, Optional, Protocol, Tuple, Union, runtime_checkable
 
 __all__ = [
     "EventEngine",
@@ -293,6 +293,19 @@ class HeapEventEngine:
         """Number of events still in the queue (including cancelled)."""
         return len(self._heap)
 
+    def pending_calls(self) -> Iterator[Tuple[Callable[..., None], Tuple[Any, ...]]]:
+        """``(callback, args)`` of every live one-shot event, in queue
+        order (not time order).  Periodic timers are left out.  Read-only:
+        it lets a caller ask what is still due without touching the heap.
+        """
+        for entry in self._heap:
+            callback = entry[3]
+            if callback is not None and not self._is_tick(callback):
+                yield callback, entry[4]
+
+    def _is_tick(self, callback: Callable[..., None]) -> bool:
+        return type(callback) is PeriodicTimer
+
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
@@ -530,23 +543,39 @@ class ReferenceHeapEngine(HeapEventEngine):
                 f"cannot schedule timer at {start_time} before current time {self.now}"
             )
         timer = PeriodicTimer(self, start_time, period, callback, priority)
-
-        def tick() -> None:
-            if not timer._active:
-                return
-            timer._fires += 1
-            callback()
-            if timer._active:
-                self.schedule_after(period, tick, priority)
-
-        self.schedule_at(start_time, tick, priority)
+        self.schedule_at(start_time, _EmulatedTick(self, timer), priority)
         return timer
+
+    def _is_tick(self, callback: Callable[..., None]) -> bool:
+        return type(callback) is _EmulatedTick
 
     def _on_timer_cancel(self, timer: PeriodicTimer) -> None:
         # The emulated timer's pending tick entry stays live until popped
         # (matching the historical push-per-tick behaviour); nothing to
         # account for here.
         pass
+
+
+class _EmulatedTick:
+    """One :class:`ReferenceHeapEngine` timer tick, as a one-shot event
+    that re-posts itself ``period`` later.  A class rather than a closure
+    so :meth:`HeapEventEngine.pending_calls` can tell ticks from one-shots.
+    """
+
+    __slots__ = ("_engine", "_timer")
+
+    def __init__(self, engine: ReferenceHeapEngine, timer: PeriodicTimer) -> None:
+        self._engine = engine
+        self._timer = timer
+
+    def __call__(self) -> None:
+        timer = self._timer
+        if not timer._active:
+            return
+        timer._fires += 1
+        timer._callback()
+        if timer._active:
+            self._engine.schedule_after(timer._period, self, timer._priority)
 
 
 # The historical name: the default engine every existing construction

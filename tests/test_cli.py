@@ -102,6 +102,16 @@ class TestRun:
         assert code == 0
         assert "direct" in capsys.readouterr().out
 
+    def test_run_without_races_reports_na(self, capsys):
+        # FBA's default 100 ms auction never fires in 5 ms: no trades, so
+        # no pairs; fairness is not a vacuous 100 %.
+        code = main(["run", "--scheme", "fba", "--participants", "6", "--duration", "5000"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "fairness: fairness n/a (0/0 pairs over 0 races)" in out
+        assert "completion: n/a (no trades)" in out
+        assert "100.00" not in out
+
     def test_run_with_race_gap(self, capsys):
         code = main(
             ["run", "--scheme", "dbo", "--participants", "3",
@@ -205,6 +215,31 @@ class TestDeploymentErrors:
         path.write_text(FaultSchedule.of(FaultSpec(kind="rb_crash", at=1_000.0, target="mp99")).to_json())
         line = self.error_of(["chaos", "--faults", str(path), "--participants", "3"], capsys)
         assert "unknown participant 'mp99'" in line
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"faults": [{"kind": "rb_crash", "at": NaN, "target": "mp0", "duration": 100}]}',
+             "trigger time must be non-negative and finite"),
+            ('{"faults": [{"kind": "latency_degradation", "at": 100, "magnitude": NaN, "target": "mp0"}]}',
+             "magnitude must be finite"),
+            ('{"faults": [{"kind": "partition", "at": "soon", "target": "mp0", "duration": 5}]}',
+             "malformed fault"),
+            ("{not json", "Expecting property name"),
+        ],
+        ids=["nan-at", "nan-magnitude", "string-at", "bad-json"],
+    )
+    def test_chaos_malformed_plan_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        line = self.error_of(["chaos", "--faults", str(path), "--participants", "3"], capsys)
+        assert message in line
+
+    def test_chaos_missing_plan_file(self, tmp_path, capsys):
+        line = self.error_of(
+            ["chaos", "--faults", str(tmp_path / "absent.json"), "--participants", "3"], capsys
+        )
+        assert "No such file" in line
 
     def test_chaos_tree_plan_on_a_baseline(self, capsys):
         line = self.error_of(["chaos", "--scheme", "direct", "--plan", "aggregator-crash"], capsys)

@@ -27,6 +27,30 @@ class TestFaultSpecValidation:
         with pytest.raises(ValueError):
             FaultSpec(kind="ob_failover", at=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "field, base, message",
+        [
+            ("at", {"kind": "rb_crash", "target": "mp0", "duration": 10.0}, "trigger time"),
+            ("duration", {"kind": "partition", "at": 1.0, "target": "mp0"}, "duration"),
+            ("magnitude", {"kind": "latency_degradation", "at": 1.0, "target": "mp0"}, "magnitude"),
+            ("magnitude", {"kind": "clock_drift", "at": 1.0, "target": "mp0"}, "magnitude"),
+            ("factor", {"kind": "latency_degradation", "at": 1.0, "target": "mp0"}, "factor"),
+        ],
+        ids=["at", "duration", "degradation-magnitude", "drift-magnitude", "factor"],
+    )
+    def test_non_finite_fields_rejected(self, field, base, message, value):
+        with pytest.raises(ValueError, match=message):
+            FaultSpec(**{**base, field: value})
+
+    def test_non_finite_fields_rejected_at_load(self):
+        with pytest.raises(ValueError, match="trigger time"):
+            FaultSchedule.from_json('{"faults": [{"kind": "ob_failover", "at": NaN}]}')
+
+    def test_non_numeric_field_is_a_value_error(self):
+        with pytest.raises(ValueError, match="malformed fault"):
+            FaultSchedule.from_dict({"faults": [{"kind": "ob_failover", "at": "soon"}]})
+
     def test_duration_required_for_window_kinds(self):
         for kind in ("link_burst_loss", "partition", "gateway_stall"):
             with pytest.raises(ValueError, match="duration"):

@@ -85,6 +85,12 @@ class TestEvaluateFairness:
         assert report.ratio == 1.0
         assert report.percent == 100.0
 
+    def test_no_pairs_prints_na_but_pools_as_one(self):
+        report = FairnessReport(correct_pairs=0, total_pairs=0, races=0, unordered_trades=0)
+        assert report.ratio == 1.0
+        assert str(report) == "fairness n/a (0/0 pairs over 0 races)"
+        assert str(FairnessReport(3, 4, 1, 0)) == "fairness 75.00% (3/4 pairs over 1 races)"
+
     def test_partial_misordering(self):
         trades = [
             record("a", 0, 0, 5.0, f=3.0, pos=2),  # fastest, ordered last

@@ -10,6 +10,7 @@ from repro.metrics.latency import (
     latency_stats,
     max_rtt_bound_per_trade,
     max_rtt_stats,
+    percentile,
     trade_latencies,
 )
 from repro.metrics.records import RunResult, TradeRecord
@@ -144,3 +145,39 @@ class TestDataDeliveryLatencies:
     def test_unknown_participant_empty(self):
         run = simple_run([])
         assert data_delivery_latencies(run, "zzz") == {}
+
+
+class TestPercentileMatchesNumpy:
+    """The stdlib helper against ``numpy.percentile`` (a dev dependency)."""
+
+    def test_bit_identical_over_random_samples(self):
+        np = pytest.importorskip("numpy")
+        import random
+
+        rng = random.Random(12)
+        for case in range(3_000):
+            size = rng.choice((1, 2, 3, 7, 8, 9, 100, 1_001))
+            sample = sorted(rng.uniform(-1e3, 1e6) if case % 3 else rng.expovariate(0.01) for _ in range(size))
+            for q in (0, 10, 25, 50, 75, 90, 99, 99.9, 99.99, 100, rng.uniform(0, 100)):
+                assert percentile(sample, q) == float(np.percentile(sample, q)), (size, q)
+
+    def test_ties_and_single_sample(self):
+        assert percentile([5.0], 99.0) == 5.0
+        assert percentile([1.0, 1.0, 1.0], 50.0) == 1.0
+        assert percentile([0.0, 10.0], 100.0) == 10.0
+
+
+def test_core_import_path_loads_no_numpy():
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = "import sys, repro.experiments, repro.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

@@ -157,6 +157,23 @@ class TestLossyLink:
         with pytest.raises(ValueError):
             Link(engine, ConstantLatency(1.0), recovery_delay=-1.0)
 
+    def test_loss_set_after_construction_takes_effect(self):
+        engine = EventEngine()
+        link, got, recovered = self.make(engine, 0.0)
+        link.loss_probability = 0.9999
+        for i in range(10):
+            link.send(i)
+        engine.run()
+        assert got == []
+        assert len(recovered) == link.packets_lost == 10
+
+    @pytest.mark.parametrize("loss", [1.0, -0.1, math.nan])
+    def test_loss_write_is_validated(self, loss):
+        link, _, _ = self.make(EventEngine(), 0.1)
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            link.loss_probability = loss
+        assert link.loss_probability == 0.1
+
     @pytest.mark.parametrize("delay", [math.nan, math.inf])
     def test_recovery_delay_must_be_finite(self, delay):
         # NaN passes a bare `< 0` check and would only fail mid-run, when
