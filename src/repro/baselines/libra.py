@@ -11,9 +11,10 @@ degrades as latency variability grows past the window.
 Market data is delivered directly (Libra does not touch the forward
 path).
 
-The hold-and-shuffle rule is
-:class:`repro.ordering.libra.RandomizedWindowPolicy` on the shared
-:class:`repro.core.release_engine.ReleaseEngine`; this module is pure
+The hold-and-shuffle rule is the batch auction's
+:class:`repro.ordering.fba.BatchAuctionPolicy` on the shared
+:class:`repro.core.release_engine.ReleaseEngine`, closed every
+``window`` µs instead of every auction interval; this module is pure
 topology.
 """
 
@@ -24,7 +25,7 @@ from typing import Dict
 
 from repro.baselines.base import BaseDeployment
 from repro.core.release_engine import ReleaseEngine
-from repro.ordering.libra import RandomizedWindowPolicy
+from repro.ordering.fba import BatchAuctionPolicy
 
 __all__ = ["LibraDeployment"]
 
@@ -47,7 +48,7 @@ class LibraDeployment(BaseDeployment):
             raise ValueError("window must be positive and finite")
         self.window = window
         self.release_engine = ReleaseEngine(
-            RandomizedWindowPolicy(self.runtime.substream(78)),
+            BatchAuctionPolicy(self.runtime.substream(78)),
             sink=lambda order, now: self.ces.matching_engine.submit(
                 order, forward_time=now
             ),

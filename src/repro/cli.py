@@ -27,7 +27,7 @@ from typing import Dict, Optional, Sequence
 from repro.core.params import AggregationTopology, DBOParams, SupervisionPolicy
 from repro.core.release_buffer import RetransmitPolicy
 from repro.exchange.feed import FeedConfig
-from repro.experiments.registry import REGISTRY, available_schemes
+from repro.experiments.registry import available_schemes, get_builder
 from repro.experiments.runner import build_deployment, comparison_table, summarize
 from repro.metrics.serialization import summary_to_dict, trade_ordering_digest
 from repro.sim.engine import ENGINE_FACTORIES
@@ -65,7 +65,7 @@ FIGURES = {
 def _scheme_help() -> str:
     """One line per registered scheme, straight from the registry."""
     return "; ".join(
-        f"{name}: {REGISTRY.get(name).description}" for name in available_schemes()
+        f"{name}: {get_builder(name).description}" for name in available_schemes()
     )
 
 

@@ -313,6 +313,9 @@ class MasterOB(HeartbeatAggregator, WarmupHold):
     warm-up, :class:`~repro.core.ordering_buffer.WarmupHold`.
     """
 
+    # As on the flat OB: the deployment's ack for a copy of a released trade.
+    reack: Optional[ReleaseSink] = None
+
     def __init__(
         self,
         child_ids: Sequence[str],
@@ -372,7 +375,7 @@ class MasterOB(HeartbeatAggregator, WarmupHold):
                 return
             raise KeyError(f"unknown shard {child_id!r}")
         if tagged.trade.key in self._released:
-            self.duplicates_ignored += 1
+            self._drop_released(tagged, now)
             return
         if self.releasing_children and not self._frozen.get(child_id):
             # While frozen, in-flight forwards predate the composition
@@ -386,7 +389,7 @@ class MasterOB(HeartbeatAggregator, WarmupHold):
 
     def _enqueue(self, child_id: str, tagged: TaggedTrade, now: float) -> None:
         if tagged.trade.key in self._released:
-            self.duplicates_ignored += 1
+            self._drop_released(tagged, now)
             return
         heapq.heappush(
             self._heap,
@@ -420,12 +423,18 @@ class MasterOB(HeartbeatAggregator, WarmupHold):
             _, _, _, _, tagged = heapq.heappop(self._heap)
             key = tagged.trade.key
             if key in self._released:
-                self.duplicates_ignored += 1
+                self._drop_released(tagged, now)
                 continue
             self._released.add(key)
             self.trades_released += 1
             if self.sink is not None:
                 self.sink(tagged, now)
+
+    def _drop_released(self, tagged: TaggedTrade, now: float) -> None:
+        """Discard a copy of a released trade, acking it again."""
+        self.duplicates_ignored += 1
+        if self.reack is not None:
+            self.reack(tagged, now)
 
     # The merged minimum moved: the release attempt *is* the hook (no
     # trampoline frame per child summary).
@@ -438,7 +447,7 @@ class MasterOB(HeartbeatAggregator, WarmupHold):
             _, _, _, _, tagged = heapq.heappop(self._heap)
             key = tagged.trade.key
             if key in self._released:
-                self.duplicates_ignored += 1
+                self._drop_released(tagged, now)
                 continue
             self._released.add(key)
             self.trades_released += 1

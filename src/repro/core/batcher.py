@@ -33,7 +33,6 @@ from typing import Callable, List, Optional
 
 from repro.exchange.messages import MarketDataBatch, MarketDataPoint
 from repro.sim.engine import EventEngine, PeriodicTimer
-from repro.sim.runtime import as_runtime
 
 __all__ = ["Batcher"]
 
@@ -67,8 +66,7 @@ class Batcher:
             raise ValueError("batch_span must be positive")
         if feed_interval is not None and feed_interval <= 0:
             raise ValueError("feed_interval must be positive when given")
-        self.runtime = as_runtime(engine)
-        self.engine = self.runtime.engine
+        self.engine = engine
         self.batch_span = float(batch_span)
         self.sink = sink
         self.feed_interval = feed_interval

@@ -134,6 +134,10 @@ class OrderingBuffer(WarmupHold):
 
     # The failure detector's and the recovery table's name for it.
     endpoint = "ob"
+    # Set by a deployment with retransmission armed on its releasing
+    # root: answers a copy of an already-released trade with the ack its
+    # release sent, so an RB whose ack was lost stops retransmitting.
+    reack: Optional[ReleaseSink] = None
 
     def __init__(
         self,
@@ -210,6 +214,8 @@ class OrderingBuffer(WarmupHold):
             # back).  The first copy already counts; the duplicate is still
             # proof of progress, so its stamp feeds the watermark.
             self.retransmits_ignored += 1
+            if self.reack is not None and key in self._released:
+                self.reack(tagged, arrival_time)
             self._policy.advance_watermark(mp_id, stamp)
             self._try_release(arrival_time)
             return

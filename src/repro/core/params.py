@@ -104,22 +104,12 @@ class AggregationTopology:
 
     fanout: int = 8
     depth: int = 0
-    # Summary cadence of every tree node, in µs.  ``None`` inherits the
-    # deployment's heartbeat period τ — one summary per node per tick.
-    summary_period: float | None = None
-    # Latency of each ``agg-{node}`` tree edge, in µs.  ``None`` inherits
-    # the deployment's shard→master hop latency model.
-    edge_latency: float | None = None
 
     def __post_init__(self) -> None:
         if self.depth < 0:
             raise ValueError("depth must be non-negative")
         if self.fanout < 2:
             raise ValueError("fanout must be at least 2")
-        if self.summary_period is not None and not 0 < self.summary_period < math.inf:
-            raise ValueError("summary_period must be positive and finite when set")
-        if self.edge_latency is not None and not 0 <= self.edge_latency < math.inf:
-            raise ValueError("edge_latency must be non-negative and finite when set")
 
     @property
     def enabled(self) -> bool:

@@ -40,7 +40,6 @@ from repro.exchange.messages import (
 from repro.net.latency import LatencyModel
 from repro.sim.clocks import Clock, PerfectClock
 from repro.sim.engine import EventEngine, PeriodicTimer
-from repro.sim.runtime import Runtime, as_runtime
 
 __all__ = ["ReleaseBuffer", "RetransmitPolicy"]
 
@@ -100,7 +99,7 @@ class ReleaseBuffer:
     Parameters
     ----------
     engine:
-        Event engine or :class:`~repro.sim.runtime.Runtime`.
+        The event engine.
     mp_id:
         The participant this RB serves.
     pacing_gap:
@@ -137,8 +136,7 @@ class ReleaseBuffer:
             raise ValueError("pacing_gap (delta) must be positive")
         if heartbeat_period <= 0:
             raise ValueError("heartbeat_period (tau) must be positive")
-        self.runtime: Runtime = as_runtime(engine)
-        self.engine = self.runtime.engine
+        self.engine = engine
         self.mp_id = mp_id
         self.pacing_gap = float(pacing_gap)
         self.heartbeat_period = float(heartbeat_period)

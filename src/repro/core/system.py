@@ -77,7 +77,7 @@ class DBODeployment(BaseDeployment):
         forward by direct call.  A latency model: each shard is a
         standalone VM whose forwards ride a faultable
         ``"{shard}->master"`` channel (in tree mode: the latency of the
-        ``"agg-{node}"`` edges, unless the topology sets its own).
+        ``"agg-{node}"`` edges).
     topology:
         Optional :class:`~repro.core.params.AggregationTopology`.  At the
         default ``depth = 0`` behaviour is exactly as without it (flat
@@ -280,6 +280,8 @@ class DBODeployment(BaseDeployment):
 
     def _install_ob(self, ob: OrderingBuffer) -> None:
         """Make ``ob`` the flat plane's buffer in both maps."""
+        if self.retransmit_policy is not None:
+            ob.reack = self._send_ack
         self.endpoints["ob"] = ob
         self.ob_routing.update(dict.fromkeys(self.mp_ids, ob))
 
@@ -512,13 +514,14 @@ class DBODeployment(BaseDeployment):
                 handler=lambda key, sent, arrival, rb=rb: rb.on_ack(key),
                 priority=5,
             )
-        acks = self._ack_channels
-        self._release_observers.append(
-            lambda tagged, now: acks[tagged.trade.mp_id].send(
-                tagged.trade.key, send_time=now
-            )
-        )
+        self._release_observers.append(self._send_ack)
+        if self.master_ob is not None:
+            self.master_ob.reack = self._send_ack
         self.playbooks.warm_up = self.playbooks.push_warm_up
+
+    def _send_ack(self, tagged: TaggedTrade, now: float) -> None:
+        """Tell ``tagged``'s RB that the releasing root has released it."""
+        self._ack_channels[tagged.trade.mp_id].send(tagged.trade.key, send_time=now)
 
     def _build_shard_plane(
         self, release_sink: Callable[[TaggedTrade, float], None]
@@ -541,11 +544,8 @@ class DBODeployment(BaseDeployment):
         topology = self.topology
         tree = topology is not None
         edge_model = self.shard_master_latency
-        if topology is not None:
-            if topology.edge_latency is not None:
-                edge_model = ConstantLatency(topology.edge_latency)
-            elif edge_model is None:
-                edge_model = ConstantLatency(0.0)
+        if tree and edge_model is None:
+            edge_model = ConstantLatency(0.0)
         shard_ids = [f"shard-{index}" for index in range(self.n_ob_shards)]
         levels = plan_tree(shard_ids, topology.fanout, topology.depth) if tree else []
         master_children = [node_id for node_id, _ in levels[-1]] if levels else shard_ids
@@ -713,7 +713,7 @@ class DBODeployment(BaseDeployment):
         if self.topology is not None:
             # Tree mode: one summary per node per tick, phases staggered
             # like the RB heartbeats so ticks don't synchronize.
-            period = self.topology.summary_period or self.params.tau
+            period = self.params.tau
             for index, node_id in enumerate(sorted(self._agg_publishers)):
                 offset = self.runtime.uniform(0.0, period, index, 300)
                 self._agg_timers[node_id] = self.engine.schedule_periodic(

@@ -22,7 +22,6 @@ from repro.exchange.feed import FeedConfig, MarketDataFeed
 from repro.exchange.matching import MatchingEngine
 from repro.exchange.messages import Execution, MarketDataPoint
 from repro.sim.engine import EventEngine, PeriodicTimer
-from repro.sim.runtime import as_runtime
 
 __all__ = ["CentralExchangeServer"]
 
@@ -54,8 +53,7 @@ class CentralExchangeServer:
         execute_trades: bool = False,
         publish_executions: bool = False,
     ) -> None:
-        self.runtime = as_runtime(engine)
-        self.engine = self.runtime.engine
+        self.engine = engine
         self.feed = MarketDataFeed(feed_config)
         self.matching_engine = MatchingEngine(
             execute=execute_trades,

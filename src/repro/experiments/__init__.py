@@ -23,16 +23,13 @@ from repro.experiments.figures import (
     figure13_cloudex_vs_dbo,
 )
 from repro.experiments.registry import (
-    REGISTRY,
     SchemeBuilder,
-    SchemeRegistry,
     UnknownSchemeError,
     available_schemes,
     get_builder,
     register_scheme,
 )
 from repro.experiments.runner import (
-    SCHEMES,
     SchemeSummary,
     build_deployment,
     comparison_table,
@@ -72,14 +69,11 @@ __all__ = [
     "figure11_network_trace",
     "figure12_scaling",
     "figure13_cloudex_vs_dbo",
-    "REGISTRY",
     "SchemeBuilder",
-    "SchemeRegistry",
     "UnknownSchemeError",
     "available_schemes",
     "get_builder",
     "register_scheme",
-    "SCHEMES",
     "SchemeSummary",
     "build_deployment",
     "comparison_table",

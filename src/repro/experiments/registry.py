@@ -1,21 +1,22 @@
-"""The deployment-layer scheme registry.
+"""The deployment-layer scheme table.
 
 Every way of launching a scheme — the CLI, :func:`~repro.experiments.runner.run_scheme`,
-the sweep harness, the table/figure regenerators, and the benchmarks —
-resolves scheme names through this registry.  A registered scheme is a
-:class:`SchemeBuilder`: it knows the deployment class and how to thread a
-:class:`~repro.sim.runtime.Runtime` (engine + seed + params) into it, so
+the chaos matrix, the table/figure regenerators, and the benchmarks —
+resolves scheme names through this module.  A registered scheme is a
+:class:`SchemeBuilder` row: it knows the deployment class and how to
+thread a :class:`~repro.sim.runtime.Runtime` (engine + seed) into it, so
 callers pick *what* to run (name + kwargs) while the builder owns *how*
 the simulation context is assembled.
 
-Adding a scheme is one :func:`register_scheme` call; nothing else in the
-stack needs to change.
+The rows live in one module-level dict behind :func:`register_scheme`,
+:func:`get_builder` and :func:`available_schemes`; adding a scheme is one
+:func:`register_scheme` call.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.baselines.base import BaseDeployment, NetworkSpec
 from repro.sim.runtime import Runtime
@@ -23,8 +24,6 @@ from repro.sim.runtime import Runtime
 __all__ = [
     "UnknownSchemeError",
     "SchemeBuilder",
-    "SchemeRegistry",
-    "REGISTRY",
     "register_scheme",
     "get_builder",
     "available_schemes",
@@ -92,70 +91,33 @@ class SchemeBuilder:
         return f"SchemeBuilder({self.name!r}, {self.factory!r})"
 
 
-class SchemeRegistry:
-    """Name → :class:`SchemeBuilder` mapping with registration control."""
-
-    def __init__(self) -> None:
-        self._builders: Dict[str, SchemeBuilder] = {}
-
-    def register(
-        self,
-        name: str,
-        factory: Callable[..., BaseDeployment],
-        description: str = "",
-        replace: bool = False,
-    ) -> SchemeBuilder:
-        """Register a scheme; re-registration requires ``replace=True``."""
-        if name in self._builders and not replace:
-            raise ValueError(f"scheme {name!r} is already registered")
-        builder = SchemeBuilder(name, factory, description)
-        self._builders[name] = builder
-        return builder
-
-    def get(self, name: str) -> SchemeBuilder:
-        try:
-            return self._builders[name]
-        except KeyError:
-            raise UnknownSchemeError(name, self._builders) from None
-
-    def names(self) -> List[str]:
-        return sorted(self._builders)
-
-    def factories(self) -> Dict[str, Callable[..., BaseDeployment]]:
-        """A plain name → deployment-class view (legacy ``SCHEMES`` shape)."""
-        return {name: builder.factory for name, builder in sorted(self._builders.items())}
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._builders
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._builders))
-
-    def __len__(self) -> int:
-        return len(self._builders)
-
-
-REGISTRY = SchemeRegistry()
+# Scheme name -> its builder row.
+_SCHEMES: Dict[str, SchemeBuilder] = {}
 
 
 def register_scheme(
     name: str,
     factory: Callable[..., BaseDeployment],
     description: str = "",
-    replace: bool = False,
 ) -> SchemeBuilder:
-    """Register a scheme in the global registry."""
-    return REGISTRY.register(name, factory, description=description, replace=replace)
+    """Add a scheme row; a name already taken is a ``ValueError``."""
+    if name in _SCHEMES:
+        raise ValueError(f"scheme {name!r} is already registered")
+    builder = _SCHEMES[name] = SchemeBuilder(name, factory, description)
+    return builder
 
 
 def get_builder(name: str) -> SchemeBuilder:
     """Resolve a scheme name to its :class:`SchemeBuilder`."""
-    return REGISTRY.get(name)
+    try:
+        return _SCHEMES[name]
+    except KeyError:
+        raise UnknownSchemeError(name, _SCHEMES) from None
 
 
 def available_schemes() -> List[str]:
     """Sorted names of every registered scheme."""
-    return REGISTRY.names()
+    return sorted(_SCHEMES)
 
 
 def _register_builtin_schemes() -> None:

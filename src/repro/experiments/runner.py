@@ -13,29 +13,22 @@ The runner is the one-stop API the benchmarks, tables and examples use:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.baselines.base import BaseDeployment, NetworkSpec
-from repro.experiments.registry import REGISTRY
+from repro.experiments.registry import get_builder
 from repro.metrics.fairness import FairnessReport, evaluate_fairness
 from repro.metrics.latency import LatencyStats, latency_stats, max_rtt_stats
 from repro.metrics.records import RunResult
 from repro.metrics.report import render_table
 
 __all__ = [
-    "SCHEMES",
     "build_deployment",
     "run_scheme",
     "SchemeSummary",
     "summarize",
     "comparison_table",
 ]
-
-# Legacy name → deployment-class view of the registry.  New code should
-# resolve names via repro.experiments.registry; this mapping stays for
-# call sites that only need the name list or a class reference.
-SCHEMES: Dict[str, Callable[..., BaseDeployment]] = REGISTRY.factories()
-
 
 def build_deployment(scheme: str, specs: Sequence[NetworkSpec], **kwargs) -> BaseDeployment:
     """Construct (but do not run) a deployment by scheme name.
@@ -44,7 +37,7 @@ def build_deployment(scheme: str, specs: Sequence[NetworkSpec], **kwargs) -> Bas
     ``seed``/``engine``/``runtime`` kwargs configure the simulation
     context, everything else reaches the deployment constructor.
     """
-    return REGISTRY.get(scheme).build(specs, **kwargs)
+    return get_builder(scheme).build(specs, **kwargs)
 
 
 def run_scheme(

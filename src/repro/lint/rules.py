@@ -95,7 +95,7 @@ class WallClockRule(Rule):
                 node,
                 self.code,
                 f"wall-clock read `{resolved}` — use the engine clock "
-                "(`runtime.now` / `engine.now`) instead",
+                "(`engine.now`) instead",
             )
 
 

@@ -23,7 +23,6 @@ from typing import Any, Callable, Optional
 from repro.net.latency import LatencyModel
 from repro.sim.engine import EventEngine
 from repro.sim.randomness import stable_bool
-from repro.sim.runtime import as_runtime
 
 __all__ = ["Link"]
 
@@ -65,7 +64,7 @@ class Link:
     """
 
     __slots__ = (
-        "runtime", "engine", "latency_model", "handler", "name", "priority",
+        "engine", "latency_model", "handler", "name", "priority",
         "_loss_probability", "recovery_delay", "seed", "loss_handler",
         "_last_arrival", "_sent", "_delivered", "_packet_index", "_losses",
         "blackhole", "_burst_loss_probability", "_burst_seed", "_blackholed",
@@ -86,8 +85,7 @@ class Link:
     ) -> None:
         if not 0 <= recovery_delay < math.inf:
             raise ValueError("recovery_delay must be non-negative and finite")
-        self.runtime = as_runtime(engine)
-        self.engine = self.runtime.engine
+        self.engine = engine
         self.latency_model = latency_model
         self.handler = handler
         self.name = name

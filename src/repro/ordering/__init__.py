@@ -22,7 +22,8 @@ prob       until ``arrival + h`` (confidence)   stamp order, w.h.p. correct
 
 The first four are :class:`OrderingPolicy` implementations — the policy
 owns its pending store — on
-:class:`repro.core.release_engine.ReleaseEngine`.  The two
+:class:`repro.core.release_engine.ReleaseEngine`; libra runs fba's
+:class:`BatchAuctionPolicy` over shorter windows.  The two
 delivery-clock rules are *decision state* (:class:`DeliveryClockPolicy`:
 watermarks, extremes heap, stragglers; :class:`ProbabilisticPolicy`: due
 times, released maximum, inversion count) consulted by the recoverable
@@ -39,7 +40,6 @@ from repro.ordering.cloudex import SyncDeadlinePolicy
 from repro.ordering.dbo import DeliveryClockPolicy
 from repro.ordering.direct import PassthroughPolicy
 from repro.ordering.fba import BatchAuctionPolicy
-from repro.ordering.libra import RandomizedWindowPolicy
 from repro.ordering.policy import HOLD, RELEASE_NOW, Admission, OrderingPolicy
 from repro.ordering.prob import ProbabilisticPolicy
 
@@ -52,6 +52,5 @@ __all__ = [
     "PassthroughPolicy",
     "ProbabilisticPolicy",
     "RELEASE_NOW",
-    "RandomizedWindowPolicy",
     "SyncDeadlinePolicy",
 ]

@@ -19,7 +19,7 @@ from repro.sim.engine import (
     SimulationError,
     make_engine,
 )
-from repro.sim.runtime import Runtime, as_runtime
+from repro.sim.runtime import Runtime
 from repro.sim.service import ServiceQueue
 from repro.sim.telemetry import Probe, TelemetryRecorder
 from repro.sim.randomness import (
@@ -52,7 +52,6 @@ __all__ = [
     "SimulationError",
     "make_engine",
     "Runtime",
-    "as_runtime",
     "ServiceQueue",
     "Probe",
     "TelemetryRecorder",

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import EventEngine
-from repro.sim.runtime import as_runtime
 
 __all__ = ["ServiceQueue"]
 
@@ -46,8 +45,7 @@ class ServiceQueue:
     ) -> None:
         if service_time < 0:
             raise ValueError("service_time must be non-negative")
-        self.runtime = as_runtime(engine)
-        self.engine = self.runtime.engine
+        self.engine = engine
         self.service_time = float(service_time)
         self.handler = handler
         self.name = name

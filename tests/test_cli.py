@@ -35,7 +35,7 @@ class TestParser:
         """
         import argparse
 
-        from repro.experiments.registry import REGISTRY, available_schemes
+        from repro.experiments.registry import available_schemes, get_builder
 
         parser = build_parser()
         sub = next(
@@ -52,7 +52,7 @@ class TestParser:
                     scheme_flags += 1
                     if f"{expected[0]}:" in (action.help or ""):
                         for name in expected:
-                            assert REGISTRY.get(name).description in action.help
+                            assert get_builder(name).description in action.help
                         described_flags += 1
         assert scheme_flags >= 4  # run, compare, chaos, chaos-table
         assert described_flags >= 3  # run, compare, chaos carry full help

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.params import AggregationTopology, DBOParams, SupervisionPolicy
+from repro.core.params import DBOParams, SupervisionPolicy
 from repro.core.release_buffer import RetransmitPolicy
 
 
@@ -75,8 +75,6 @@ def test_validation(kwargs):
         (DBOParams, "kappa"),
         (DBOParams, "tau"),
         (DBOParams, "straggler_threshold"),
-        (AggregationTopology, "summary_period"),
-        (AggregationTopology, "edge_latency"),
         (SupervisionPolicy, "check_interval"),
         (SupervisionPolicy, "suspect_after"),
         (SupervisionPolicy, "probe_backoff"),

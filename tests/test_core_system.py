@@ -165,6 +165,7 @@ class TestShardedDeployment:
             ),
             "depth-1 tree": dict(n_ob_shards=4, topology=AggregationTopology(depth=1)),
             "depth-2 tree": dict(topology=AggregationTopology(depth=2, fanout=2)),
+            "fanout > N": dict(topology=AggregationTopology(depth=3, fanout=128)),
         }
         digests = {}
         for name, kwargs in planes.items():
@@ -173,6 +174,20 @@ class TestShardedDeployment:
             assert result.completion_ratio() == 1.0, name
             digests[name] = trade_ordering_digest(result)
         assert set(digests.values()) == {digests["flat"]}, digests
+
+    def test_tree_wider_than_the_exchange_orders_like_the_flat_ob(self):
+        # N = 3 under a fanout-16, depth-3 tree: one shard, no interior
+        # level — the plan collapses, and the ordering must not notice.
+        specs = default_network_specs(3, seed=5)
+        flat = DBODeployment(specs, seed=5).run(duration=5000.0)
+        deployment = DBODeployment(
+            default_network_specs(3, seed=5), seed=5,
+            topology=AggregationTopology(fanout=16, depth=3),
+        )
+        tree = deployment.run(duration=5000.0)
+        assert deployment.n_ob_shards == 1
+        assert tree.completion_ratio() == 1.0
+        assert trade_ordering_digest(tree) == trade_ordering_digest(flat)
 
     def test_master_processes_fewer_messages_than_flat_heartbeats(self):
         specs = default_network_specs(8, seed=19)

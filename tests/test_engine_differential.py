@@ -44,11 +44,13 @@ CANDIDATES = ["reference"]
 
 SCHEMES = ["direct", "cloudex", "fba", "dbo", "libra", "prob"]
 
-# (name, n_participants, seed, duration): one tiny cell and one with
-# enough participants to exercise multi-way watermark races.
+# (name, n_participants, seed, duration): one tiny cell, one with
+# enough participants to exercise multi-way watermark races, and the
+# degenerate single-participant exchange (no race at all).
 SCENARIOS = [
     ("small", 4, 5, 5_000.0),
     ("medium", 8, 11, 4_000.0),
+    ("single", 1, 5, 5_000.0),
 ]
 
 # FBA's default 100 ms auction never fires inside these horizons.
@@ -138,10 +140,23 @@ def test_scheme_cell_matches_heap(scheme, scenario, engine):
     assert channels == base_channels
 
 
-def test_grid_covers_every_scheme():
-    from repro.experiments.registry import REGISTRY
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_single_participant_cell_completes(scheme):
+    # N = 1: every watermark race is one-sided; each scheme must still
+    # release every trade and settle before its drain cap.
+    _, n, seed, duration = next(s for s in SCENARIOS if s[0] == "single")
+    result = build_deployment(
+        scheme, default_network_specs(n, seed=seed), seed=seed,
+        **SCHEME_KWARGS.get(scheme, {}),
+    ).run(duration=duration)
+    assert result.trades and result.completion_ratio() == 1.0
+    assert result.counters["settled_at"] < duration + 20_000.0
 
-    assert set(SCHEMES) == set(REGISTRY.names())
+
+def test_grid_covers_every_scheme():
+    from repro.experiments.registry import available_schemes
+
+    assert set(SCHEMES) == set(available_schemes())
 
 
 def test_all_production_engines_registered():

@@ -15,8 +15,8 @@ from repro.experiments.figures import (
     figure12_scaling,
     figure13_cloudex_vs_dbo,
 )
+from repro.experiments.registry import available_schemes
 from repro.experiments.runner import (
-    SCHEMES,
     build_deployment,
     comparison_table,
     run_scheme,
@@ -34,7 +34,7 @@ from repro.experiments.tables import table2_baremetal, table3_cloud, table4_slow
 
 class TestRunner:
     def test_all_schemes_registered(self):
-        assert set(SCHEMES) == {"dbo", "direct", "cloudex", "fba", "libra", "prob"}
+        assert set(available_schemes()) == {"dbo", "direct", "cloudex", "fba", "libra", "prob"}
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):

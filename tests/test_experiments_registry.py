@@ -4,14 +4,13 @@ import pytest
 
 from repro.baselines.base import BaseDeployment, default_network_specs
 from repro.experiments.registry import (
-    REGISTRY,
     SchemeBuilder,
-    SchemeRegistry,
     UnknownSchemeError,
     available_schemes,
     get_builder,
+    register_scheme,
 )
-from repro.experiments.runner import SCHEMES, build_deployment
+from repro.experiments.runner import build_deployment
 from repro.sim.engine import HeapEventEngine, ReferenceHeapEngine
 from repro.sim.runtime import Runtime
 
@@ -27,11 +26,6 @@ class TestRegistryContents:
             assert builder.name == name
             assert builder.build(default_network_specs(2)).scheme_name == name
 
-    def test_legacy_schemes_view_matches_registry(self):
-        assert set(SCHEMES) == ALL_SCHEMES
-        for name, factory in SCHEMES.items():
-            assert REGISTRY.get(name).factory is factory
-
     def test_unknown_scheme_raises_typed_error(self):
         with pytest.raises(UnknownSchemeError) as excinfo:
             get_builder("quantum")
@@ -45,17 +39,11 @@ class TestRegistryContents:
             build_deployment("quantum", default_network_specs(2))
 
     def test_duplicate_registration_rejected(self):
-        registry = SchemeRegistry()
-        registry.register("x", BaseDeployment)
-        with pytest.raises(ValueError):
-            registry.register("x", BaseDeployment)
-        registry.register("x", BaseDeployment, replace=True)  # explicit ok
-
-    def test_container_protocol(self):
-        assert "dbo" in REGISTRY
-        assert "quantum" not in REGISTRY
-        assert list(REGISTRY) == sorted(ALL_SCHEMES)
-        assert len(REGISTRY) == 6
+        dbo = get_builder("dbo")
+        with pytest.raises(ValueError, match="already registered"):
+            register_scheme("dbo", BaseDeployment)
+        assert get_builder("dbo") is dbo
+        assert available_schemes() == sorted(ALL_SCHEMES)
 
 
 class TestBuilderConstruction:

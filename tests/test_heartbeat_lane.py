@@ -19,7 +19,7 @@ from repro.core.params import AggregationTopology
 from repro.core.system import DBODeployment
 from repro.net.latency import LatencyModel
 from repro.net.link import Link
-from repro.sim.engine import ENGINE_FACTORIES, SimulationError
+from repro.sim.engine import ENGINE_FACTORIES, SimulationError, make_engine
 from repro.sim.runtime import Runtime
 
 ENGINES = sorted(ENGINE_FACTORIES)
@@ -92,14 +92,14 @@ class TestHandleFreePushKeepsTheTimeGuard:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("latency", BAD_LATENCIES)
     def test_link_send_raises(self, engine, latency):
-        runtime = Runtime.create(engine=engine)
-        link = Link(runtime, _FixedLatency(latency), handler=lambda *message: None)
-        runtime.run(until=10.0)
+        sim = make_engine(engine)
+        link = Link(sim, _FixedLatency(latency), handler=lambda *message: None)
+        sim.run(until=10.0)
         with pytest.raises(SimulationError):
             link.send("heartbeat")
-        assert runtime.now == 10.0
-        runtime.run(until=20.0)
-        assert runtime.now == 20.0 and runtime.engine.events_processed == 0
+        assert sim.now == 10.0
+        sim.run(until=20.0)
+        assert sim.now == 20.0 and sim.events_processed == 0
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("latency", BAD_LATENCIES)

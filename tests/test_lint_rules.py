@@ -58,7 +58,7 @@ class TestDBO101WallClock:
         assert "DBO101" in codes(src)
 
     def test_engine_clock_is_clean(self):
-        src = "def handler(runtime):\n    return runtime.now\n"
+        src = "def handler(engine):\n    return engine.now\n"
         assert codes(src) == []
 
     def test_out_of_scope_in_benchmarks(self):

@@ -15,7 +15,7 @@ import pytest
 
 from repro.baselines.base import NetworkSpec
 from repro.baselines.direct import DirectDeployment
-from repro.core.params import DBOParams
+from repro.core.params import AggregationTopology, DBOParams
 from repro.core.release_buffer import RetransmitPolicy
 from repro.core.system import DBODeployment
 from repro.experiments.chaos import CHAOS_PLANS, make_plan, run_chaos
@@ -278,7 +278,7 @@ class TestAckLoss:
         if plan is not None:
             injector = FaultInjector(plan)
             injector.arm(deployment)
-        return deployment.run(duration=DURATION)
+        return deployment, deployment.run(duration=DURATION)
 
     def test_ack_burst_loss_retransmits_and_loses_nothing(self):
         plan = FaultSchedule.of(
@@ -289,10 +289,15 @@ class TestAckLoss:
             ],
             name="ack-loss",
         )
-        clean = self.run_with(None)
-        faulted = self.run_with(plan)
+        _, clean = self.run_with(None)
+        deployment, faulted = self.run_with(plan)
         assert faulted.counters["trades_retransmitted"] > 0
-        assert faulted.counters["acks_received"] < clean.counters["acks_received"]
+        # A lost ack is answered again when the retransmitted copy reaches
+        # the OB: by the end every release is acked and no RB still
+        # guards a trade.
+        released = deployment.ordering_buffer.trades_released
+        assert faulted.counters["acks_received"] == released == clean.counters["acks_received"]
+        assert [rb.recovery_state()["unacked"] for rb in deployment.release_buffers] == [0.0] * 4
         assert faulted.counters.get("retransmits_abandoned", 0.0) == 0.0
         assert faulted.completion_ratio() == 1.0
         # Resends carry the original stamps and the OB dedups on keys, so
@@ -313,6 +318,34 @@ class TestAckLoss:
         assert report.faulted.counters["trades_retransmitted"] > 0
         assert report.faulted.completion_ratio() == 1.0
         assert report.degradation.completion_drop == 0.0
+
+    @pytest.mark.parametrize(
+        "scheme, kwargs",
+        [
+            ("dbo", {}),
+            ("prob", {}),
+            ("dbo", {"n_ob_shards": 4}),
+            ("dbo", {"topology": AggregationTopology(fanout=2, depth=2)}),
+        ],
+        ids=["flat", "prob", "two-level", "tree"],
+    )
+    def test_lost_acks_do_not_stall_recovery(self, scheme, kwargs):
+        # A copy of an already-released trade is acked again by the
+        # releasing root (flat OB or master), so the faulted twin settles
+        # like the clean one instead of retransmitting to the drain cap.
+        report = run_chaos(
+            scheme, lambda: cloud_specs(8), 6_000.0,
+            make_plan("ack-loss", 6_000.0, 8), seed=3, **kwargs,
+        )
+        faulted = report.faulted.counters
+        assert faulted["trades_retransmitted"] > 0
+        assert faulted["acks_received"] == report.clean.counters["acks_received"]
+        assert faulted["settled_at"] < 20_000.0  # the drain cap is 26 000
+        assert not [
+            event for event in report.faulted_audit.liveness_events
+            if event.kind == "recovery_stalled"
+        ]
+        assert report.faulted_digest == report.clean_digest
 
 
 class TestDuplicateDeliveryIntegration:

@@ -38,7 +38,6 @@ from repro.ordering import (
     BatchAuctionPolicy,
     OrderingPolicy,
     PassthroughPolicy,
-    RandomizedWindowPolicy,
     SyncDeadlinePolicy,
 )
 from repro.sim.clocks import SynchronizedClock
@@ -65,7 +64,8 @@ def make_policy(scheme: str) -> OrderingPolicy:
     if scheme == "fba":
         return BatchAuctionPolicy(SubstreamCounter(7))
     if scheme == "libra":
-        return RandomizedWindowPolicy(SubstreamCounter(8))
+        # Libra's rule is the batch auction's over shorter windows.
+        return BatchAuctionPolicy(SubstreamCounter(8))
     raise AssertionError(scheme)
 
 

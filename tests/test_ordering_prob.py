@@ -204,6 +204,19 @@ class TestProbDeployment:
         assert isinstance(deployment.ordering_buffer, ProbOrderingBuffer)
         assert deployment.ordering_buffer.horizon == 6.0
 
+    @pytest.mark.parametrize(
+        "horizon, completed", [(0.0, 500), (1e9, 0)], ids=["zero", "beyond-the-run"]
+    )
+    def test_degenerate_horizon_ends_in_a_result(self, horizon, completed):
+        # h = 0 releases on arrival; a horizon past duration + drain
+        # releases nothing, and the run still stops at its drain cap
+        # with every trade reported incomplete.
+        result = _run("prob", horizon=horizon)
+        assert len(result.trades) == 500
+        assert sum(1 for t in result.trades if t.position is not None) == completed
+        assert result.counters["ob_trades_released"] == completed
+        assert result.counters["settled_at"] <= 5000.0 + 20_000.0
+
     def test_counters_expose_inversions_and_releases(self):
         result = _run("prob", horizon=HORIZON)
         assert "ordering_inversions" in result.counters

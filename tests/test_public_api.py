@@ -240,6 +240,68 @@ def test_one_object_per_message_path():
         assert not hasattr(instance, "__dict__")
 
 
+def test_construction_takes_only_what_callers_set():
+    import dataclasses
+    import inspect
+
+    import repro.experiments
+    import repro.experiments.registry
+    import repro.experiments.runner
+    import repro.ordering
+    import repro.sim
+    import repro.sim.runtime
+    from repro.core.batcher import Batcher
+    from repro.core.params import AggregationTopology
+    from repro.core.release_buffer import ReleaseBuffer
+    from repro.exchange.ces import CentralExchangeServer
+    from repro.net.latency import ConstantLatency
+    from repro.net.link import Link
+    from repro.sim.engine import EventEngine
+    from repro.sim.runtime import Runtime
+    from repro.sim.service import ServiceQueue
+
+    # A Runtime is engine + seed (+ substreams and telemetry); scheduling
+    # goes to the engine itself.
+    for removed in ("as_runtime",):
+        assert not hasattr(repro.sim, removed)
+        assert not hasattr(repro.sim.runtime, removed)
+    assert list(inspect.signature(Runtime.__init__).parameters) == [
+        "self", "engine", "seed", "telemetry",
+    ]
+    assert list(inspect.signature(Runtime.create).parameters) == [
+        "seed", "engine", "start_time",
+    ]
+    for removed in ("params", "now", "schedule_at", "schedule_after",
+                    "schedule_periodic", "cancel", "run"):
+        assert not hasattr(Runtime, removed), removed
+    # Components take the engine they schedule on and store it directly.
+    engine = EventEngine()
+    components = (
+        Link(engine, ConstantLatency(1.0)),
+        ServiceQueue(engine, 1.0),
+        CentralExchangeServer(engine),
+        ReleaseBuffer(engine, "mp0", pacing_gap=10.0, heartbeat_period=20.0),
+        Batcher(engine, batch_span=12.0),
+    )
+    for component in components:
+        assert component.engine is engine
+        assert not hasattr(component, "runtime"), type(component).__name__
+    # The scheme table is a dict behind three functions.
+    for removed in ("SchemeRegistry", "REGISTRY"):
+        assert not hasattr(repro.experiments, removed)
+        assert not hasattr(repro.experiments.registry, removed)
+    assert not hasattr(repro.experiments, "SCHEMES")
+    assert not hasattr(repro.experiments.runner, "SCHEMES")
+    # Libra runs the batch auction's policy; there is no renamed copy.
+    assert not hasattr(repro.ordering, "RandomizedWindowPolicy")
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.ordering.libra")
+    # A tree is a fanout and a depth.
+    assert [field.name for field in dataclasses.fields(AggregationTopology)] == [
+        "fanout", "depth",
+    ]
+
+
 def test_top_level_quickstart_surface():
     import repro
 

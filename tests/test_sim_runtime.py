@@ -1,10 +1,10 @@
-"""Runtime context: engine + seeded RNG + telemetry, and as_runtime."""
+"""Runtime context: engine + seeded RNG + telemetry."""
 
 import pytest
 
 from repro.sim.engine import HeapEventEngine, ReferenceHeapEngine
 from repro.sim.randomness import stable_u64, stable_uniform, stable_unit
-from repro.sim.runtime import Runtime, as_runtime
+from repro.sim.runtime import Runtime
 
 
 class TestConstruction:
@@ -16,7 +16,7 @@ class TestConstruction:
     def test_create_with_named_engine(self):
         runtime = Runtime.create(seed=1, engine="reference", start_time=5.0)
         assert isinstance(runtime.engine, ReferenceHeapEngine)
-        assert runtime.now == 5.0
+        assert runtime.engine.now == 5.0
 
     def test_create_rejects_engine_tuning_kwargs(self):
         with pytest.raises(TypeError):
@@ -25,42 +25,6 @@ class TestConstruction:
     def test_create_unknown_engine(self):
         with pytest.raises(ValueError):
             Runtime.create(engine="quantum")
-
-
-class TestAsRuntime:
-    def test_runtime_passes_through(self):
-        runtime = Runtime(seed=9)
-        assert as_runtime(runtime) is runtime
-
-    def test_engine_is_wrapped(self):
-        engine = HeapEventEngine()
-        runtime = as_runtime(engine, seed=4)
-        assert runtime.engine is engine
-        assert runtime.seed == 4
-
-    def test_none_builds_fresh(self):
-        runtime = as_runtime(None, seed=7)
-        assert runtime.seed == 7
-        assert isinstance(runtime.engine, HeapEventEngine)
-
-
-class TestScheduling:
-    def test_delegates_to_engine(self):
-        runtime = Runtime()
-        fired = []
-        runtime.schedule_at(2.0, lambda: fired.append(runtime.now))
-        runtime.schedule_after(5.0, lambda: fired.append(runtime.now))
-        runtime.run(until=10.0)
-        assert fired == [2.0, 5.0]
-
-    def test_periodic_and_cancel(self):
-        runtime = Runtime()
-        fired = []
-        timer = runtime.schedule_periodic(1.0, 1.0, lambda: fired.append(runtime.now))
-        runtime.run(until=2.5)
-        runtime.cancel(timer)
-        runtime.run(until=10.0)
-        assert fired == [1.0, 2.0]
 
 
 class TestRandomness:
@@ -100,5 +64,5 @@ class TestTelemetry:
         recorder = runtime.attach_telemetry(10.0)
         recorder.add("constant", lambda: 1.0)
         recorder.start_all(start_time=0.0, stop_time=50.0)
-        runtime.run(until=100.0)
+        runtime.engine.run(until=100.0)
         assert len(recorder.probes["constant"].samples) == 6
