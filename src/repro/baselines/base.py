@@ -261,8 +261,12 @@ class BaseDeployment:
         """Start scheme timers (heartbeats etc.).  Default: nothing."""
 
     def _raw_arrivals(self) -> Dict[str, Dict[int, float]]:
-        """Per-participant raw network arrival time per point."""
-        return {mp_id: dict(points) for mp_id, points in self._arrivals.items()}
+        """Per-participant raw network arrival time per point.
+
+        The per-participant maps are the recorder's own, handed over
+        rather than copied: a finished run records no more.
+        """
+        return dict(self._arrivals)
 
     def _delivery_times(self) -> Dict[str, Dict[int, float]]:
         """Per-participant ``D(i, x)`` (after any scheme hold).
@@ -451,13 +455,10 @@ class BaseDeployment:
         result's ``counters["settled_at"]`` is the simulated end time;
         ``duration + drain`` means the cap was hit.
         """
-        if duration <= 0:
-            raise ValueError("duration must be positive")
+        drain = self.check_horizon(duration, drain)
         if not self._built:
             self._build()
             self._built = True
-        if drain is None:
-            drain = max(20_000.0, 0.05 * duration)
         self.ces.start(start_time=0.0, stop_time=duration)
         self._wire_external_sources(duration)
         self._start(duration)
@@ -470,6 +471,30 @@ class BaseDeployment:
                 break
             engine.run(until=duration + drain * checkpoint / DRAIN_CHECKPOINTS)
         return self._assemble(duration)
+
+    def check_horizon(self, duration: float, drain: Optional[float] = None) -> float:
+        """The drain a ``run(duration, drain)`` would use, or ``ValueError``
+        for a run whose result could only be vacuous: a non-positive
+        duration, or a first trade release (:meth:`_first_release`) after
+        ``duration + drain``."""
+        if duration <= 0:
+            raise ValueError("duration must be positive")
+        if drain is None:
+            drain = max(20_000.0, 0.05 * duration)
+        first = self._first_release()
+        if first is not None and first[0] > duration + drain:
+            at, rule = first
+            raise ValueError(
+                f"{self.scheme_name} releases its first trade at {at:g} µs ({rule}), "
+                f"after the run ends at {duration + drain:g} µs (duration + drain)"
+            )
+        return drain
+
+    def _first_release(self) -> Optional[Tuple[float, str]]:
+        """``(time, rule)``: the earliest a scheme that releases trades only
+        at periodic boundaries can release one, and the knob behind it;
+        ``None`` for schemes that release as trades arrive."""
+        return None
 
     def _settled(self) -> bool:
         """Whether the rest of the drain could change no trade, digest,
@@ -537,7 +562,7 @@ class BaseDeployment:
             scheme=self.scheme_name,
             trades=trades,
             generation_times=generation_times,
-            network_send_times=dict(self.network_send_times),
+            network_send_times=self.network_send_times,
             raw_arrivals=self._raw_arrivals(),
             delivery_times=self._delivery_times(),
             reverse_latency_at=reverse_latency_at,

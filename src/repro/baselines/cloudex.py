@@ -142,11 +142,12 @@ class CloudExDeployment(BaseDeployment):
         self.ces.set_distributor(self._publish_point)
 
     # ------------------------------------------------------------------
+    # The RBs' own maps, handed over: a finished run records no more.
     def _raw_arrivals(self) -> Dict[str, Dict[int, float]]:
-        return {rb.mp_id: dict(rb.raw_arrivals) for rb in self.rbs}
+        return {rb.mp_id: rb.raw_arrivals for rb in self.rbs}
 
     def _delivery_times(self) -> Dict[str, Dict[int, float]]:
-        return {rb.mp_id: dict(rb.release_times) for rb in self.rbs}
+        return {rb.mp_id: rb.release_times for rb in self.rbs}
 
     def _counters(self) -> Dict[str, float]:
         ob = self.ob

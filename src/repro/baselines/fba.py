@@ -21,7 +21,7 @@ the topology and the data-side batching.
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.baselines.base import BaseDeployment
 from repro.core.release_engine import ReleaseEngine
@@ -76,6 +76,11 @@ class FBADeployment(BaseDeployment):
         self.engine.schedule_periodic(
             self.batch_interval, self.batch_interval, self._auction
         )
+
+    def _first_release(self) -> Tuple[float, str]:
+        # Data waits for the first auction, the trades it triggers for
+        # the second.
+        return 2 * self.batch_interval, "2 × batch_interval"
 
     def _auction(self) -> None:
         now = self.engine.now

@@ -21,7 +21,7 @@ topology.
 from __future__ import annotations
 
 import math
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.baselines.base import BaseDeployment
 from repro.core.release_engine import ReleaseEngine
@@ -60,6 +60,9 @@ class LibraDeployment(BaseDeployment):
 
     def _start(self, duration: float) -> None:
         self.engine.schedule_periodic(self.window, self.window, self._close_window)
+
+    def _first_release(self) -> Tuple[float, str]:
+        return self.window, "window"
 
     def _close_window(self) -> None:
         now = self.engine.now

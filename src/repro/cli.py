@@ -360,9 +360,10 @@ def _run_context(args) -> dict:
 def cmd_run(args) -> int:
     try:
         deployment = _build_one(args.scheme, args)
+        deployment.check_horizon(args.duration, args.drain)
     except ValueError as error:
         return _build_error(error)
-    result = deployment.run(duration=args.duration, drain=getattr(args, "drain", None))
+    result = deployment.run(duration=args.duration, drain=args.drain)
     summary = summarize(result, with_bound=(args.scheme == "dbo"))
     if args.save:
         save_run_result(result, args.save)
@@ -391,12 +392,14 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     try:
         deployments = [_build_one(scheme, args) for scheme in args.schemes]
+        for deployment in deployments:
+            deployment.check_horizon(args.duration, args.drain)
     except ValueError as error:
         return _build_error(error)
     summaries = []
     digests: Dict[str, str] = {}
     for scheme, deployment in zip(args.schemes, deployments):
-        result = deployment.run(duration=args.duration, drain=getattr(args, "drain", None))
+        result = deployment.run(duration=args.duration, drain=args.drain)
         summaries.append(summarize(result, with_bound=(scheme == "dbo")))
         digests[scheme] = trade_ordering_digest(result)
     if args.json:
@@ -426,6 +429,7 @@ def cmd_chaos(args) -> int:
         # error, not a traceback.
         kwargs = _scheme_kwargs(args.scheme, args)
         twin = _build_one(args.scheme, args, chaos_kwargs(args.scheme, plan, kwargs))
+        twin.check_horizon(args.duration, args.drain)
         recovery = "detected" if kwargs.get("supervise") else "scripted"
         FaultInjector(plan, recovery=recovery).arm(twin)
     except (OSError, ValueError) as error:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.core.delivery_clock import DeliveryClock, DeliveryClockStamp
 from repro.exchange.messages import (
@@ -121,6 +121,22 @@ class ReleaseBuffer:
         queued just above this participant's last stamp.
     """
 
+    # One RB per participant, and more attributes than CPython's shared
+    # key dicts hold: slots keep an RB's state off a per-instance dict.
+    __slots__ = (
+        "engine", "mp_id", "pacing_gap", "heartbeat_period", "local_clock",
+        "rb_to_mp", "clock", "_mp_handler", "_trade_sink", "_heartbeat_sink",
+        "_marker_sink", "_queue", "_delivery_scheduled", "_last_delivery_true",
+        "_heartbeats_started", "_heartbeat_timer", "crashed", "delivery_times",
+        "raw_arrivals", "max_queue_depth", "recovered_point_ids",
+        "piggyback_suppression", "_last_trade_sent_at", "heartbeats_sent",
+        "heartbeats_suppressed", "trades_tagged", "trades_dropped_untagged",
+        "retransmit_policy", "_unacked", "_retry_state", "trades_retransmitted",
+        "trades_warmup_resent", "warmup_requests_served", "retransmits_abandoned",
+        "acks_received", "batches_dropped_crashed", "restarts",
+        "_skew_base_drift", "clock_skews_applied",
+    )
+
     def __init__(
         self,
         engine: EventEngine,
@@ -159,8 +175,10 @@ class ReleaseBuffer:
         # ----- measurement records (ground truth for metrics) ----------
         # D(i, x): per-point delivery time at the RB boundary.
         self.delivery_times: Dict[int, float] = {}
-        # Raw batch arrival times (before pacing): for Max-RTT accounting.
-        self.batch_arrivals: List[Tuple[MarketDataBatch, float]] = []
+        # Per point, its first raw arrival (before pacing): the Max-RTT
+        # bound's packet timestamps.  The run result takes both maps as
+        # they are.
+        self.raw_arrivals: Dict[int, float] = {}
         self.max_queue_depth = 0
         # Points that reached the MP via out-of-band recovery (App. D):
         # they never advanced the delivery clock.
@@ -262,7 +280,9 @@ class ReleaseBuffer:
         if self.crashed:
             self.batches_dropped_crashed += 1
             return
-        self.batch_arrivals.append((batch, arrival_time))
+        raw_arrivals = self.raw_arrivals
+        for point in batch.points:
+            raw_arrivals.setdefault(point.point_id, arrival_time)
         self._queue.append(batch)
         self.max_queue_depth = max(self.max_queue_depth, len(self._queue))
         self._schedule_delivery()
@@ -274,8 +294,8 @@ class ReleaseBuffer:
         advance the delivery clock and does not count as a paced delivery
         — only trades triggered by it lose fairness.
         """
-        self.batch_arrivals.append((batch, arrival_time))
         for point in batch.points:
+            self.raw_arrivals.setdefault(point.point_id, arrival_time)
             # Delivery time still recorded for latency accounting.
             self.delivery_times.setdefault(point.point_id, arrival_time)
             self.recovered_point_ids.add(point.point_id)

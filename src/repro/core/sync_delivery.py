@@ -56,6 +56,8 @@ class SyncAssistedReleaseBuffer(ReleaseBuffer):
         the *bonus*, never LRTF.
     """
 
+    __slots__ = ("sync_clock", "target_delay", "targets_met", "targets_missed")
+
     def __init__(
         self,
         engine: EventEngine,

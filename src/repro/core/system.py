@@ -770,18 +770,12 @@ class DBODeployment(BaseDeployment):
         )
 
     # ------------------------------------------------------------------
+    # The RBs' own maps, handed over: a finished run records no more.
     def _raw_arrivals(self) -> Dict[str, Dict[int, float]]:
-        arrivals: Dict[str, Dict[int, float]] = {}
-        for rb in self.release_buffers:
-            per_point: Dict[int, float] = {}
-            for batch, arrival in rb.batch_arrivals:
-                for point in batch.points:
-                    per_point.setdefault(point.point_id, arrival)
-            arrivals[rb.mp_id] = per_point
-        return arrivals
+        return {rb.mp_id: rb.raw_arrivals for rb in self.release_buffers}
 
     def _delivery_times(self) -> Dict[str, Dict[int, float]]:
-        return {rb.mp_id: dict(rb.delivery_times) for rb in self.release_buffers}
+        return {rb.mp_id: rb.delivery_times for rb in self.release_buffers}
 
     def _counters(self) -> Dict[str, float]:
         recovered = self.playbooks.recovered

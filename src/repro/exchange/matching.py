@@ -24,7 +24,7 @@ from repro.exchange.order_book import LimitOrderBook
 __all__ = ["MatchingEngine", "ForwardedTrade"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForwardedTrade:
     """A trade as it crossed the ME boundary.
 
@@ -70,8 +70,9 @@ class MatchingEngine:
         # reports back into the data stream.
         self.on_execution = on_execution
         self.forwarded: List[ForwardedTrade] = []
-        self._positions: Dict[Tuple[str, int], int] = {}
-        self._forward_times: Dict[Tuple[str, int], float] = {}
+        # key -> its record in ``forwarded``: the one index O and F are
+        # read from.
+        self._by_key: Dict[Tuple[str, int], ForwardedTrade] = {}
 
     # ------------------------------------------------------------------
     def submit(self, order: TradeOrder, forward_time: float) -> List[Execution]:
@@ -80,12 +81,11 @@ class MatchingEngine:
         Returns the executions produced (empty when ``execute`` is off).
         """
         key = order.key
-        if key in self._positions:
+        if key in self._by_key:
             raise ValueError(f"trade {key} forwarded to the matching engine twice")
-        position = len(self.forwarded)
-        self.forwarded.append(ForwardedTrade(order=order, forward_time=forward_time, position=position))
-        self._positions[key] = position
-        self._forward_times[key] = forward_time
+        record = ForwardedTrade(order, forward_time, len(self.forwarded))
+        self.forwarded.append(record)
+        self._by_key[key] = record
         if self.execute:
             fills = self.book.submit(order, match_time=forward_time)
             if self.on_execution is not None:
@@ -99,11 +99,13 @@ class MatchingEngine:
     # ------------------------------------------------------------------
     def position_of(self, key: Tuple[str, int]) -> Optional[int]:
         """``O(i, a)``: the trade's ordinal, or ``None`` if never forwarded."""
-        return self._positions.get(key)
+        record = self._by_key.get(key)
+        return None if record is None else record.position
 
     def forward_time_of(self, key: Tuple[str, int]) -> Optional[float]:
         """``F(i, a)``: when the trade reached the ME, or ``None``."""
-        return self._forward_times.get(key)
+        record = self._by_key.get(key)
+        return None if record is None else record.forward_time
 
     @property
     def trade_count(self) -> int:

@@ -22,7 +22,7 @@ hashing, ``repr`` and immutability are the dataclass's, unchanged.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional, Tuple
 
 __all__ = [
@@ -134,6 +134,12 @@ class TradeOrder:
     ``trigger_point`` and ``response_time`` are ground-truth fields used
     *only* for evaluation (§6.1 measures fairness against the known
     trigger/response time); no scheme is allowed to order trades by them.
+
+    ``key`` is the paper's ``(i, a)`` identifier, built once here: every
+    map and set that indexes trades (the RB's unacked window, the OB's
+    release log, the ME's index, the channels' dedup sets) holds this one
+    tuple.  It is not an ``__init__`` argument and takes no part in
+    equality, hashing or ``repr``.
     """
 
     mp_id: str
@@ -147,6 +153,7 @@ class TradeOrder:
     trigger_point: Optional[int] = None
     response_time: Optional[float] = None
     submission_time: Optional[float] = None
+    key: Tuple[str, int] = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -171,17 +178,13 @@ class TradeOrder:
         _set_trigger_point(self, trigger_point)
         _set_response_time(self, response_time)
         _set_submission_time(self, submission_time)
-
-    @property
-    def key(self) -> Tuple[str, int]:
-        """The paper's ``(i, a)`` identifier."""
-        return (self.mp_id, self.trade_seq)
+        _set_key(self, (mp_id, trade_seq))
 
 
 (
     _set_mp_id, _set_trade_seq, _set_side, _set_price, _set_quantity,
     _set_order_type, _set_time_in_force, _set_trigger_point,
-    _set_response_time, _set_submission_time,
+    _set_response_time, _set_submission_time, _set_key,
 ) = _slot_setters(TradeOrder)
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 __all__ = ["TradeRecord", "RunResult"]
 
 
-@dataclass
+@dataclass(slots=True)
 class TradeRecord:
     """Per-trade ground truth joined with the scheme's output.
 

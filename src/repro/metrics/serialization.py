@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from itertools import islice
 from typing import Any, Dict, List, Optional
 
 from repro.metrics.latency import max_rtt_bound_per_trade
@@ -27,6 +28,9 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
+
+# Trades per hashed chunk of :func:`trade_ordering_digest`'s payload.
+_DIGEST_CHUNK = 4096
 
 
 def _point_key(item) -> int:
@@ -138,13 +142,23 @@ def trade_ordering_digest(result: RunResult) -> str:
     ``None``), in position order — the determinism invariant the engine
     refactors must preserve: identical seeds ⇒ identical digest.  Robust
     to sub-µs timestamp jitter because only the *ordering* is hashed.
+
+    The payload is ``"{mp_id}:{trade_seq}:{position};"`` per trade, fed to
+    the hash :data:`_DIGEST_CHUNK` trades at a time rather than joined
+    whole: the same bytes, so the same digest, without a payload string
+    as large as the run.
     """
     ordered = sorted(
         (t for t in result.trades if t.position is not None),
         key=lambda t: t.position,
     )
-    payload = "".join(f"{t.mp_id}:{t.trade_seq}:{t.position};" for t in ordered)
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+    entries = (f"{t.mp_id}:{t.trade_seq}:{t.position};" for t in ordered)
+    digest = hashlib.sha256()
+    while True:
+        chunk = "".join(islice(entries, _DIGEST_CHUNK))
+        if not chunk:
+            return digest.hexdigest()
+        digest.update(chunk.encode("ascii"))
 
 
 def summary_to_dict(summary: Any) -> Dict[str, Any]:

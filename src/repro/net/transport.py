@@ -85,7 +85,8 @@ class Channel(Link):
         self.source = source
         self.destination = destination
         self._dedup_key = dedup_key
-        self._seen: Set[Hashable] = set()
+        # A channel without a dedup key keeps no seen-set.
+        self._seen: Optional[Set[Hashable]] = None if dedup_key is None else set()
         self._deliver = (  # type: ignore[method-assign]
             self._deliver_all if dedup_key is None else self._deliver_once
         )
@@ -113,12 +114,13 @@ class Channel(Link):
     def _accept(self, message: Any, send_time: float, arrival_time: float) -> None:
         """The receiver side: dedup hook, channel odometer, handler.
         Recoveries land here when no ``loss_handler`` is set."""
-        if self._dedup_key is not None:
-            key = self._dedup_key(message)
-            if key in self._seen:
+        seen = self._seen
+        if seen is not None:
+            key = self._dedup_key(message)  # type: ignore[misc]
+            if key in seen:
                 self._messages_deduped += 1
                 return
-            self._seen.add(key)
+            seen.add(key)
         self._messages_delivered += 1
         self.handler(message, send_time, arrival_time)  # type: ignore[misc]
 

@@ -181,3 +181,43 @@ class TestLibra:
     def test_validation(self):
         with pytest.raises(ValueError):
             LibraDeployment(asymmetric_specs(), window=0.0)
+
+
+class TestFirstReleasePastTheRun:
+    """A batch scheme whose first trade release falls after ``duration +
+    drain`` could only end in a vacuous result; ``run`` refuses it up
+    front."""
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda specs: FBADeployment(specs, batch_interval=50_000.0),
+             "fba releases its first trade at 100000 µs (2 × batch_interval)"),
+            (lambda specs: LibraDeployment(specs, window=50_000.0),
+             "libra releases its first trade at 50000 µs (window)"),
+        ],
+        ids=["fba", "libra"],
+    )
+    def test_rejected_before_anything_runs(self, make, message):
+        from repro.experiments.scenarios import cloud_specs
+
+        deployment = make(cloud_specs(4, seed=7))
+        with pytest.raises(ValueError) as raised:
+            deployment.run(duration=2000.0)
+        assert str(raised.value) == f"{message}, after the run ends at 22000 µs (duration + drain)"
+        assert deployment.engine.now == 0.0
+        assert all(not mp.submitted for mp in deployment.participants)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda specs: FBADeployment(specs, batch_interval=11_000.0),
+            lambda specs: LibraDeployment(specs, window=22_000.0),
+        ],
+        ids=["fba", "libra"],
+    )
+    def test_release_at_the_end_of_the_run_still_runs(self, make):
+        from repro.experiments.scenarios import cloud_specs
+
+        result = make(cloud_specs(4, seed=7)).run(duration=2000.0)
+        assert result.trades and result.completion_ratio() == 1.0

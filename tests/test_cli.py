@@ -102,10 +102,18 @@ class TestRun:
         assert code == 0
         assert "direct" in capsys.readouterr().out
 
-    def test_run_without_races_reports_na(self, capsys):
-        # FBA's default 100 ms auction never fires in 5 ms: no trades, so
-        # no pairs; fairness is not a vacuous 100 %.
-        code = main(["run", "--scheme", "fba", "--participants", "6", "--duration", "5000"])
+    def test_run_without_races_reports_na(self, capsys, monkeypatch):
+        # A feed without opportunity ticks: no trades, so no pairs;
+        # fairness is not a vacuous 100 %.  (An FBA auction past the end
+        # of the run is a usage error instead: TestDeploymentErrors.)
+        import functools
+
+        import repro.cli as cli
+        from repro.exchange.feed import FeedConfig
+
+        monkeypatch.setattr(cli, "FeedConfig", functools.partial(FeedConfig, opportunity_fraction=0.0))
+        code = main(["run", "--scheme", "fba", "--participants", "6", "--duration", "5000",
+                     "--batch-interval", "1000"])
         assert code == 0
         out = capsys.readouterr().out
         assert "fairness: fairness n/a (0/0 pairs over 0 races)" in out
@@ -248,6 +256,21 @@ class TestDeploymentErrors:
     def test_chaos_single_shard_conflicts_with_shard_plan(self, capsys):
         line = self.error_of(["chaos", "--plan", "shard-loss", "--ob-shards", "1"], capsys)
         assert "shard_failure requires n_ob_shards > 1" in line
+
+    @pytest.mark.parametrize(
+        "scheme, knob, message",
+        [
+            ("fba", "--batch-interval", "fba releases its first trade at 100000 µs"),
+            ("libra", "--window", "libra releases its first trade at 50000 µs"),
+        ],
+    )
+    def test_first_release_past_the_run(self, capsys, scheme, knob, message):
+        # The first trade release would fall after duration + drain
+        # (2000 + 20000 µs): the run could only be vacuous.
+        argv = ["--scheme", scheme, knob, "50000", "--duration", "2000", "--participants", "4"]
+        line = self.error_of(["run", *argv], capsys)
+        assert message in line and "after the run ends at 22000 µs" in line
+        assert message in self.error_of(["compare", "--schemes", "direct", scheme, *argv[2:]], capsys)
 
     def test_prob_sync_c1_reaches_release_buffers(self, capsys):
         code = main(

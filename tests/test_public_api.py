@@ -302,6 +302,25 @@ def test_construction_takes_only_what_callers_set():
     ]
 
 
+def test_one_key_and_one_record_per_trade():
+    from repro.core.release_buffer import ReleaseBuffer
+    from repro.exchange.matching import MatchingEngine
+    from repro.exchange.messages import TradeOrder
+
+    # A release buffer records each point's first arrival once, in
+    # ``raw_arrivals``; the per-batch arrival log is gone.
+    assert "raw_arrivals" in ReleaseBuffer.__slots__
+    assert "batch_arrivals" not in ReleaseBuffer.__slots__
+    assert not hasattr(ReleaseBuffer, "batch_arrivals")
+    # The key is a field filled once, not a property.
+    assert "key" in TradeOrder.__slots__
+    assert not isinstance(TradeOrder.__dict__["key"], property)
+    # The matching engine keeps one index.
+    engine = MatchingEngine(execute=False)
+    for removed in ("_positions", "_forward_times"):
+        assert not hasattr(engine, removed), removed
+
+
 def test_top_level_quickstart_surface():
     import repro
 
