@@ -155,7 +155,6 @@ class BaseDeployment:
         response_time_model: Optional[ResponseTimeModel] = None,
         strategy_factory: Optional[Callable[[int], Strategy]] = None,
         execute_trades: bool = False,
-        publish_executions: bool = False,
         seed: int = 0,
         rb_clock_drift: float = 1e-4,
         runtime: Optional[Runtime] = None,
@@ -171,7 +170,6 @@ class BaseDeployment:
             self.engine,
             feed_config=feed_config,
             execute_trades=execute_trades,
-            publish_executions=publish_executions,
         )
         self.response_time_model = (
             response_time_model if response_time_model is not None else UniformResponseTime()

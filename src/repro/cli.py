@@ -24,6 +24,7 @@ import json
 import sys
 from typing import Dict, Optional, Sequence
 
+from repro.baselines.fba import FBADeployment
 from repro.core.params import AggregationTopology, DBOParams, SupervisionPolicy
 from repro.core.release_buffer import RetransmitPolicy
 from repro.exchange.feed import FeedConfig
@@ -268,7 +269,10 @@ def _add_scheme_knobs(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--c1", type=float, default=None, help="CloudEx data threshold (µs)")
     p.add_argument("--c2", type=float, default=None, help="CloudEx trade threshold (µs)")
-    p.add_argument("--batch-interval", type=float, default=None, help="FBA period (µs)")
+    p.add_argument(
+        "--batch-interval", type=float, default=None,
+        help="FBA period (µs; default: an eighth of --duration)",
+    )
     p.add_argument("--window", type=float, default=None, help="Libra window (µs)")
 
 
@@ -322,7 +326,12 @@ def _scheme_kwargs(scheme: str, args) -> dict:
     if scheme == "cloudex":
         return _given(args, "c1", "c2")
     if scheme == "fba":
-        return _given(args, "batch_interval")
+        # Unset scales to the run, as chaos-table does; a set interval
+        # too long for the run is still a usage error.
+        interval = args.batch_interval
+        if interval is None:
+            interval = FBADeployment.interval_for(args.duration)
+        return {"batch_interval": interval}
     if scheme == "libra":
         return _given(args, "window")
     return {}

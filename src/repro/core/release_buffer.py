@@ -24,9 +24,8 @@ interception at the RB.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.delivery_clock import DeliveryClock, DeliveryClockStamp
 from repro.exchange.messages import (
@@ -111,14 +110,6 @@ class ReleaseBuffer:
     rb_to_mp:
         Optional latency model for the RB→MP leg (non-colocated mode);
         colocated RBs (the default) deliver with zero delay.
-    piggyback_suppression:
-        §4.2.1 notes that "too frequent heartbeats can overwhelm the
-        network [or] the ordering buffer".  Since every tagged trade is
-        itself a progress proof, an actively trading participant's
-        heartbeats are largely redundant: with this flag the RB skips a
-        heartbeat when a trade left within the last period.  Saves
-        reverse-path messages at a bounded (≤ τ) extra wait for trades
-        queued just above this participant's last stamp.
     """
 
     # One RB per participant, and more attributes than CPython's shared
@@ -129,8 +120,7 @@ class ReleaseBuffer:
         "_marker_sink", "_queue", "_delivery_scheduled", "_last_delivery_true",
         "_heartbeats_started", "_heartbeat_timer", "crashed", "delivery_times",
         "raw_arrivals", "max_queue_depth", "recovered_point_ids",
-        "piggyback_suppression", "_last_trade_sent_at", "heartbeats_sent",
-        "heartbeats_suppressed", "trades_tagged", "trades_dropped_untagged",
+        "heartbeats_sent", "trades_tagged", "trades_dropped_untagged",
         "retransmit_policy", "_unacked", "_retry_state", "trades_retransmitted",
         "trades_warmup_resent", "warmup_requests_served", "retransmits_abandoned",
         "acks_received", "batches_dropped_crashed", "restarts",
@@ -145,7 +135,6 @@ class ReleaseBuffer:
         heartbeat_period: float,
         local_clock: Optional[Clock] = None,
         rb_to_mp: Optional[LatencyModel] = None,
-        piggyback_suppression: bool = False,
         retransmit_policy: Optional[RetransmitPolicy] = None,
     ) -> None:
         if pacing_gap <= 0:
@@ -165,7 +154,8 @@ class ReleaseBuffer:
         self._heartbeat_sink: Optional[HeartbeatSink] = None
         self._marker_sink: Optional[MarkerSink] = None
 
-        self._queue: Deque[MarketDataBatch] = deque()
+        # Usually holds at most one batch: a list is smaller than a deque.
+        self._queue: List[MarketDataBatch] = []
         self._delivery_scheduled = False
         self._last_delivery_true: Optional[float] = None
         self._heartbeats_started = False
@@ -183,10 +173,7 @@ class ReleaseBuffer:
         # Points that reached the MP via out-of-band recovery (App. D):
         # they never advanced the delivery clock.
         self.recovered_point_ids: set = set()
-        self.piggyback_suppression = piggyback_suppression
-        self._last_trade_sent_at: Optional[float] = None
         self.heartbeats_sent = 0
-        self.heartbeats_suppressed = 0
         self.trades_tagged = 0
         self.trades_dropped_untagged = 0
 
@@ -321,7 +308,7 @@ class ReleaseBuffer:
         if not self._queue:
             return
         now = self.engine.now
-        batch = self._queue.popleft()
+        batch = self._queue.pop(0)
         self._last_delivery_true = now
         for point in batch.points:
             self.delivery_times[point.point_id] = now
@@ -366,7 +353,6 @@ class ReleaseBuffer:
         now = self.engine.now
         stamp = self.clock.read(now)
         self.trades_tagged += 1
-        self._last_trade_sent_at = now
         tagged = TaggedTrade(trade=trade, clock=stamp, tagged_at=now)
         if self.retransmit_policy is not None:
             self._unacked[trade.key] = tagged
@@ -549,12 +535,6 @@ class ReleaseBuffer:
                 self._heartbeat_timer.cancel()
             return
         now = self.engine.now
-        if self.piggyback_suppression:
-            last_trade = self._last_trade_sent_at
-            if last_trade is not None and now - last_trade < self.heartbeat_period:
-                # A recent trade already proved this participant's progress.
-                self.heartbeats_suppressed += 1
-                return
         clock = self.clock
         stamp: Optional[DeliveryClockStamp]
         stamp = clock.read(now) if clock._last_point_id is not None else None

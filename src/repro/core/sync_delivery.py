@@ -68,7 +68,6 @@ class SyncAssistedReleaseBuffer(ReleaseBuffer):
         target_delay: float,
         local_clock: Optional[Clock] = None,
         rb_to_mp: Optional[LatencyModel] = None,
-        piggyback_suppression: bool = False,
         retransmit_policy: Optional[RetransmitPolicy] = None,
     ) -> None:
         super().__init__(
@@ -78,7 +77,6 @@ class SyncAssistedReleaseBuffer(ReleaseBuffer):
             heartbeat_period=heartbeat_period,
             local_clock=local_clock,
             rb_to_mp=rb_to_mp,
-            piggyback_suppression=piggyback_suppression,
             retransmit_policy=retransmit_policy,
         )
         if target_delay <= 0:

@@ -53,8 +53,7 @@ from repro.sim.engine import PeriodicTimer
 from repro.sim.runtime import Runtime
 
 if TYPE_CHECKING:
-    from repro.exchange.messages import Execution, TradeOrder
-    from repro.exchange.risk import RiskGate, RiskLimits
+    from repro.exchange.messages import TradeOrder
 
 __all__ = ["DBODeployment"]
 
@@ -134,7 +133,6 @@ class DBODeployment(BaseDeployment):
         response_time_model: Optional[ResponseTimeModel] = None,
         strategy_factory: Optional[Callable[[int], Strategy]] = None,
         execute_trades: bool = False,
-        publish_executions: bool = False,
         seed: int = 0,
         rb_clock_drift: float = 1e-4,
         n_ob_shards: int = 1,
@@ -145,9 +143,7 @@ class DBODeployment(BaseDeployment):
         sync_target_c1: Optional[float] = None,
         sync_error: float = 0.0,
         telemetry_interval: Optional[float] = None,
-        piggyback_suppression: bool = False,
         ob_service_time: float = 0.0,
-        risk_limits: Optional["RiskLimits"] = None,
         retransmit_policy: Optional[RetransmitPolicy] = None,
         enable_egress_gateway: bool = False,
         supervise: bool = False,
@@ -176,7 +172,6 @@ class DBODeployment(BaseDeployment):
             response_time_model=response_time_model,
             strategy_factory=strategy_factory,
             execute_trades=execute_trades,
-            publish_executions=publish_executions,
             seed=seed,
             rb_clock_drift=rb_clock_drift,
             runtime=runtime,
@@ -210,16 +205,12 @@ class DBODeployment(BaseDeployment):
         self.sync_error = sync_error
         self.telemetry_interval = telemetry_interval
         self.telemetry = None
-        self.piggyback_suppression = piggyback_suppression
         # §5.2 bottleneck modeling: per-message OB processing time.  With
         # a flat OB one server handles every trade and heartbeat; with
         # shards each shard gets its own server and the master only sees
         # the (filtered) shard output.
         self.ob_service_time = ob_service_time
         self._ob_service_queues: Dict[str, object] = {}
-        # Optional pre-trade risk gate between OB release and the ME.
-        self.risk_limits = risk_limits
-        self.risk_gate = None
         self.release_buffers: List[ReleaseBuffer] = []
         self.master_ob: Optional[MasterOB] = None
         self.multicast = MulticastGroup()
@@ -239,7 +230,7 @@ class DBODeployment(BaseDeployment):
         self.enable_egress_gateway = enable_egress_gateway
         self.egress_gateway: Optional[EgressGateway] = None
         self._rb_by_id: Dict[str, ReleaseBuffer] = {}
-        # The composed release sink (ME/risk-gate + observers); standby
+        # The composed release sink (ME + observers); standby
         # OBs built on failover reuse it unchanged.
         self._release_sink = None
         # Observation hooks called as (tagged, now) on every release and
@@ -315,31 +306,8 @@ class DBODeployment(BaseDeployment):
         params = self.params
         me = self.ces.matching_engine
 
-        if self.risk_limits is not None:
-            from repro.exchange.risk import RiskGate
-
-            self.risk_gate = RiskGate(self.risk_limits, sink=me.submit)
-            previous_hook = me.on_execution
-
-            def on_execution(
-                execution: "Execution",
-                gate: "RiskGate" = self.risk_gate,
-                prev: Optional[Callable[["Execution"], None]] = previous_hook,
-            ) -> None:
-                gate.on_execution(execution)
-                if prev is not None:
-                    prev(execution)
-
-            me.on_execution = on_execution
-
-            def base_sink(tagged: TaggedTrade, now: float) -> None:
-                self.risk_gate.submit(tagged.trade, forward_time=now)
-        else:
-            def base_sink(tagged: TaggedTrade, now: float) -> None:
-                me.submit(tagged.trade, forward_time=now)
-
         def release_sink(tagged: TaggedTrade, now: float) -> None:
-            base_sink(tagged, now)
+            me.submit(tagged.trade, forward_time=now)
             for observer in self._release_observers:
                 observer(tagged, now)
 
@@ -420,7 +388,6 @@ class DBODeployment(BaseDeployment):
                 heartbeat_period=params.tau,
                 local_clock=self._make_rb_clock(index),
                 rb_to_mp=spec.rb_to_mp,
-                piggyback_suppression=self.piggyback_suppression,
                 retransmit_policy=self.retransmit_policy,
                 **sync_kwargs,
             )
@@ -782,9 +749,6 @@ class DBODeployment(BaseDeployment):
         counters: Dict[str, float] = {
             "rb_max_queue_depth": max(rb.max_queue_depth for rb in self.release_buffers),
             "heartbeats_sent": sum(rb.heartbeats_sent for rb in self.release_buffers),
-            "heartbeats_suppressed": sum(
-                rb.heartbeats_suppressed for rb in self.release_buffers
-            ),
             "trades_dropped_untagged": sum(
                 rb.trades_dropped_untagged for rb in self.release_buffers
             ),
@@ -838,9 +802,6 @@ class DBODeployment(BaseDeployment):
             counters["gateway_max_hold"] = float(self.egress_gateway.max_hold)
             if self.egress_gateway.stalls:
                 counters["gateway_stalls"] = float(self.egress_gateway.stalls)
-        if self.risk_gate is not None:
-            counters["risk_rejections"] = float(len(self.risk_gate.rejections))
-            counters["risk_passed"] = float(self.risk_gate.orders_passed)
         if self._ob_service_queues:
             counters["ob_service_max_delay"] = max(
                 q.max_delay for q in self._ob_service_queues.values()

@@ -17,7 +17,6 @@ from repro.exchange.messages import (
     TradeOrder,
 )
 from repro.exchange.order_book import BookLevel, LimitOrderBook, RestingOrder
-from repro.exchange.risk import Rejection, RiskGate, RiskLimits
 
 __all__ = [
     "Account",
@@ -42,7 +41,4 @@ __all__ = [
     "BookLevel",
     "LimitOrderBook",
     "RestingOrder",
-    "Rejection",
-    "RiskGate",
-    "RiskLimits",
 ]

@@ -20,7 +20,7 @@ from typing import Any, Callable, Optional
 
 from repro.exchange.feed import FeedConfig, MarketDataFeed
 from repro.exchange.matching import MatchingEngine
-from repro.exchange.messages import Execution, MarketDataPoint
+from repro.exchange.messages import MarketDataPoint
 from repro.sim.engine import EventEngine, PeriodicTimer
 
 __all__ = ["CentralExchangeServer"]
@@ -51,22 +51,14 @@ class CentralExchangeServer:
         feed_config: Optional[FeedConfig] = None,
         distributor: Optional[Distributor] = None,
         execute_trades: bool = False,
-        publish_executions: bool = False,
     ) -> None:
         self.engine = engine
         self.feed = MarketDataFeed(feed_config)
-        self.matching_engine = MatchingEngine(
-            execute=execute_trades,
-            on_execution=self._on_execution if publish_executions else None,
-        )
-        self.publish_executions = publish_executions
-        if publish_executions and not execute_trades:
-            raise ValueError("publish_executions requires execute_trades")
+        self.matching_engine = MatchingEngine(execute=execute_trades)
         self._distributor = distributor
         self._stop_time: Optional[float] = None
         self._started = False
         self._last_emit_time: Optional[float] = None
-        self.execution_reports_published = 0
         self.keepalives_published = 0
         # Appendix D: for sparse feeds the CES should emit periodic
         # keepalive points so a loss-lagged participant's delivery clock
@@ -78,18 +70,6 @@ class CentralExchangeServer:
         self._paused = False
         self._tick_chain_alive = False
         self.feed_hiccups = 0
-
-    def _on_execution(self, execution: Execution) -> None:
-        """Publish an execution report into the market-data stream.
-
-        Real exchanges derive their feed from the matching engine's
-        activity ("last trade" ticks).  Reports are *informational*
-        (``is_opportunity=False``): they inform strategies (momentum,
-        market-making) without opening speed races, which keeps the
-        trade→report→trade loop bounded by strategy behaviour.
-        """
-        self.execution_reports_published += 1
-        self.inject_external(payload=execution, opportunity=False)
 
     # ------------------------------------------------------------------
     def set_distributor(self, distributor: Distributor) -> None:

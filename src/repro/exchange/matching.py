@@ -16,7 +16,7 @@ definition in §3 is written in terms of.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.exchange.messages import Execution, TradeOrder
 from repro.exchange.order_book import LimitOrderBook
@@ -61,14 +61,9 @@ class MatchingEngine:
         self,
         book: Optional[LimitOrderBook] = None,
         execute: bool = True,
-        on_execution: Optional[Callable[[Execution], None]] = None,
     ) -> None:
         self.book = book if book is not None else LimitOrderBook()
         self.execute = execute
-        # Post-trade hook: real exchanges derive their market-data feed
-        # from the ME's activity; the CES uses this to publish execution
-        # reports back into the data stream.
-        self.on_execution = on_execution
         self.forwarded: List[ForwardedTrade] = []
         # key -> its record in ``forwarded``: the one index O and F are
         # read from.
@@ -87,11 +82,7 @@ class MatchingEngine:
         self.forwarded.append(record)
         self._by_key[key] = record
         if self.execute:
-            fills = self.book.submit(order, match_time=forward_time)
-            if self.on_execution is not None:
-                for fill in fills:
-                    self.on_execution(fill)
-            return fills
+            return self.book.submit(order, match_time=forward_time)
         return []
 
     # ------------------------------------------------------------------

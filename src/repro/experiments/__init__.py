@@ -3,7 +3,6 @@
 from repro.experiments.chaos import (
     CHAOS_PLANS,
     ChaosRunReport,
-    audit_all_schemes,
     make_plan,
     run_chaos,
 )
@@ -55,7 +54,6 @@ from repro.experiments.tables import (
 __all__ = [
     "CHAOS_PLANS",
     "ChaosRunReport",
-    "audit_all_schemes",
     "make_plan",
     "run_chaos",
     "ChaosTable",

@@ -21,7 +21,7 @@ end of the run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.baselines.base import NetworkSpec
 from repro.experiments.runner import build_deployment
@@ -35,7 +35,6 @@ from repro.metrics.serialization import trade_ordering_digest
 __all__ = [
     "CHAOS_PLANS",
     "ChaosRunReport",
-    "audit_all_schemes",
     "chaos_kwargs",
     "make_plan",
     "run_chaos",
@@ -430,32 +429,3 @@ def run_chaos(
         clean_digest=trade_ordering_digest(clean),
         faulted_digest=trade_ordering_digest(faulted),
     )
-
-
-def audit_all_schemes(
-    specs_factory: Callable[[], Sequence[NetworkSpec]],
-    duration: float,
-    seed: int = 0,
-    schemes: Optional[List[str]] = None,
-    scheme_kwargs: Optional[Dict[str, Dict[str, Any]]] = None,
-    **kwargs,
-) -> Dict[str, AuditReport]:
-    """Fault-free audit sweep: every registered scheme must come back clean.
-
-    Used by tests and the CI smoke step to pin the invariant "no scheme
-    violates safety without injected faults".  ``scheme_kwargs`` carries
-    per-scheme constructor overrides (e.g. an FBA ``batch_interval``
-    short enough for the run).
-    """
-    from repro.experiments.registry import available_schemes
-
-    reports: Dict[str, AuditReport] = {}
-    for scheme in schemes if schemes is not None else available_schemes():
-        extra = dict(kwargs)
-        extra.update((scheme_kwargs or {}).get(scheme, {}))
-        deployment = build_deployment(scheme, specs_factory(), seed=seed, **extra)
-        auditor = InvariantAuditor()
-        auditor.attach(deployment)
-        deployment.run(duration=duration)
-        reports[scheme] = auditor.report()
-    return reports

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.stats import pooled_fairness, summarize_samples
+from repro.baselines.fba import FBADeployment
 from repro.experiments.chaos import CHAOS_PLANS
 from repro.experiments.registry import available_schemes
 from repro.metrics.report import render_table
@@ -183,12 +184,14 @@ def build_cells(
     """The cell list for a schemes × plans × seeds matrix, in row order.
 
     Per-scheme constructor overrides come from ``scheme_kwargs``; FBA
-    gets a ``batch_interval`` scaled to the duration by default (its
-    100 ms paper default never fires inside a short simulated window).
+    gets ``FBADeployment.interval_for(duration)`` by default, the rule
+    ``repro run`` and ``repro compare`` apply too.
     """
     if n_seeds < 1:
         raise ValueError("need at least one seed")
-    defaults: Dict[str, Dict[str, Any]] = {"fba": {"batch_interval": duration / 8.0}}
+    defaults: Dict[str, Dict[str, Any]] = {
+        "fba": {"batch_interval": FBADeployment.interval_for(duration)}
+    }
     for scheme, extra in sorted((scheme_kwargs or {}).items()):
         defaults.setdefault(scheme, {}).update(extra)
     cells: List[CellSpec] = []

@@ -143,9 +143,8 @@ class InvariantAuditor:
         ``heartbeat_gap_factor × period`` — drift-storm awareness.
         ``None`` (default) disables the check.
     heartbeat_gap_factor:
-        Gap tolerance multiplier (network jitter and piggyback
-        suppression make modest gaps normal; the default flags a cadence
-        at least 4× off-tempo).
+        Gap tolerance multiplier (network jitter makes modest gaps
+        normal; the default flags a cadence at least 4× off-tempo).
     """
 
     def __init__(

@@ -4,7 +4,6 @@ from repro.metrics.fairness import (
     FairnessReport,
     causality_violations,
     evaluate_fairness,
-    fairness_by_rt_bucket,
     pairwise_correct,
 )
 from repro.metrics.latency import (
@@ -30,7 +29,6 @@ __all__ = [
     "FairnessReport",
     "causality_violations",
     "evaluate_fairness",
-    "fairness_by_rt_bucket",
     "pairwise_correct",
     "LatencyStats",
     "data_delivery_latencies",

@@ -33,16 +33,15 @@ those hold a larger position:
    (inclusion–exclusion: pairs of different MPs = all pairs − same-MP
    pairs).
 
-:func:`evaluate_fairness` is the sum of those per-trade counts and
-:func:`fairness_by_rt_bucket` is the same counts binned by the faster
-trade's response time.  A race of ``n`` trades costs ``O(n log n)``
-comparisons (the sort and one ``bisect`` per trade) instead of the
-``n(n-1)/2`` pair visits of the definition.  The sorted-list insert also
-shifts up to ``n`` machine words inside C (one ``memmove``); a race
-already in fair order — the common case — appends at the end and shifts
-nothing, and on a shuffled race a Fenwick tree over position ranks, which
-shifts nothing either, was measured slower below n ≈ 20 000
-(EXPERIMENTS.md, "Pairwise-fairness kernel").
+:func:`evaluate_fairness` is the sum of those per-trade counts.  A race
+of ``n`` trades costs ``O(n log n)`` comparisons (the sort and one
+``bisect`` per trade) instead of the ``n(n-1)/2`` pair visits of the
+definition.  The sorted-list insert also shifts up to ``n`` machine
+words inside C (one ``memmove``); a race already in fair order — the
+common case — appends at the end and shifts nothing, and on a shuffled
+race a Fenwick tree over position ranks, which shifts nothing either, was
+measured slower below n ≈ 20 000 (EXPERIMENTS.md, "Pairwise-fairness
+kernel").
 
 Also provided: the causality check of Eq. 4 (a participant's own trades
 must be ordered in submission order).
@@ -60,7 +59,6 @@ __all__ = [
     "FairnessReport",
     "evaluate_fairness",
     "causality_violations",
-    "fairness_by_rt_bucket",
     "pairwise_correct",
 ]
 
@@ -146,12 +144,12 @@ def _sweep(keys: Sequence[Tuple[float, int, str]]) -> Tuple[List[int], List[int]
     return correct, total
 
 
-def _faster_trade_counts(race: Sequence[TradeRecord]) -> Tuple[List[float], List[int], List[int]]:
+def _faster_trade_counts(race: Sequence[TradeRecord]) -> Tuple[List[int], List[int]]:
     """One race's competing pairs, each booked to its faster trade.
 
-    Returns ``(response_times, correct, total)``, one entry per trade (in
-    slowest-first order): the trade's response time, and how many competing
-    pairs it is the faster member of — ordered correctly, and in all.
+    Returns ``(correct, total)``, one entry per trade (in slowest-first
+    order): how many competing pairs it is the faster member of — ordered
+    correctly, and in all.
     """
     keys = sorted((-t.response_time, -t.position, t.mp_id) for t in race)
     correct, total = _sweep(keys)
@@ -168,7 +166,7 @@ def _faster_trade_counts(race: Sequence[TradeRecord]) -> Tuple[List[float], List
                 for index, c, t in zip(own, own_correct, own_total):
                     correct[index] -= c
                     total[index] -= t
-    return [-key[0] for key in keys], correct, total
+    return correct, total
 
 
 def evaluate_fairness(result: RunResult) -> FairnessReport:
@@ -179,7 +177,7 @@ def evaluate_fairness(result: RunResult) -> FairnessReport:
     # Pair counts are commutative integer sums, but iterate races in
     # trigger order anyway — explicit order beats a suppression.
     for trigger in sorted(races):
-        _, race_correct, race_total = _faster_trade_counts(races[trigger])
+        race_correct, race_total = _faster_trade_counts(races[trigger])
         correct += sum(race_correct)
         total += sum(race_total)
     return FairnessReport(
@@ -206,37 +204,3 @@ def causality_violations(result: RunResult) -> int:
             if earlier.submission_time < later.submission_time and earlier.position > later.position:
                 violations += 1
     return violations
-
-
-def fairness_by_rt_bucket(
-    result: RunResult,
-    buckets: Sequence[Tuple[float, float]],
-) -> Dict[Tuple[float, float], FairnessReport]:
-    """Fairness restricted to races whose *faster* trade falls in a bucket.
-
-    Table 4 runs separate experiments per response-time range; this
-    helper additionally supports slicing a single mixed run: a competing
-    pair is attributed to the bucket containing the faster trade's
-    response time (the LRTF condition constrains only the faster trade).
-    """
-    races = result.trades_by_trigger()
-    tallies: Dict[Tuple[float, float], List[int]] = {b: [0, 0] for b in buckets}
-    # Bucket tallies are commutative integer sums; trigger order is the
-    # explicit iteration order.
-    for trigger in sorted(races):
-        for faster_rt, correct, total in zip(*_faster_trade_counts(races[trigger])):
-            for bucket in buckets:
-                if bucket[0] <= faster_rt < bucket[1]:
-                    tallies[bucket][0] += correct
-                    tallies[bucket][1] += total
-                    break
-    return {
-        bucket: FairnessReport(
-            correct_pairs=counts[0],
-            total_pairs=counts[1],
-            races=len(races),
-            unordered_trades=0,
-        )
-        # Keyed by the caller's bucket sequence — the explicit order.
-        for bucket, counts in ((b, tallies[b]) for b in buckets)
-    }

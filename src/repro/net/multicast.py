@@ -51,12 +51,6 @@ class MulticastGroup:
             raise ValueError(f"duplicate multicast member: {member_id!r}")
         self._members[member_id] = link
 
-    def remove_member(self, member_id: str) -> None:
-        """Remove a destination (e.g. a crashed participant)."""
-        if member_id not in self._members:
-            raise KeyError(member_id)
-        del self._members[member_id]
-
     @property
     def member_ids(self) -> List[str]:
         return list(self._members)

@@ -67,12 +67,15 @@ class TestParser:
         assert build_parser().parse_args(["run"]).horizon is None
 
     def test_unset_knobs_keep_library_defaults(self):
+        from repro.baselines.fba import FBADeployment
         from repro.cli import _scheme_kwargs
         from repro.core.params import DBOParams
 
         args = build_parser().parse_args(["run", "--supervise"])
-        for scheme in ("direct", "cloudex", "fba", "libra"):
+        for scheme in ("direct", "cloudex", "libra"):
             assert _scheme_kwargs(scheme, args) == {}
+        # FBA's auction period scales to the run, as in chaos-table.
+        assert _scheme_kwargs("fba", args) == {"batch_interval": FBADeployment.interval_for(args.duration)}
         for scheme in ("dbo", "prob"):
             kwargs = _scheme_kwargs(scheme, args)
             assert kwargs["params"] == DBOParams()
@@ -119,6 +122,17 @@ class TestRun:
         assert "fairness: fairness n/a (0/0 pairs over 0 races)" in out
         assert "completion: n/a (no trades)" in out
         assert "100.00" not in out
+
+    def test_default_fba_run_trades(self, capsys):
+        # Every option at its default: the auction period follows the
+        # run, so the first auction's trades release inside it.
+        for argv in (["run", "--scheme", "fba"], ["compare", "--schemes", "direct", "fba"]):
+            assert main([*argv, "--json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            summaries = doc["summaries"] if "summaries" in doc else [doc["summary"]]
+            for summary in summaries:
+                assert summary["latency"]["count"] > 0, summary["scheme"]
+                assert summary["completion"] == 1.0, summary["scheme"]
 
     def test_run_with_race_gap(self, capsys):
         code = main(

@@ -13,11 +13,12 @@ import pytest
 from repro.baselines.base import NetworkSpec
 from repro.experiments.chaos import (
     CHAOS_PLANS,
-    audit_all_schemes,
     make_plan,
     run_chaos,
 )
 from repro.experiments.registry import available_schemes
+from repro.experiments.runner import build_deployment
+from repro.faults.auditor import InvariantAuditor
 from repro.metrics.degradation import fairness_degradation
 from repro.net.latency import ConstantLatency
 
@@ -98,15 +99,17 @@ class TestRunChaos:
 
 class TestFaultFreeAuditAllSchemes:
     def test_every_registered_scheme_audits_clean(self):
-        reports = audit_all_schemes(
-            specs_factory(),
-            duration=5_000.0,
-            seed=3,
+        factory = specs_factory()
+        reports = {}
+        for scheme in available_schemes():
             # FBA's default auction period exceeds the run; shorten it so
             # its matching engine actually sees trades.
-            scheme_kwargs={"fba": {"batch_interval": 500.0}},
-        )
-        assert set(reports) == set(available_schemes())
+            extra = {"batch_interval": 500.0} if scheme == "fba" else {}
+            deployment = build_deployment(scheme, factory(), seed=3, **extra)
+            auditor = InvariantAuditor()
+            auditor.attach(deployment)
+            deployment.run(duration=5_000.0)
+            reports[scheme] = auditor.report()
         for scheme, report in reports.items():
             assert report.ok, f"{scheme}: {report.counts()}"
             assert report.violations == []

@@ -111,6 +111,22 @@ class TestFiring:
         # Cleared after recovery.
         assert not deployment.specs[0].forward.degraded
 
+    def test_channel_addressed_latency_degradation(self):
+        # A channel-addressed degradation wraps the channel's own model
+        # when it fires (Channel.degrade) and heals it on recovery.
+        plan = FaultSchedule.of(
+            FaultSpec(kind="latency_degradation", at=1_000.0, duration=1_000.0,
+                      channel="fwd-mp0", magnitude=500.0)
+        )
+        deployment = dbo()
+        FaultInjector(plan).arm(deployment)
+        deployment.run(duration=4_000.0)
+        model = deployment.transport.channel("fwd-mp0").latency_model
+        assert isinstance(model, DegradedLatency)
+        assert model.degradations_applied == 1
+        assert not model.degraded
+        assert not isinstance(deployment.transport.channel("fwd-mp1").latency_model, DegradedLatency)
+
     def test_rb_crash_and_restart(self):
         plan = FaultSchedule.of(
             FaultSpec(kind="rb_crash", at=1_000.0, duration=1_000.0, target="mp2")

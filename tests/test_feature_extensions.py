@@ -189,110 +189,3 @@ class TestSelfMatchPrevention:
         fills = book.submit(TradeOrder("a", 0, Side.BUY, price=10.0, quantity=2))
         assert sum(f.quantity for f in fills) == 2
         assert book.self_match_cancels == 0
-
-
-class TestPiggybackSuppression:
-    """§4.2.1 heartbeat-load optimization: trades double as heartbeats."""
-
-    def run(self, flag):
-        deployment = DBODeployment(
-            default_network_specs(4, seed=5), seed=1, piggyback_suppression=flag
-        )
-        result = deployment.run(duration=10_000.0)
-        return deployment, result
-
-    def test_suppression_reduces_heartbeats(self):
-        _, base = self.run(False)
-        _, suppressed = self.run(True)
-        assert suppressed.counters["heartbeats_sent"] < base.counters["heartbeats_sent"]
-        assert suppressed.counters["heartbeats_suppressed"] > 0
-
-    def test_fairness_unaffected(self):
-        _, base = self.run(False)
-        _, suppressed = self.run(True)
-        assert (
-            evaluate_fairness(suppressed).ratio == evaluate_fairness(base).ratio
-        )
-
-    def test_latency_cost_is_bounded_by_tau(self):
-        _, base = self.run(False)
-        _, suppressed = self.run(True)
-        extra = latency_stats(suppressed).avg - latency_stats(base).avg
-        assert 0.0 <= extra <= 20.0  # at most one heartbeat period
-
-    def test_idle_participants_keep_heartbeating(self):
-        # A participant with no trades must never suppress.
-        from repro.participants.strategies import Strategy
-
-        class Silent(Strategy):
-            def on_point(self, point):
-                return []
-
-        deployment = DBODeployment(
-            default_network_specs(2, seed=5),
-            seed=1,
-            piggyback_suppression=True,
-            strategy_factory=lambda i: Silent(),
-        )
-        deployment.run(duration=5_000.0)
-        for rb in deployment.release_buffers:
-            assert rb.heartbeats_suppressed == 0
-            assert rb.heartbeats_sent > 100
-
-
-class TestRiskGateIntegration:
-    def test_gate_filters_without_reordering(self):
-        from repro.exchange.risk import RiskLimits
-        from repro.participants.strategies import SpeedRacer
-
-        class BigRacer(SpeedRacer):
-            """Every 10th order is oversized (fat finger)."""
-
-            def __init__(self, seed):
-                super().__init__(seed=seed)
-                self._count = 0
-
-            def on_point(self, point):
-                intents = super().on_point(point)
-                self._count += 1
-                if self._count % 10 == 0 and intents:
-                    from dataclasses import replace
-
-                    intents = [replace(intents[0], quantity=100)]
-                return intents
-
-        deployment = DBODeployment(
-            default_network_specs(3, seed=5),
-            seed=1,
-            strategy_factory=lambda i: BigRacer(seed=i),
-            risk_limits=RiskLimits(max_order_size=10),
-        )
-        result = deployment.run(duration=5_000.0)
-        assert result.counters["risk_rejections"] > 0
-        assert result.counters["risk_passed"] > 0
-        # Rejected trades never reach the ME: they show as incomplete.
-        incomplete = [t for t in result.trades if not t.completed]
-        assert len(incomplete) == int(result.counters["risk_rejections"])
-        # Surviving trades keep perfect relative ordering.
-        assert evaluate_fairness(result).ratio == 1.0
-
-    def test_position_limit_with_live_book(self):
-        from repro.exchange.risk import RiskLimits
-        from repro.participants.strategies import AggressiveTaker, MarketMaker
-
-        def strategies(index):
-            return MarketMaker(quantity=5) if index == 0 else AggressiveTaker(quantity=5)
-
-        deployment = DBODeployment(
-            default_network_specs(3, seed=5),
-            seed=1,
-            strategy_factory=strategies,
-            execute_trades=True,
-            risk_limits=RiskLimits(max_position=20),
-        )
-        deployment.run(duration=8_000.0)
-        gate = deployment.risk_gate
-        assert gate.rejection_counts().get("max_position", 0) > 0
-        # Positions (tracked from fills) never exceed the bound.
-        for mp_id in deployment.mp_ids:
-            assert abs(gate.position_of(mp_id)) <= 20

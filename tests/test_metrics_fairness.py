@@ -6,7 +6,6 @@ from repro.metrics.fairness import (
     FairnessReport,
     causality_violations,
     evaluate_fairness,
-    fairness_by_rt_bucket,
     pairwise_correct,
 )
 from repro.metrics.records import RunResult, TradeRecord
@@ -157,26 +156,3 @@ class TestCausality:
             record("b", 0, 0, 7.0, s=2.0, f=2.0, pos=0),
         ]
         assert causality_violations(run_of(trades)) == 0
-
-
-class TestBuckets:
-    def test_pairs_attributed_to_faster_trades_bucket(self):
-        trades = [
-            record("a", 0, 0, 12.0, f=1.0, pos=0),
-            record("b", 0, 0, 22.0, f=2.0, pos=1),
-        ]
-        buckets = [(10.0, 15.0), (20.0, 25.0)]
-        reports = fairness_by_rt_bucket(run_of(trades), buckets)
-        assert reports[(10.0, 15.0)].total_pairs == 1
-        assert reports[(20.0, 25.0)].total_pairs == 0
-
-    def test_bucket_ratios(self):
-        trades = [
-            record("a", 0, 0, 12.0, f=2.0, pos=1),  # flipped
-            record("b", 0, 0, 22.0, f=1.0, pos=0),
-            record("a", 1, 1, 13.0, f=3.0, pos=2),  # correct
-            record("b", 1, 1, 23.0, f=4.0, pos=3),
-        ]
-        reports = fairness_by_rt_bucket(run_of(trades), [(10.0, 15.0)])
-        assert reports[(10.0, 15.0)].total_pairs == 2
-        assert reports[(10.0, 15.0)].correct_pairs == 1

@@ -1,8 +1,7 @@
-"""The counting kernel behind ``evaluate_fairness`` / ``fairness_by_rt_bucket``
-against the pair-by-pair definition (``pairwise_correct``), plus its
-algebraic properties and a guard on its scaling."""
+"""The counting kernel behind ``evaluate_fairness`` against the pair-by-pair
+definition (``pairwise_correct``), plus its algebraic properties and a guard
+on its scaling."""
 
-import math
 import time
 from itertools import combinations
 
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from repro.metrics.fairness import (
     FairnessReport,
     evaluate_fairness,
-    fairness_by_rt_bucket,
     pairwise_correct,
 )
 from repro.metrics.records import RunResult, TradeRecord
@@ -40,24 +38,15 @@ def race_of(rows, trigger=0):
 # ----------------------------------------------------------------------
 # The oracle: every pair of the run through the single-pair definition
 # ----------------------------------------------------------------------
-def oracle(result, buckets):
-    """``[correct, total]`` per bucket: a pair goes to the first bucket (in
-    the caller's order) holding the faster trade's response time."""
-    tallies = {bucket: [0, 0] for bucket in buckets}
+def oracle(result):
+    """``(correct, total)`` over every competing pair of the run."""
+    correct = total = 0
     for a, b in combinations(result.trades, 2):
         verdict = pairwise_correct(a, b)
-        if verdict is None:
-            continue
-        faster_rt = min(a.response_time, b.response_time)
-        for bucket in buckets:
-            if bucket[0] <= faster_rt < bucket[1]:
-                tallies[bucket][0] += verdict
-                tallies[bucket][1] += 1
-                break
-    return tallies
-
-
-EVERYTHING = (-math.inf, math.inf)
+        if verdict is not None:
+            correct += verdict
+            total += 1
+    return correct, total
 
 
 # Few distinct values everywhere, so ties, repeated participants and
@@ -91,18 +80,11 @@ def runs(draw):
     return run_of(draw(st.permutations(trades)))
 
 
-BUCKETS = st.lists(
-    st.tuples(st.sampled_from([-1.0, 0.0, 0.5, 2.5, 7.0]), st.sampled_from([0.5, 2.5, 7.0, 8.0, 30.0])),
-    max_size=4,
-    unique=True,
-)
-
-
 class TestAgainstThePairwiseDefinition:
     @settings(max_examples=300, deadline=None)
     @given(runs())
     def test_evaluate_fairness_equals_the_oracle(self, result):
-        correct, total = oracle(result, [EVERYTHING])[EVERYTHING]
+        correct, total = oracle(result)
         completed = [t for t in result.trades if t.completed]
         assert evaluate_fairness(result) == FairnessReport(
             correct_pairs=correct,
@@ -111,16 +93,6 @@ class TestAgainstThePairwiseDefinition:
             unordered_trades=len(result.trades) - len(completed),
         )
 
-    @settings(max_examples=300, deadline=None)
-    @given(runs(), BUCKETS)
-    def test_fairness_by_rt_bucket_equals_the_oracle(self, result, buckets):
-        expected = oracle(result, buckets)
-        got = fairness_by_rt_bucket(result, buckets)
-        assert list(got) == list(dict.fromkeys(buckets))
-        assert {b: [r.correct_pairs, r.total_pairs] for b, r in got.items()} == expected
-        races = len({t.trigger_point for t in result.trades if t.completed})
-        assert all(r.races == races and r.unordered_trades == 0 for r in got.values())
-
 
 class TestProperties:
     @settings(max_examples=100, deadline=None)
@@ -128,9 +100,7 @@ class TestProperties:
     def test_invariant_under_shuffling_the_trade_list(self, result, rng):
         shuffled = list(result.trades)
         rng.shuffle(shuffled)
-        buckets = [(0.0, 2.5), (2.5, 20.0)]
         assert evaluate_fairness(run_of(shuffled)) == evaluate_fairness(result)
-        assert fairness_by_rt_bucket(run_of(shuffled), buckets) == fairness_by_rt_bucket(result, buckets)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(MPS, RTS), max_size=60))
@@ -142,15 +112,6 @@ class TestProperties:
         assert fair_report.correct_pairs == fair_report.total_pairs
         assert unfair_report.correct_pairs == 0
         assert unfair_report.total_pairs == fair_report.total_pairs
-
-    @settings(max_examples=100, deadline=None)
-    @given(runs(), st.lists(st.sampled_from([0.25, 0.5, 1.0, 3.0, 7.0, 12.0, 15.0]), unique=True, max_size=5))
-    def test_buckets_tiling_the_rt_range_sum_to_the_overall_report(self, result, cuts):
-        edges = [-1.0, *sorted(cuts), 20.0]  # every RT drawn lies in [-1, 20)
-        tiles = fairness_by_rt_bucket(result, list(zip(edges, edges[1:])))
-        overall = evaluate_fairness(result)
-        assert sum(r.correct_pairs for r in tiles.values()) == overall.correct_pairs
-        assert sum(r.total_pairs for r in tiles.values()) == overall.total_pairs
 
     def test_races_without_a_competing_pair_are_vacuously_fair(self):
         degenerate = {
@@ -165,8 +126,6 @@ class TestProperties:
             report = evaluate_fairness(run_of(trades))
             assert report.total_pairs == 0 and report.correct_pairs == 0, name
             assert report.ratio == 1.0, name
-            (bucketed,) = fairness_by_rt_bucket(run_of(trades), [(0.0, 100.0)]).values()
-            assert bucketed.total_pairs == 0 and bucketed.ratio == 1.0, name
 
 
 class TestScaling:
@@ -185,10 +144,6 @@ class TestScaling:
         total = n * (n - 1) // 2 - n // 2 - half  # all pairs, less ties, less same-MP
         start = time.perf_counter()
         report = evaluate_fairness(run_of(trades))
-        by_half = fairness_by_rt_bucket(run_of(trades), [(0.0, half / 2), (half / 2, float(half))])
         elapsed = time.perf_counter() - start
         assert (report.correct_pairs, report.total_pairs) == (total - slower_half, total)
-        faster, slower = by_half.values()
-        assert (faster.correct_pairs, faster.total_pairs) == (total - slower_half, total - slower_half)
-        assert (slower.correct_pairs, slower.total_pairs) == (0, slower_half)
         assert elapsed < 5.0, f"{elapsed:.1f} s for one {n}-way race: the kernel went quadratic"

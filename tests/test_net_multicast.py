@@ -46,23 +46,6 @@ def test_duplicate_member_rejected():
         group.add_member("a", Link(engine, ConstantLatency(1.0), handler=lambda *a: None))
 
 
-def test_remove_member():
-    engine = EventEngine()
-    group, inboxes = build_group(engine, {"a": 1.0, "b": 2.0})
-    group.remove_member("b")
-    group.publish("tick")
-    engine.run()
-    assert inboxes["b"] == []
-    assert group.member_ids == ["a"]
-
-
-def test_remove_unknown_member_raises():
-    engine = EventEngine()
-    group, _ = build_group(engine, {"a": 1.0})
-    with pytest.raises(KeyError):
-        group.remove_member("zzz")
-
-
 def test_publish_without_members_raises():
     group = MulticastGroup()
     with pytest.raises(RuntimeError):

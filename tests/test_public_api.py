@@ -85,7 +85,7 @@ def test_one_recovery_playbook_table():
         endpoint.partition(":")[0] for endpoint in PLAYBOOK_ENDPOINTS.values()
     } == {"ob", "shard", "agg", "gateway"}
     # No deployment option came with it.
-    assert len(inspect.signature(DBODeployment.__init__).parameters) - 1 == 26
+    assert len(inspect.signature(DBODeployment.__init__).parameters) - 1 == 23
 
 
 def test_one_dbo_pipeline_one_buffer_family():
@@ -319,6 +319,52 @@ def test_one_key_and_one_record_per_trade():
     engine = MatchingEngine(execute=False)
     for removed in ("_positions", "_forward_times"):
         assert not hasattr(engine, removed), removed
+
+
+def test_only_what_a_user_path_reaches():
+    import inspect
+
+    import repro.exchange
+    import repro.experiments
+    import repro.experiments.chaos
+    import repro.metrics
+    import repro.metrics.fairness
+    from repro.baselines.base import BaseDeployment
+    from repro.core.release_buffer import ReleaseBuffer
+    from repro.core.sync_delivery import SyncAssistedReleaseBuffer
+    from repro.core.system import DBODeployment
+    from repro.exchange.ces import CentralExchangeServer
+    from repro.exchange.matching import MatchingEngine
+    from repro.net.multicast import MulticastGroup
+
+    # No CLI command, example, scenario or benchmark set the pre-trade
+    # risk gate, the execution-report feed or heartbeat piggybacking.
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.exchange.risk")
+    for name in ("RiskGate", "RiskLimits", "Rejection"):
+        assert not hasattr(repro.exchange, name), name
+    for module in (repro.experiments, repro.experiments.chaos):
+        assert not hasattr(module, "audit_all_schemes")
+    for module in (repro.metrics, repro.metrics.fairness):
+        assert not hasattr(module, "fairness_by_rt_bucket")
+    assert not hasattr(MulticastGroup, "remove_member")
+    assert not hasattr(MatchingEngine, "on_execution")
+    assert not hasattr(CentralExchangeServer, "_on_execution")
+    removed = {
+        DBODeployment: ("risk_limits", "publish_executions", "piggyback_suppression"),
+        BaseDeployment: ("publish_executions",),
+        CentralExchangeServer: ("publish_executions",),
+        MatchingEngine: ("on_execution",),
+        ReleaseBuffer: ("piggyback_suppression",),
+        SyncAssistedReleaseBuffer: ("piggyback_suppression",),
+    }
+    for cls, names in removed.items():
+        parameters = inspect.signature(cls.__init__).parameters
+        for name in names:
+            assert name not in parameters, f"{cls.__name__}({name}=)"
+    for name in ("piggyback_suppression", "_last_trade_sent_at", "heartbeats_suppressed"):
+        assert name not in ReleaseBuffer.__slots__, name
+    assert len(inspect.signature(DBODeployment.__init__).parameters) - 1 == 23
 
 
 def test_top_level_quickstart_surface():

@@ -227,7 +227,7 @@ def test_straggler_still_ejected_at_the_end(monkeypatch):
 
 
 class _OpportunityMaker(MarketMaker):
-    """Quotes on native ticks only (no fill→report→quote chain)."""
+    """Quotes on opportunity points only, never on keepalives."""
 
     def on_point(self, point):
         return super().on_point(point) if point.is_opportunity else []
@@ -239,9 +239,9 @@ def _kitchen_sink(engine):
         params=DBOParams(straggler_threshold=800.0),
         feed_config=FeedConfig(interval=40.0, price_volatility=0.0),
         strategy_factory=lambda i: _OpportunityMaker(quantity=3) if i == 0 else SpeedRacer(seed=i),
-        execute_trades=True, publish_executions=True, n_ob_shards=3,
+        execute_trades=True, n_ob_shards=3,
         shard_master_latency=ConstantLatency(3.0), sync_target_c1=25.0, sync_error=1.0,
-        piggyback_suppression=True, enable_egress_gateway=True,
+        enable_egress_gateway=True,
     )
     deployment.ces.keepalive_interval = 2_000.0
     deployment.add_external_source(
@@ -255,9 +255,9 @@ def _kitchen_sink(engine):
 
 @pytest.mark.parametrize("engine", ["heap", "reference"])
 def test_kitchen_sink(monkeypatch, engine):
-    # Execution reports, a market maker, news, keepalives, eager shard
-    # summaries over channels, sync-assisted delivery, piggybacking and
-    # the egress gateway in one run.
+    # A market maker on a live book, news, keepalives, eager shard
+    # summaries over channels, sync-assisted delivery and the egress
+    # gateway in one run.
     settled, full, settled_at = _settled_then_full(monkeypatch, _kitchen_sink, engine)
     assert settled == full
     assert DURATION < settled_at < DURATION + DRAIN
