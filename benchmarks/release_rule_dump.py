@@ -1,7 +1,7 @@
 """Behaviour dump for refactors of the release rules (PR 16).
 
 Prints digest, ``RunResult.counters``, per-channel odometers and audit
-counts for 43 cells as canonical JSON, one cell per line.  Run it at two
+counts for 49 cells as canonical JSON, one cell per line.  Run it at two
 commits and ``cmp`` the outputs::
 
     PYTHONPATH=src python benchmarks/release_rule_dump.py > change.jsonl
@@ -13,8 +13,10 @@ threshold, ``dbo`` / ``prob`` x ``ob-failover`` / ``ob-crash`` /
 ``link-flaky`` x plain / ``RetransmitPolicy()`` / ``supervise=True``
 through ``run_chaos`` at N=8, the target-addressed ``partition``
 plan on all six schemes (the injector's former link-addressing path),
-and the six schemes at N=6 with Appendix D loss and recovery on the
-even participants' legs, forward+reverse and reverse-only.
+the six schemes at N=6 with Appendix D loss and recovery on the
+even participants' legs, forward+reverse and reverse-only, and the
+``dup-delivery`` plan on all six schemes through ``run_chaos`` at N=8
+(the channels' dedup logs and the releasers' key dedup).
 Uses only the public experiment API, so the same file runs unchanged on
 either side of the refactor.
 """
@@ -113,6 +115,8 @@ def cells() -> Iterator[Tuple[str, Dict[str, Any]]]:
             yield f"lossy/{scheme}/{label}", _clean(
                 scheme, _lossy_specs(loss), **CLEAN_KWARGS.get(scheme, {})
             )
+    for scheme in SCHEMES:
+        yield f"dup/{scheme}", _chaos(scheme, "dup-delivery", **CLEAN_KWARGS.get(scheme, {}))
 
 
 if __name__ == "__main__":

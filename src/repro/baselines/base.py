@@ -18,7 +18,7 @@ Concrete schemes (`DBODeployment` in :mod:`repro.core.system`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exchange.ces import CentralExchangeServer
 from repro.exchange.feed import FeedConfig
@@ -32,6 +32,7 @@ from repro.participants.mp import MarketParticipant
 from repro.participants.response_time import ResponseTimeModel, UniformResponseTime
 from repro.participants.strategies import SpeedRacer, Strategy
 from repro.sim.clocks import Clock, DriftingClock
+from repro.sim.dense import PointSeries, grow
 from repro.sim.randomness import stable_u64, stable_uniform
 from repro.sim.runtime import Runtime
 
@@ -82,6 +83,16 @@ class NetworkSpec:
         if direction == "reverse" and self.reverse_loss_probability is not None:
             return self.reverse_loss_probability
         return self.loss_probability
+
+
+def _last_point_id(points: Tuple[MarketDataPoint, ...]) -> int:
+    """Dedup key of a published point tuple (tuples are disjoint)."""
+    return points[-1].point_id
+
+
+def _order_key(order: TradeOrder) -> Tuple[str, int]:
+    """Dedup key of an order on a reverse leg."""
+    return order.key
 
 
 def default_network_specs(
@@ -193,7 +204,7 @@ class BaseDeployment:
         self.multicast = MulticastGroup()
         # Per-participant raw arrival time per point, for schemes that hand
         # points over on arrival (what the default _raw_arrivals reads).
-        self._arrivals: Dict[str, Dict[int, float]] = {}
+        self._arrivals: Dict[str, PointSeries] = {}
         # External stream configs: (name, latency_model, mean_interval, seed).
         self._external_configs: List[tuple] = []
         self.external_sources: List = []
@@ -258,15 +269,15 @@ class BaseDeployment:
     def _start(self, duration: float) -> None:
         """Start scheme timers (heartbeats etc.).  Default: nothing."""
 
-    def _raw_arrivals(self) -> Dict[str, Dict[int, float]]:
+    def _raw_arrivals(self) -> Dict[str, Mapping[int, float]]:
         """Per-participant raw network arrival time per point.
 
-        The per-participant maps are the recorder's own, handed over
+        The per-participant series are the recorder's own, handed over
         rather than copied: a finished run records no more.
         """
         return dict(self._arrivals)
 
-    def _delivery_times(self) -> Dict[str, Dict[int, float]]:
+    def _delivery_times(self) -> Dict[str, Mapping[int, float]]:
         """Per-participant ``D(i, x)`` (after any scheme hold).
 
         Default: no hold anywhere, so delivery is the raw arrival.
@@ -386,7 +397,7 @@ class BaseDeployment:
         at-least-once delivery on both legs — a duplicated trade never
         reaches the matching engine twice.
         """
-        self._arrivals = {mp_id: {} for mp_id in self.mp_ids}
+        self._arrivals = {mp_id: PointSeries() for mp_id in self.mp_ids}
         for index, mp in enumerate(self.participants):
 
             def on_points(
@@ -394,15 +405,18 @@ class BaseDeployment:
                 send_time: float,
                 arrival_time: float,
                 mp: MarketParticipant = mp,
-                arrivals: Dict[int, float] = self._arrivals[mp.mp_id],
+                times: Any = self._arrivals[mp.mp_id].times,
             ) -> None:
                 for point in points:
-                    arrivals[point.point_id] = arrival_time
+                    x = point.point_id
+                    if x >= len(times):
+                        grow(times, x)
+                    times[x] = arrival_time
                 mp.on_data(points, arrival_time)
 
-            self._open_leg(index, "forward", lambda points: points[-1].point_id, on_points)
-            reverse = self._open_leg(index, "reverse", lambda order: order.key, on_trade)
-            self._wire_mp_submitter(index, lambda order, link=reverse: link.send(order))
+            self._open_leg(index, "forward", _last_point_id, on_points)
+            reverse = self._open_leg(index, "reverse", _order_key, on_trade)
+            self._wire_mp_submitter(index, reverse.send)
         self.ces.set_distributor(
             distributor or (lambda point: self._publish_points((point,)))
         )

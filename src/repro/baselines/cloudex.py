@@ -25,15 +25,24 @@ data-side release buffer.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.baselines.base import BaseDeployment
 from repro.core.release_engine import ReleaseEngine
 from repro.exchange.messages import MarketDataPoint, TradeOrder
 from repro.ordering.cloudex import SyncDeadlinePolicy
 from repro.sim.clocks import SynchronizedClock
+from repro.sim.dense import PointSeries, grow
 
 __all__ = ["CloudExDeployment", "CloudExReleaseBuffer"]
+
+
+def _point_id(point: MarketDataPoint) -> int:
+    return point.point_id
+
+
+def _stamped_key(stamped: Tuple[TradeOrder, float]) -> Tuple[str, int]:
+    return stamped[0].key
 
 
 class CloudExReleaseBuffer:
@@ -46,15 +55,19 @@ class CloudExReleaseBuffer:
         self.clock = clock
         self._mp_handler = None
         self._last_release = float("-inf")
-        self.release_times: Dict[int, float] = {}
-        self.raw_arrivals: Dict[int, float] = {}
+        self.release_times = PointSeries()
+        self.raw_arrivals = PointSeries()
         self.overruns = 0
 
     def connect_mp(self, handler) -> None:
         self._mp_handler = handler
 
     def on_point(self, point: MarketDataPoint, send_time: float, arrival_time: float) -> None:
-        self.raw_arrivals[point.point_id] = arrival_time
+        times = self.raw_arrivals.times
+        x = point.point_id
+        if x >= len(times):
+            grow(times, x)
+        times[x] = arrival_time
         # Target release in *local synchronized* time is G(x) + C1; the
         # local clock's error shifts the corresponding true time.
         target_local = point.generation_time + self.c1
@@ -66,7 +79,11 @@ class CloudExReleaseBuffer:
         self.engine.schedule_at(release, self._deliver, priority=0, args=(point, release))
 
     def _deliver(self, point: MarketDataPoint, release: float) -> None:
-        self.release_times[point.point_id] = release
+        times = self.release_times.times
+        x = point.point_id
+        if x >= len(times):
+            grow(times, x)
+        times[x] = release
         self._mp_handler((point,), release)
 
 
@@ -124,10 +141,8 @@ class CloudExDeployment(BaseDeployment):
 
             # Reverse messages are (order, sync stamp) tuples; the order
             # key dedups because the ME rejects duplicate submissions.
-            self._open_leg(index, "forward", lambda point: point.point_id, rb.on_point)
-            reverse = self._open_leg(
-                index, "reverse", lambda stamped: stamped[0].key, self.ob.on_trade
-            )
+            self._open_leg(index, "forward", _point_id, rb.on_point)
+            reverse = self._open_leg(index, "reverse", _stamped_key, self.ob.on_trade)
 
             mp_clock = self._make_sync_clock(1000 + index)
 
@@ -142,11 +157,11 @@ class CloudExDeployment(BaseDeployment):
         self.ces.set_distributor(self._publish_point)
 
     # ------------------------------------------------------------------
-    # The RBs' own maps, handed over: a finished run records no more.
-    def _raw_arrivals(self) -> Dict[str, Dict[int, float]]:
+    # The RBs' own series, handed over: a finished run records no more.
+    def _raw_arrivals(self) -> Dict[str, Mapping[int, float]]:
         return {rb.mp_id: rb.raw_arrivals for rb in self.rbs}
 
-    def _delivery_times(self) -> Dict[str, Dict[int, float]]:
+    def _delivery_times(self) -> Dict[str, Mapping[int, float]]:
         return {rb.mp_id: rb.release_times for rb in self.rbs}
 
     def _counters(self) -> Dict[str, float]:

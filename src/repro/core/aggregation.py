@@ -64,6 +64,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Un
 from repro.core.delivery_clock import DeliveryClockStamp
 from repro.core.ordering_buffer import ReleaseSink, WarmupHold
 from repro.exchange.messages import TaggedTrade
+from repro.sim.dense import KeyLog
 
 __all__ = [
     "HeartbeatAggregator",
@@ -331,7 +332,7 @@ class MasterOB(HeartbeatAggregator, WarmupHold):
         # Released (mp_id, trade_seq) keys: RB retransmissions rerouted
         # through a different shard after a shard failure must not reach
         # the matching engine twice.
-        self._released: Set[Tuple[str, int]] = set()
+        self._released = KeyLog()
         self.trades_released = 0
         self.duplicates_ignored = 0
 
@@ -421,11 +422,9 @@ class MasterOB(HeartbeatAggregator, WarmupHold):
             if stamp_tuple >= bound:
                 break
             _, _, _, _, tagged = heapq.heappop(self._heap)
-            key = tagged.trade.key
-            if key in self._released:
+            if not self._released.add_new(tagged.trade.key):
                 self._drop_released(tagged, now)
                 continue
-            self._released.add(key)
             self.trades_released += 1
             if self.sink is not None:
                 self.sink(tagged, now)
@@ -445,11 +444,9 @@ class MasterOB(HeartbeatAggregator, WarmupHold):
         flushed = 0
         while self._heap:
             _, _, _, _, tagged = heapq.heappop(self._heap)
-            key = tagged.trade.key
-            if key in self._released:
+            if not self._released.add_new(tagged.trade.key):
                 self._drop_released(tagged, now)
                 continue
-            self._released.add(key)
             self.trades_released += 1
             flushed += 1
             if self.sink is not None:

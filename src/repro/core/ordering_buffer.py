@@ -42,6 +42,7 @@ from repro.exchange.messages import Heartbeat, TaggedTrade
 # no runtime dependency on repro.core.
 from repro.ordering.dbo import DeliveryClockPolicy, ParticipantState
 from repro.ordering.prob import ProbabilisticPolicy
+from repro.sim.dense import KeyLog
 from repro.sim.engine import Scheduler
 
 __all__ = ["OrderingBuffer", "ParticipantState", "ProbOrderingBuffer", "WarmupHold"]
@@ -164,7 +165,9 @@ class OrderingBuffer(WarmupHold):
         # (crash() resets it in place, so the identity is stable).
         self.states: Dict[str, ParticipantState] = self._policy.states
         self._heap: List[HeapEntry] = []
-        self._released: Set[Tuple[str, int]] = set()
+        # Every released key, as a KeyLog: one run of trade seqs per
+        # participant while releases come in seq order.
+        self._released = KeyLog()
         # Keys currently sitting in the heap: retransmitted duplicates of
         # queued (or already released) trades are absorbed here instead of
         # tripping the double-queue assertion in the release loop.
@@ -335,9 +338,8 @@ class OrderingBuffer(WarmupHold):
         tagged = entry[3]
         key = tagged.trade.key
         self._queued.discard(key)
-        if key in self._released:
+        if not self._released.add_new(key):
             raise RuntimeError(f"trade {key} queued twice in the OB")
-        self._released.add(key)
         self.trades_released += 1
         if self.sink is not None:
             self.sink(tagged, now)

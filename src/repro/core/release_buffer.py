@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import AbstractSet, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.delivery_clock import DeliveryClock, DeliveryClockStamp
 from repro.exchange.messages import (
@@ -38,6 +38,7 @@ from repro.exchange.messages import (
 )
 from repro.net.latency import LatencyModel
 from repro.sim.clocks import Clock, PerfectClock
+from repro.sim.dense import PointSeries, grow
 from repro.sim.engine import EventEngine, PeriodicTimer
 
 __all__ = ["ReleaseBuffer", "RetransmitPolicy"]
@@ -119,7 +120,7 @@ class ReleaseBuffer:
         "rb_to_mp", "clock", "_mp_handler", "_trade_sink", "_heartbeat_sink",
         "_marker_sink", "_queue", "_delivery_scheduled", "_last_delivery_true",
         "_heartbeats_started", "_heartbeat_timer", "crashed", "delivery_times",
-        "raw_arrivals", "max_queue_depth", "recovered_point_ids",
+        "raw_arrivals", "max_queue_depth", "_recovered",
         "heartbeats_sent", "trades_tagged", "trades_dropped_untagged",
         "retransmit_policy", "_unacked", "_retry_state", "trades_retransmitted",
         "trades_warmup_resent", "warmup_requests_served", "retransmits_abandoned",
@@ -164,15 +165,16 @@ class ReleaseBuffer:
 
         # ----- measurement records (ground truth for metrics) ----------
         # D(i, x): per-point delivery time at the RB boundary.
-        self.delivery_times: Dict[int, float] = {}
+        self.delivery_times = PointSeries()
         # Per point, its first raw arrival (before pacing): the Max-RTT
-        # bound's packet timestamps.  The run result takes both maps as
-        # they are.
-        self.raw_arrivals: Dict[int, float] = {}
+        # bound's packet timestamps.  The run result takes both series
+        # as they are; the recorders below write their arrays inline.
+        self.raw_arrivals = PointSeries()
         self.max_queue_depth = 0
         # Points that reached the MP via out-of-band recovery (App. D):
-        # they never advanced the delivery clock.
-        self.recovered_point_ids: set = set()
+        # they never advanced the delivery clock.  Allocated on the
+        # first recovery.
+        self._recovered: Optional[Set[int]] = None
         self.heartbeats_sent = 0
         self.trades_tagged = 0
         self.trades_dropped_untagged = 0
@@ -181,11 +183,12 @@ class ReleaseBuffer:
         self.retransmit_policy = retransmit_policy
         # key -> tagged trade awaiting an OB release ack.  The original
         # stamp is resent verbatim: re-tagging would move the trade later
-        # in the order, and the OB dedups on the key anyway.
-        self._unacked: Dict[Tuple[str, int], TaggedTrade] = {}
+        # in the order, and the OB dedups on the key anyway.  Allocated
+        # on the first guarded trade: None reads as empty.
+        self._unacked: Optional[Dict[Tuple[str, int], TaggedTrade]] = None
         # key -> (attempts so far, next scheduled resend time); mirrors
         # _unacked so the auditor can report in-flight backoff state.
-        self._retry_state: Dict[Tuple[str, int], Tuple[int, float]] = {}
+        self._retry_state: Optional[Dict[Tuple[str, int], Tuple[int, float]]] = None
         self.trades_retransmitted = 0
         self.trades_warmup_resent = 0
         self.warmup_requests_served = 0
@@ -240,8 +243,8 @@ class ReleaseBuffer:
             self._heartbeat_timer.cancel()
         # Fail-stop loses volatile state: in-flight retransmission
         # obligations die with the process.
-        self._unacked.clear()
-        self._retry_state.clear()
+        self._unacked = None
+        self._retry_state = None
 
     def restart(self, start_time: Optional[float] = None) -> None:
         """Bring a crashed RB back up (§4.2.1 failure scenario).
@@ -267,9 +270,14 @@ class ReleaseBuffer:
         if self.crashed:
             self.batches_dropped_crashed += 1
             return
-        raw_arrivals = self.raw_arrivals
+        times = self.raw_arrivals.times
         for point in batch.points:
-            raw_arrivals.setdefault(point.point_id, arrival_time)
+            x = point.point_id
+            if x >= len(times):
+                grow(times, x)
+            elif times[x] == times[x]:
+                continue  # a first arrival is already on record
+            times[x] = arrival_time
         self._queue.append(batch)
         self.max_queue_depth = max(self.max_queue_depth, len(self._queue))
         self._schedule_delivery()
@@ -281,13 +289,24 @@ class ReleaseBuffer:
         advance the delivery clock and does not count as a paced delivery
         — only trades triggered by it lose fairness.
         """
+        if self._recovered is None:
+            self._recovered = set()
         for point in batch.points:
-            self.raw_arrivals.setdefault(point.point_id, arrival_time)
+            x = point.point_id
             # Delivery time still recorded for latency accounting.
-            self.delivery_times.setdefault(point.point_id, arrival_time)
-            self.recovered_point_ids.add(point.point_id)
+            for times in (self.raw_arrivals.times, self.delivery_times.times):
+                if x >= len(times):
+                    grow(times, x)
+                if times[x] != times[x]:
+                    times[x] = arrival_time
+            self._recovered.add(x)
         if self._mp_handler is not None:
             self._deliver_to_mp(batch.points, arrival_time)
+
+    @property
+    def recovered_point_ids(self) -> AbstractSet[int]:
+        """Points handed over by out-of-band recovery (empty if none)."""
+        return self._recovered if self._recovered is not None else frozenset()
 
     def _earliest_delivery_time(self) -> float:
         """Next true time a delivery is allowed by pacing."""
@@ -310,8 +329,12 @@ class ReleaseBuffer:
         now = self.engine.now
         batch = self._queue.pop(0)
         self._last_delivery_true = now
+        times = self.delivery_times.times
         for point in batch.points:
-            self.delivery_times[point.point_id] = now
+            x = point.point_id
+            if x >= len(times):
+                grow(times, x)
+            times[x] = now
         self.clock.on_delivery(batch.last_point_id, now)
         self._deliver_to_mp(batch.points, now)
         self._schedule_delivery()
@@ -355,6 +378,8 @@ class ReleaseBuffer:
         self.trades_tagged += 1
         tagged = TaggedTrade(trade=trade, clock=stamp, tagged_at=now)
         if self.retransmit_policy is not None:
+            if self._unacked is None or self._retry_state is None:
+                self._unacked, self._retry_state = {}, {}
             self._unacked[trade.key] = tagged
             self._retry_state[trade.key] = (0, now + self.retransmit_policy.timeout)
             self.engine.schedule_at(
@@ -370,13 +395,17 @@ class ReleaseBuffer:
     # ------------------------------------------------------------------
     def on_ack(self, key: Tuple[str, int]) -> None:
         """The OB released this trade; stop guarding it."""
-        if self._unacked.pop(key, None) is not None:
-            self._retry_state.pop(key, None)
+        unacked, retry_state = self._unacked, self._retry_state
+        if unacked is not None and retry_state is not None and unacked.pop(key, None) is not None:
+            retry_state.pop(key, None)
             self.acks_received += 1
 
     def _retransmit_check(self, key: Tuple[str, int], attempt: int) -> None:
-        tagged = self._unacked.get(key)
-        if tagged is None or self.crashed:
+        unacked, retry_state = self._unacked, self._retry_state
+        if unacked is None or retry_state is None or self.crashed:
+            return
+        tagged = unacked.get(key)
+        if tagged is None:
             return
         policy = self.retransmit_policy
         if attempt > policy.max_retries:
@@ -384,13 +413,13 @@ class ReleaseBuffer:
             # straggling ack is still in flight — mirrors the paper's
             # "system will incur unfairness" fallback.
             self.retransmits_abandoned += 1
-            del self._unacked[key]
-            self._retry_state.pop(key, None)
+            del unacked[key]
+            retry_state.pop(key, None)
             return
         self.trades_retransmitted += 1
         self._trade_sink(tagged)
         delay = policy.timeout * (policy.backoff ** attempt)
-        self._retry_state[key] = (attempt, self.engine.now + delay)
+        retry_state[key] = (attempt, self.engine.now + delay)
         self.engine.schedule_at(
             self.engine.now + delay,
             self._retransmit_check,
@@ -411,8 +440,9 @@ class ReleaseBuffer:
         if self.crashed or self._trade_sink is None:
             return 0
         resent = 0
-        for key in sorted(self._unacked):
-            self._trade_sink(self._unacked[key])
+        unacked = self._unacked or {}
+        for key in sorted(unacked):
+            self._trade_sink(unacked[key])
             resent += 1
         # Warm-up resends are retransmissions too — the cumulative
         # counter keeps meaning "copies sent beyond the original".
@@ -437,12 +467,12 @@ class ReleaseBuffer:
         """
         max_attempt = 0
         next_resend: Optional[float] = None
-        for attempt, resend_at in self._retry_state.values():
+        for attempt, resend_at in (self._retry_state or {}).values():
             max_attempt = max(max_attempt, attempt)
             if next_resend is None or resend_at < next_resend:
                 next_resend = resend_at
         return {
-            "unacked": float(len(self._unacked)),
+            "unacked": float(len(self._unacked or ())),
             "max_attempt": float(max_attempt),
             "next_resend": next_resend,
             "retransmits_abandoned": float(self.retransmits_abandoned),

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Optional, Set
 
+from repro.sim.dense import KeyLog
+
 if TYPE_CHECKING:
     from repro.ordering.policy import OrderingPolicy
     from repro.sim.engine import EventEngine
@@ -65,7 +67,7 @@ class ReleaseEngine:
         self.policy = policy
         self.sink = sink
         self._engine = engine
-        self._released: Set[Hashable] = set()
+        self._released = KeyLog()
         self._queued: Set[Hashable] = set()
         self.trades_received = 0
         self.trades_released = 0
@@ -116,9 +118,8 @@ class ReleaseEngine:
             self._release(item, key, now)
 
     def _release(self, item: Any, key: Hashable, now: float) -> None:
-        if key in self._released:
+        if not self._released.add_new(key):
             raise RuntimeError(f"trade {key!r} released twice")
-        self._released.add(key)
         self.trades_released += 1
         self.sink(item, now)
 

@@ -15,7 +15,7 @@ must not care (Challenge 1).
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.baselines.base import BaseDeployment, NetworkSpec
 from repro.core.aggregation import (
@@ -56,6 +56,11 @@ if TYPE_CHECKING:
     from repro.exchange.messages import TradeOrder
 
 __all__ = ["DBODeployment"]
+
+
+def _batch_id(batch: MarketDataBatch) -> int:
+    """Dedup key of the forward data path: batch ids are unique."""
+    return batch.batch_id
 
 
 class DBODeployment(BaseDeployment):
@@ -402,7 +407,7 @@ class DBODeployment(BaseDeployment):
                 "forward",
                 source="ces",
                 destination=mp_id,
-                dedup_key=lambda batch: batch.batch_id,
+                dedup_key=_batch_id,
                 handler=rb.on_batch,
                 loss_handler=rb.on_recovered_batch,
             )
@@ -421,11 +426,8 @@ class DBODeployment(BaseDeployment):
             )
             self.reverse_channels[mp_id] = reverse
 
-            rb.connect_ob(
-                trade_sink=reverse.send,
-                heartbeat_sink=reverse.send,
-                marker_sink=reverse.send,
-            )
+            send = reverse.send
+            rb.connect_ob(trade_sink=send, heartbeat_sink=send, marker_sink=send)
 
             mp_handler: Callable[..., None] = self.participants[index].on_data
             mp_submitter: Callable[..., None] = rb.on_mp_trade
@@ -737,11 +739,11 @@ class DBODeployment(BaseDeployment):
         )
 
     # ------------------------------------------------------------------
-    # The RBs' own maps, handed over: a finished run records no more.
-    def _raw_arrivals(self) -> Dict[str, Dict[int, float]]:
+    # The RBs' own series, handed over: a finished run records no more.
+    def _raw_arrivals(self) -> Dict[str, Mapping[int, float]]:
         return {rb.mp_id: rb.raw_arrivals for rb in self.release_buffers}
 
-    def _delivery_times(self) -> Dict[str, Dict[int, float]]:
+    def _delivery_times(self) -> Dict[str, Mapping[int, float]]:
         return {rb.mp_id: rb.delivery_times for rb in self.release_buffers}
 
     def _counters(self) -> Dict[str, float]:

@@ -136,9 +136,9 @@ class TradeOrder:
     trigger/response time); no scheme is allowed to order trades by them.
 
     ``key`` is the paper's ``(i, a)`` identifier, built once here: every
-    map and set that indexes trades (the RB's unacked window, the OB's
-    release log, the ME's index, the channels' dedup sets) holds this one
-    tuple.  It is not an ``__init__`` argument and takes no part in
+    map that indexes trades (the RB's unacked window, the ME's index)
+    holds this one tuple; the release and dedup logs keep runs of
+    ``trade_seq`` per participant instead (:mod:`repro.sim.dense`).  It is not an ``__init__`` argument and takes no part in
     equality, hashing or ``repr``.
     """
 

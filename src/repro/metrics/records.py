@@ -11,7 +11,7 @@ compared on identical footing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 __all__ = ["TradeRecord", "RunResult"]
 
@@ -60,9 +60,12 @@ class RunResult:
         Per participant, per point: raw network arrival time at the RB /
         MP boundary — before any release-buffer hold.  These are the
         "packet timestamps from the experiment trace" the paper uses to
-        compute the Max-RTT bound.
+        compute the Max-RTT bound.  A deployment hands over its
+        recorders' :class:`~repro.sim.dense.PointSeries` (8 bytes per
+        point); a loaded result carries plain dicts.
     delivery_times:
-        ``D(i, x)``: when the point was actually delivered to the MP.
+        ``D(i, x)``: when the point was actually delivered to the MP, in
+        the same form.
     reverse_latency_at:
         ``(mp_id, t) -> one-way MP→CES latency for a packet sent at t``;
         lets the bound evaluate hypothetical response packets.
@@ -81,8 +84,8 @@ class RunResult:
     trades: List[TradeRecord]
     generation_times: Dict[int, float]
     network_send_times: Dict[int, float]
-    raw_arrivals: Dict[str, Dict[int, float]]
-    delivery_times: Dict[str, Dict[int, float]]
+    raw_arrivals: Dict[str, Mapping[int, float]]
+    delivery_times: Dict[str, Mapping[int, float]]
     reverse_latency_at: Optional[Callable[[str, float], float]] = None
     duration: float = 0.0
     counters: Dict[str, float] = field(default_factory=dict)

@@ -239,7 +239,7 @@ class Link:
                 # slow path; FIFO state is not advanced for it.
                 self._losses += 1
                 arrival += self.recovery_delay
-                target = self.loss_handler or self._accept
+                target = self._accept if self.loss_handler is None else self._recover
                 self.engine.post_at(arrival, target, 0, (message, t_send, arrival))
                 return arrival
         # A packet that vanished in a partition/burst reports the arrival
@@ -254,3 +254,7 @@ class Link:
         """Hand a packet to the receiver without counting a wire delivery:
         where recoveries land when no ``loss_handler`` is set."""
         self.handler(message, send_time, arrival_time)  # type: ignore[misc]
+
+    def _recover(self, message: Any, send_time: float, arrival_time: float) -> None:
+        """Where recoveries land when a ``loss_handler`` is set."""
+        self.loss_handler(message, send_time, arrival_time)  # type: ignore[misc]

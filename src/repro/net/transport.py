@@ -11,7 +11,9 @@ delayed, dropped, or duplicated, so every message path is a channel:
   duplication** (each message is delivered a second time with a seeded
   per-index probability — the classic behaviour of retry-based
   transports), and an optional **receiver-side dedup hook** keyed by a
-  caller-supplied message key;
+  caller-supplied message key, which every copy passes — a wire
+  delivery, a duplicate, and an Appendix D recovery alike, so the first
+  copy to arrive wins;
 * a :class:`Transport` is a deployment's registry of channels, addressable
   by name, so the fault injector can aim ``partition`` / burst-loss /
   ``latency_degradation`` / ``duplicate_delivery`` at *any* message path
@@ -27,10 +29,11 @@ buffer on trade keys) therefore produces a byte-identical trade ordering
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Set
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional
 
 from repro.net.latency import DegradedLatency, LatencyModel
 from repro.net.link import DeliveryHandler, Link
+from repro.sim.dense import KeyLog
 from repro.sim.engine import EventEngine
 from repro.sim.randomness import stable_bool
 
@@ -55,11 +58,14 @@ class Channel(Link):
         Endpoint labels, for reports and the architecture table.
     dedup_key:
         Optional ``message -> hashable`` accessor.  When set, the channel
-        drops (and counts) any delivery whose key was already seen —
-        receiver-side protection for payloads whose consumer cannot
-        tolerate at-least-once delivery.  Out-of-band loss recovery
-        (``loss_handler``) bypasses the hook by design: recovered packets
-        are first deliveries, merely late.
+        drops (and counts as ``deduped``) any copy whose key was already
+        seen — receiver-side protection for payloads whose consumer
+        cannot tolerate at-least-once delivery.  Out-of-band loss
+        recovery passes the same hook before it reaches
+        ``loss_handler``: under duplication a recovered packet is not
+        necessarily a first delivery (the duplicate of a lost primary
+        may have landed first), and the first copy wins.  The seen keys
+        live in a :class:`~repro.sim.dense.KeyLog`.
     """
 
     # ``_deliver`` is a slot here: it shadows :meth:`Link._deliver` with
@@ -85,8 +91,8 @@ class Channel(Link):
         self.source = source
         self.destination = destination
         self._dedup_key = dedup_key
-        # A channel without a dedup key keeps no seen-set.
-        self._seen: Optional[Set[Hashable]] = None if dedup_key is None else set()
+        # A channel without a dedup key keeps no seen-log.
+        self._seen: Optional[KeyLog] = None if dedup_key is None else KeyLog()
         self._deliver = (  # type: ignore[method-assign]
             self._deliver_all if dedup_key is None else self._deliver_once
         )
@@ -115,14 +121,20 @@ class Channel(Link):
         """The receiver side: dedup hook, channel odometer, handler.
         Recoveries land here when no ``loss_handler`` is set."""
         seen = self._seen
-        if seen is not None:
-            key = self._dedup_key(message)  # type: ignore[misc]
-            if key in seen:
-                self._messages_deduped += 1
-                return
-            seen.add(key)
+        if seen is not None and not seen.add_new(self._dedup_key(message)):  # type: ignore[misc]
+            self._messages_deduped += 1
+            return
         self._messages_delivered += 1
         self.handler(message, send_time, arrival_time)  # type: ignore[misc]
+
+    def _recover(self, message: Any, send_time: float, arrival_time: float) -> None:
+        """A recovery bound for ``loss_handler``: the dedup hook, then the
+        handler, uncounted as a channel delivery."""
+        seen = self._seen
+        if seen is not None and not seen.add_new(self._dedup_key(message)):  # type: ignore[misc]
+            self._messages_deduped += 1
+            return
+        self.loss_handler(message, send_time, arrival_time)  # type: ignore[misc]
 
     # ------------------------------------------------------------------
     # Sending

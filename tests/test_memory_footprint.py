@@ -1,11 +1,11 @@
 """What a run keeps: one key and one record per trade, slotted per-trade
-and per-participant records, and result maps handed over, not copied.
+and per-participant records, and result series handed over, not copied.
 
 The structural checks come first: they hold on every interpreter.  The
 byte bounds are ``tracemalloc`` readings of what a finished run still
 holds, taken as the difference between two run sizes so set-up and
 import costs cancel; each bound leaves at least 25 % headroom over the
-reading on CPython 3.11 (610 B per trade, 12.4 KiB per participant).
+reading on CPython 3.11 (494 B per trade, 10 996 B per participant).
 """
 
 import copy
@@ -21,10 +21,11 @@ from repro.experiments.registry import get_builder
 from repro.sim.runtime import Runtime
 
 # Retained bytes per trade on a flat DBO run (the trade's order, key,
-# RB tag, OB release-log and ME index entries, ForwardedTrade and
-# TradeRecord), and per participant on an aggregation tree.
-BYTES_PER_TRADE = 780
-BYTES_PER_PARTICIPANT = 15_500
+# RB tag, ME index entry, ForwardedTrade and TradeRecord; the OB release
+# log holds no per-trade object), and per participant on an aggregation
+# tree.
+BYTES_PER_TRADE = 620
+BYTES_PER_PARTICIPANT = 13_750
 
 
 def build(scheme="dbo", n=4, seed=7, **kwargs):
@@ -65,12 +66,17 @@ class TestStructure:
         deployment, _ = flat_run
         released = deployment.ordering_buffer._released
         index = deployment.ces.matching_engine._by_key
-        for record in deployment.ces.matching_engine.forwarded:
+        forwarded = deployment.ces.matching_engine.forwarded
+        for record in forwarded:
             key = record.order.key
             assert key == (record.order.mp_id, record.order.trade_seq)
             assert record.order.key is key
-            assert stored(released, key) is key
+            assert key in released
             assert stored(index, key) is key
+        # The release log keeps runs of trade seqs, no key objects: a
+        # clean flat run releases each participant's trades in seq order.
+        assert len(released) == len(forwarded)
+        assert released._overflow is None and released._set is None
 
     def test_only_dedup_channels_keep_a_seen_set(self, flat_run):
         deployment, _ = flat_run
