@@ -11,12 +11,14 @@ liquidity from the faster trader.  Under DBO, the fastest trader captures
 (nearly) everything — "equality of opportunity" with teeth.
 """
 
+from functools import partial
+
 from repro.baselines.base import NetworkSpec
-from repro.baselines.direct import DirectDeployment
 from repro.core.params import DBOParams
 from repro.core.system import DBODeployment
 from repro.exchange.accounting import Ledger
 from repro.exchange.feed import FeedConfig
+from repro.experiments.runner import build_deployment
 from repro.metrics.report import render_table
 from repro.net.latency import UniformJitterLatency
 from repro.participants.response_time import SpeedTieredResponseTime
@@ -77,7 +79,7 @@ def run_scheme(cls, **kwargs):
 
 def run_all():
     shares = {
-        "direct": run_scheme(DirectDeployment),
+        "direct": run_scheme(partial(build_deployment, "direct")),
         "dbo": run_scheme(DBODeployment, params=DBOParams(delta=20.0)),
     }
     rows = []

@@ -15,10 +15,12 @@ deployment and scores only the news-triggered races.
 Run:  python examples/news_super_stream.py
 """
 
+from functools import partial
+
 from repro.baselines.base import NetworkSpec
-from repro.baselines.direct import DirectDeployment
 from repro.core.params import DBOParams
 from repro.core.system import DBODeployment
+from repro.experiments.runner import build_deployment
 from repro.metrics.fairness import pairwise_correct
 from repro.net.latency import UniformJitterLatency
 from repro.participants.response_time import RaceResponseTime
@@ -77,7 +79,7 @@ def score_news_races(deployment, result):
 
 def main() -> None:
     for label, cls, kwargs in [
-        ("Direct delivery", DirectDeployment, {}),
+        ("Direct delivery", partial(build_deployment, "direct"), {}),
         ("DBO (super stream)", DBODeployment, {"params": DBOParams(delta=20.0)}),
     ]:
         deployment, result = run(cls, **kwargs)

@@ -16,12 +16,13 @@ Run:  python examples/speed_race_exchange.py
 """
 
 from collections import Counter
+from functools import partial
 
 from repro import DBOParams, cloud_specs
-from repro.baselines.direct import DirectDeployment
 from repro.core.system import DBODeployment
 from repro.exchange.accounting import Ledger
 from repro.exchange.feed import FeedConfig
+from repro.experiments.runner import build_deployment
 from repro.participants.response_time import RaceResponseTime
 from repro.participants.strategies import MarketMaker, SpeedRacer
 
@@ -82,7 +83,7 @@ def fill_counts(deployment):
 
 def main() -> None:
     for label, scheme_cls, kwargs in [
-        ("Direct delivery (FCFS)", DirectDeployment, {}),
+        ("Direct delivery (FCFS)", partial(build_deployment, "direct"), {}),
         ("DBO", DBODeployment, {"params": DBOParams(delta=20.0)}),
     ]:
         specs = cloud_specs(N_RACERS + 1, seed=12)

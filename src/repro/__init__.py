@@ -14,10 +14,10 @@ Core mechanism (the paper's contribution):
   simulated cloud network.
 * :class:`repro.core.DBOParams` — δ, κ, τ with the paper's defaults.
 
-Baselines: :class:`repro.baselines.DirectDeployment`,
-:class:`repro.baselines.CloudExDeployment`,
-:class:`repro.baselines.FBADeployment`,
-:class:`repro.baselines.LibraDeployment`.
+Baselines: :class:`repro.baselines.EngineDeployment` runs Direct, FBA
+and Libra, one :class:`repro.baselines.EngineRow` each;
+:class:`repro.baselines.CloudExDeployment` runs CloudEx.  Build any
+scheme by name with :func:`repro.experiments.build_deployment`.
 
 Harness: :func:`repro.experiments.run_scheme`,
 :func:`repro.experiments.summarize`, plus one function per paper
@@ -35,9 +35,6 @@ Quick start
 
 from repro.baselines import (
     CloudExDeployment,
-    DirectDeployment,
-    FBADeployment,
-    LibraDeployment,
     NetworkSpec,
     default_network_specs,
 )
@@ -74,9 +71,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CloudExDeployment",
-    "DirectDeployment",
-    "FBADeployment",
-    "LibraDeployment",
     "NetworkSpec",
     "default_network_specs",
     "Batcher",

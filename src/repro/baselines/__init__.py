@@ -1,10 +1,9 @@
-"""Baseline schemes: Direct, CloudEx, FBA, Libra — plus shared wiring."""
+"""Baseline schemes: Direct, FBA and Libra (one engine deployment, a row
+each), CloudEx — plus the wiring every scheme shares."""
 
 from repro.baselines.base import BaseDeployment, NetworkSpec, default_network_specs
 from repro.baselines.cloudex import CloudExDeployment, CloudExReleaseBuffer
-from repro.baselines.direct import DirectDeployment
-from repro.baselines.fba import FBADeployment
-from repro.baselines.libra import LibraDeployment
+from repro.baselines.engine import EngineDeployment, EngineRow, batch_interval_for
 
 __all__ = [
     "BaseDeployment",
@@ -12,7 +11,7 @@ __all__ = [
     "default_network_specs",
     "CloudExDeployment",
     "CloudExReleaseBuffer",
-    "DirectDeployment",
-    "FBADeployment",
-    "LibraDeployment",
+    "EngineDeployment",
+    "EngineRow",
+    "batch_interval_for",
 ]

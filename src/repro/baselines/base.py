@@ -9,10 +9,10 @@ response-time draws, price path, and latency samples are functions of the
 same seeds regardless of scheme.
 
 Concrete schemes (`DBODeployment` in :mod:`repro.core.system`,
-`DirectDeployment`, `CloudExDeployment`, `FBADeployment`,
-`LibraDeployment` here in :mod:`repro.baselines`) implement
-:meth:`BaseDeployment._build` to construct their pipeline and
-:meth:`BaseDeployment._start` to kick off timers.
+`CloudExDeployment` and `EngineDeployment` here in
+:mod:`repro.baselines`) implement :meth:`BaseDeployment._build` to
+construct their pipeline, :meth:`BaseDeployment._start` to kick off
+timers, and the two per-point recorders the result reads.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exchange.ces import CentralExchangeServer
 from repro.exchange.feed import FeedConfig
-from repro.exchange.messages import MarketDataPoint, TradeOrder
+from repro.exchange.messages import TradeOrder
 from repro.metrics.records import RunResult, TradeRecord
 from repro.net.latency import LatencyModel, UniformJitterLatency
 from repro.net.link import DeliveryHandler
@@ -32,7 +32,6 @@ from repro.participants.mp import MarketParticipant
 from repro.participants.response_time import ResponseTimeModel, UniformResponseTime
 from repro.participants.strategies import SpeedRacer, Strategy
 from repro.sim.clocks import Clock, DriftingClock
-from repro.sim.dense import PointSeries, grow
 from repro.sim.randomness import stable_u64, stable_uniform
 from repro.sim.runtime import Runtime
 
@@ -83,16 +82,6 @@ class NetworkSpec:
         if direction == "reverse" and self.reverse_loss_probability is not None:
             return self.reverse_loss_probability
         return self.loss_probability
-
-
-def _last_point_id(points: Tuple[MarketDataPoint, ...]) -> int:
-    """Dedup key of a published point tuple (tuples are disjoint)."""
-    return points[-1].point_id
-
-
-def _order_key(order: TradeOrder) -> Tuple[str, int]:
-    """Dedup key of an order on a reverse leg."""
-    return order.key
 
 
 def default_network_specs(
@@ -202,9 +191,6 @@ class BaseDeployment:
         self.network_send_times: Dict[int, float] = {}
         # Forward-path fan-out; deployments join data legs via _open_leg.
         self.multicast = MulticastGroup()
-        # Per-participant raw arrival time per point, for schemes that hand
-        # points over on arrival (what the default _raw_arrivals reads).
-        self._arrivals: Dict[str, PointSeries] = {}
         # External stream configs: (name, latency_model, mean_interval, seed).
         self._external_configs: List[tuple] = []
         self.external_sources: List = []
@@ -269,20 +255,10 @@ class BaseDeployment:
     def _start(self, duration: float) -> None:
         """Start scheme timers (heartbeats etc.).  Default: nothing."""
 
-    def _raw_arrivals(self) -> Dict[str, Mapping[int, float]]:
-        """Per-participant raw network arrival time per point.
-
-        The per-participant series are the recorder's own, handed over
-        rather than copied: a finished run records no more.
-        """
-        return dict(self._arrivals)
-
-    def _delivery_times(self) -> Dict[str, Mapping[int, float]]:
-        """Per-participant ``D(i, x)`` (after any scheme hold).
-
-        Default: no hold anywhere, so delivery is the raw arrival.
-        """
-        return self._raw_arrivals()
+    # Per-participant raw network arrival time per point, and ``D(i, x)``
+    # after any scheme hold: each scheme hands over its recorders' maps.
+    _raw_arrivals: Callable[[], Dict[str, Mapping[int, float]]]
+    _delivery_times: Callable[[], Dict[str, Mapping[int, float]]]
 
     def _counters(self) -> Dict[str, float]:
         """Scheme-specific odometers merged into the result."""
@@ -380,59 +356,6 @@ class BaseDeployment:
         if forward:
             self.multicast.add_member(mp_id, channel)
         return channel
-
-    def _build_unicast_legs(
-        self,
-        on_trade: DeliveryHandler,
-        distributor: Optional[Callable[[MarketDataPoint], None]] = None,
-    ) -> None:
-        """Wire every participant straight to the CES (Direct, Libra, FBA).
-
-        The CES hands each point to ``distributor`` — by default it goes
-        out at once as a one-point tuple through :meth:`_publish_points`.
-        Each participant takes a tuple on arrival, recorded in
-        ``self._arrivals``, and its trades ride the reverse leg into
-        ``on_trade``.  Published tuples are disjoint, so a tuple's last
-        point id is unique, as is an order's key: channel dedup absorbs
-        at-least-once delivery on both legs — a duplicated trade never
-        reaches the matching engine twice.
-        """
-        self._arrivals = {mp_id: PointSeries() for mp_id in self.mp_ids}
-        for index, mp in enumerate(self.participants):
-
-            def on_points(
-                points: Tuple[MarketDataPoint, ...],
-                send_time: float,
-                arrival_time: float,
-                mp: MarketParticipant = mp,
-                times: Any = self._arrivals[mp.mp_id].times,
-            ) -> None:
-                for point in points:
-                    x = point.point_id
-                    if x >= len(times):
-                        grow(times, x)
-                    times[x] = arrival_time
-                mp.on_data(points, arrival_time)
-
-            self._open_leg(index, "forward", _last_point_id, on_points)
-            reverse = self._open_leg(index, "reverse", _order_key, on_trade)
-            self._wire_mp_submitter(index, reverse.send)
-        self.ces.set_distributor(
-            distributor or (lambda point: self._publish_points((point,)))
-        )
-
-    def _publish_points(self, points: Tuple[MarketDataPoint, ...]) -> None:
-        """Stamp the points' network send time and multicast them as one message."""
-        now = self.engine.now
-        for point in points:
-            self.network_send_times[point.point_id] = now
-        self.multicast.broadcast(points, send_time=now)
-
-    def _publish_point(self, point: MarketDataPoint) -> None:
-        """Per-point multicast distributor: stamp send time, broadcast."""
-        now = self.engine.now
-        self.network_send_times[point.point_id] = now
-        self.multicast.broadcast(point, send_time=now)
 
     def _wire_mp_submitter(self, index: int, rb_intercept: Callable[[TradeOrder], None]) -> None:
         """Connect an MP's trade output to its RB, honouring mp_to_rb delay."""

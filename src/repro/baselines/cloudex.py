@@ -156,6 +156,12 @@ class CloudExDeployment(BaseDeployment):
 
         self.ces.set_distributor(self._publish_point)
 
+    def _publish_point(self, point: MarketDataPoint) -> None:
+        """Stamp the point's network send time and multicast it."""
+        now = self.engine.now
+        self.network_send_times[point.point_id] = now
+        self.multicast.broadcast(point, send_time=now)
+
     # ------------------------------------------------------------------
     # The RBs' own series, handed over: a finished run records no more.
     def _raw_arrivals(self) -> Dict[str, Mapping[int, float]]:

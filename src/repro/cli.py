@@ -24,7 +24,7 @@ import json
 import sys
 from typing import Dict, Optional, Sequence
 
-from repro.baselines.fba import FBADeployment
+from repro.baselines.engine import batch_interval_for
 from repro.core.params import AggregationTopology, DBOParams, SupervisionPolicy
 from repro.core.release_buffer import RetransmitPolicy
 from repro.exchange.feed import FeedConfig
@@ -330,7 +330,7 @@ def _scheme_kwargs(scheme: str, args) -> dict:
         # too long for the run is still a usage error.
         interval = args.batch_interval
         if interval is None:
-            interval = FBADeployment.interval_for(args.duration)
+            interval = batch_interval_for(args.duration)
         return {"batch_interval": interval}
     if scheme == "libra":
         return _given(args, "window")

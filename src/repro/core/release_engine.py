@@ -17,7 +17,9 @@ collapses the shared machinery into one place:
 
 Four schemes — direct, cloudex, fba, libra — run through this engine
 with an :class:`~repro.ordering.policy.OrderingPolicy` from
-:mod:`repro.ordering`.  The two delivery-clock schemes (dbo, prob) need
+:mod:`repro.ordering`: three as rows of
+:class:`repro.baselines.engine.EngineDeployment`, cloudex from
+:class:`repro.baselines.cloudex.CloudExDeployment`.  The two delivery-clock schemes (dbo, prob) need
 the recovery surface (warm-up, crash, release-log adoption) and the
 fused heartbeat path of :class:`repro.core.ordering_buffer.OrderingBuffer`
 and run there; nothing drives them through this engine.

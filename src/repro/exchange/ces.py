@@ -21,7 +21,7 @@ from typing import Any, Callable, Optional
 from repro.exchange.feed import FeedConfig, MarketDataFeed
 from repro.exchange.matching import MatchingEngine
 from repro.exchange.messages import MarketDataPoint
-from repro.sim.engine import EventEngine, PeriodicTimer
+from repro.sim.engine import EventEngine
 
 __all__ = ["CentralExchangeServer"]
 
@@ -58,13 +58,6 @@ class CentralExchangeServer:
         self._distributor = distributor
         self._stop_time: Optional[float] = None
         self._started = False
-        self._last_emit_time: Optional[float] = None
-        self.keepalives_published = 0
-        # Appendix D: for sparse feeds the CES should emit periodic
-        # keepalive points so a loss-lagged participant's delivery clock
-        # recovers quickly.  None disables (the paper's dense-feed case).
-        self.keepalive_interval: Optional[float] = None
-        self._keepalive_timer: Optional[PeriodicTimer] = None
         # Fault injection (``ces_hiccup``): while paused the tick chain
         # dies and no points are generated; resume() re-arms it.
         self._paused = False
@@ -104,15 +97,6 @@ class CentralExchangeServer:
         self._stop_time = stop_time
         self._tick_chain_alive = True
         self.engine.schedule_at(start_time, self._tick)
-        if self.keepalive_interval is not None:
-            if self.keepalive_interval <= 0:
-                raise ValueError("keepalive_interval must be positive")
-            self._keepalive_timer = self.engine.schedule_periodic(
-                start_time + self.keepalive_interval,
-                self.keepalive_interval,
-                self._keepalive,
-                priority=3,
-            )
 
     def _tick(self) -> None:
         now = self.engine.now
@@ -124,7 +108,6 @@ class CentralExchangeServer:
             self._tick_chain_alive = False
             return
         point = self.feed.next_point(generation_time=now)
-        self._last_emit_time = now
         self._distributor(point)
         self.engine.schedule_after(self.feed.next_gap(), self._tick)
 
@@ -133,7 +116,7 @@ class CentralExchangeServer:
         """Fault injection (``ces_hiccup``): the feed process hangs.
 
         Generation stops at the next scheduled tick; everything else
-        (matching engine, keepalives disabled-by-default) is untouched.
+        (the matching engine) is untouched.
         Idempotent while already paused.
         """
         if not self._paused:
@@ -153,21 +136,6 @@ class CentralExchangeServer:
         if self._started and not self._tick_chain_alive:
             self._tick_chain_alive = True
             self.engine.schedule_after(self.feed.next_gap(), self._tick)
-
-    def _keepalive(self) -> None:
-        now = self.engine.now
-        interval = self.keepalive_interval
-        assert interval is not None and self._keepalive_timer is not None
-        if self._stop_time is not None and now >= self._stop_time:
-            self._keepalive_timer.cancel()
-            return
-        quiet_for = (
-            now - self._last_emit_time if self._last_emit_time is not None else now
-        )
-        if quiet_for >= interval - 1e-9:
-            self.keepalives_published += 1
-            self._last_emit_time = now
-            self.inject_external(payload="keepalive", opportunity=False)
 
     # ------------------------------------------------------------------
     def inject_external(self, payload: Any, opportunity: bool = True) -> MarketDataPoint:

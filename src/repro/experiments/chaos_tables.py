@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.stats import pooled_fairness, summarize_samples
-from repro.baselines.fba import FBADeployment
+from repro.baselines.engine import batch_interval_for
 from repro.experiments.chaos import CHAOS_PLANS
 from repro.experiments.registry import available_schemes
 from repro.metrics.report import render_table
@@ -184,13 +184,13 @@ def build_cells(
     """The cell list for a schemes × plans × seeds matrix, in row order.
 
     Per-scheme constructor overrides come from ``scheme_kwargs``; FBA
-    gets ``FBADeployment.interval_for(duration)`` by default, the rule
+    gets ``batch_interval_for(duration)`` by default, the rule
     ``repro run`` and ``repro compare`` apply too.
     """
     if n_seeds < 1:
         raise ValueError("need at least one seed")
     defaults: Dict[str, Dict[str, Any]] = {
-        "fba": {"batch_interval": FBADeployment.interval_for(duration)}
+        "fba": {"batch_interval": batch_interval_for(duration)}
     }
     for scheme, extra in sorted((scheme_kwargs or {}).items()):
         defaults.setdefault(scheme, {}).update(extra)

@@ -124,16 +124,15 @@ def _register_builtin_schemes() -> None:
     # Imported lazily so the registry module itself stays import-light
     # and the deployment modules may import registry helpers if needed.
     from repro.baselines.cloudex import CloudExDeployment
-    from repro.baselines.direct import DirectDeployment
-    from repro.baselines.fba import FBADeployment
-    from repro.baselines.libra import LibraDeployment
+    from repro.baselines.engine import DIRECT, FBA, LIBRA, EngineDeployment
     from repro.core.system import DBODeployment
 
     register_scheme("dbo", DBODeployment, "DBO: delivery-clock fair ordering (§4)")
-    register_scheme("direct", DirectDeployment, "Direct delivery + FCFS (§6.1)")
+    # One engine deployment; its rows differ only in data.
+    register_scheme("direct", partial(EngineDeployment, row=DIRECT), "Direct delivery + FCFS (§6.1)")
     register_scheme("cloudex", CloudExDeployment, "CloudEx sync-clock hold (§2.1)")
-    register_scheme("fba", FBADeployment, "Frequent batch auctions (§2.1)")
-    register_scheme("libra", LibraDeployment, "Libra randomized windows (§2.1)")
+    register_scheme("fba", partial(EngineDeployment, row=FBA), "Frequent batch auctions (§2.1)")
+    register_scheme("libra", partial(EngineDeployment, row=LIBRA), "Libra randomized windows (§2.1)")
     # DBO's topology with the horizon release rule; 6 µs sits below the
     # default τ = 20, so the latency win is real, while covering most of
     # the cloud profile's reverse-lag spread.

@@ -23,7 +23,9 @@ prob       until ``arrival + h`` (confidence)   stamp order, w.h.p. correct
 The first four are :class:`OrderingPolicy` implementations — the policy
 owns its pending store — on
 :class:`repro.core.release_engine.ReleaseEngine`; libra runs fba's
-:class:`BatchAuctionPolicy` over shorter windows.  The two
+:class:`BatchAuctionPolicy` over shorter windows.  direct, fba and libra
+are rows of one deployment,
+:class:`repro.baselines.engine.EngineDeployment`; cloudex has its own.  The two
 delivery-clock rules are *decision state* (:class:`DeliveryClockPolicy`:
 watermarks, extremes heap, stragglers; :class:`ProbabilisticPolicy`: due
 times, released maximum, inversion count) consulted by the recoverable

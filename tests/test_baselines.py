@@ -4,10 +4,8 @@ import pytest
 
 from repro.baselines.base import NetworkSpec, default_network_specs
 from repro.baselines.cloudex import CloudExDeployment
-from repro.baselines.direct import DirectDeployment
-from repro.baselines.fba import FBADeployment
-from repro.baselines.libra import LibraDeployment
 from repro.exchange.feed import FeedConfig
+from repro.experiments.runner import build_deployment
 from repro.metrics.fairness import evaluate_fairness
 from repro.metrics.latency import latency_stats, trade_latencies
 from repro.net.latency import CompositeLatency, ConstantLatency, StepLatency
@@ -24,7 +22,7 @@ def asymmetric_specs():
 
 class TestDirect:
     def test_latency_is_raw_network_rtt(self):
-        deployment = DirectDeployment(asymmetric_specs())
+        deployment = build_deployment("direct", asymmetric_specs())
         result = deployment.run(duration=2000.0)
         latencies = sorted(set(round(l, 6) for l in trade_latencies(result)))
         assert latencies == [10.0, 22.0]
@@ -34,7 +32,7 @@ class TestDirect:
         # slower round-trip: Direct orders it second every time.
         specs = asymmetric_specs()
         rt = RaceResponseTime(2, gap=0.5, seed=1)
-        deployment = DirectDeployment(specs, response_time_model=rt)
+        deployment = build_deployment("direct", specs, response_time_model=rt)
         result = deployment.run(duration=4000.0)
         report = evaluate_fairness(result)
         assert report.ratio == pytest.approx(0.5, abs=0.15)
@@ -44,12 +42,12 @@ class TestDirect:
             NetworkSpec(forward=ConstantLatency(5.0), reverse=ConstantLatency(5.0)),
             NetworkSpec(forward=ConstantLatency(5.0), reverse=ConstantLatency(5.0)),
         ]
-        deployment = DirectDeployment(specs)
+        deployment = build_deployment("direct", specs)
         result = deployment.run(duration=4000.0)
         assert evaluate_fairness(result).ratio == 1.0
 
     def test_completion(self):
-        deployment = DirectDeployment(default_network_specs(3, seed=1))
+        deployment = build_deployment("direct", default_network_specs(3, seed=1))
         result = deployment.run(duration=2000.0)
         assert result.completion_ratio() == 1.0
         assert result.counters["trades_sequenced"] == len(result.trades)
@@ -118,8 +116,8 @@ class TestCloudEx:
 
 class TestFBA:
     def test_latency_scales_with_batch_interval(self):
-        deployment = FBADeployment(
-            asymmetric_specs(), batch_interval=2000.0, feed_config=FeedConfig(interval=40.0)
+        deployment = build_deployment(
+            "fba", asymmetric_specs(), batch_interval=2000.0, feed_config=FeedConfig(interval=40.0)
         )
         result = deployment.run(duration=8000.0, drain=4000.0)
         stats = latency_stats(result)
@@ -128,7 +126,8 @@ class TestFBA:
     def test_speed_race_abolished(self):
         """Equal priority ⇒ the faster responder wins only ~half the races."""
         rt = RaceResponseTime(2, gap=2.0, seed=5)
-        deployment = FBADeployment(
+        deployment = build_deployment(
+            "fba",
             asymmetric_specs(),
             batch_interval=1000.0,
             response_time_model=rt,
@@ -140,13 +139,13 @@ class TestFBA:
         assert 0.35 < report.ratio < 0.65
 
     def test_all_trades_complete(self):
-        deployment = FBADeployment(asymmetric_specs(), batch_interval=500.0)
+        deployment = build_deployment("fba", asymmetric_specs(), batch_interval=500.0)
         result = deployment.run(duration=5000.0, drain=2000.0)
         assert result.completion_ratio() == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FBADeployment(asymmetric_specs(), batch_interval=0.0)
+            build_deployment("fba", asymmetric_specs(), batch_interval=0.0)
 
 
 class TestLibra:
@@ -154,8 +153,8 @@ class TestLibra:
         """Libra's guarantee: the faster trade wins more than 50 % of the
         time when latency variability is within the window."""
         rt = RaceResponseTime(2, gap=3.0, seed=6)
-        deployment = LibraDeployment(
-            asymmetric_specs(), window=20.0, response_time_model=rt
+        deployment = build_deployment(
+            "libra", asymmetric_specs(), window=20.0, response_time_model=rt
         )
         result = deployment.run(duration=30_000.0)
         report = evaluate_fairness(result)
@@ -164,14 +163,14 @@ class TestLibra:
 
     def test_not_guaranteed_fair(self):
         rt = RaceResponseTime(2, gap=0.2, seed=7)
-        deployment = LibraDeployment(
-            asymmetric_specs(), window=20.0, response_time_model=rt
+        deployment = build_deployment(
+            "libra", asymmetric_specs(), window=20.0, response_time_model=rt
         )
         result = deployment.run(duration=30_000.0)
         assert evaluate_fairness(result).ratio < 1.0
 
     def test_window_latency_overhead(self):
-        deployment = LibraDeployment(asymmetric_specs(), window=50.0)
+        deployment = build_deployment("libra", asymmetric_specs(), window=50.0)
         result = deployment.run(duration=5000.0)
         stats = latency_stats(result)
         # Raw RTT is 10/22 µs; windowing adds up to 50.
@@ -180,7 +179,7 @@ class TestLibra:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LibraDeployment(asymmetric_specs(), window=0.0)
+            build_deployment("libra", asymmetric_specs(), window=0.0)
 
 
 class TestFirstReleasePastTheRun:
@@ -191,9 +190,9 @@ class TestFirstReleasePastTheRun:
     @pytest.mark.parametrize(
         "make, message",
         [
-            (lambda specs: FBADeployment(specs, batch_interval=50_000.0),
+            (lambda specs: build_deployment("fba", specs, batch_interval=50_000.0),
              "fba releases its first trade at 100000 µs (2 × batch_interval)"),
-            (lambda specs: LibraDeployment(specs, window=50_000.0),
+            (lambda specs: build_deployment("libra", specs, window=50_000.0),
              "libra releases its first trade at 50000 µs (window)"),
         ],
         ids=["fba", "libra"],
@@ -211,8 +210,8 @@ class TestFirstReleasePastTheRun:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda specs: FBADeployment(specs, batch_interval=11_000.0),
-            lambda specs: LibraDeployment(specs, window=22_000.0),
+            lambda specs: build_deployment("fba", specs, batch_interval=11_000.0),
+            lambda specs: build_deployment("libra", specs, window=22_000.0),
         ],
         ids=["fba", "libra"],
     )

@@ -67,7 +67,7 @@ class TestParser:
         assert build_parser().parse_args(["run"]).horizon is None
 
     def test_unset_knobs_keep_library_defaults(self):
-        from repro.baselines.fba import FBADeployment
+        from repro.baselines.engine import batch_interval_for
         from repro.cli import _scheme_kwargs
         from repro.core.params import DBOParams
 
@@ -75,7 +75,7 @@ class TestParser:
         for scheme in ("direct", "cloudex", "libra"):
             assert _scheme_kwargs(scheme, args) == {}
         # FBA's auction period scales to the run, as in chaos-table.
-        assert _scheme_kwargs("fba", args) == {"batch_interval": FBADeployment.interval_for(args.duration)}
+        assert _scheme_kwargs("fba", args) == {"batch_interval": batch_interval_for(args.duration)}
         for scheme in ("dbo", "prob"):
             kwargs = _scheme_kwargs(scheme, args)
             assert kwargs["params"] == DBOParams()
@@ -285,6 +285,19 @@ class TestDeploymentErrors:
         line = self.error_of(["run", *argv], capsys)
         assert message in line and "after the run ends at 22000 µs" in line
         assert message in self.error_of(["compare", "--schemes", "direct", scheme, *argv[2:]], capsys)
+
+    @pytest.mark.parametrize(
+        "scheme, knob, value, message",
+        [
+            ("libra", "--window", "0", "window must be positive and finite"),
+            ("fba", "--batch-interval", "nan", "batch_interval must be positive and finite"),
+        ],
+    )
+    def test_boundary_period_must_be_positive_and_finite(self, capsys, scheme, knob, value, message):
+        argv = ["--scheme", scheme, knob, value, "--duration", "2000", "--participants", "4"]
+        assert message in self.error_of(["run", *argv], capsys)
+        assert message in self.error_of(["compare", "--schemes", "direct", scheme, *argv[2:]], capsys)
+        assert message in self.error_of(["chaos", *argv], capsys)
 
     def test_prob_sync_c1_reaches_release_buffers(self, capsys):
         code = main(

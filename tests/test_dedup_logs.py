@@ -79,3 +79,26 @@ def test_log_overflow_does_not_grow_with_the_horizon(plan):
     assert set(short) == set(long)
     for name in long:
         assert long[name] <= short[name], name
+
+
+def _fba_forward_logs(horizon):
+    deployment = build_deployment(
+        "fba", default_network_specs(4, seed=3), seed=3, batch_interval=500.0
+    )
+    deployment.run(duration=horizon)
+    return {
+        channel.name: channel._seen
+        for channel in deployment.transport
+        if channel.name.startswith("fwd-")
+    }
+
+
+@pytest.mark.parametrize("horizon", [4000.0, 16_000.0])
+def test_batched_publications_keep_the_forward_log_dense(horizon):
+    # One auction publishes many points as one message; its dedup key is
+    # the publication's sequence number, so the keys stay one run.
+    logs = _fba_forward_logs(horizon)
+    assert len(logs) == 4
+    for name, log in logs.items():
+        assert len(log) == horizon // 500.0, name
+        assert not log._overflow, name

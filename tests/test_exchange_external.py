@@ -1,14 +1,16 @@
 """Tests for external stream serialization (§4.2.6)."""
 
+from functools import partial
+
 import pytest
 
 from repro.baselines.base import NetworkSpec, default_network_specs
-from repro.baselines.direct import DirectDeployment
 from repro.core.params import DBOParams
 from repro.core.system import DBODeployment
 from repro.exchange.ces import CentralExchangeServer
 from repro.exchange.external import ExternalEvent, ExternalSource, StreamMerger
 from repro.exchange.feed import FeedConfig
+from repro.experiments.runner import build_deployment
 from repro.metrics.fairness import evaluate_fairness
 from repro.net.latency import ConstantLatency, UniformJitterLatency
 from repro.net.link import Link
@@ -110,7 +112,7 @@ class TestSuperStreamFairness:
                     assert pairwise_correct(trades[i], trades[j]) in (None, True)
 
     def test_direct_unfair_on_external_races(self):
-        deployment, result = self.run_scheme(DirectDeployment)
+        deployment, result = self.run_scheme(partial(build_deployment, "direct"))
         merged_ids = {p.point_id for p in deployment.stream_merger.merged}
         from repro.metrics.fairness import pairwise_correct
 

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.baselines.base import NetworkSpec
-from repro.baselines.direct import DirectDeployment
 from repro.core.delivery_clock import DeliveryClockStamp
 from repro.core.params import DBOParams
 from repro.core.system import DBODeployment
 from repro.exchange.messages import Heartbeat, Side, TaggedTrade, TradeOrder
+from repro.experiments.runner import build_deployment
 from repro.faults.auditor import AuditReport, InvariantAuditor, Violation
 from repro.net.latency import ConstantLatency
 
@@ -112,7 +112,7 @@ class TestLiveRuns:
         assert report.scheme == "dbo"
 
     def test_clean_direct_run_uses_matching_engine_fallback(self):
-        deployment = DirectDeployment(specs(), seed=7)
+        deployment = build_deployment("direct", specs(), seed=7)
         auditor = InvariantAuditor()
         auditor.attach(deployment)
         deployment.run(duration=5_000.0)

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.baselines.base import NetworkSpec, default_network_specs
-from repro.baselines.direct import DirectDeployment
 from repro.core.params import AggregationTopology, DBOParams
 from repro.core.system import DBODeployment
+from repro.experiments.runner import build_deployment
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultSchedule, FaultSpec
 from repro.metrics.serialization import trade_ordering_digest
@@ -34,7 +34,7 @@ class TestArmValidation:
     def test_rb_crash_needs_dbo(self):
         plan = FaultSchedule.of(FaultSpec(kind="rb_crash", at=10.0, target="mp0"))
         with pytest.raises(ValueError, match="DBO"):
-            FaultInjector(plan).arm(DirectDeployment(specs(), seed=3))
+            FaultInjector(plan).arm(build_deployment("direct", specs(), seed=3))
 
     def test_ob_failover_rejected_on_sharded_topology(self):
         plan = FaultSchedule.of(FaultSpec(kind="ob_failover", at=10.0))
@@ -189,7 +189,7 @@ class TestClockDrift:
 
     def test_needs_dbo(self):
         with pytest.raises(ValueError, match="DBO"):
-            FaultInjector(self.plan()).arm(DirectDeployment(specs(), seed=3))
+            FaultInjector(self.plan()).arm(build_deployment("direct", specs(), seed=3))
 
     def test_fires_and_recovers(self):
         deployment = dbo()

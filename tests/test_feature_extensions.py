@@ -1,12 +1,11 @@
 """Tests for the deployment extensions: distributed shards, Poisson feeds,
-CES keepalives, proxy participants, self-match prevention."""
+proxy participants, self-match prevention."""
 
 import pytest
 
 from repro.baselines.base import NetworkSpec, default_network_specs
 from repro.core.params import DBOParams
 from repro.core.system import DBODeployment
-from repro.exchange.ces import CentralExchangeServer
 from repro.exchange.feed import FeedConfig, MarketDataFeed
 from repro.exchange.messages import Side, TradeOrder
 from repro.exchange.order_book import LimitOrderBook
@@ -14,7 +13,6 @@ from repro.metrics.fairness import evaluate_fairness, pairwise_correct
 from repro.metrics.latency import latency_stats
 from repro.net.latency import ConstantLatency, UniformJitterLatency
 from repro.participants.response_time import RaceResponseTime, UniformResponseTime
-from repro.sim.engine import EventEngine
 
 
 class TestDistributedShards:
@@ -72,51 +70,6 @@ class TestPoissonFeed:
         assert len(result.generation_times) > 20
         assert evaluate_fairness(result).ratio == 1.0
         assert result.completion_ratio() == 1.0
-
-
-class TestKeepalives:
-    def test_sparse_feed_gets_keepalives(self):
-        deployment = DBODeployment(
-            default_network_specs(2, seed=5),
-            feed_config=FeedConfig(interval=5_000.0),
-            seed=2,
-        )
-        deployment.ces.keepalive_interval = 1_000.0
-        result = deployment.run(duration=20_000.0)
-        assert deployment.ces.keepalives_published > 5
-        # Keepalives advance delivery clocks at every RB.
-        for rb in deployment.release_buffers:
-            assert rb.clock.last_point_id >= 10
-
-    def test_dense_feed_suppresses_keepalives(self):
-        deployment = DBODeployment(
-            default_network_specs(2, seed=5),
-            feed_config=FeedConfig(interval=40.0),
-            seed=2,
-        )
-        deployment.ces.keepalive_interval = 1_000.0
-        deployment.run(duration=10_000.0)
-        assert deployment.ces.keepalives_published == 0
-
-    def test_keepalives_are_not_opportunities(self):
-        engine = EventEngine()
-        ces = CentralExchangeServer(engine, feed_config=FeedConfig(interval=10_000.0))
-        points = []
-        ces.set_distributor(points.append)
-        ces.keepalive_interval = 500.0
-        ces.start(stop_time=3_000.0)
-        engine.run(until=4_000.0)
-        keepalives = [p for p in points if p.payload == "keepalive"]
-        assert keepalives
-        assert not any(p.is_opportunity for p in keepalives)
-
-    def test_invalid_interval_rejected(self):
-        engine = EventEngine()
-        ces = CentralExchangeServer(engine)
-        ces.set_distributor(lambda p: None)
-        ces.keepalive_interval = 0.0
-        with pytest.raises(ValueError):
-            ces.start()
 
 
 class TestProxyParticipant:

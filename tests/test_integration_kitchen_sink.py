@@ -2,7 +2,7 @@
 
 Features compose or they don't: this run turns on sharded OBs with a
 network hop, OB service-time modeling, sync-assisted delivery,
-telemetry, a live book, keepalives, an external news stream, packet loss on one path, a
+telemetry, a live book, an external news stream, packet loss on one path, a
 straggler threshold and a mid-run RB crash — and still demands sane
 fairness, bounded latency, and internal-consistency invariants.
 """
@@ -40,7 +40,7 @@ def deployment_and_result():
         )
 
     class OpportunityMaker(MarketMaker):
-        """Quotes only on opportunity points, never on keepalives."""
+        """Quotes only on opportunity points."""
 
         def on_point(self, point):
             if not point.is_opportunity:
@@ -65,7 +65,6 @@ def deployment_and_result():
         telemetry_interval=100.0,
         ob_service_time=0.3,
     )
-    deployment.ces.keepalive_interval = 2_000.0
     deployment.add_external_source(
         "news", UniformJitterLatency(1500.0, 800.0, seed=99), mean_interval=1_500.0,
         seed=9,

@@ -14,11 +14,11 @@ The headline pins:
 import pytest
 
 from repro.baselines.base import NetworkSpec
-from repro.baselines.direct import DirectDeployment
 from repro.core.params import AggregationTopology, DBOParams
 from repro.core.release_buffer import RetransmitPolicy
 from repro.core.system import DBODeployment
 from repro.experiments.chaos import CHAOS_PLANS, make_plan, run_chaos
+from repro.experiments.runner import build_deployment
 from repro.experiments.scenarios import cloud_specs
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultSchedule, FaultSpec
@@ -385,7 +385,7 @@ class TestDuplicateDeliveryIntegration:
 
     def test_direct_reverse_duplicates_never_reach_the_matching_engine(self):
         def run(with_fault):
-            deployment = DirectDeployment(quiet_specs(), seed=2)
+            deployment = build_deployment("direct", quiet_specs(), seed=2)
             if with_fault:
                 plan = FaultSchedule.of(
                     FaultSpec(kind="duplicate_delivery", at=1_000.0,

@@ -367,6 +367,39 @@ def test_only_what_a_user_path_reaches():
     assert len(inspect.signature(DBODeployment.__init__).parameters) - 1 == 23
 
 
+def test_one_engine_deployment():
+    import repro
+    import repro.baselines
+    from repro.baselines.base import BaseDeployment, default_network_specs
+    from repro.baselines.engine import EngineDeployment
+    from repro.exchange.ces import CentralExchangeServer
+    from repro.experiments.registry import available_schemes, get_builder
+    from repro.sim.engine import EventEngine
+
+    # Direct, FBA and Libra are rows of one deployment, not three classes.
+    for module in ("direct", "fba", "libra"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.baselines.{module}")
+    for name in ("DirectDeployment", "FBADeployment", "LibraDeployment"):
+        assert not hasattr(repro.baselines, name), name
+        assert not hasattr(repro, name), name
+    specs = default_network_specs(2)
+    for scheme in ("direct", "fba", "libra"):
+        deployment = get_builder(scheme).build(specs)
+        assert type(deployment) is EngineDeployment
+        assert deployment.scheme_name == scheme
+    # The unicast wiring lives with its only user.
+    base = BaseDeployment(specs)
+    for name in ("_build_unicast_legs", "_arrivals", "_publish_points"):
+        assert not hasattr(base, name), name
+    # No user path set the CES keepalive.
+    ces = CentralExchangeServer(EventEngine())
+    for name in ("keepalive_interval", "_keepalive", "_keepalive_timer",
+                 "keepalives_published", "_last_emit_time"):
+        assert not hasattr(ces, name), name
+    assert available_schemes() == ["cloudex", "dbo", "direct", "fba", "libra", "prob"]
+
+
 def test_top_level_quickstart_surface():
     import repro
 

@@ -10,9 +10,9 @@ changed semantics (update the goldens and say why in the commit).
 import pytest
 
 from repro.baselines.base import default_network_specs
-from repro.baselines.direct import DirectDeployment
 from repro.core.delivery_clock import DeliveryClockStamp
 from repro.core.system import DBODeployment
+from repro.experiments.runner import build_deployment
 from repro.metrics.fairness import evaluate_fairness
 from repro.metrics.latency import latency_stats
 from repro.net.latency import UniformJitterLatency
@@ -57,12 +57,12 @@ class TestRunGoldens:
         assert mp_counts == {"mp0": 75, "mp1": 75, "mp2": 75}
 
     def test_direct_small_run_fairness_is_stable(self):
-        deployment = DirectDeployment(default_network_specs(3, seed=9), seed=3)
+        deployment = build_deployment("direct", default_network_specs(3, seed=9), seed=3)
         result = deployment.run(duration=3000.0)
         report = evaluate_fairness(result)
         first = (report.correct_pairs, report.total_pairs)
         # Re-run from scratch: bit-identical.
-        deployment2 = DirectDeployment(default_network_specs(3, seed=9), seed=3)
+        deployment2 = build_deployment("direct", default_network_specs(3, seed=9), seed=3)
         report2 = evaluate_fairness(deployment2.run(duration=3000.0))
         assert (report2.correct_pairs, report2.total_pairs) == first
 

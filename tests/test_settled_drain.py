@@ -227,7 +227,7 @@ def test_straggler_still_ejected_at_the_end(monkeypatch):
 
 
 class _OpportunityMaker(MarketMaker):
-    """Quotes on opportunity points only, never on keepalives."""
+    """Quotes on opportunity points only."""
 
     def on_point(self, point):
         return super().on_point(point) if point.is_opportunity else []
@@ -243,7 +243,6 @@ def _kitchen_sink(engine):
         shard_master_latency=ConstantLatency(3.0), sync_target_c1=25.0, sync_error=1.0,
         enable_egress_gateway=True,
     )
-    deployment.ces.keepalive_interval = 2_000.0
     deployment.add_external_source(
         "news", UniformJitterLatency(1500.0, 800.0, seed=99), mean_interval=1_500.0, seed=9
     )
@@ -255,7 +254,7 @@ def _kitchen_sink(engine):
 
 @pytest.mark.parametrize("engine", ["heap", "reference"])
 def test_kitchen_sink(monkeypatch, engine):
-    # A market maker on a live book, news, keepalives, eager shard
+    # A market maker on a live book, news, eager shard
     # summaries over channels, sync-assisted delivery and the egress
     # gateway in one run.
     settled, full, settled_at = _settled_then_full(monkeypatch, _kitchen_sink, engine)

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.base import NetworkSpec, default_network_specs
-from repro.baselines.direct import DirectDeployment
 from repro.core.params import DBOParams
 from repro.core.system import DBODeployment
+from repro.experiments.runner import build_deployment
 from repro.net.latency import ConstantLatency, UniformJitterLatency
 from repro.theory.bounds import (
     corollary1_condition_holds,
@@ -94,7 +94,7 @@ class TestCorollary1:
 
         # Data every 10 µs: consecutive deliveries are < δ apart, so the
         # condition bites — and jitter makes the gaps unequal.
-        deployment = DirectDeployment(specs, feed_config=FeedConfig(interval=10.0))
+        deployment = build_deployment("direct", specs, feed_config=FeedConfig(interval=10.0))
         result = deployment.run(duration=3000.0)
         assert not corollary1_condition_holds(result.delivery_times, delta=20.0)
 
@@ -150,7 +150,7 @@ class TestFairnessDefs:
             NetworkSpec(forward=ConstantLatency(5.0), reverse=ConstantLatency(5.0)),
             NetworkSpec(forward=ConstantLatency(25.0), reverse=ConstantLatency(25.0)),
         ]
-        deployment = DirectDeployment(specs)
+        deployment = build_deployment("direct", specs)
         result = deployment.run(duration=3000.0)
         violations = response_time_fairness_violations(result)
         assert violations
