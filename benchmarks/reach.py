@@ -103,6 +103,7 @@ def cli_entries(tmp: Path) -> List[Tuple[str, List[str]]]:
             (f"chaos {plan} prob", [*base, "--scheme", "prob"]),
         ]
     entries.append(("chaos faults file", ["chaos", *SMALL, "--faults", str(tmp / "faults.json"), "--json"]))
+    entries.append(("lint write baseline", ["lint", "--write-baseline", "--baseline", str(tmp / "lint-baseline.json")]))
     return entries
 
 

@@ -17,6 +17,7 @@ timers, and the two per-point recorders the result reads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -137,7 +138,7 @@ class BaseDeployment:
         RB clocks also get large random offsets — schemes must not care.
     runtime:
         Optional pre-built :class:`~repro.sim.runtime.Runtime` carrying
-        the engine, seed, and telemetry.  ``None`` creates a fresh one.
+        the engine and seed.  ``None`` creates a fresh one.
     """
 
     scheme_name = "base"
@@ -409,13 +410,16 @@ class BaseDeployment:
 
     def check_horizon(self, duration: float, drain: Optional[float] = None) -> float:
         """The drain a ``run(duration, drain)`` would use, or ``ValueError``
-        for a run whose result could only be vacuous: a non-positive
-        duration, or a first trade release (:meth:`_first_release`) after
-        ``duration + drain``."""
-        if duration <= 0:
-            raise ValueError("duration must be positive")
+        for a run that could never end or whose result could only be
+        vacuous: a duration that is not positive and finite, a drain that
+        is not non-negative and finite, or a first trade release
+        (:meth:`_first_release`) after ``duration + drain``."""
+        if not 0.0 < duration < math.inf:
+            raise ValueError("duration must be positive and finite")
         if drain is None:
             drain = max(20_000.0, 0.05 * duration)
+        elif not 0.0 <= drain < math.inf:
+            raise ValueError("drain must be non-negative and finite")
         first = self._first_release()
         if first is not None and first[0] > duration + drain:
             at, rule = first
@@ -439,16 +443,13 @@ class BaseDeployment:
         forwarded, every pending one-shot event is a channel delivery of
         an idle message (:meth:`_idle_message`; periodic timers are
         idle), no channel has Appendix D loss (a recovered message lands
-        late and out of order), no injected fault holds for the rest of
-        the run and no telemetry is sampling.  A lost or dropped trade is
-        never forwarded, so such a run keeps the full drain.  A scheme
-        that holds work for one of its periodic timers to release extends
-        this with that condition.
+        late and out of order) and no injected fault holds for the rest of
+        the run.  A lost or dropped trade is never forwarded, so such a
+        run keeps the full drain.  A scheme that holds work for one of its
+        periodic timers to release extends this with that condition.
         """
         forwarded = len(self.ces.matching_engine.forwarded)
         if forwarded != sum(len(mp.submitted) for mp in self.participants):
-            return False
-        if self.runtime.telemetry is not None:
             return False
         if any(injector.holding for injector in self.fault_injectors):
             return False

@@ -59,22 +59,6 @@ class DBOParams:
         """Batch generation period ``(1 + κ)·δ`` (µs)."""
         return (1.0 + self.kappa) * self.delta
 
-    @property
-    def pacing_gap(self) -> float:
-        """Minimum inter-batch delivery gap at the RB: δ (µs)."""
-        return self.delta
-
-    @property
-    def drain_rate(self) -> float:
-        """Queue drain rate after a spike: batch_span / pacing_gap = 1 + κ."""
-        return 1.0 + self.kappa
-
-    @property
-    def worst_case_added_latency(self) -> float:
-        """§4.2.1: at most ``(1 + κ)·δ + τ`` over the latency bound when
-        the network is well behaved."""
-        return self.batch_span + self.tau
-
     def with_horizon(self, delta: float, batch_span: float | None = None) -> "DBOParams":
         """A copy with a new horizon; the paper's DBO(x, y) notation sets
         δ = x and batch span (1+κ)δ = y."""

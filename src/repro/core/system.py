@@ -147,7 +147,6 @@ class DBODeployment(BaseDeployment):
         disable_pacing: bool = False,
         sync_target_c1: Optional[float] = None,
         sync_error: float = 0.0,
-        telemetry_interval: Optional[float] = None,
         ob_service_time: float = 0.0,
         retransmit_policy: Optional[RetransmitPolicy] = None,
         enable_egress_gateway: bool = False,
@@ -208,8 +207,6 @@ class DBODeployment(BaseDeployment):
         self.disable_pacing = disable_pacing
         self.sync_target_c1 = sync_target_c1
         self.sync_error = sync_error
-        self.telemetry_interval = telemetry_interval
-        self.telemetry = None
         # §5.2 bottleneck modeling: per-message OB processing time.  With
         # a flat OB one server handles every trade and heartbeat; with
         # shards each shard gets its own server and the master only sees
@@ -663,18 +660,6 @@ class DBODeployment(BaseDeployment):
 
     def _start(self, duration: float) -> None:
         self.batcher.start(0.0)
-        if self.telemetry_interval is not None:
-            self.telemetry = self.runtime.attach_telemetry(self.telemetry_interval)
-            if self.ordering_buffer is not None:
-                # Resolved per sample: a failover swaps the OB instance.
-                self.telemetry.add(
-                    "ob_queue_depth", lambda: self.ordering_buffer.queue_depth
-                )
-            for rb in self.release_buffers:
-                self.telemetry.add(
-                    f"rb_queue_{rb.mp_id}", lambda rb=rb: len(rb._queue)
-                )
-            self.telemetry.start_all(start_time=0.0)
         for index, rb in enumerate(self.release_buffers):
             # Stagger heartbeat phases so τ-periodic sends don't synchronize.
             offset = self.runtime.uniform(0.0, self.params.tau, index, 200)

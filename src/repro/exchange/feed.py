@@ -11,8 +11,9 @@ tick).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional
+from typing import Any, List, Optional
 
 from repro.exchange.messages import MarketDataPoint
 from repro.sim.randomness import SubstreamCounter
@@ -51,8 +52,8 @@ class FeedConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
+        if not 0.0 < self.interval < math.inf:
+            raise ValueError("interval must be positive and finite")
         if self.mode not in ("periodic", "poisson"):
             raise ValueError(f"unknown feed mode: {self.mode!r}")
         if not 0.0 <= self.opportunity_fraction <= 1.0:
@@ -124,10 +125,3 @@ class MarketDataFeed:
         self._next_id += 1
         self.generated.append(point)
         return point
-
-    def points_until(self, start_time: float, end_time: float) -> Iterator[MarketDataPoint]:
-        """Generate all points on the feed's cadence in ``[start, end)``."""
-        t = start_time
-        while t < end_time:
-            yield self.next_point(t)
-            t += self.next_gap()

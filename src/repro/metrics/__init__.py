@@ -17,13 +17,8 @@ from repro.metrics.latency import (
 from repro.metrics.degradation import DegradationReport, fairness_degradation
 from repro.metrics.records import RunResult, TradeRecord
 from repro.metrics.ascii_plot import ascii_plot
-from repro.metrics.report import cdf_points, render_cdf, render_series, render_table
-from repro.metrics.serialization import (
-    load_run_result,
-    run_result_from_dict,
-    run_result_to_dict,
-    save_run_result,
-)
+from repro.metrics.report import render_cdf, render_series, render_table
+from repro.metrics.serialization import run_result_to_dict, save_run_result
 
 __all__ = [
     "FairnessReport",
@@ -40,13 +35,10 @@ __all__ = [
     "fairness_degradation",
     "RunResult",
     "TradeRecord",
-    "cdf_points",
     "render_cdf",
     "render_series",
     "render_table",
     "ascii_plot",
-    "load_run_result",
-    "run_result_from_dict",
     "run_result_to_dict",
     "save_run_result",
 ]

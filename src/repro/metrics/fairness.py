@@ -184,7 +184,7 @@ def evaluate_fairness(result: RunResult) -> FairnessReport:
         correct_pairs=correct,
         total_pairs=total,
         races=len(races),
-        unordered_trades=sum(1 for t in result.trades if not t.completed),
+        unordered_trades=len(result.trades) - len(result.completed_trades),
     )
 
 

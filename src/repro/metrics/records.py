@@ -11,6 +11,7 @@ compared on identical footing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 __all__ = ["TradeRecord", "RunResult"]
@@ -62,7 +63,7 @@ class RunResult:
         "packet timestamps from the experiment trace" the paper uses to
         compute the Max-RTT bound.  A deployment hands over its
         recorders' :class:`~repro.sim.dense.PointSeries` (8 bytes per
-        point); a loaded result carries plain dicts.
+        point).
     delivery_times:
         ``D(i, x)``: when the point was actually delivered to the MP, in
         the same form.
@@ -96,16 +97,16 @@ class RunResult:
     def participant_ids(self) -> List[str]:
         return sorted(self.raw_arrivals)
 
-    @property
+    @cached_property
     def completed_trades(self) -> List[TradeRecord]:
+        """The trades that reached the matching engine, built once: a
+        result's trades are final when it is assembled."""
         return [t for t in self.trades if t.completed]
 
     def trades_by_trigger(self) -> Dict[int, List[TradeRecord]]:
         """Group completed trades into speed races by trigger point."""
         races: Dict[int, List[TradeRecord]] = {}
-        for trade in self.trades:
-            if not trade.completed:
-                continue
+        for trade in self.completed_trades:
             races.setdefault(trade.trigger_point, []).append(trade)
         return races
 

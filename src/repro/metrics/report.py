@@ -7,11 +7,11 @@ provide a terminal-friendly CDF for the figure benchmarks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.metrics.latency import percentile
 
-__all__ = ["render_table", "render_cdf", "cdf_points", "render_series"]
+__all__ = ["render_table", "render_cdf", "render_series"]
 
 
 def render_table(
@@ -44,22 +44,6 @@ def render_table(
     for row in text_rows:
         lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def cdf_points(samples: Sequence[float], quantiles: Optional[Sequence[float]] = None) -> List[Tuple[float, float]]:
-    """``(value, cumulative_probability)`` pairs for a sample.
-
-    With ``quantiles`` given, evaluates only those probabilities (useful
-    for compact series comparison); otherwise returns the full empirical
-    CDF.
-    """
-    if not samples:
-        return []
-    ordered = sorted(map(float, samples))
-    if quantiles is not None:
-        return [(percentile(ordered, 100.0 * q), q) for q in quantiles]
-    n = len(ordered)
-    return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
 
 
 def render_cdf(

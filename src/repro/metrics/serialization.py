@@ -3,8 +3,8 @@
 A :class:`~repro.metrics.records.RunResult` holds one non-serializable
 member — the ``reverse_latency_at`` accessor used by the Max-RTT bound.
 To keep saved results self-contained, the serializer *materializes* the
-bound per trade before writing (when the accessor is present), so a
-loaded result can still report every paper metric.
+bound per trade before writing (when the accessor is present), so the
+file alone can still report every paper metric.
 """
 
 from __future__ import annotations
@@ -16,13 +16,11 @@ from itertools import islice
 from typing import Any, Dict, List, Optional
 
 from repro.metrics.latency import max_rtt_bound_per_trade
-from repro.metrics.records import RunResult, TradeRecord
+from repro.metrics.records import RunResult
 
 __all__ = [
     "run_result_to_dict",
-    "run_result_from_dict",
     "save_run_result",
-    "load_run_result",
     "trade_ordering_digest",
     "summary_to_dict",
 ]
@@ -31,11 +29,6 @@ _FORMAT_VERSION = 1
 
 # Trades per hashed chunk of :func:`trade_ordering_digest`'s payload.
 _DIGEST_CHUNK = 4096
-
-
-def _point_key(item) -> int:
-    """Numeric sort for JSON-stringified point-id keys ("10" after "2")."""
-    return int(item[0])
 
 
 def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
@@ -61,9 +54,9 @@ def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
             }
             for t in result.trades
         ],
-        # JSON objects have string keys; convert back on load.  Sorted
-        # iteration everywhere: the on-disk key order must not depend on
-        # dict insertion history (DBO103).
+        # JSON objects have string keys.  Sorted iteration everywhere:
+        # the on-disk key order must not depend on dict insertion history
+        # (DBO103).
         "generation_times": {
             str(k): v for k, v in sorted(result.generation_times.items())
         },
@@ -80,59 +73,6 @@ def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
         },
         "max_rtt_bounds": bounds,
     }
-
-
-def run_result_from_dict(data: Dict[str, Any]) -> RunResult:
-    """Rebuild a :class:`RunResult` saved by :func:`run_result_to_dict`.
-
-    The ``reverse_latency_at`` accessor cannot be restored; the
-    materialized Max-RTT bounds are attached as
-    ``result.counters['_max_rtt_bounds']``-adjacent extra (returned via
-    the dict's ``max_rtt_bounds`` key — use :func:`load_run_result` which
-    returns both).
-    """
-    version = data.get("format_version")
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported run-result format version: {version!r}")
-    trades = [
-        TradeRecord(
-            mp_id=t["mp_id"],
-            trade_seq=t["trade_seq"],
-            trigger_point=t["trigger_point"],
-            response_time=t["response_time"],
-            submission_time=t["submission_time"],
-            forward_time=t["forward_time"],
-            position=t["position"],
-        )
-        for t in data["trades"]
-    ]
-    return RunResult(
-        scheme=data["scheme"],
-        trades=trades,
-        generation_times={
-            int(k): v
-            for k, v in sorted(data["generation_times"].items(), key=_point_key)
-        },
-        network_send_times={
-            int(k): v
-            for k, v in sorted(data["network_send_times"].items(), key=_point_key)
-        },
-        raw_arrivals={
-            mp: {int(k): v for k, v in sorted(points.items(), key=_point_key)}
-            for mp, points in sorted(data["raw_arrivals"].items())
-        },
-        delivery_times={
-            mp: {int(k): v for k, v in sorted(points.items(), key=_point_key)}
-            for mp, points in sorted(data["delivery_times"].items())
-        },
-        reverse_latency_at=None,
-        duration=data["duration"],
-        counters=dict(data["counters"]),
-        # Lenient: results saved before the message plane existed load fine.
-        channels={
-            name: dict(c) for name, c in sorted(data.get("channels", {}).items())
-        },
-    )
 
 
 def trade_ordering_digest(result: RunResult) -> str:
@@ -192,10 +132,3 @@ def save_run_result(result: RunResult, path: str) -> None:
     """Write a run result as JSON."""
     with open(path, "w") as handle:
         json.dump(run_result_to_dict(result), handle)
-
-
-def load_run_result(path: str):
-    """Load a saved run: returns ``(RunResult, max_rtt_bounds or None)``."""
-    with open(path) as handle:
-        data = json.load(handle)
-    return run_result_from_dict(data), data.get("max_rtt_bounds")

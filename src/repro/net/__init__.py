@@ -6,8 +6,6 @@ from repro.net.latency import (
     ConstantLatency,
     LatencyModel,
     NormalJitterLatency,
-    ScaledLatency,
-    ShiftedLatency,
     SpikeSchedule,
     StepLatency,
     TraceLatency,
@@ -30,8 +28,6 @@ __all__ = [
     "ConstantLatency",
     "LatencyModel",
     "NormalJitterLatency",
-    "ScaledLatency",
-    "ShiftedLatency",
     "SpikeSchedule",
     "StepLatency",
     "TraceLatency",

@@ -44,8 +44,6 @@ __all__ = [
     "SpikeSchedule",
     "CloudLatencyModel",
     "TraceLatency",
-    "ShiftedLatency",
-    "ScaledLatency",
     "CompositeLatency",
     "StepLatency",
     "DegradedLatency",
@@ -59,20 +57,6 @@ class LatencyModel:
         """Latency (microseconds) experienced by a packet sent at ``t``."""
         raise NotImplementedError
 
-    def mean_estimate(self) -> float:
-        """A cheap analytic estimate of the mean latency (for reports)."""
-        raise NotImplementedError
-
-    # Convenience combinators -------------------------------------------------
-    def shifted(self, delta: float) -> "ShiftedLatency":
-        """This model plus a constant offset."""
-        return ShiftedLatency(self, delta)
-
-    def scaled(self, factor: float) -> "ScaledLatency":
-        """This model multiplied by a constant factor (e.g. 0.5 to halve RTTs,
-        as the paper does when deriving one-way latencies in §6.4)."""
-        return ScaledLatency(self, factor)
-
 
 class ConstantLatency(LatencyModel):
     """Fixed latency — the idealized equal-latency on-premise network."""
@@ -83,9 +67,6 @@ class ConstantLatency(LatencyModel):
         self.latency = float(latency)
 
     def latency_at(self, t: float) -> float:
-        return self.latency
-
-    def mean_estimate(self) -> float:
         return self.latency
 
 
@@ -136,9 +117,6 @@ class UniformJitterLatency(LatencyModel):
         self._memo_value = value
         return value
 
-    def mean_estimate(self) -> float:
-        return self.base + self.jitter / 2.0
-
 
 class NormalJitterLatency(LatencyModel):
     """Base latency plus half-normal jitter (never below ``base``).
@@ -167,9 +145,6 @@ class NormalJitterLatency(LatencyModel):
         u2 = stable_unit(self.seed, index, 1)
         z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
         return self.base + self.sigma * abs(z)
-
-    def mean_estimate(self) -> float:
-        return self.base + self.sigma * math.sqrt(2.0 / math.pi)
 
 
 class SpikeSchedule:
@@ -298,15 +273,6 @@ class CloudLatencyModel(LatencyModel):
             return latency
         return latency + spikes.contribution_at(t)
 
-    def mean_estimate(self) -> float:
-        spike_mean = (
-            self.spikes.rate_per_second
-            * self.spikes.amplitude_mean
-            * self.spikes.decay
-            / 1e6
-        )
-        return self.base_model.mean_estimate() + spike_mean
-
 
 class TraceLatency(LatencyModel):
     """Latency replayed from a recorded (or synthesized) trace.
@@ -359,43 +325,6 @@ class TraceLatency(LatencyModel):
         fraction = (position - t0) / (t1 - t0)
         return self.scale * (v0 + fraction * (v1 - v0))
 
-    def mean_estimate(self) -> float:
-        total = 0.0
-        for i in range(len(self.times) - 1):
-            width = self.times[i + 1] - self.times[i]
-            total += width * (self.values[i] + self.values[i + 1]) / 2.0
-        return self.scale * total / self._span
-
-
-class ShiftedLatency(LatencyModel):
-    """A wrapped model plus a constant shift (models path-length asymmetry)."""
-
-    def __init__(self, inner: LatencyModel, delta: float) -> None:
-        self.inner = inner
-        self.delta = float(delta)
-
-    def latency_at(self, t: float) -> float:
-        return max(0.0, self.inner.latency_at(t) + self.delta)
-
-    def mean_estimate(self) -> float:
-        return max(0.0, self.inner.mean_estimate() + self.delta)
-
-
-class ScaledLatency(LatencyModel):
-    """A wrapped model times a constant factor (e.g. RTT → one-way)."""
-
-    def __init__(self, inner: LatencyModel, factor: float) -> None:
-        if factor < 0:
-            raise ValueError("factor must be non-negative")
-        self.inner = inner
-        self.factor = float(factor)
-
-    def latency_at(self, t: float) -> float:
-        return self.factor * self.inner.latency_at(t)
-
-    def mean_estimate(self) -> float:
-        return self.factor * self.inner.mean_estimate()
-
 
 class CompositeLatency(LatencyModel):
     """Sum of several latency models (base path + cross-traffic + spikes)."""
@@ -407,9 +336,6 @@ class CompositeLatency(LatencyModel):
 
     def latency_at(self, t: float) -> float:
         return sum(component.latency_at(t) for component in self.components)
-
-    def mean_estimate(self) -> float:
-        return sum(component.mean_estimate() for component in self.components)
 
 
 class DegradedLatency(LatencyModel):
@@ -445,10 +371,6 @@ class DegradedLatency(LatencyModel):
         self.factor = 1.0
         self.degradations_applied = 0
 
-    @property
-    def degraded(self) -> bool:
-        return self.extra != 0.0 or self.factor != 1.0
-
     def set_degradation(self, extra: float = 0.0, factor: float = 1.0) -> None:
         """Worsen the path: ``latency ← factor · latency + extra``."""
         if extra < 0:
@@ -470,9 +392,6 @@ class DegradedLatency(LatencyModel):
             return base
         return self.factor * base + self.extra
 
-    def mean_estimate(self) -> float:
-        return self.factor * self.inner.mean_estimate() + self.extra
-
 
 class StepLatency(LatencyModel):
     """Piecewise-constant latency — precise control for unit tests.
@@ -493,6 +412,3 @@ class StepLatency(LatencyModel):
         index = bisect.bisect_right(self.steps, (t, float("inf"))) - 1
         index = max(index, 0)
         return self.steps[index][1]
-
-    def mean_estimate(self) -> float:
-        return sum(v for _, v in self.steps) / len(self.steps)

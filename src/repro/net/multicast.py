@@ -4,13 +4,12 @@ Cloud datacenters do not offer in-network multicast (§5.2), so the CES
 unicasts its market-data stream to every release buffer over independent
 links, each with its own latency process — which is exactly the source of
 the unfairness DBO corrects.  :class:`MulticastGroup` bundles the per-
-destination links behind a single ``publish`` call and exposes per-
-destination delivery accounting.
+destination links behind a single ``publish`` call.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Protocol
+from typing import Any, Dict, Optional, Protocol
 
 __all__ = ["MulticastGroup", "Sendable"]
 
@@ -43,21 +42,12 @@ class MulticastGroup:
 
     def __init__(self) -> None:
         self._members: Dict[str, Sendable] = {}
-        self._published = 0
 
     def add_member(self, member_id: str, link: Sendable) -> None:
         """Register a destination; ``member_id`` must be unique."""
         if member_id in self._members:
             raise ValueError(f"duplicate multicast member: {member_id!r}")
         self._members[member_id] = link
-
-    @property
-    def member_ids(self) -> List[str]:
-        return list(self._members)
-
-    @property
-    def messages_published(self) -> int:
-        return self._published
 
     def link_for(self, member_id: str) -> Sendable:
         """The unicast link (or channel) serving one member."""
@@ -71,7 +61,6 @@ class MulticastGroup:
         """
         if not self._members:
             raise RuntimeError("multicast group has no members")
-        self._published += 1
         return {
             member_id: link.send(message, send_time=send_time)
             for member_id, link in self._members.items()
@@ -86,6 +75,5 @@ class MulticastGroup:
         """
         if not self._members:
             raise RuntimeError("multicast group has no members")
-        self._published += 1
         for link in self._members.values():
             link.send(message, send_time=send_time)

@@ -11,7 +11,6 @@ from repro.participants.response_time import (
 from repro.participants.strategies import (
     AggressiveTaker,
     MarketMaker,
-    MomentumTaker,
     SpeedRacer,
     Strategy,
     TradeIntent,
@@ -26,7 +25,6 @@ __all__ = [
     "UniformResponseTime",
     "AggressiveTaker",
     "MarketMaker",
-    "MomentumTaker",
     "SpeedRacer",
     "Strategy",
     "TradeIntent",

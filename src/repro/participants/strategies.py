@@ -19,7 +19,6 @@ __all__ = [
     "Strategy",
     "SpeedRacer",
     "MarketMaker",
-    "MomentumTaker",
     "AggressiveTaker",
 ]
 
@@ -106,25 +105,3 @@ class AggressiveTaker(Strategy):
                 time_in_force=TimeInForce.IOC,
             )
         ]
-
-
-class MomentumTaker(Strategy):
-    """Buys rising ticks, sells falling ticks, crossing the spread."""
-
-    def __init__(self, threshold: float = 0.0, quantity: int = 2) -> None:
-        if quantity <= 0:
-            raise ValueError("quantity must be positive")
-        self.threshold = threshold
-        self.quantity = quantity
-        self._last_price: Optional[float] = None
-
-    def on_point(self, point: MarketDataPoint) -> List[TradeIntent]:
-        intents: List[TradeIntent] = []
-        if self._last_price is not None:
-            move = point.price - self._last_price
-            if move > self.threshold:
-                intents.append(TradeIntent(Side.BUY, point.price + 1.0, self.quantity))
-            elif move < -self.threshold:
-                intents.append(TradeIntent(Side.SELL, max(0.01, point.price - 1.0), self.quantity))
-        self._last_price = point.price
-        return intents

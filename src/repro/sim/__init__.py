@@ -5,7 +5,6 @@ from repro.sim.clocks import (
     DriftingClock,
     PerfectClock,
     SynchronizedClock,
-    make_clock,
 )
 from repro.sim.engine import (
     ENGINE_FACTORIES,
@@ -21,13 +20,11 @@ from repro.sim.engine import (
 )
 from repro.sim.runtime import Runtime
 from repro.sim.service import ServiceQueue
-from repro.sim.telemetry import Probe, TelemetryRecorder
 from repro.sim.randomness import (
     SubstreamCounter,
     splitmix64,
     stable_bool,
     stable_exponential,
-    stable_normal,
     stable_token,
     stable_u64,
     stable_uniform,
@@ -40,7 +37,6 @@ __all__ = [
     "DriftingClock",
     "PerfectClock",
     "SynchronizedClock",
-    "make_clock",
     "ENGINE_FACTORIES",
     "EventEngine",
     "HeapEventEngine",
@@ -53,13 +49,10 @@ __all__ = [
     "make_engine",
     "Runtime",
     "ServiceQueue",
-    "Probe",
-    "TelemetryRecorder",
     "SubstreamCounter",
     "splitmix64",
     "stable_bool",
     "stable_exponential",
-    "stable_normal",
     "stable_token",
     "stable_u64",
     "stable_uniform",

@@ -144,23 +144,3 @@ class SynchronizedClock(Clock):
 
     def now(self, true_time: float) -> float:
         return true_time + self.error_at(true_time)
-
-
-def make_clock(
-    kind: str = "drifting",
-    offset: float = 0.0,
-    drift_rate: float = 0.0,
-    error_bound: float = 0.0,
-    seed: int = 0,
-) -> Clock:
-    """Factory used by scenario builders.
-
-    ``kind`` is one of ``perfect``, ``drifting``, ``synchronized``.
-    """
-    if kind == "perfect":
-        return PerfectClock()
-    if kind == "drifting":
-        return DriftingClock(offset=offset, drift_rate=drift_rate)
-    if kind == "synchronized":
-        return SynchronizedClock(error_bound=error_bound, seed=seed)
-    raise ValueError(f"unknown clock kind: {kind!r}")

@@ -25,7 +25,6 @@ __all__ = [
     "stable_unit",
     "stable_uniform",
     "stable_exponential",
-    "stable_normal",
     "stable_bool",
     "stable_token",
     "substream_seed",
@@ -68,15 +67,6 @@ def stable_exponential(mean: float, seed: int, *coordinates: int) -> float:
     u = stable_unit(seed, *coordinates)
     # Guard against log(0); u is in [0, 1).
     return -mean * math.log(1.0 - u) if u < 1.0 else 0.0
-
-
-def stable_normal(mean: float, std: float, seed: int, *coordinates: int) -> float:
-    """A reproducible normal draw (Box-Muller on two stable units)."""
-    u1 = stable_unit(seed, *coordinates, 0)
-    u2 = stable_unit(seed, *coordinates, 1)
-    u1 = max(u1, 1e-12)
-    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-    return mean + std * z
 
 
 def stable_bool(probability: float, seed: int, *coordinates: int) -> bool:

@@ -2,10 +2,10 @@
 
 A :class:`Runtime` is what a deployment owns besides its components: the
 event engine, the root seed from which every deterministic random stream
-is derived, the named substreams drawn from it, and an optional
-telemetry recorder.  Components (links, RBs, OBs, the CES, the batcher)
-take the engine they schedule on and nothing else; only the deployment
-and the scheme registry hold a ``Runtime``.
+is derived, and the named substreams drawn from it.  Components (links,
+RBs, OBs, the CES, the batcher) take the engine they schedule on and
+nothing else; only the deployment and the scheme registry hold a
+``Runtime``.
 
 RNG helpers delegate to the ``stable_*`` family with the runtime's seed,
 so seed derivations are bit-identical to ``stable_u64(seed, *coords)``.
@@ -13,7 +13,7 @@ so seed derivations are bit-identical to ``stable_u64(seed, *coords)``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 from repro.sim.engine import Scheduler, make_engine
 from repro.sim.randomness import (
@@ -27,7 +27,7 @@ __all__ = ["Runtime"]
 
 
 class Runtime:
-    """Engine + seeded RNG streams + telemetry, as one context.
+    """Engine + seeded RNG streams, as one context.
 
     Parameters
     ----------
@@ -36,22 +36,17 @@ class Runtime:
         :class:`~repro.sim.engine.HeapEventEngine`.
     seed:
         Root seed for every derived random stream.
-    telemetry:
-        A :class:`~repro.sim.telemetry.TelemetryRecorder` (optional;
-        usually attached later via :meth:`attach_telemetry`).
     """
 
-    __slots__ = ("engine", "seed", "telemetry", "_substreams")
+    __slots__ = ("engine", "seed", "_substreams")
 
     def __init__(
         self,
         engine: Optional[Scheduler] = None,
         seed: int = 0,
-        telemetry: Any = None,
     ) -> None:
         self.engine = engine if engine is not None else make_engine("heap")
         self.seed = seed
-        self.telemetry = telemetry
         self._substreams: Dict[int, SubstreamCounter] = {}
 
     @classmethod
@@ -81,17 +76,6 @@ class Runtime:
             stream = SubstreamCounter(self.seed, stream_id=stream_id)
             self._substreams[stream_id] = stream
         return stream
-
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-    def attach_telemetry(self, interval: float) -> Any:
-        """Create (once) and return the runtime's telemetry recorder."""
-        if self.telemetry is None:
-            from repro.sim.telemetry import TelemetryRecorder
-
-            self.telemetry = TelemetryRecorder(self.engine, interval)
-        return self.telemetry
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -1,5 +1,7 @@
 """Integration tests for the four baseline schemes."""
 
+import math
+
 import pytest
 
 from repro.baselines.base import NetworkSpec, default_network_specs
@@ -220,3 +222,28 @@ class TestFirstReleasePastTheRun:
 
         result = make(cloud_specs(4, seed=7)).run(duration=2000.0)
         assert result.trades and result.completion_ratio() == 1.0
+
+
+class TestRunHorizon:
+    """A run that could never end, or would stop before its feed does, is
+    refused before anything runs."""
+
+    @pytest.mark.parametrize("scheme", ["dbo", "direct"])
+    @pytest.mark.parametrize(
+        "duration, drain, message",
+        [
+            (math.nan, None, "duration must be positive and finite"),
+            (math.inf, None, "duration must be positive and finite"),
+            (0.0, None, "duration must be positive and finite"),
+            (2000.0, math.nan, "drain must be non-negative and finite"),
+            (2000.0, math.inf, "drain must be non-negative and finite"),
+            (2000.0, -5.0, "drain must be non-negative and finite"),
+        ],
+        ids=["nan-duration", "inf-duration", "zero-duration", "nan-drain", "inf-drain", "negative-drain"],
+    )
+    def test_rejected_before_anything_runs(self, scheme, duration, drain, message):
+        deployment = build_deployment(scheme, default_network_specs(2, seed=1))
+        with pytest.raises(ValueError) as raised:
+            deployment.run(duration=duration, drain=drain)
+        assert str(raised.value) == message
+        assert deployment.engine.now == 0.0

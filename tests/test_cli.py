@@ -299,6 +299,30 @@ class TestDeploymentErrors:
         assert message in self.error_of(["compare", "--schemes", "direct", scheme, *argv[2:]], capsys)
         assert message in self.error_of(["chaos", *argv], capsys)
 
+    @pytest.mark.parametrize(
+        "knob, value, message",
+        [
+            ("--duration", "nan", "duration must be positive and finite"),
+            ("--duration", "inf", "duration must be positive and finite"),
+            ("--drain", "nan", "drain must be non-negative and finite"),
+            ("--drain", "-5", "drain must be non-negative and finite"),
+            ("--interval", "nan", "interval must be positive and finite"),
+            ("--interval", "inf", "interval must be positive and finite"),
+        ],
+    )
+    def test_horizon_and_feed_must_be_finite(self, tmp_path, capsys, knob, value, message):
+        # Each of these used to run forever, stop at the end of the feed
+        # or end in a traceback.  A named chaos plan is scaled to the
+        # duration, so chaos takes a plan file here.
+        from repro.faults.plan import FaultSchedule, FaultSpec
+
+        path = tmp_path / "plan.json"
+        path.write_text(FaultSchedule.of(FaultSpec(kind="rb_crash", at=500.0, target="mp0", duration=100.0)).to_json())
+        argv = ["--participants", "3", knob, value]
+        assert message in self.error_of(["run", *argv], capsys)
+        assert message in self.error_of(["compare", *argv], capsys)
+        assert message in self.error_of(["chaos", "--faults", str(path), *argv], capsys)
+
     def test_prob_sync_c1_reaches_release_buffers(self, capsys):
         code = main(
             ["run", "--scheme", "prob", "--participants", "2",

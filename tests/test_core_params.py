@@ -21,19 +21,6 @@ def test_batch_span():
     assert DBOParams(delta=80.0, kappa=0.5).batch_span == pytest.approx(120.0)
 
 
-def test_pacing_gap_is_delta():
-    assert DBOParams(delta=45.0).pacing_gap == 45.0
-
-
-def test_drain_rate():
-    assert DBOParams(kappa=0.25).drain_rate == pytest.approx(1.25)
-
-
-def test_worst_case_added_latency():
-    params = DBOParams(delta=20.0, kappa=0.25, tau=20.0)
-    assert params.worst_case_added_latency == pytest.approx(45.0)
-
-
 def test_with_horizon_keeps_kappa():
     params = DBOParams(delta=20.0, kappa=0.25).with_horizon(45.0)
     assert params.delta == 45.0

@@ -73,7 +73,7 @@ class TestEndToEnd:
         _, result = run_dbo(specs, params=params)
         latencies = trade_latencies(result)
         worst_rtt = max(12.0 + 7.0, 8.0 + 9.0)
-        slack = params.worst_case_added_latency
+        slack = params.batch_span + params.tau
         assert max(latencies) <= worst_rtt + slack + 1e-6
 
     def test_delivery_gaps_respect_delta(self):

@@ -78,7 +78,10 @@ class TestFCFSSequencer:
 class TestFeed:
     def test_cadence_and_ids(self):
         feed = MarketDataFeed(FeedConfig(interval=40.0))
-        points = list(feed.points_until(0.0, 200.0))
+        points, t = [], 0.0
+        while t < 200.0:
+            points.append(feed.next_point(t))
+            t += feed.next_gap()
         assert [p.point_id for p in points] == [0, 1, 2, 3, 4]
         assert [p.generation_time for p in points] == [0.0, 40.0, 80.0, 120.0, 160.0]
 
@@ -109,8 +112,9 @@ class TestFeed:
             assert a.next_point(float(i)).price == b.next_point(float(i)).price
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FeedConfig(interval=0.0)
+        for interval in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="interval must be positive and finite"):
+                FeedConfig(interval=interval)
         with pytest.raises(ValueError):
             FeedConfig(opportunity_fraction=1.5)
 

@@ -109,7 +109,8 @@ class TestFiring:
         assert isinstance(deployment.specs[1].forward, ConstantLatency)
         deployment.run(duration=4_000.0)
         # Cleared after recovery.
-        assert not deployment.specs[0].forward.degraded
+        forward = deployment.specs[0].forward
+        assert (forward.extra, forward.factor) == (0.0, 1.0)
 
     def test_channel_addressed_latency_degradation(self):
         # A channel-addressed degradation wraps the channel's own model
@@ -124,7 +125,7 @@ class TestFiring:
         model = deployment.transport.channel("fwd-mp0").latency_model
         assert isinstance(model, DegradedLatency)
         assert model.degradations_applied == 1
-        assert not model.degraded
+        assert (model.extra, model.factor) == (0.0, 1.0)
         assert not isinstance(deployment.transport.channel("fwd-mp1").latency_model, DegradedLatency)
 
     def test_rb_crash_and_restart(self):

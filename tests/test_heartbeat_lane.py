@@ -36,9 +36,6 @@ class _FixedLatency(LatencyModel):
     def latency_at(self, t: float) -> float:
         return self.value
 
-    def mean_estimate(self) -> float:
-        return self.value
-
 
 class TestDuplicationStartedMidRun:
     def _run(self, engine: str, duplicate_from=None) -> DBODeployment:

@@ -2,7 +2,7 @@
 
 Features compose or they don't: this run turns on sharded OBs with a
 network hop, OB service-time modeling, sync-assisted delivery,
-telemetry, a live book, an external news stream, packet loss on one path, a
+a live book, an external news stream, packet loss on one path, a
 straggler threshold and a mid-run RB crash — and still demands sane
 fairness, bounded latency, and internal-consistency invariants.
 """
@@ -62,7 +62,6 @@ def deployment_and_result():
         shard_master_latency=ConstantLatency(3.0),
         sync_target_c1=25.0,
         sync_error=1.0,
-        telemetry_interval=100.0,
         ob_service_time=0.3,
     )
     deployment.add_external_source(
@@ -114,7 +113,6 @@ class TestKitchenSink:
         assert counters["sync_targets_met"] > 0
         assert deployment.stream_merger.events_merged > 0
         assert deployment.release_buffers[1].recovered_point_ids
-        assert deployment.telemetry is not None
 
     def test_crash_contained(self, deployment_and_result):
         deployment, result = deployment_and_result

@@ -1,6 +1,6 @@
 """Unit tests for the plain-text report renderers."""
 
-from repro.metrics.report import cdf_points, render_cdf, render_series, render_table
+from repro.metrics.report import render_cdf, render_series, render_table
 
 
 class TestRenderTable:
@@ -29,20 +29,6 @@ class TestRenderTable:
         text = render_table(["x"], [["averyverylongvalue"]])
         header, rule, row = text.splitlines()
         assert len(header) == len(row)
-
-
-class TestCdfPoints:
-    def test_full_cdf(self):
-        points = cdf_points([3.0, 1.0, 2.0])
-        assert points == [(1.0, 1 / 3), (2.0, 2 / 3), (3.0, 1.0)]
-
-    def test_quantile_mode(self):
-        points = cdf_points(list(range(101)), quantiles=[0.5])
-        assert points[0][0] == 50.0
-        assert points[0][1] == 0.5
-
-    def test_empty(self):
-        assert cdf_points([]) == []
 
 
 class TestRenderCdf:

@@ -109,13 +109,13 @@ class TestDegradedLatency:
     def test_passthrough_by_default(self):
         model = DegradedLatency(ConstantLatency(10.0))
         assert model.latency_at(0.0) == 10.0
-        assert not model.degraded
+        assert (model.extra, model.factor) == (0.0, 1.0)
 
     def test_degrade_and_heal(self):
         model = DegradedLatency(ConstantLatency(10.0))
         model.set_degradation(extra=5.0, factor=3.0)
         assert model.latency_at(0.0) == 35.0
-        assert model.degraded
+        assert (model.extra, model.factor) == (5.0, 3.0)
         model.clear()
         assert model.latency_at(0.0) == 10.0
 

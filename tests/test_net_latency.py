@@ -11,8 +11,6 @@ from repro.net.latency import (
     CompositeLatency,
     ConstantLatency,
     NormalJitterLatency,
-    ScaledLatency,
-    ShiftedLatency,
     SpikeSchedule,
     StepLatency,
     TraceLatency,
@@ -28,9 +26,6 @@ class TestConstantLatency:
         model = ConstantLatency(12.5)
         assert model.latency_at(0.0) == 12.5
         assert model.latency_at(1e9) == 12.5
-
-    def test_mean(self):
-        assert ConstantLatency(7.0).mean_estimate() == 7.0
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -56,9 +51,6 @@ class TestUniformJitterLatency:
         values = {model.latency_at(float(t)) for t in range(100)}
         assert len(values) > 50
 
-    def test_mean_estimate(self):
-        assert UniformJitterLatency(10.0, 4.0).mean_estimate() == 12.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             UniformJitterLatency(-1.0, 1.0)
@@ -72,13 +64,11 @@ class TestNormalJitterLatency:
         model = NormalJitterLatency(5.0, 1.0, seed=2)
         assert model.latency_at(t) >= 5.0
 
-    def test_mean_estimate_above_base(self):
-        assert NormalJitterLatency(5.0, 1.0).mean_estimate() > 5.0
-
     def test_empirical_mean_matches_estimate(self):
         model = NormalJitterLatency(5.0, 1.0, seed=2)
         samples = [model.latency_at(float(t)) for t in range(20_000)]
-        assert sum(samples) / len(samples) == pytest.approx(model.mean_estimate(), rel=0.05)
+        # The half-normal mean: base + sigma * sqrt(2 / pi).
+        assert sum(samples) / len(samples) == pytest.approx(5.0 + math.sqrt(2.0 / math.pi), rel=0.05)
 
 
 class TestSpikeSchedule:
@@ -124,11 +114,6 @@ class TestCloudLatencyModel:
     def test_at_least_base(self):
         model = CloudLatencyModel(base=13.5, jitter=1.5, seed=5)
         assert all(model.latency_at(float(t)) >= 13.5 for t in range(0, 50_000, 499))
-
-    def test_mean_estimate_includes_spikes(self):
-        quiet = CloudLatencyModel(base=10.0, jitter=0.0, spike_rate_per_second=0.0)
-        spiky = CloudLatencyModel(base=10.0, jitter=0.0, spike_rate_per_second=100.0)
-        assert spiky.mean_estimate() > quiet.mean_estimate()
 
 
 def _brute_force_latency(model: CloudLatencyModel, t: float) -> float:
@@ -219,10 +204,6 @@ class TestTraceLatency:
         model = TraceLatency([0.0, 10.0], [100.0, 200.0], scale=0.5)
         assert model.latency_at(0.0) == pytest.approx(50.0)
 
-    def test_mean_estimate_trapezoid(self):
-        model = TraceLatency([0.0, 10.0], [0.0, 10.0])
-        assert model.mean_estimate() == pytest.approx(5.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TraceLatency([0.0], [1.0])
@@ -233,36 +214,13 @@ class TestTraceLatency:
 
 
 class TestCombinators:
-    def test_shifted(self):
-        model = ShiftedLatency(ConstantLatency(10.0), 5.0)
-        assert model.latency_at(0.0) == 15.0
-
-    def test_shifted_clamps_at_zero(self):
-        model = ShiftedLatency(ConstantLatency(3.0), -10.0)
-        assert model.latency_at(0.0) == 0.0
-
-    def test_scaled(self):
-        model = ScaledLatency(ConstantLatency(10.0), 0.5)
-        assert model.latency_at(0.0) == 5.0
-        assert model.mean_estimate() == 5.0
-
-    def test_scaled_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ScaledLatency(ConstantLatency(1.0), -1.0)
-
     def test_composite_sums(self):
         model = CompositeLatency([ConstantLatency(3.0), ConstantLatency(4.0)])
         assert model.latency_at(1.0) == 7.0
-        assert model.mean_estimate() == 7.0
 
     def test_composite_needs_components(self):
         with pytest.raises(ValueError):
             CompositeLatency([])
-
-    def test_model_combinator_methods(self):
-        base = ConstantLatency(10.0)
-        assert base.shifted(2.0).latency_at(0.0) == 12.0
-        assert base.scaled(0.5).latency_at(0.0) == 5.0
 
 
 class TestStepLatency:

@@ -52,14 +52,6 @@ def test_publish_without_members_raises():
         group.publish("tick")
 
 
-def test_message_counter():
-    engine = EventEngine()
-    group, _ = build_group(engine, {"a": 1.0})
-    group.publish("x")
-    group.publish("y")
-    assert group.messages_published == 2
-
-
 def test_link_for_returns_member_link():
     engine = EventEngine()
     group, _ = build_group(engine, {"a": 1.0})

@@ -10,7 +10,7 @@ from repro.participants.response_time import (
     SpeedTieredResponseTime,
     UniformResponseTime,
 )
-from repro.participants.strategies import MarketMaker, MomentumTaker, SpeedRacer
+from repro.participants.strategies import MarketMaker, SpeedRacer
 from repro.sim.engine import EventEngine
 
 
@@ -103,21 +103,11 @@ class TestStrategies:
         assert buy.price == 99.5
         assert sell.price == 100.5
 
-    def test_momentum_taker_follows_moves(self):
-        taker = MomentumTaker(threshold=0.0, quantity=1)
-        assert taker.on_point(point(0, price=100.0)) == []
-        up = taker.on_point(point(1, price=101.0))
-        assert up[0].side is Side.BUY
-        down = taker.on_point(point(2, price=99.0))
-        assert down[0].side is Side.SELL
-
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
             SpeedRacer(quantity=0)
         with pytest.raises(ValueError):
             MarketMaker(half_spread=0.0)
-        with pytest.raises(ValueError):
-            MomentumTaker(quantity=0)
 
 
 class TestMarketParticipant:

@@ -85,7 +85,7 @@ def test_one_recovery_playbook_table():
         endpoint.partition(":")[0] for endpoint in PLAYBOOK_ENDPOINTS.values()
     } == {"ob", "shard", "agg", "gateway"}
     # No deployment option came with it.
-    assert len(inspect.signature(DBODeployment.__init__).parameters) - 1 == 23
+    assert len(inspect.signature(DBODeployment.__init__).parameters) - 1 == 22
 
 
 def test_one_dbo_pipeline_one_buffer_family():
@@ -260,13 +260,13 @@ def test_construction_takes_only_what_callers_set():
     from repro.sim.runtime import Runtime
     from repro.sim.service import ServiceQueue
 
-    # A Runtime is engine + seed (+ substreams and telemetry); scheduling
-    # goes to the engine itself.
+    # A Runtime is engine + seed (+ substreams); scheduling goes to the
+    # engine itself.
     for removed in ("as_runtime",):
         assert not hasattr(repro.sim, removed)
         assert not hasattr(repro.sim.runtime, removed)
     assert list(inspect.signature(Runtime.__init__).parameters) == [
-        "self", "engine", "seed", "telemetry",
+        "self", "engine", "seed",
     ]
     assert list(inspect.signature(Runtime.create).parameters) == [
         "seed", "engine", "start_time",
@@ -329,13 +329,26 @@ def test_only_what_a_user_path_reaches():
     import repro.experiments.chaos
     import repro.metrics
     import repro.metrics.fairness
+    import repro.metrics.report
+    import repro.metrics.serialization
+    import repro.net
+    import repro.net.latency
+    import repro.participants
+    import repro.participants.strategies
+    import repro.sim
+    import repro.sim.clocks
+    import repro.sim.randomness
     from repro.baselines.base import BaseDeployment
+    from repro.core.params import DBOParams
     from repro.core.release_buffer import ReleaseBuffer
     from repro.core.sync_delivery import SyncAssistedReleaseBuffer
     from repro.core.system import DBODeployment
     from repro.exchange.ces import CentralExchangeServer
+    from repro.exchange.feed import MarketDataFeed
     from repro.exchange.matching import MatchingEngine
+    from repro.net.latency import LatencyModel
     from repro.net.multicast import MulticastGroup
+    from repro.sim.runtime import Runtime
 
     # No CLI command, example, scenario or benchmark set the pre-trade
     # risk gate, the execution-report feed or heartbeat piggybacking.
@@ -364,7 +377,40 @@ def test_only_what_a_user_path_reaches():
             assert name not in parameters, f"{cls.__name__}({name}=)"
     for name in ("piggyback_suppression", "_last_trade_sent_at", "heartbeats_suppressed"):
         assert name not in ReleaseBuffer.__slots__, name
-    assert len(inspect.signature(DBODeployment.__init__).parameters) - 1 == 23
+    # Nor the telemetry sampler, the RunResult loader, the latency-model
+    # algebra or a handful of helpers only tests called.
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.sim.telemetry")
+    for name in ("Probe", "TelemetryRecorder", "make_clock", "stable_normal"):
+        assert not hasattr(repro.sim, name), name
+    assert not hasattr(repro.sim.clocks, "make_clock")
+    assert not hasattr(repro.sim.randomness, "stable_normal")
+    assert "telemetry_interval" not in inspect.signature(DBODeployment.__init__).parameters
+    assert "telemetry" not in inspect.signature(Runtime.__init__).parameters
+    assert Runtime.__slots__ == ("engine", "seed", "_substreams")
+    assert not hasattr(Runtime, "attach_telemetry")
+    for module in (repro.metrics, repro.metrics.serialization):
+        for name in ("run_result_from_dict", "load_run_result"):
+            assert not hasattr(module, name), name
+    assert not hasattr(repro.metrics.serialization, "_point_key")
+    for module in (repro.metrics, repro.metrics.report):
+        assert not hasattr(module, "cdf_points")
+    for module in (repro.net, repro.net.latency):
+        for name in ("ShiftedLatency", "ScaledLatency"):
+            assert not hasattr(module, name), name
+    for cls in vars(repro.net.latency).values():
+        if isinstance(cls, type) and issubclass(cls, LatencyModel):
+            for name in ("mean_estimate", "shifted", "scaled", "degraded"):
+                assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+    for module in (repro.participants, repro.participants.strategies):
+        assert not hasattr(module, "MomentumTaker")
+    assert not hasattr(MarketDataFeed, "points_until")
+    for name in ("pacing_gap", "drain_rate", "worst_case_added_latency"):
+        assert not hasattr(DBOParams, name), name
+    group = MulticastGroup()
+    for name in ("member_ids", "messages_published", "_published"):
+        assert not hasattr(group, name), name
+    assert len(inspect.signature(DBODeployment.__init__).parameters) - 1 == 22
 
 
 def test_one_engine_deployment():

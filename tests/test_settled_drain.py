@@ -291,11 +291,3 @@ def test_settles_on_a_checkpoint():
     assert settled_at == deployment.engine.now
     assert DURATION <= settled_at < DURATION + DRAIN
     assert (settled_at - DURATION) / step == int((settled_at - DURATION) / step)
-
-
-def test_telemetry_keeps_the_full_drain():
-    # Its series covers the whole horizon.
-    deployment = build_deployment("dbo", default_network_specs(4, seed=5), seed=5, telemetry_interval=500.0)
-    result = deployment.run(duration=DURATION, drain=DRAIN)
-    assert result.counters["settled_at"] == DURATION + DRAIN
-    assert deployment.telemetry.probes["ob_queue_depth"].samples[-1][0] == DURATION + DRAIN

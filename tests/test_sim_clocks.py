@@ -6,7 +6,6 @@ from repro.sim.clocks import (
     DriftingClock,
     PerfectClock,
     SynchronizedClock,
-    make_clock,
 )
 
 
@@ -90,22 +89,3 @@ class TestSynchronizedClock:
     def test_rejects_bad_wander_period(self):
         with pytest.raises(ValueError):
             SynchronizedClock(error_bound=1.0, wander_period=0.0)
-
-
-class TestMakeClock:
-    def test_perfect(self):
-        assert isinstance(make_clock("perfect"), PerfectClock)
-
-    def test_drifting(self):
-        clock = make_clock("drifting", offset=5.0, drift_rate=1e-4)
-        assert isinstance(clock, DriftingClock)
-        assert clock.offset == 5.0
-
-    def test_synchronized(self):
-        clock = make_clock("synchronized", error_bound=2.0, seed=9)
-        assert isinstance(clock, SynchronizedClock)
-        assert clock.error_bound == 2.0
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError):
-            make_clock("atomic")

@@ -1,7 +1,5 @@
 """Unit and property tests for deterministic coordinate-indexed randomness."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +9,6 @@ from repro.sim.randomness import (
     splitmix64,
     stable_bool,
     stable_exponential,
-    stable_normal,
     stable_u64,
     stable_uniform,
     stable_unit,
@@ -77,15 +74,6 @@ class TestStableExponential:
     def test_mean_approximation(self):
         values = [stable_exponential(10.0, 5, i) for i in range(50_000)]
         assert sum(values) / len(values) == pytest.approx(10.0, rel=0.05)
-
-
-class TestStableNormal:
-    def test_moments(self):
-        values = [stable_normal(3.0, 2.0, 6, i) for i in range(50_000)]
-        mean = sum(values) / len(values)
-        var = sum((v - mean) ** 2 for v in values) / len(values)
-        assert mean == pytest.approx(3.0, abs=0.05)
-        assert math.sqrt(var) == pytest.approx(2.0, rel=0.05)
 
 
 class TestStableBool:

@@ -1,4 +1,4 @@
-"""Runtime context: engine + seeded RNG + telemetry."""
+"""Runtime context: engine + seeded RNG."""
 
 import pytest
 
@@ -50,19 +50,3 @@ class TestRandomness:
         assert [stream.next_unit() for _ in range(5)] == [
             direct.next_unit() for _ in range(5)
         ]
-
-
-class TestTelemetry:
-    def test_attach_is_idempotent(self):
-        runtime = Runtime()
-        recorder = runtime.attach_telemetry(100.0)
-        assert runtime.attach_telemetry(50.0) is recorder
-        assert runtime.telemetry is recorder
-
-    def test_probe_runs_on_runtime_engine(self):
-        runtime = Runtime()
-        recorder = runtime.attach_telemetry(10.0)
-        recorder.add("constant", lambda: 1.0)
-        recorder.start_all(start_time=0.0, stop_time=50.0)
-        runtime.engine.run(until=100.0)
-        assert len(recorder.probes["constant"].samples) == 6
