@@ -72,7 +72,7 @@ def run_sweep():
         result = deployment.run(duration=DURATION_US, drain=40_000.0)
         overall = evaluate_fairness(result).ratio
         clean = clean_race_fairness(deployment, result)
-        lost = deployment.multicast.link_for("mp0").packets_lost if loss else 0
+        lost = deployment.transport.channel("fwd-mp0").packets_lost if loss else 0
         outcomes[loss] = (overall, clean)
         rows.append([f"{100 * loss:.0f} %", int(lost), overall, clean])
     text = render_table(

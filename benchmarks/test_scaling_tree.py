@@ -8,16 +8,17 @@ O(tree width): the master's ``ob_heartbeats_processed`` odometer grows
 with the number of its *direct children*, not with N, which this
 benchmark counter-verifies per cell.
 
-Results (events/s, master heartbeat work, completion, fairness) land in
-``benchmarks/BENCH_scaling.json``.  Fairness pairs are pinned exactly at
-N=1024 — the tree must not cost a single correctly-ordered pair.
+Results (events/s, master heartbeat work, completion, fairness) are
+printed and written to the git-ignored ``benchmarks/output/`` by the
+``report`` fixture, so host timings never land in a tracked file.
+Fairness pairs are pinned exactly at N=1024 — the tree must not cost a
+single correctly-ordered pair.
 
 The ``smoke`` subset (``pytest benchmarks/test_scaling_tree.py -k
 smoke``) runs only the N=1024 cell; CI's scaling-smoke job uses it.
 """
 
 import json
-import os
 import time
 
 from repro.baselines.base import default_network_specs
@@ -48,9 +49,6 @@ CELLS = (
 # ratio is the paper's ε: pairs whose response times differ by less than
 # the jitter the δ-horizon absorbs).
 PINNED_FAIRNESS_1024 = (19_902_428, 19_903_488)
-
-BENCH_PATH = os.path.join(os.path.dirname(__file__), "BENCH_scaling.json")
-
 
 def _run_cell(n_participants: int, duration: float, drain: float) -> dict:
     specs = default_network_specs(n_participants, seed=SEED)
@@ -144,7 +142,4 @@ def test_scaling_tree_sweep(report):
         "engine": ENGINE,
         "cells": rows,
     }
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
     report("scaling_tree", json.dumps(doc, indent=2, sort_keys=True))

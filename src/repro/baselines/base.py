@@ -26,9 +26,8 @@ from repro.exchange.feed import FeedConfig
 from repro.exchange.messages import TradeOrder
 from repro.metrics.records import RunResult, TradeRecord
 from repro.net.latency import LatencyModel, UniformJitterLatency
-from repro.net.link import DeliveryHandler
 from repro.net.multicast import MulticastGroup
-from repro.net.transport import Channel, MessageKey, Transport
+from repro.net.transport import Channel, DeliveryHandler, MessageKey, Transport
 from repro.participants.mp import MarketParticipant
 from repro.participants.response_time import ResponseTimeModel, UniformResponseTime
 from repro.participants.strategies import SpeedRacer, Strategy

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Dict, Optional, Sequence
 
@@ -492,17 +493,20 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_chaos_table(args) -> int:
-    table = chaos_table(
-        schemes=args.schemes,
-        plans=args.plans,
-        n_seeds=args.seeds,
-        base_seed=args.seed,
-        scenario=args.scenario,
-        participants=args.participants,
-        duration=args.duration,
-        engine=args.engine,
-        jobs=args.jobs,
-    )
+    try:
+        table = chaos_table(
+            schemes=args.schemes,
+            plans=args.plans,
+            n_seeds=args.seeds,
+            base_seed=args.seed,
+            scenario=args.scenario,
+            participants=args.participants,
+            duration=args.duration,
+            engine=args.engine,
+            jobs=args.jobs,
+        )
+    except ValueError as error:
+        return _build_error(error)
     if args.json:
         print(json.dumps(table.to_dict(), indent=2, sort_keys=True))
         return 0
@@ -522,10 +526,25 @@ def cmd_lint(args) -> int:
     return run_lint(args)
 
 
+def _artifact_duration(args) -> dict:
+    """``{"duration": ...}`` for a table or figure given ``--duration``;
+    ``ValueError`` for one that is not positive and finite, or for the
+    one artifact that replays a fixed trace (figure 11)."""
+    if args.duration is None:
+        return {}
+    if args.command == "figure" and args.number == "11":
+        raise ValueError("figure 11 replays a fixed trace and takes no --duration")
+    if not 0.0 < args.duration < math.inf:
+        raise ValueError("duration must be positive and finite")
+    return {"duration": args.duration}
+
+
 def cmd_table(args) -> int:
-    fn = TABLES[args.number]
-    result = fn(duration=args.duration) if args.duration else fn()
-    print(result.text)
+    try:
+        kwargs = _artifact_duration(args)
+    except ValueError as error:
+        return _build_error(error)
+    print(TABLES[args.number](**kwargs).text)
     return 0
 
 
@@ -571,12 +590,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    fn = FIGURES[args.number]
-    if args.duration and args.number != "11":
-        result = fn(duration=args.duration)
-    else:
-        result = fn()
-    print(result.text)
+    try:
+        kwargs = _artifact_duration(args)
+    except ValueError as error:
+        return _build_error(error)
+    print(FIGURES[args.number](**kwargs).text)
     return 0
 
 

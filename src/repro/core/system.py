@@ -42,7 +42,7 @@ from repro.exchange.messages import (
     TaggedTrade,
 )
 from repro.faults.detector import FailureDetector
-from repro.net.latency import ConstantLatency, LatencyModel
+from repro.net.latency import ConstantLatency
 from repro.net.multicast import MulticastGroup
 from repro.net.transport import Channel
 from repro.ordering.prob import ProbabilisticPolicy
@@ -76,12 +76,6 @@ class DBODeployment(BaseDeployment):
         number of participants unless a topology is enabled (which
         clamps it, and picks one shard per ``fanout`` participants
         when left at 1).
-    shard_master_latency:
-        ``None`` (default): shards are threads on the master's host and
-        forward by direct call.  A latency model: each shard is a
-        standalone VM whose forwards ride a faultable
-        ``"{shard}->master"`` channel (in tree mode: the latency of the
-        ``"agg-{node}"`` edges).
     topology:
         Optional :class:`~repro.core.params.AggregationTopology`.  At the
         default ``depth = 0`` behaviour is exactly as without it (flat
@@ -141,7 +135,6 @@ class DBODeployment(BaseDeployment):
         seed: int = 0,
         rb_clock_drift: float = 1e-4,
         n_ob_shards: int = 1,
-        shard_master_latency: Optional[LatencyModel] = None,
         topology: Optional[AggregationTopology] = None,
         disable_batching: bool = False,
         disable_pacing: bool = False,
@@ -189,7 +182,6 @@ class DBODeployment(BaseDeployment):
         elif n_ob_shards > n_participants:
             raise ValueError("more shards than participants")
         self.n_ob_shards = n_ob_shards
-        self.shard_master_latency = shard_master_latency
         self.topology = topology
         # The built ordering plane, in two maps every reader shares and
         # failover or shard adoption rewrite in place: endpoint name →
@@ -499,19 +491,17 @@ class DBODeployment(BaseDeployment):
         the summary plane above the shards:
 
         * no topology — the paper's eager two-level hierarchy:
-          shards sit directly under the master and publish a summary
-          after every message, over a direct call or, with
-          ``shard_master_latency`` set, the ``{shard}->master`` channel;
+          shards are threads on the master's host, sit directly under it
+          and publish a summary after every message by direct call;
         * ``depth ≥ 1`` — the batched tree: each node re-publishes its
           subtree-minimum watermark once per tick over its own faultable
-          ``agg-{node}`` channel, so every parent — the master included —
-          does O(children) heartbeat work per tick regardless of N.
+          zero-latency ``agg-{node}`` channel, so every parent — the
+          master included — does O(children) heartbeat work per tick
+          regardless of N.
         """
         topology = self.topology
         tree = topology is not None
-        edge_model = self.shard_master_latency
-        if tree and edge_model is None:
-            edge_model = ConstantLatency(0.0)
+        edge_model = ConstantLatency(0.0)
         shard_ids = [f"shard-{index}" for index in range(self.n_ob_shards)]
         levels = plan_tree(shard_ids, topology.fanout, topology.depth) if tree else []
         master_children = [node_id for node_id, _ in levels[-1]] if levels else shard_ids
@@ -526,7 +516,7 @@ class DBODeployment(BaseDeployment):
         parents.update(dict.fromkeys(master_children, master))
 
         def open_edge(child_id: str) -> UpstreamSend:
-            if edge_model is None:
+            if not tree:
                 # Shards as threads on the master's host: no hop to fault,
                 # and nothing in flight for a re-parenting to redirect.
                 return lambda message: deliver_upstream(
@@ -537,10 +527,10 @@ class DBODeployment(BaseDeployment):
             # up per arrival: a node crash re-parents its children, and
             # messages already in flight must land on the adopter.
             return self._open_control_channel(
-                f"agg-{child_id}" if tree else f"{child_id}->master",
+                f"agg-{child_id}",
                 edge_model,
                 source=child_id,
-                destination=parents[child_id].node_id if tree else "master-ob",
+                destination=parents[child_id].node_id,
                 handler=lambda message, send_time, arrival_time: deliver_upstream(
                     parents[child_id], child_id, message, arrival_time
                 ),

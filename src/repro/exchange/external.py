@@ -33,7 +33,7 @@ from typing import Any, Callable, List, Optional
 
 from repro.exchange.ces import CentralExchangeServer
 from repro.exchange.messages import MarketDataPoint
-from repro.net.multicast import Sendable
+from repro.net.transport import Channel
 from repro.sim.engine import EventEngine
 from repro.sim.randomness import SubstreamCounter
 
@@ -80,7 +80,7 @@ class ExternalSource:
     name:
         Source label (embedded in events).
     link:
-        Link or channel from the source to the CES (internet-grade latency
+        Channel from the source to the CES (internet-grade latency
         models welcome: ms-scale jitter is the paper's stated expectation).
     mean_interval:
         Mean inter-event time in µs.
@@ -92,7 +92,7 @@ class ExternalSource:
         self,
         engine: EventEngine,
         name: str,
-        link: Sendable,
+        link: Channel,
         mean_interval: float,
         seed: int = 0,
         payload_factory: Optional[Callable[[int], Any]] = None,

@@ -27,6 +27,7 @@ and ``--jobs N``.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -185,10 +186,16 @@ def build_cells(
 
     Per-scheme constructor overrides come from ``scheme_kwargs``; FBA
     gets ``batch_interval_for(duration)`` by default, the rule
-    ``repro run`` and ``repro compare`` apply too.
+    ``repro run`` and ``repro compare`` apply too.  A matrix no cell of
+    which could run (no seed, no participant, a duration that is not
+    positive and finite) is a ``ValueError`` before any cell is built.
     """
     if n_seeds < 1:
         raise ValueError("need at least one seed")
+    if participants < 1:
+        raise ValueError("need at least one participant")
+    if not 0.0 < duration < math.inf:
+        raise ValueError("duration must be positive and finite")
     defaults: Dict[str, Dict[str, Any]] = {
         "fba": {"batch_interval": batch_interval_for(duration)}
     }

@@ -2,23 +2,18 @@
 
 Every fault (and its recovery) is scheduled as an ordinary engine event
 at arm time, so a chaos run is exactly as deterministic as a clean run:
-same seed + same plan ⇒ identical event interleaving.
-
-Latency degradations are special: latency models live in the network
-specs and are read when links are built, so the injector wraps the
-affected models in :class:`~repro.net.latency.DegradedLatency` *before*
-the deployment builds (``arm`` must therefore be called before
-``run()``).  Everything else — channels, release buffers, the OB — is
-resolved at fire time, because deployments build lazily inside ``run()``.
+same seed + same plan ⇒ identical event interleaving.  Targets resolve
+at fire time, because deployments build lazily inside ``run()``: link
+faults (latency degradation included) act on the addressed channels,
+component faults on the release buffers, the CES or the recovery table.
 """
 
 from __future__ import annotations
 
 import fnmatch
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from repro.faults.plan import FaultSchedule, FaultSpec
-from repro.net.latency import DegradedLatency
 from repro.net.transport import Channel
 
 __all__ = ["FaultInjector", "PLAYBOOK_ENDPOINTS"]
@@ -73,8 +68,6 @@ class FaultInjector:
         self.recovery = recovery
         self.deployment: Any = None
         self.armed = False
-        # (target, direction) -> the wrapper installed on the spec.
-        self._degraded: Dict[Tuple[str, str], DegradedLatency] = {}
         # Chronological record of every action taken, for reports.
         self.log: List[Dict[str, Any]] = []
         self.faults_fired = 0
@@ -91,11 +84,6 @@ class FaultInjector:
             raise RuntimeError("arm the injector before the deployment builds (run())")
         self.deployment = deployment
         self._validate(deployment)
-        for fault in self.schedule:
-            # Channel-addressed degradations wrap the channel's live
-            # latency model at fire time instead (the channel does it).
-            if fault.kind == "latency_degradation" and fault.channel is None:
-                self._wrap_latency_models(deployment, fault)
         engine = deployment.engine
         for fault in self.schedule:
             engine.schedule_at(fault.at, self._fire, priority=1, args=(fault,))
@@ -164,21 +152,6 @@ class FaultInjector:
                     "(supervise=True); nothing else would ever recover it"
                 )
 
-    def _wrap_latency_models(self, deployment: Any, fault: FaultSpec) -> None:
-        index = deployment.mp_ids.index(fault.target)
-        spec = deployment.specs[index]
-        directions = (
-            ("forward", "reverse") if fault.direction == "both" else (fault.direction,)
-        )
-        for direction in directions:
-            cache_key = (fault.target, direction)
-            if cache_key in self._degraded:
-                continue
-            model = getattr(spec, direction)
-            wrapper = DegradedLatency(model)
-            setattr(spec, direction, wrapper)
-            self._degraded[cache_key] = wrapper
-
     # ------------------------------------------------------------------
     def _channels_for(self, fault: FaultSpec) -> List[Channel]:
         """Resolve the channels a channel-capable fault addresses.
@@ -240,17 +213,8 @@ class FaultInjector:
             for channel in self._channels_for(fault):
                 channel.start_duplication(fault.magnitude, seed=fault.seed)
         elif kind == "latency_degradation":
-            if fault.channel is not None:
-                for channel in self._channels_for(fault):
-                    channel.degrade(extra=fault.magnitude, factor=fault.factor)
-            else:
-                directions = (
-                    ("forward", "reverse") if fault.direction == "both" else (fault.direction,)
-                )
-                for direction in directions:
-                    self._degraded[(fault.target, direction)].set_degradation(
-                        extra=fault.magnitude, factor=fault.factor
-                    )
+            for channel in self._channels_for(fault):
+                channel.degrade(extra=fault.magnitude, factor=fault.factor)
         elif kind == "rb_crash":
             deployment._rb_by_id[fault.target].crash()
         elif kind == "clock_drift":
@@ -281,15 +245,8 @@ class FaultInjector:
             for channel in self._channels_for(fault):
                 channel.stop_duplication()
         elif kind == "latency_degradation":
-            if fault.channel is not None:
-                for channel in self._channels_for(fault):
-                    channel.clear_degradation()
-            else:
-                directions = (
-                    ("forward", "reverse") if fault.direction == "both" else (fault.direction,)
-                )
-                for direction in directions:
-                    self._degraded[(fault.target, direction)].clear()
+            for channel in self._channels_for(fault):
+                channel.clear_degradation()
         elif kind == "rb_crash":
             deployment._rb_by_id[fault.target].restart()
         elif kind == "clock_drift":

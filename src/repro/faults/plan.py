@@ -52,11 +52,12 @@ Supported kinds
 
 Addressing
 ----------
-Link kinds historically address a participant's leg via ``target`` +
-``direction``.  Any link kind (and ``duplicate_delivery``) can instead
-name one message-plane channel directly via ``channel`` — e.g.
-``"ack-mp3"``, ``"shard-0->master"``, ``"egress"`` — reaching control
-paths that have no participant leg.
+A link kind (and ``duplicate_delivery``) addresses a participant's legs
+via ``target`` + ``direction``, which name its ``fwd-{mp}`` and/or
+``rev-{mp}`` channels, or names message-plane channels directly via
+``channel`` — e.g. ``"ack-mp3"``, ``"agg-shard-0"``, ``"egress"`` —
+reaching control paths that have no participant leg.  Either way the
+fault acts on channels, resolved when it fires.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ Usage::
 
     repro lint                       # gate: src/ benchmarks/ examples/
     repro lint --json                # machine-readable report
-    repro lint --write-baseline      # grandfather current findings
+    repro lint --list-rules          # every rule code with its summary
     repro lint --select DBO103 src   # one rule, one tree
 
 Per-line suppression::
@@ -30,13 +30,6 @@ The rule → invariant mapping is documented in ``docs/architecture.md``
 ("Static guarantees").
 """
 
-from repro.lint.baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    build_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.findings import Finding, sort_key
 from repro.lint.report import exit_code, render_json, render_text
 from repro.lint.rules import REGISTRY, all_rules, rule_codes
@@ -64,11 +57,6 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "collect_suppressions",
-    "DEFAULT_BASELINE_NAME",
-    "load_baseline",
-    "build_baseline",
-    "write_baseline",
-    "apply_baseline",
     "render_text",
     "render_json",
     "exit_code",

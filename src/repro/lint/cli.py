@@ -16,7 +16,6 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from repro.lint.baseline import DEFAULT_BASELINE_NAME, load_baseline, write_baseline
 from repro.lint.report import exit_code, render_json, render_text
 from repro.lint.rules import all_rules
 from repro.lint.runner import LintUsageError, lint_paths
@@ -37,34 +36,13 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--root",
         default=".",
-        help="anchor for repo-relative finding paths and baseline keys",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline file (default: lint-baseline.json under --root)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file (report every finding as new)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="grandfather every current finding into the baseline file and exit 0",
+        help="anchor for repo-relative finding paths",
     )
     parser.add_argument(
         "--select",
         default=None,
         metavar="CODES",
         help="comma-separated rule codes to run (e.g. DBO101,DBO103)",
-    )
-    parser.add_argument(
-        "--show-baselined",
-        action="store_true",
-        help="also print baselined findings in the text report",
     )
     parser.add_argument(
         "--list-rules",
@@ -93,30 +71,16 @@ def run_lint(args: argparse.Namespace) -> int:
         if not paths:
             print("repro lint: nothing to lint under --root", file=sys.stderr)
             return 2
-    baseline_path = args.baseline or os.path.join(args.root, DEFAULT_BASELINE_NAME)
     select = args.select.split(",") if args.select else None
     try:
-        baseline = (
-            {}
-            if (args.no_baseline or args.write_baseline)
-            else load_baseline(baseline_path)
-        )
-        run = lint_paths(paths, root=args.root, baseline=baseline, select=select)
+        run = lint_paths(paths, root=args.root, select=select)
     except LintUsageError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        count = write_baseline(baseline_path, run.findings)
-        print(
-            f"repro lint: wrote {count} baseline entr"
-            f"{'y' if count == 1 else 'ies'} "
-            f"({len(run.findings)} finding(s)) to {baseline_path}"
-        )
-        return 0
     if args.json:
         print(json.dumps(render_json(run), indent=2, sort_keys=True))
     else:
-        print(render_text(run, show_baselined=args.show_baselined))
+        print(render_text(run))
     return exit_code(run.findings)
 
 

@@ -1,22 +1,15 @@
 """The unit of lint output: one :class:`Finding` per rule violation.
 
 Findings are plain data — path, position, rule code, message, and the
-stripped source line (``snippet``).  Two derived values matter to the
-rest of the pipeline:
-
-* :func:`sort_key` — the canonical ordering (path, line, column, code)
-  every reporter uses, so text and JSON output are byte-stable across
-  runs, worker counts, and filesystem iteration order;
-* :meth:`Finding.fingerprint` / :meth:`Finding.baseline_key` — a
-  line-number-free identity used by the committed baseline, so
-  grandfathered findings keep matching while unrelated edits shift the
-  file around them.
+stripped source line (``snippet``).  :func:`sort_key` is the canonical
+ordering (path, line, column, code) every reporter uses, so text and
+JSON output are byte-stable across runs, worker counts, and filesystem
+iteration order.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
 __all__ = ["Finding", "sort_key"]
@@ -24,12 +17,7 @@ __all__ = ["Finding", "sort_key"]
 
 @dataclass
 class Finding:
-    """One rule violation at one source position.
-
-    ``baselined`` is set by the baseline pass — a baselined finding is
-    reported (in JSON and with ``--show-baselined``) but never fails the
-    run.
-    """
+    """One rule violation at one source position."""
 
     path: str
     line: int
@@ -37,24 +25,6 @@ class Finding:
     code: str
     message: str
     snippet: str = ""
-    baselined: bool = field(default=False, compare=False)
-
-    def fingerprint(self) -> str:
-        """A line-number-free identity: hash of (code, stripped line).
-
-        Line numbers churn on every unrelated edit; the rule code plus
-        the offending line's text is stable until the finding itself is
-        touched — exactly when a baseline entry *should* stop matching.
-        """
-        digest = hashlib.sha256()
-        digest.update(self.code.encode("utf-8"))
-        digest.update(b"|")
-        digest.update(self.snippet.strip().encode("utf-8"))
-        return digest.hexdigest()[:12]
-
-    def baseline_key(self) -> str:
-        """The committed-baseline lookup key for this finding."""
-        return f"{self.path}:{self.code}:{self.fingerprint()}"
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -64,8 +34,6 @@ class Finding:
             "code": self.code,
             "message": self.message,
             "snippet": self.snippet,
-            "baselined": self.baselined,
-            "fingerprint": self.fingerprint(),
         }
 
     def render(self) -> str:

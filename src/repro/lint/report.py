@@ -7,8 +7,8 @@ always produces the same bytes (a property the reporter tests pin).
 
 Exit-code contract (``exit_code``):
 
-* ``0`` — no unbaselined findings (baselined ones are fine);
-* ``1`` — at least one unbaselined finding (the CI gate trips);
+* ``0`` — no findings;
+* ``1`` — at least one finding (the CI gate trips);
 * ``2`` — the run itself was invalid (unknown rule selection, missing
   paths); raised as ``LintUsageError`` by the runner, mapped in the CLI.
 """
@@ -23,9 +23,9 @@ from repro.lint.rules import REGISTRY
 __all__ = ["render_text", "render_json", "exit_code"]
 
 
-def exit_code(new_findings: List[Finding]) -> int:
-    """0 when the gate passes, 1 when any unbaselined finding remains."""
-    return 1 if new_findings else 0
+def exit_code(findings: List[Finding]) -> int:
+    """0 when the gate passes, 1 when any finding remains."""
+    return 1 if findings else 0
 
 
 def _count_by_code(findings: List[Finding]) -> Dict[str, int]:
@@ -35,37 +35,27 @@ def _count_by_code(findings: List[Finding]) -> Dict[str, int]:
     return dict(sorted(counts.items()))
 
 
-def render_text(run: Any, show_baselined: bool = False) -> str:
+def render_text(run: Any) -> str:
     """Human-readable report: one line per finding plus a summary."""
-    lines: List[str] = []
-    for finding in run.findings:
-        lines.append(finding.render())
-    if show_baselined:
-        for finding in run.baselined:
-            lines.append(f"{finding.render()} [baselined]")
+    lines = [finding.render() for finding in run.findings]
     counts = _count_by_code(run.findings)
     summary = ", ".join(f"{code}×{n}" for code, n in counts.items()) or "none"
     lines.append(
         f"repro lint: {len(run.findings)} finding(s) "
-        f"({summary}); {len(run.baselined)} baselined; "
-        f"{run.checked_files} file(s) checked"
+        f"({summary}); {run.checked_files} file(s) checked"
     )
     return "\n".join(lines)
 
 
-def render_json(run: Any, show_baselined: bool = True) -> Dict[str, Any]:
+def render_json(run: Any) -> Dict[str, Any]:
     """The machine-readable document printed by ``repro lint --json``."""
-    document: Dict[str, Any] = {
-        "version": 1,
+    return {
+        "version": 2,
         "checked_files": run.checked_files,
         "counts": _count_by_code(run.findings),
         "findings": [finding.to_dict() for finding in run.findings],
-        "baselined_count": len(run.baselined),
         "exit_code": exit_code(run.findings),
         "rules": {
             code: REGISTRY[code].summary for code in sorted(REGISTRY)
         },
     }
-    if show_baselined:
-        document["baselined"] = [finding.to_dict() for finding in run.baselined]
-    return document

@@ -1,4 +1,4 @@
-"""Orchestration: discover files, lint each, apply the baseline.
+"""Orchestration: discover files, lint each, collect the findings.
 
 The entry point is :func:`lint_paths`; the CLI subcommand and the test
 suite both go through it.  File discovery is sorted and
@@ -6,18 +6,16 @@ suite both go through it.  File discovery is sorted and
 never on filesystem iteration order.
 
 Paths inside findings are reported relative to ``root`` with forward
-slashes — the form the committed baseline keys use — so a baseline
-written on one machine matches on any other (and on CI) regardless of
-the absolute checkout location.
+slashes, so a report reads the same on any machine (and on CI)
+regardless of the absolute checkout location.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import FrozenSet, Iterable, List, Optional, Sequence
 
-from repro.lint.baseline import apply_baseline
 from repro.lint.findings import Finding, sort_key
 from repro.lint.rules import REGISTRY, all_rules
 from repro.lint.suppressions import collect_suppressions
@@ -34,14 +32,10 @@ class LintUsageError(ValueError):
 
 @dataclass
 class LintRun:
-    """The outcome of one lint invocation.
-
-    ``findings`` are the unbaselined (gate-tripping) findings,
-    ``baselined`` the grandfathered ones; both in canonical order.
-    """
+    """The outcome of one lint invocation: every (gate-tripping) finding,
+    in canonical order."""
 
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     checked_files: int = 0
 
     @property
@@ -107,14 +101,12 @@ def lint_source(
 def lint_paths(
     paths: Sequence[str],
     root: Optional[str] = None,
-    baseline: Optional[Dict[str, int]] = None,
     select: Optional[Iterable[str]] = None,
 ) -> LintRun:
-    """Lint every Python file under ``paths`` and apply the baseline.
+    """Lint every Python file under ``paths``.
 
     ``root`` anchors the repo-relative finding paths (defaults to the
-    current working directory); ``baseline`` is the loaded entry map
-    (``None``/empty means nothing is grandfathered).
+    current working directory).
     """
     chosen = _validate_select(select)
     anchor = os.path.abspath(root or os.getcwd())
@@ -132,7 +124,5 @@ def lint_paths(
         if parse_error is not None:
             collected.append(parse_error)
         collected.extend(findings)
-    new, grandfathered = apply_baseline(collected, baseline or {})
-    run.findings = sorted(new, key=sort_key)
-    run.baselined = sorted(grandfathered, key=sort_key)
+    run.findings = sorted(collected, key=sort_key)
     return run

@@ -1,4 +1,4 @@
-"""Network substrate: latency models, FIFO links, traces, multicast, transport."""
+"""Network substrate: latency models, FIFO channels, traces, multicast, transport."""
 
 from repro.net.latency import (
     CloudLatencyModel,
@@ -11,8 +11,7 @@ from repro.net.latency import (
     TraceLatency,
     UniformJitterLatency,
 )
-from repro.net.link import Link
-from repro.net.multicast import MulticastGroup, Sendable
+from repro.net.multicast import MulticastGroup
 from repro.net.transport import Channel, Transport
 from repro.net.trace import (
     NetworkTrace,
@@ -33,9 +32,7 @@ __all__ = [
     "TraceLatency",
     "UniformJitterLatency",
     "Channel",
-    "Link",
     "MulticastGroup",
-    "Sendable",
     "Transport",
     "NetworkTrace",
     "generate_figure11_trace",

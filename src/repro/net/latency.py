@@ -17,7 +17,7 @@ packet *sent at true time t* experiences — as a deterministic function of
    run; we do the equivalent by re-querying the model).
 
 FIFO (in-order) delivery is *not* a property of these models; it is
-enforced by :class:`repro.net.link.Link`, matching the paper's in-order
+enforced by :class:`repro.net.transport.Channel`, matching the paper's in-order
 delivery assumption (§3).
 """
 

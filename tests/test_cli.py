@@ -323,6 +323,43 @@ class TestDeploymentErrors:
         assert message in self.error_of(["compare", *argv], capsys)
         assert message in self.error_of(["chaos", "--faults", str(path), *argv], capsys)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["table", "2", "--duration", "-1"], "duration must be positive and finite"),
+            (["table", "2", "--duration", "0"], "duration must be positive and finite"),
+            (["table", "3", "--duration", "inf"], "duration must be positive and finite"),
+            (["figure", "13", "--duration", "nan"], "duration must be positive and finite"),
+            (["figure", "7", "--duration", "0"], "duration must be positive and finite"),
+            (["figure", "11", "--duration", "5000"], "takes no --duration"),
+        ],
+    )
+    def test_table_and_figure_horizon(self, capsys, argv, message):
+        # A bad horizon used to end in a traceback (negative, NaN), run the
+        # default horizon (0) or be ignored (figure 11, a fixed trace).
+        assert message in self.error_of(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            (["--duration", "nan"], "duration must be positive and finite"),
+            (["--duration", "-5"], "duration must be positive and finite"),
+            (["--participants", "0"], "need at least one participant"),
+            (["--seeds", "0"], "need at least one seed"),
+        ],
+    )
+    def test_chaos_table_validates_before_any_cell(self, capsys, monkeypatch, knobs, message):
+        # Each used to print a table of n/a cells and exit 0, or end in a
+        # traceback; now nothing runs.
+        import repro.experiments.chaos_tables as chaos_tables
+
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(chaos_tables, "run_cells", no_cells)
+        argv = ["chaos-table", "--schemes", "direct", "--plans", "partition", *knobs]
+        assert message in self.error_of(argv, capsys)
+
     def test_prob_sync_c1_reaches_release_buffers(self, capsys):
         code = main(
             ["run", "--scheme", "prob", "--participants", "2",

@@ -160,9 +160,6 @@ class TestShardedDeployment:
         planes = {
             "flat": {},
             "eager, direct": dict(n_ob_shards=4),
-            "eager, 3 us hop": dict(
-                n_ob_shards=4, shard_master_latency=ConstantLatency(3.0)
-            ),
             "depth-1 tree": dict(n_ob_shards=4, topology=AggregationTopology(depth=1)),
             "depth-2 tree": dict(topology=AggregationTopology(depth=2, fanout=2)),
             "fanout > N": dict(topology=AggregationTopology(depth=3, fanout=128)),

@@ -13,7 +13,7 @@ from repro.exchange.feed import FeedConfig
 from repro.experiments.runner import build_deployment
 from repro.metrics.fairness import evaluate_fairness
 from repro.net.latency import ConstantLatency, UniformJitterLatency
-from repro.net.link import Link
+from repro.net.transport import Channel
 from repro.sim.engine import EventEngine
 
 
@@ -25,7 +25,7 @@ class TestStreamMerger:
         ces.set_distributor(distributed.append)
         merger = StreamMerger(ces)
         ces.start(stop_time=100.0)
-        link = Link(engine, ConstantLatency(500.0), handler=merger.on_event)
+        link = Channel("link", engine, ConstantLatency(500.0), handler=merger.on_event)
         engine.schedule_at(10.0, lambda: link.send(ExternalEvent("news", 0, 10.0, "CPI")))
         engine.run(until=1000.0)
         # Native points 0,1,2 (t=0,40,80) plus the merged event at 510.
@@ -47,7 +47,7 @@ class TestExternalSource:
     def test_poisson_emission(self):
         engine = EventEngine()
         got = []
-        link = Link(engine, ConstantLatency(1.0), handler=lambda e, s, a: got.append(e))
+        link = Channel("link", engine, ConstantLatency(1.0), handler=lambda e, s, a: got.append(e))
         source = ExternalSource(engine, "news", link, mean_interval=100.0, seed=3)
         source.start(start_time=0.0, stop_time=10_000.0)
         engine.run(until=11_000.0)
@@ -58,7 +58,7 @@ class TestExternalSource:
         def emit_times(seed):
             engine = EventEngine()
             got = []
-            link = Link(engine, ConstantLatency(1.0), handler=lambda e, s, a: got.append(a))
+            link = Channel("link", engine, ConstantLatency(1.0), handler=lambda e, s, a: got.append(a))
             source = ExternalSource(engine, "n", link, mean_interval=50.0, seed=seed)
             source.start(stop_time=2000.0)
             engine.run(until=3000.0)
@@ -69,7 +69,7 @@ class TestExternalSource:
 
     def test_validation(self):
         engine = EventEngine()
-        link = Link(engine, ConstantLatency(1.0), handler=lambda *a: None)
+        link = Channel("link", engine, ConstantLatency(1.0), handler=lambda *a: None)
         with pytest.raises(ValueError):
             ExternalSource(engine, "n", link, mean_interval=0.0)
 
@@ -132,7 +132,7 @@ class TestSuperStreamFairness:
 def test_payload_factory():
     engine = EventEngine()
     got = []
-    link = Link(engine, ConstantLatency(1.0), handler=lambda e, s, a: got.append(e))
+    link = Channel("link", engine, ConstantLatency(1.0), handler=lambda e, s, a: got.append(e))
     source = ExternalSource(
         engine, "news", link, mean_interval=100.0, seed=3,
         payload_factory=lambda seq: f"headline-{seq}",

@@ -96,21 +96,28 @@ class TestFiring:
         # Recovered: blackhole switched back off.
         assert not fwd["fwd-mp1"].blackhole
 
-    def test_latency_degradation_wraps_spec_before_build(self):
+    def test_degradation_by_target_acts_on_leg_channels(self):
+        # A target-addressed degradation acts on the participant's
+        # fwd-/rev- channels when it fires; the caller's specs are left
+        # alone.
         plan = FaultSchedule.of(
             FaultSpec(kind="latency_degradation", at=1_000.0, duration=1_000.0,
                       target="mp0", magnitude=500.0, direction="both")
         )
         deployment = dbo()
-        injector = FaultInjector(plan)
-        injector.arm(deployment)
-        assert isinstance(deployment.specs[0].forward, DegradedLatency)
-        assert isinstance(deployment.specs[0].reverse, DegradedLatency)
-        assert isinstance(deployment.specs[1].forward, ConstantLatency)
+        FaultInjector(plan).arm(deployment)
+        assert isinstance(deployment.specs[0].forward, ConstantLatency)
+        assert isinstance(deployment.specs[0].reverse, ConstantLatency)
         deployment.run(duration=4_000.0)
-        # Cleared after recovery.
-        forward = deployment.specs[0].forward
-        assert (forward.extra, forward.factor) == (0.0, 1.0)
+        for name in ("fwd-mp0", "rev-mp0"):
+            model = deployment.transport.channel(name).latency_model
+            assert isinstance(model, DegradedLatency), name
+            assert model.degradations_applied == 1
+            # Cleared after recovery.
+            assert (model.extra, model.factor) == (0.0, 1.0)
+        for name in ("fwd-mp1", "rev-mp1", "ob-adopt"):
+            model = deployment.transport.channel(name).latency_model
+            assert not isinstance(model, DegradedLatency), name
 
     def test_channel_addressed_latency_degradation(self):
         # A channel-addressed degradation wraps the channel's own model
@@ -338,45 +345,37 @@ class TestChannelGlobs:
             deployment.run(duration=1_000.0)
 
 
-class TestShardHopFaultsAreCounted:
-    """Faults on the ``{shard}->master`` hop reach the run counters.
-
-    The hop used to be a ``Link`` private to ``ShardOB``, invisible to
-    ``BaseDeployment._links``: the channel odometer saw the drops, the
-    run-level ``packets_*`` counters did not.  Digests and odometers
-    are pinned from that parent — only the counters are new.
-    """
+class TestOneWayToDegradeALink:
+    """A degradation addressed by ``target`` + ``direction`` is the same
+    fault as the channel-addressed specs naming those legs."""
 
     DURATION = 6_000.0
 
-    @pytest.mark.parametrize(
-        "kind, counter, dropped, digest",
-        [
-            ("link_burst_loss", "packets_dropped_in_burst", 161, "1c139a385952"),
-            ("partition", "packets_blackholed", 357, "f934bf61251e"),
-        ],
-    )
-    def test_counter_equals_channel_dropped(self, kind, counter, dropped, digest):
+    def _run(self, scheme, faults):
         from repro.experiments.scenarios import cloud_specs
 
-        deployment = DBODeployment(
-            cloud_specs(4, seed=7),
-            seed=7,
-            n_ob_shards=2,
-            shard_master_latency=ConstantLatency(3.0),
-        )
-        plan = FaultSchedule.of(
-            FaultSpec(
-                kind=kind,
-                at=0.2 * self.DURATION,
-                duration=0.3 * self.DURATION,
-                channel="shard-0->master",
-                magnitude=0.5,
-                seed=3,
-            )
-        )
-        FaultInjector(plan).arm(deployment)
+        deployment = build_deployment(scheme, cloud_specs(4, seed=7), seed=7)
+        FaultInjector(FaultSchedule.of(*faults)).arm(deployment)
         result = deployment.run(duration=self.DURATION)
-        assert result.channels["shard-0->master"]["dropped"] == dropped
-        assert result.counters[counter] == dropped
-        assert trade_ordering_digest(result).startswith(digest)
+        return {
+            "digest": trade_ordering_digest(result),
+            "counters": result.counters,
+            "channels": result.channels,
+            "forward_times": [trade.forward_time for trade in result.trades],
+        }
+
+    @pytest.mark.parametrize("scheme", ["dbo", "direct"])
+    def test_target_and_channel_addressing_are_byte_identical(self, scheme):
+        window = dict(at=0.2 * self.DURATION, duration=0.4 * self.DURATION,
+                      magnitude=150.0, factor=2.0)
+        by_target = self._run(scheme, [
+            FaultSpec(kind="latency_degradation", target="mp1", direction="both", **window),
+        ])
+        by_channel = self._run(scheme, [
+            FaultSpec(kind="latency_degradation", channel="fwd-mp1", **window),
+            FaultSpec(kind="latency_degradation", channel="rev-mp1", **window),
+        ])
+        assert by_target == by_channel
+        # The fault did act: mp1's trades reach the exchange later.
+        clean = self._run(scheme, [])
+        assert by_target["forward_times"] != clean["forward_times"]

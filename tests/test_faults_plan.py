@@ -162,7 +162,7 @@ class TestChannelAddressing:
         assert spec.channel == "ack-mp0"
         FaultSpec(kind="partition", at=0.0, duration=1.0, channel="egress")
         FaultSpec(kind="latency_degradation", at=0.0, duration=1.0,
-                  channel="shard-0->master", magnitude=50.0)
+                  channel="agg-shard-0", magnitude=50.0)
 
     def test_channel_rejected_for_non_channel_kinds(self):
         with pytest.raises(ValueError, match="does not address a channel"):

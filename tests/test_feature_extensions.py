@@ -1,5 +1,5 @@
-"""Tests for the deployment extensions: distributed shards, Poisson feeds,
-proxy participants, self-match prevention."""
+"""Tests for the deployment extensions: Poisson feeds, proxy participants,
+self-match prevention."""
 
 import pytest
 
@@ -10,37 +10,8 @@ from repro.exchange.feed import FeedConfig, MarketDataFeed
 from repro.exchange.messages import Side, TradeOrder
 from repro.exchange.order_book import LimitOrderBook
 from repro.metrics.fairness import evaluate_fairness, pairwise_correct
-from repro.metrics.latency import latency_stats
-from repro.net.latency import ConstantLatency, UniformJitterLatency
+from repro.net.latency import ConstantLatency
 from repro.participants.response_time import RaceResponseTime, UniformResponseTime
-
-
-class TestDistributedShards:
-    """§5.2: shard OBs deployed as standalone VMs pay a network hop."""
-
-    def run_with_hop(self, hop):
-        deployment = DBODeployment(
-            default_network_specs(6, seed=17),
-            n_ob_shards=3,
-            seed=4,
-            shard_master_latency=hop,
-        )
-        result = deployment.run(duration=4000.0)
-        return result
-
-    def test_hop_preserves_fairness_and_completion(self):
-        result = self.run_with_hop(ConstantLatency(5.0))
-        assert evaluate_fairness(result).ratio == 1.0
-        assert result.completion_ratio() == 1.0
-
-    def test_hop_adds_its_latency(self):
-        base = latency_stats(self.run_with_hop(None)).avg
-        with_hop = latency_stats(self.run_with_hop(ConstantLatency(5.0))).avg
-        assert with_hop == pytest.approx(base + 5.0, abs=1.0)
-
-    def test_jittery_hop_still_fair(self):
-        result = self.run_with_hop(UniformJitterLatency(3.0, 4.0, seed=9))
-        assert evaluate_fairness(result).ratio == 1.0
 
 
 class TestPoissonFeed:

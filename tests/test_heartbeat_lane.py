@@ -1,6 +1,6 @@
 """Contracts the heartbeat lane's send and delivery path must keep.
 
-The lane is RB timer tick → ``Channel.send`` → ``Link.send`` →
+The lane is RB timer tick → ``Channel.send`` → ``Channel._transmit`` →
 ``Scheduler.post_at`` → channel delivery → reverse dispatcher → ordering
 buffer.  Each hop is kept to one frame, which invites two shortcuts these
 tests rule out: binding the RB sinks to a pre-fused link send (duplication
@@ -10,15 +10,12 @@ out of order and poison ``engine.now``).  The last hop must also stay
 bounded when nothing is queued: a quiet drain is all heartbeats.
 """
 
-import math
-
 import pytest
 
 from repro.baselines.base import default_network_specs
-from repro.core.params import AggregationTopology
 from repro.core.system import DBODeployment
 from repro.net.latency import LatencyModel
-from repro.net.link import Link
+from repro.net.transport import Channel
 from repro.sim.engine import ENGINE_FACTORIES, SimulationError, make_engine
 from repro.sim.runtime import Runtime
 
@@ -90,28 +87,10 @@ class TestHandleFreePushKeepsTheTimeGuard:
     @pytest.mark.parametrize("latency", BAD_LATENCIES)
     def test_link_send_raises(self, engine, latency):
         sim = make_engine(engine)
-        link = Link(sim, _FixedLatency(latency), handler=lambda *message: None)
+        link = Channel("link", sim, _FixedLatency(latency), handler=lambda *message: None)
         sim.run(until=10.0)
         with pytest.raises(SimulationError):
             link.send("heartbeat")
         assert sim.now == 10.0
         sim.run(until=20.0)
         assert sim.now == 20.0 and sim.events_processed == 0
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("latency", BAD_LATENCIES)
-    def test_aggregation_edge_raises(self, engine, latency):
-        # The tree's agg-* edges take shard_master_latency when the
-        # topology sets no edge latency of its own.
-        deployment = DBODeployment(
-            default_network_specs(4, seed=5),
-            runtime=Runtime.create(seed=5, engine=engine),
-            topology=AggregationTopology(fanout=2, depth=2),
-            n_ob_shards=4,
-            shard_master_latency=_FixedLatency(latency),
-        )
-        with pytest.raises(SimulationError):
-            deployment.run(duration=3000.0, drain=1000.0)
-        now = deployment.engine.now
-        assert math.isfinite(now) and 0.0 <= now <= 4000.0
-        assert "agg-shard-0" in deployment.transport

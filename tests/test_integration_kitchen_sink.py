@@ -1,10 +1,10 @@
 """The kitchen-sink test: every optional feature enabled at once.
 
-Features compose or they don't: this run turns on sharded OBs with a
-network hop, OB service-time modeling, sync-assisted delivery,
-a live book, an external news stream, packet loss on one path, a
-straggler threshold and a mid-run RB crash — and still demands sane
-fairness, bounded latency, and internal-consistency invariants.
+Features compose or they don't: this run turns on sharded OBs, OB
+service-time modeling, sync-assisted delivery, a live book, an external
+news stream, packet loss on one path, a straggler threshold and a
+mid-run RB crash — and still demands sane fairness, bounded latency,
+and internal-consistency invariants.
 """
 
 import pytest
@@ -14,7 +14,7 @@ from repro.core.params import DBOParams
 from repro.core.system import DBODeployment
 from repro.exchange.feed import FeedConfig
 from repro.metrics.fairness import evaluate_fairness, pairwise_correct
-from repro.net.latency import ConstantLatency, UniformJitterLatency
+from repro.net.latency import UniformJitterLatency
 from repro.participants.response_time import UniformResponseTime
 from repro.participants.strategies import MarketMaker, SpeedRacer
 
@@ -59,7 +59,6 @@ def deployment_and_result():
         execute_trades=True,
         seed=11,
         n_ob_shards=3,
-        shard_master_latency=ConstantLatency(3.0),
         sync_target_c1=25.0,
         sync_error=1.0,
         ob_service_time=0.3,

@@ -1,8 +1,8 @@
 """`repro lint` CLI: flags, exit codes, JSON shape, and the self-gate.
 
 The last class is the repo's own gate: linting ``src``, ``benchmarks``
-and ``examples`` against the committed baseline must be clean — the same
-invocation CI runs.
+and ``examples`` must find nothing (per-line suppressions are the only
+way to accept a finding) — the same invocation CI runs.
 """
 
 import json
@@ -60,13 +60,16 @@ class TestLintCommand:
         code = main(["lint", "--root", str(root), "--json"])
         assert code == 1
         document = json.loads(capsys.readouterr().out)
-        assert document["version"] == 1
+        # Version 2: no baseline, so no baselined findings or fingerprints.
+        assert document["version"] == 2
+        assert not {"baselined", "baselined_count"} & set(document)
         assert document["exit_code"] == 1
         assert document["counts"] == {"DBO101": 1}
         (finding,) = document["findings"]
         assert finding["code"] == "DBO101"
         assert finding["path"] == "src/repro/core/mod.py"
         assert finding["line"] == 2
+        assert not {"baselined", "fingerprint"} & set(finding)
         assert "DBO101" in document["rules"]
         assert len(document["rules"]) == 9
 
@@ -77,28 +80,6 @@ class TestLintCommand:
         main(["lint", "--root", str(root), "--json"])
         second = capsys.readouterr().out
         assert first == second
-
-    def test_write_baseline_then_gate_passes(self, tmp_path, capsys):
-        root = _tree(tmp_path)
-        assert main(["lint", "--root", str(root), "--write-baseline"]) == 0
-        out = capsys.readouterr().out
-        assert "wrote 1 baseline entry" in out
-        assert (root / "lint-baseline.json").exists()
-        assert main(["lint", "--root", str(root)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_no_baseline_flag_ignores_baseline(self, tmp_path, capsys):
-        root = _tree(tmp_path)
-        assert main(["lint", "--root", str(root), "--write-baseline"]) == 0
-        capsys.readouterr()
-        assert main(["lint", "--root", str(root), "--no-baseline"]) == 1
-
-    def test_show_baselined_lists_entries(self, tmp_path, capsys):
-        root = _tree(tmp_path)
-        main(["lint", "--root", str(root), "--write-baseline"])
-        capsys.readouterr()
-        main(["lint", "--root", str(root), "--show-baselined"])
-        assert "[baselined]" in capsys.readouterr().out
 
     def test_select_restricts_rules(self, tmp_path, capsys):
         root = _tree(tmp_path)
@@ -141,7 +122,7 @@ class TestSelfGate:
             pytest.skip(f"{tree} not present")
         code = main(["lint", "--root", REPO_ROOT, path])
         output = capsys.readouterr().out
-        assert code == 0, f"unbaselined lint findings in {tree}:\n{output}"
+        assert code == 0, f"lint findings in {tree}:\n{output}"
 
     def test_full_gate_json(self, capsys):
         code = main(["lint", "--root", REPO_ROOT, "--json"])

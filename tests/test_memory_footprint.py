@@ -25,7 +25,7 @@ from repro.sim.runtime import Runtime
 # log holds no per-trade object), and per participant on an aggregation
 # tree.
 BYTES_PER_TRADE = 620
-BYTES_PER_PARTICIPANT = 13_750
+BYTES_PER_PARTICIPANT = 13_735
 
 
 def build(scheme="dbo", n=4, seed=7, **kwargs):

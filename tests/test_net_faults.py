@@ -7,14 +7,15 @@ any loss statistic is mutated, so a wiring error leaves counters clean.
 import pytest
 
 from repro.net.latency import ConstantLatency, DegradedLatency
-from repro.net.link import Link
+from repro.net.transport import Channel
 from repro.sim.engine import EventEngine
 
 
 def make_link(**kwargs):
     engine = EventEngine()
     got = []
-    link = Link(
+    link = Channel(
+        "link",
         engine,
         ConstantLatency(10.0),
         handler=lambda m, s, a: got.append((m, s, a)),
@@ -76,7 +77,8 @@ class TestLossBurst:
 class TestLossyLinkHandlerValidation:
     def test_missing_handler_fails_before_stats(self):
         engine = EventEngine()
-        link = Link(
+        link = Channel(
+            "link",
             engine, ConstantLatency(10.0), loss_probability=0.99, seed=1
         )
         # Find an index the loss draw hits, with no handler wired at all.
@@ -88,7 +90,8 @@ class TestLossyLinkHandlerValidation:
     def test_burst_swallows_even_the_recovery_path(self):
         engine = EventEngine()
         got, recovered = [], []
-        link = Link(
+        link = Channel(
+            "link",
             engine,
             ConstantLatency(10.0),
             loss_probability=0.99,

@@ -5,13 +5,13 @@ import math
 import pytest
 
 from repro.net.latency import ConstantLatency, StepLatency
-from repro.net.link import Link
+from repro.net.transport import Channel
 from repro.sim.engine import EventEngine
 
 
 def make_link(engine, model):
     got = []
-    link = Link(engine, model, handler=lambda m, s, a: got.append((m, s, a)))
+    link = Channel("link", engine, model, handler=lambda m, s, a: got.append((m, s, a)))
     return link, got
 
 
@@ -47,24 +47,15 @@ class TestLink:
         assert [m for m, _, _ in got] == ["slow", "fast"]
         assert got[1][2] == 100.0  # clamped
 
-    def test_arrival_time_for_is_pure(self):
-        engine = EventEngine()
-        link, got = make_link(engine, ConstantLatency(5.0))
-        before = link.arrival_time_for(3.0)
-        link.send("x")
-        after = link.arrival_time_for(3.0)
-        assert before == after == 8.0
-        assert link.packets_sent == 1
-
     def test_requires_handler(self):
         engine = EventEngine()
-        link = Link(engine, ConstantLatency(1.0))
+        link = Channel("link", engine, ConstantLatency(1.0))
         with pytest.raises(RuntimeError):
             link.send("x")
 
     def test_connect_attaches_handler(self):
         engine = EventEngine()
-        link = Link(engine, ConstantLatency(1.0))
+        link = Channel("link", engine, ConstantLatency(1.0))
         got = []
         link.connect(lambda m, s, a: got.append(m))
         link.send("x")
@@ -77,15 +68,16 @@ class TestLink:
         link.send("a")
         link.send("b")
         assert link.packets_sent == 2
-        assert link.packets_delivered == 0
+        assert link.messages_delivered == 0
         engine.run()
-        assert link.packets_delivered == 2
+        assert link.messages_delivered == 2
 
 
 class TestLossyLink:
     def make(self, engine, loss, recovery=100.0, seed=0):
         got, recovered = [], []
-        link = Link(
+        link = Channel(
+            "link",
             engine,
             ConstantLatency(5.0),
             loss_probability=loss,
@@ -138,7 +130,8 @@ class TestLossyLink:
     def test_recovery_falls_back_to_main_handler(self):
         engine = EventEngine()
         got = []
-        link = Link(
+        link = Channel(
+            "link",
             engine,
             ConstantLatency(5.0),
             loss_probability=0.9999,
@@ -153,9 +146,9 @@ class TestLossyLink:
     def test_validation(self):
         engine = EventEngine()
         with pytest.raises(ValueError):
-            Link(engine, ConstantLatency(1.0), loss_probability=1.5)
+            Channel("link", engine, ConstantLatency(1.0), loss_probability=1.5)
         with pytest.raises(ValueError):
-            Link(engine, ConstantLatency(1.0), recovery_delay=-1.0)
+            Channel("link", engine, ConstantLatency(1.0), recovery_delay=-1.0)
 
     def test_loss_set_after_construction_takes_effect(self):
         engine = EventEngine()
@@ -179,7 +172,7 @@ class TestLossyLink:
         # NaN passes a bare `< 0` check and would only fail mid-run, when
         # the first recovery is scheduled at a NaN time.
         with pytest.raises(ValueError, match="non-negative and finite"):
-            Link(EventEngine(), ConstantLatency(1.0), recovery_delay=delay)
+            Channel("link", EventEngine(), ConstantLatency(1.0), recovery_delay=delay)
 
     def test_lost_packets_do_not_block_fifo(self):
         # A lost packet's (late) recovery must not delay later packets.

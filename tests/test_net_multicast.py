@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.latency import ConstantLatency
-from repro.net.link import Link
+from repro.net.transport import Channel
 from repro.net.multicast import MulticastGroup
 from repro.sim.engine import EventEngine
 
@@ -14,7 +14,8 @@ def build_group(engine, latencies):
     for member_id, latency in latencies.items():
         inbox = []
         inboxes[member_id] = inbox
-        link = Link(
+        link = Channel(
+            "link",
             engine,
             ConstantLatency(latency),
             handler=lambda m, s, a, inbox=inbox: inbox.append((m, a)),
@@ -43,16 +44,10 @@ def test_duplicate_member_rejected():
     engine = EventEngine()
     group, _ = build_group(engine, {"a": 1.0})
     with pytest.raises(ValueError):
-        group.add_member("a", Link(engine, ConstantLatency(1.0), handler=lambda *a: None))
+        group.add_member("a", Channel("link", engine, ConstantLatency(1.0), handler=lambda *a: None))
 
 
 def test_publish_without_members_raises():
     group = MulticastGroup()
     with pytest.raises(RuntimeError):
         group.publish("tick")
-
-
-def test_link_for_returns_member_link():
-    engine = EventEngine()
-    group, _ = build_group(engine, {"a": 1.0})
-    assert group.link_for("a").latency_model.latency == 1.0

@@ -10,7 +10,7 @@ from repro.net.latency import (
     TraceLatency,
     UniformJitterLatency,
 )
-from repro.net.link import Link
+from repro.net.transport import Channel
 from repro.sim.engine import EventEngine
 
 
@@ -46,7 +46,7 @@ def test_link_arrivals_are_fifo(model, times):
     """In-order delivery: arrivals never decrease, whatever the model."""
     engine = EventEngine()
     arrivals = []
-    link = Link(engine, model, handler=lambda m, s, a: arrivals.append(a))
+    link = Channel("link", engine, model, handler=lambda m, s, a: arrivals.append(a))
     for index, t in enumerate(times):
         engine.schedule_at(t, lambda t=t, i=index: link.send(i))
     engine.run()
@@ -59,7 +59,7 @@ def test_link_arrivals_are_fifo(model, times):
 def test_link_arrival_never_before_send(model, times):
     engine = EventEngine()
     records = []
-    link = Link(engine, model, handler=lambda m, s, a: records.append((s, a)))
+    link = Channel("link", engine, model, handler=lambda m, s, a: records.append((s, a)))
     for index, t in enumerate(times):
         engine.schedule_at(t, lambda t=t, i=index: link.send(i))
     engine.run()
@@ -89,7 +89,8 @@ def test_lossy_link_conserves_messages(model, times, loss, seed):
     """Every sent message arrives exactly once (normal or recovered)."""
     engine = EventEngine()
     normal, recovered = [], []
-    link = Link(
+    link = Channel(
+        "link",
         engine,
         model,
         loss_probability=loss,

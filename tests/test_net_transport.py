@@ -158,7 +158,7 @@ class TestLossRecoveryRoutes:
         assert sorted(got + recovered) == list(range(40))
         assert sorted(hooked) == list(range(40))  # recoveries pass the hook too
         assert channel.packets_lost == len(recovered)
-        assert channel.messages_delivered == channel.packets_delivered == len(got)
+        assert channel.messages_delivered == len(got)
 
     def test_without_loss_handler_recoveries_pass_the_hook(self):
         channel, got, hooked, recovered = self._run(with_loss_handler=False)
@@ -166,9 +166,9 @@ class TestLossRecoveryRoutes:
         assert sorted(got) == sorted(hooked) == list(range(40))
         lost = channel.packets_lost
         assert 0 < lost < 40
-        # Counted as channel deliveries, not as wire deliveries.
+        # Counted as channel deliveries, though only the rest rode the wire.
         assert channel.messages_delivered == 40
-        assert channel.packets_delivered == 40 - lost
+        assert channel.packets_sent == 40 - lost
 
 
 class TestDuplicateDelivery:

@@ -85,7 +85,7 @@ def test_one_recovery_playbook_table():
         endpoint.partition(":")[0] for endpoint in PLAYBOOK_ENDPOINTS.values()
     } == {"ob", "shard", "agg", "gateway"}
     # No deployment option came with it.
-    assert len(inspect.signature(DBODeployment.__init__).parameters) - 1 == 22
+    assert len(inspect.signature(DBODeployment.__init__).parameters) - 1 == 21
 
 
 def test_one_dbo_pipeline_one_buffer_family():
@@ -225,18 +225,18 @@ def test_one_object_per_message_path():
     from repro.net.transport import Channel, Transport
     from repro.sim.engine import EventEngine
 
-    # Loss is a Link parameter; a channel is a link with a name.
+    # Loss is a channel parameter; a link is another name for a channel.
     for removed in ("LossyLink", "DeliveryRecord"):
         assert removed not in repro.net.__all__
         assert not hasattr(repro.net, removed)
-    assert issubclass(Channel, Link)
+    assert Link is Channel
     engine = EventEngine()
     channel = Transport().open_channel("x", engine, ConstantLatency(1.0))
     assert isinstance(channel, Channel)
     assert not hasattr(channel, "link")
     # Slotted: an unslotted channel carries ~33 attributes, past the size
     # at which CPython stops sharing instance-dict keys.
-    for instance in (channel, Link(engine, ConstantLatency(1.0))):
+    for instance in (channel, Channel("y", engine, ConstantLatency(1.0))):
         assert not hasattr(instance, "__dict__")
 
 
@@ -255,7 +255,7 @@ def test_construction_takes_only_what_callers_set():
     from repro.core.release_buffer import ReleaseBuffer
     from repro.exchange.ces import CentralExchangeServer
     from repro.net.latency import ConstantLatency
-    from repro.net.link import Link
+    from repro.net.transport import Channel
     from repro.sim.engine import EventEngine
     from repro.sim.runtime import Runtime
     from repro.sim.service import ServiceQueue
@@ -277,7 +277,7 @@ def test_construction_takes_only_what_callers_set():
     # Components take the engine they schedule on and store it directly.
     engine = EventEngine()
     components = (
-        Link(engine, ConstantLatency(1.0)),
+        Channel("link", engine, ConstantLatency(1.0)),
         ServiceQueue(engine, 1.0),
         CentralExchangeServer(engine),
         ReleaseBuffer(engine, "mp0", pacing_gap=10.0, heartbeat_period=20.0),
@@ -410,7 +410,65 @@ def test_only_what_a_user_path_reaches():
     group = MulticastGroup()
     for name in ("member_ids", "messages_published", "_published"):
         assert not hasattr(group, name), name
-    assert len(inspect.signature(DBODeployment.__init__).parameters) - 1 == 22
+    # Nor a second path for four jobs: the link class beside the channel,
+    # the pre-build latency wrapping, the VM-hop shard edge and the lint
+    # baseline.
+    import pathlib
+
+    import repro.faults.plan
+    import repro.lint
+    import repro.lint.findings
+    import repro.lint.report
+    import repro.lint.runner
+    import repro.net.link
+    import repro.net.multicast
+    import repro.net.transport
+    from repro.cli import build_parser
+    from repro.faults.injector import FaultInjector
+
+    assert repro.net.link.Link is repro.net.transport.Channel
+    assert [
+        name for name, value in vars(repro.net.transport).items()
+        if isinstance(value, type) and value.__module__ == "repro.net.transport"
+    ] == ["Channel", "Transport"]
+    for name in ("send", "connect"):
+        assert name in vars(repro.net.transport.Channel), name
+    for name in ("packets_delivered", "arrival_time_for", "_delivered", "_deliver_once"):
+        assert not hasattr(repro.net.transport.Channel, name), name
+    assert "_delivered" not in repro.net.transport.Channel.__slots__
+    assert not hasattr(MulticastGroup, "link_for")
+    for module in (repro.net, repro.net.multicast):
+        assert not hasattr(module, "Sendable")
+    assert "Link" not in repro.net.__all__
+    for name in ("_wrap_latency_models", "_degraded"):
+        assert not hasattr(FaultInjector, name), name
+        assert not hasattr(FaultInjector(repro.faults.plan.FaultSchedule.of()), name), name
+    assert "shard_master_latency" not in inspect.signature(DBODeployment.__init__).parameters
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.lint.baseline")
+    for name in ("DEFAULT_BASELINE_NAME", "load_baseline", "build_baseline",
+                 "write_baseline", "apply_baseline"):
+        assert not hasattr(repro.lint, name), name
+    for name in ("fingerprint", "baseline_key", "baselined"):
+        assert not hasattr(repro.lint.findings.Finding, name), name
+    assert "baselined" not in {
+        field.name for field in repro.lint.findings.Finding.__dataclass_fields__.values()
+    }
+    assert "baselined" not in repro.lint.runner.LintRun.__dataclass_fields__
+    assert "baseline" not in inspect.signature(repro.lint.runner.lint_paths).parameters
+    for render in (repro.lint.report.render_text, repro.lint.report.render_json):
+        assert "show_baselined" not in inspect.signature(render).parameters
+    parser = build_parser()
+    lint_parser = next(
+        action for action in parser._actions if action.dest == "command"
+    ).choices["lint"]
+    flags = {flag for action in lint_parser._actions for flag in action.option_strings}
+    for flag in ("--baseline", "--no-baseline", "--write-baseline", "--show-baselined"):
+        assert flag not in flags, flag
+    assert {"--select", "--root", "--json", "--list-rules"} <= flags
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    assert not (repo / "lint-baseline.json").exists()
+    assert len(inspect.signature(DBODeployment.__init__).parameters) - 1 == 21
 
 
 def test_one_engine_deployment():

@@ -52,7 +52,7 @@ IDLE_COUNTERS = {
 
 def _idle_channel(name: str) -> bool:
     """Heartbeat lanes and the watermark-summary edges above the shards."""
-    return name.startswith(("rev-", "agg-")) or name.endswith("->master")
+    return name.startswith(("rev-", "agg-"))
 
 
 def _observables(result, audit) -> Dict[str, Any]:
@@ -240,7 +240,7 @@ def _kitchen_sink(engine):
         feed_config=FeedConfig(interval=40.0, price_volatility=0.0),
         strategy_factory=lambda i: _OpportunityMaker(quantity=3) if i == 0 else SpeedRacer(seed=i),
         execute_trades=True, n_ob_shards=3,
-        shard_master_latency=ConstantLatency(3.0), sync_target_c1=25.0, sync_error=1.0,
+        sync_target_c1=25.0, sync_error=1.0,
         enable_egress_gateway=True,
     )
     deployment.add_external_source(
@@ -255,8 +255,7 @@ def _kitchen_sink(engine):
 @pytest.mark.parametrize("engine", ["heap", "reference"])
 def test_kitchen_sink(monkeypatch, engine):
     # A market maker on a live book, news, eager shard
-    # summaries over channels, sync-assisted delivery and the egress
-    # gateway in one run.
+    # summaries, sync-assisted delivery and the egress gateway in one run.
     settled, full, settled_at = _settled_then_full(monkeypatch, _kitchen_sink, engine)
     assert settled == full
     assert DURATION < settled_at < DURATION + DRAIN
