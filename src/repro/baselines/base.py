@@ -18,13 +18,14 @@ timers, and the two per-point recorders the result reads.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exchange.ces import CentralExchangeServer
 from repro.exchange.feed import FeedConfig
 from repro.exchange.messages import TradeOrder
-from repro.metrics.records import RunResult, TradeRecord
+from repro.metrics.records import UNFORWARDED, RunResult, TradeTable
 from repro.net.latency import LatencyModel, UniformJitterLatency
 from repro.net.multicast import MulticastGroup
 from repro.net.transport import Channel, DeliveryHandler, MessageKey, Transport
@@ -447,8 +448,8 @@ class BaseDeployment:
         run keeps the full drain.  A scheme that holds work for one of its
         periodic timers to release extends this with that condition.
         """
-        forwarded = len(self.ces.matching_engine.forwarded)
-        if forwarded != sum(len(mp.submitted) for mp in self.participants):
+        forwarded = self.ces.matching_engine.trade_count
+        if forwarded != sum(mp.trades_submitted for mp in self.participants):
             return False
         if any(injector.holding for injector in self.fault_injectors):
             return False
@@ -464,22 +465,41 @@ class BaseDeployment:
                 return False
         return True
 
-    def _assemble(self, duration: float) -> RunResult:
+    def _trade_table(self) -> TradeTable:
+        """Every trade a participant submitted, participant by participant
+        in ``trade_seq`` order: the participants' columns joined with the
+        matching engine's."""
         me = self.ces.matching_engine
-        trades: List[TradeRecord] = []
-        for mp in self.participants:
-            for order in mp.submitted:
-                trades.append(
-                    TradeRecord(
-                        mp_id=order.mp_id,
-                        trade_seq=order.trade_seq,
-                        trigger_point=order.trigger_point,
-                        response_time=order.response_time,
-                        submission_time=order.submission_time,
-                        forward_time=me.forward_time_of(order.key),
-                        position=me.position_of(order.key),
-                    )
-                )
+        mp_slots, trade_seqs, trigger_points = array("i"), array("q"), array("q")
+        response_times, submission_times, positions = array("d"), array("d"), array("q")
+        first_row: Dict[str, int] = {}
+        for slot, mp in enumerate(self.participants):
+            count = mp.trades_submitted
+            first_row[mp.mp_id] = len(trade_seqs)
+            mp_slots.extend(array("i", [slot]) * count)
+            trade_seqs.extend(range(count))
+            trigger_points.extend(mp.trigger_points)
+            response_times.extend(mp.response_times)
+            submission_times.extend(mp.submission_times)
+            forwarded = me.positions_of(mp.mp_id)
+            positions.extend(forwarded)
+            positions.extend(array("q", [UNFORWARDED]) * (count - len(forwarded)))
+        me_forward_times = me.forward_times
+        forward_times = array(
+            "d",
+            (math.nan if p == UNFORWARDED else me_forward_times[p] for p in positions),
+        )
+        # The matching engine's intake order, as rows: no sort.
+        row_of_slot = [first_row[mp_id] for mp_id in me.mp_ids]
+        intake = array(
+            "q", (row_of_slot[slot] + seq for slot, seq in zip(me.intake_slots, me.intake_seqs))
+        )
+        return TradeTable(
+            self.mp_ids, mp_slots, trade_seqs, trigger_points, response_times,
+            submission_times, forward_times, positions, intake,
+        )
+
+    def _assemble(self, duration: float) -> RunResult:
         generation_times = {
             point.point_id: point.generation_time for point in self.ces.feed.generated
         }
@@ -495,7 +515,7 @@ class BaseDeployment:
         counters["settled_at"] = self.engine.now
         return RunResult(
             scheme=self.scheme_name,
-            trades=trades,
+            trades=self._trade_table(),
             generation_times=generation_times,
             network_send_times=self.network_send_times,
             raw_arrivals=self._raw_arrivals(),

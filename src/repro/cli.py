@@ -567,6 +567,12 @@ def cmd_sweep(args) -> int:
             )
             for value in args.values
         ]
+        # Build (not run) each cell's deployment up front, as `run` does,
+        # so options it rejects end in a usage error before any cell runs.
+        for cell in cells:
+            _build_one("dbo", args, {"params": cell.scheme_kwargs["params"]}).check_horizon(
+                args.duration, args.drain
+            )
     except ValueError as error:
         return _build_error(error)
     results = run_cells(cells)

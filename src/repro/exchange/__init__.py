@@ -4,7 +4,7 @@ from repro.exchange.accounting import Account, Ledger
 from repro.exchange.ces import CentralExchangeServer
 from repro.exchange.external import ExternalEvent, ExternalSource, StreamMerger
 from repro.exchange.feed import FeedConfig, MarketDataFeed
-from repro.exchange.matching import ForwardedTrade, MatchingEngine
+from repro.exchange.matching import MatchingEngine
 from repro.exchange.messages import (
     Execution,
     Heartbeat,
@@ -29,7 +29,6 @@ __all__ = [
     "TimeInForce",
     "FeedConfig",
     "MarketDataFeed",
-    "ForwardedTrade",
     "MatchingEngine",
     "Execution",
     "Heartbeat",

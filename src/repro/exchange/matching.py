@@ -8,39 +8,23 @@ response times, or network latency.  The order of ``submit`` calls fully
 determines the market outcome, which is what makes fair *ordering*
 upstream sufficient for fair *outcomes*.
 
-The engine records, per trade, the forwarding time ``F(i, a)`` and the
-final ordinal position ``O(i, a)`` — the two quantities every fairness
-definition in §3 is written in terms of.
+The engine records its intake as typed columns — per position the
+forwarding time ``F(i, a)``, the participant slot and the ``trade_seq``;
+per participant the final ordinal position ``O(i, a)`` by ``trade_seq`` —
+the two quantities every fairness definition in §3 is written in terms
+of, with no per-trade object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 from repro.exchange.messages import Execution, TradeOrder
 from repro.exchange.order_book import LimitOrderBook
+from repro.metrics.records import UNFORWARDED
 
-__all__ = ["MatchingEngine", "ForwardedTrade"]
-
-
-@dataclass(frozen=True, slots=True)
-class ForwardedTrade:
-    """A trade as it crossed the ME boundary.
-
-    Attributes
-    ----------
-    order:
-        The trade order.
-    forward_time:
-        ``F(i, a)`` — true time the trade was handed to the ME.
-    position:
-        ``O(i, a)`` — 0-based ordinal of the trade in the ME's intake.
-    """
-
-    order: TradeOrder
-    forward_time: float
-    position: int
+__all__ = ["MatchingEngine"]
 
 
 class MatchingEngine:
@@ -64,10 +48,15 @@ class MatchingEngine:
     ) -> None:
         self.book = book if book is not None else LimitOrderBook()
         self.execute = execute
-        self.forwarded: List[ForwardedTrade] = []
-        # key -> its record in ``forwarded``: the one index O and F are
-        # read from.
-        self._by_key: Dict[Tuple[str, int], ForwardedTrade] = {}
+        # The intake, by position: ``F``, participant slot, ``trade_seq``.
+        self.forward_times = array("d")
+        self.intake_slots = array("i")
+        self.intake_seqs = array("q")
+        # Per participant slot (first forwarded first): ``O`` by
+        # ``trade_seq``, :data:`UNFORWARDED` for a trade not forwarded.
+        self.mp_ids: List[str] = []
+        self.positions: List[array] = []
+        self._slots: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def submit(self, order: TradeOrder, forward_time: float) -> List[Execution]:
@@ -75,12 +64,28 @@ class MatchingEngine:
 
         Returns the executions produced (empty when ``execute`` is off).
         """
-        key = order.key
-        if key in self._by_key:
-            raise ValueError(f"trade {key} forwarded to the matching engine twice")
-        record = ForwardedTrade(order, forward_time, len(self.forwarded))
-        self.forwarded.append(record)
-        self._by_key[key] = record
+        mp_id, seq = order.mp_id, order.trade_seq
+        slot = self._slots.get(mp_id)
+        if slot is None:
+            slot = self._slots[mp_id] = len(self.mp_ids)
+            self.mp_ids.append(mp_id)
+            self.positions.append(array("q"))
+        positions = self.positions[slot]
+        position = len(self.forward_times)
+        if seq == len(positions):
+            positions.append(position)
+        elif seq > len(positions):
+            positions.extend(array("q", [UNFORWARDED]) * (seq - len(positions)))
+            positions.append(position)
+        elif seq < 0:
+            raise ValueError(f"trade {order.key} has a negative trade_seq")
+        elif positions[seq] != UNFORWARDED:
+            raise ValueError(f"trade {order.key} forwarded to the matching engine twice")
+        else:
+            positions[seq] = position
+        self.forward_times.append(forward_time)
+        self.intake_slots.append(slot)
+        self.intake_seqs.append(seq)
         if self.execute:
             return self.book.submit(order, match_time=forward_time)
         return []
@@ -90,18 +95,25 @@ class MatchingEngine:
     # ------------------------------------------------------------------
     def position_of(self, key: Tuple[str, int]) -> Optional[int]:
         """``O(i, a)``: the trade's ordinal, or ``None`` if never forwarded."""
-        record = self._by_key.get(key)
-        return None if record is None else record.position
+        mp_id, seq = key
+        positions = self.positions_of(mp_id)
+        forwarded = 0 <= seq < len(positions) and positions[seq] != UNFORWARDED
+        return positions[seq] if forwarded else None
 
     def forward_time_of(self, key: Tuple[str, int]) -> Optional[float]:
         """``F(i, a)``: when the trade reached the ME, or ``None``."""
-        record = self._by_key.get(key)
-        return None if record is None else record.forward_time
+        return None if (position := self.position_of(key)) is None else self.forward_times[position]
+
+    def positions_of(self, mp_id: str) -> array:
+        """``O`` by ``trade_seq`` for one participant (empty if it had no
+        trade forwarded): may end before its last trade submitted."""
+        slot = self._slots.get(mp_id)
+        return array("q") if slot is None else self.positions[slot]
 
     @property
     def trade_count(self) -> int:
-        return len(self.forwarded)
+        return len(self.forward_times)
 
     def ordering(self) -> List[Tuple[str, int]]:
         """Final trade ordering as a list of ``(mp_id, trade_seq)`` keys."""
-        return [ft.order.key for ft in self.forwarded]
+        return [(self.mp_ids[slot], seq) for slot, seq in zip(self.intake_slots, self.intake_seqs)]

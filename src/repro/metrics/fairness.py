@@ -44,7 +44,8 @@ measured slower below n ≈ 20 000 (EXPERIMENTS.md, "Pairwise-fairness
 kernel").
 
 Also provided: the causality check of Eq. 4 (a participant's own trades
-must be ordered in submission order).
+must be ordered in submission order), the one implementation the
+theory module's checker shares.
 """
 
 from __future__ import annotations
@@ -53,12 +54,13 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.metrics.records import RunResult, TradeRecord
+from repro.metrics.records import RunResult, TradeRecord, TradeTable
 
 __all__ = [
     "FairnessReport",
     "evaluate_fairness",
     "causality_violations",
+    "causality_inversions",
     "pairwise_correct",
 ]
 
@@ -114,9 +116,9 @@ def pairwise_correct(a: TradeRecord, b: TradeRecord) -> Optional[bool]:
     return faster.position < slower.position
 
 
-def _sweep(keys: Sequence[Tuple[float, int, str]]) -> Tuple[List[int], List[int]]:
-    """Per key of a slowest-first ``(-response_time, -position, mp_id)``
-    list: the pairs it is the faster trade of, ``mp_id`` ignored.
+def _sweep(keys: Sequence[Tuple[float, int, int]]) -> Tuple[List[int], List[int]]:
+    """Per key of a slowest-first ``(-response_time, -position, mp_slot)``
+    list: the pairs it is the faster trade of, the participant ignored.
 
     Returns ``(correct, total)`` aligned with ``keys``: ``total[i]`` counts
     the keys with a strictly larger response time, ``correct[i]`` those of
@@ -144,23 +146,24 @@ def _sweep(keys: Sequence[Tuple[float, int, str]]) -> Tuple[List[int], List[int]
     return correct, total
 
 
-def _faster_trade_counts(race: Sequence[TradeRecord]) -> Tuple[List[int], List[int]]:
+def _faster_trade_counts(trades: TradeTable, race: Sequence[int]) -> Tuple[List[int], List[int]]:
     """One race's competing pairs, each booked to its faster trade.
 
-    Returns ``(correct, total)``, one entry per trade (in slowest-first
-    order): how many competing pairs it is the faster member of — ordered
-    correctly, and in all.
+    ``race`` holds rows of ``trades``.  Returns ``(correct, total)``, one
+    entry per trade (in slowest-first order): how many competing pairs it
+    is the faster member of — ordered correctly, and in all.
     """
-    keys = sorted((-t.response_time, -t.position, t.mp_id) for t in race)
+    response_times, positions, slots = trades.response_times, trades.positions, trades.mp_slots
+    keys = sorted((-response_times[row], -positions[row], slots[row]) for row in race)
     correct, total = _sweep(keys)
-    by_mp: Dict[str, List[int]] = {}
+    by_mp: Dict[int, List[int]] = {}
     for index, key in enumerate(keys):
         by_mp.setdefault(key[2], []).append(index)
     if len(by_mp) < len(keys):
         # Same-participant pairs do not compete: take them back out.
-        # Integer subtraction commutes; name order is the explicit order.
-        for mp_id in sorted(by_mp):
-            own = by_mp[mp_id]
+        # Integer subtraction commutes; slot order is the explicit order.
+        for slot in sorted(by_mp):
+            own = by_mp[slot]
             if len(own) > 1:
                 own_correct, own_total = _sweep([keys[index] for index in own])
                 for index, c, t in zip(own, own_correct, own_total):
@@ -171,36 +174,42 @@ def _faster_trade_counts(race: Sequence[TradeRecord]) -> Tuple[List[int], List[i
 
 def evaluate_fairness(result: RunResult) -> FairnessReport:
     """Compute the paper's fairness ratio over all speed races in a run."""
-    races = result.trades_by_trigger()
+    races = result.rows_by_trigger()
     correct = 0
     total = 0
     # Pair counts are commutative integer sums, but iterate races in
     # trigger order anyway — explicit order beats a suppression.
     for trigger in sorted(races):
-        race_correct, race_total = _faster_trade_counts(races[trigger])
+        race_correct, race_total = _faster_trade_counts(result.trades, races[trigger])
         correct += sum(race_correct)
         total += sum(race_total)
     return FairnessReport(
         correct_pairs=correct,
         total_pairs=total,
         races=len(races),
-        unordered_trades=len(result.trades) - len(result.completed_trades),
+        unordered_trades=len(result.trades) - len(result.completed_rows),
     )
 
 
+def causality_inversions(result: RunResult) -> List[Tuple[Tuple[str, int], Tuple[str, int]]]:
+    """Eq. 4: the same-participant pairs submitted earlier but ordered
+    later, as ``(earlier, later)`` keys.  DBO must never have one —
+    delivery clocks are monotone."""
+    trades = result.trades
+    submission_times, positions, seqs = trades.submission_times, trades.positions, trades.trade_seqs
+    by_mp: Dict[int, List[int]] = {}
+    for row in result.completed_rows:
+        by_mp.setdefault(trades.mp_slots[row], []).append(row)
+    inversions: List[Tuple[Tuple[str, int], Tuple[str, int]]] = []
+    # Participant slots in order: an explicit, hash-free order.
+    for slot in sorted(by_mp):
+        rows = sorted(by_mp[slot], key=submission_times.__getitem__)
+        for a, b in zip(rows, rows[1:]):
+            if submission_times[a] < submission_times[b] and positions[a] > positions[b]:
+                inversions.append(((trades.mp_ids[slot], seqs[a]), (trades.mp_ids[slot], seqs[b])))
+    return inversions
+
+
 def causality_violations(result: RunResult) -> int:
-    """Eq. 4: count same-participant inversions (submitted earlier but
-    ordered later).  DBO must always return 0 — delivery clocks are
-    monotone."""
-    violations = 0
-    by_mp: Dict[str, List[TradeRecord]] = {}
-    for trade in result.completed_trades:
-        by_mp.setdefault(trade.mp_id, []).append(trade)
-    # Violation counts are commutative integer sums over per-MP groups;
-    # iterate participants in name order for an explicit, hash-free order.
-    for mp_id in sorted(by_mp):
-        trades_sorted = sorted(by_mp[mp_id], key=lambda t: t.submission_time)
-        for earlier, later in zip(trades_sorted, trades_sorted[1:]):
-            if earlier.submission_time < later.submission_time and earlier.position > later.position:
-                violations += 1
-    return violations
+    """How many :func:`causality_inversions` the run has."""
+    return len(causality_inversions(result))

@@ -92,12 +92,16 @@ class LatencyStats:
 
 def trade_latencies(result: RunResult) -> List[float]:
     """Eq. 8 latency for every completed trade in the run."""
+    trades = result.trades
+    triggers, response_times = trades.trigger_points, trades.response_times
+    forward_times = trades.forward_times
+    generation_times = result.generation_times
     latencies: List[float] = []
-    for trade in result.completed_trades:
-        generation = result.generation_times.get(trade.trigger_point)
+    for row in result.completed_rows:
+        generation = generation_times.get(triggers[row])
         if generation is None:
             continue
-        latencies.append(trade.forward_time - generation - trade.response_time)
+        latencies.append(forward_times[row] - generation - response_times[row])
     return latencies
 
 
@@ -115,10 +119,12 @@ def max_rtt_bound_per_trade(result: RunResult) -> List[float]:
     """
     if result.reverse_latency_at is None:
         raise ValueError("run result carries no reverse-path latency accessor")
+    trades = result.trades
+    triggers, response_times = trades.trigger_points, trades.response_times
     bounds: List[float] = []
     participants = result.participant_ids
-    for trade in result.completed_trades:
-        x = trade.trigger_point
+    for row in result.completed_rows:
+        x = triggers[row]
         send = result.network_send_times.get(x)
         if send is None:
             continue
@@ -129,7 +135,7 @@ def max_rtt_bound_per_trade(result: RunResult) -> List[float]:
                 worst = None
                 break
             forward = raw_arrival - send
-            response_at = raw_arrival + trade.response_time
+            response_at = raw_arrival + response_times[row]
             reverse = result.reverse_latency_at(mp_id, response_at)
             rtt = forward + reverse
             if worst is None or rtt > worst:

@@ -6,15 +6,28 @@ Every deployment (DBO, Direct, CloudEx, FBA, Libra) reduces its run to a
 timestamps needed for the Max-RTT bound of Theorem 3.  All metrics and
 every benchmark table are pure functions of this record, so schemes are
 compared on identical footing.
+
+A run's trades are a :class:`TradeTable`: one typed column per field, so a
+finished run holds no per-trade object.  The metrics read the columns; a
+:class:`TradeRecord` is built only when a caller indexes or iterates the
+table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
-__all__ = ["TradeRecord", "RunResult"]
+__all__ = ["TradeRecord", "TradeTable", "RunResult", "UNFORWARDED"]
+
+# The position of a trade that never reached the matching engine, in the
+# table and in the matching engine's own columns; its forward time is NaN.
+UNFORWARDED = -1
 
 
 @dataclass(slots=True)
@@ -42,6 +55,88 @@ class TradeRecord:
         return self.forward_time is not None and self.position is not None
 
 
+# A record's fields in column order.
+_FIELDS = attrgetter(*(f.name for f in fields(TradeRecord)))
+
+
+class TradeTable(Sequence):
+    """A run's trades as columns: a read-only ``Sequence[TradeRecord]``.
+
+    Row ``r`` is the trade of participant ``mp_ids[mp_slots[r]]`` with
+    ``trade_seqs[r]``; ``forward_times[r]`` is NaN and ``positions[r]`` is
+    :data:`UNFORWARDED` where the record says ``None``.  ``intake`` lists
+    the rows that hold a position, in position order (ties in row order).
+    A :class:`TradeRecord` is built only when a row is indexed or iterated.
+    """
+
+    __slots__ = (
+        "mp_ids", "mp_slots", "trade_seqs", "trigger_points", "response_times",
+        "submission_times", "forward_times", "positions", "intake",
+    )
+
+    def __init__(
+        self,
+        mp_ids: Sequence,
+        mp_slots: array,
+        trade_seqs: array,
+        trigger_points: array,
+        response_times: array,
+        submission_times: array,
+        forward_times: array,
+        positions: array,
+        intake: array,
+    ) -> None:
+        self.mp_ids = tuple(mp_ids)
+        self.mp_slots = mp_slots
+        self.trade_seqs = trade_seqs
+        self.trigger_points = trigger_points
+        self.response_times = response_times
+        self.submission_times = submission_times
+        self.forward_times = forward_times
+        self.positions = positions
+        self.intake = intake
+
+    @classmethod
+    def from_records(cls, records: Iterable[TradeRecord]) -> "TradeTable":
+        """The table of ``records``, in their order."""
+        columns = list(zip(*map(_FIELDS, records))) or [()] * 7
+        slots = {mp_id: slot for slot, mp_id in enumerate(dict.fromkeys(columns[0]))}
+        forward_times = array("d", (math.nan if f is None else f for f in columns[5]))
+        positions = array("q", (UNFORWARDED if p is None else p for p in columns[6]))
+        intake = sorted((r for r, p in enumerate(positions) if p != UNFORWARDED), key=positions.__getitem__)
+        return cls(
+            list(slots), array("i", map(slots.__getitem__, columns[0])),
+            *map(array, "qqdd", columns[1:5]), forward_times, positions, array("q", intake),
+        )
+
+    def record(self, row: int) -> TradeRecord:
+        """Row ``row`` as a :class:`TradeRecord`."""
+        forward_time = self.forward_times[row]
+        position = self.positions[row]
+        return TradeRecord(
+            self.mp_ids[self.mp_slots[row]],
+            self.trade_seqs[row],
+            self.trigger_points[row],
+            self.response_times[row],
+            self.submission_times[row],
+            None if math.isnan(forward_time) else forward_time,
+            None if position == UNFORWARDED else position,
+        )
+
+    def __len__(self) -> int:
+        return len(self.trade_seqs)
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[TradeRecord, List[TradeRecord]]:
+        rows = range(len(self))[index]
+        return list(map(self.record, rows)) if isinstance(rows, range) else self.record(rows)
+
+    def __iter__(self) -> Iterator[TradeRecord]:
+        return map(self.record, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+
 @dataclass
 class RunResult:
     """Everything a metric needs from one scheme run.
@@ -51,7 +146,8 @@ class RunResult:
     scheme:
         Scheme label ("dbo", "direct", "cloudex", ...).
     trades:
-        One record per submitted trade.
+        One row per submitted trade.  A list of :class:`TradeRecord` is
+        converted to a :class:`TradeTable` once, at construction.
     generation_times:
         ``G(x)`` per point id.
     network_send_times:
@@ -82,7 +178,7 @@ class RunResult:
     """
 
     scheme: str
-    trades: List[TradeRecord]
+    trades: TradeTable
     generation_times: Dict[int, float]
     network_send_times: Dict[int, float]
     raw_arrivals: Dict[str, Mapping[int, float]]
@@ -92,26 +188,57 @@ class RunResult:
     counters: Dict[str, float] = field(default_factory=dict)
     channels: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.trades, TradeTable):
+            self.trades = TradeTable.from_records(self.trades)
+
     # ------------------------------------------------------------------
     @property
     def participant_ids(self) -> List[str]:
         return sorted(self.raw_arrivals)
 
     @cached_property
+    def completed_rows(self) -> array:
+        """The rows of the trades that reached the matching engine, built
+        once: a result's trades are final when it is assembled."""
+        trades = self.trades
+        return array(
+            "q",
+            (
+                row
+                for row, (forward_time, position) in enumerate(
+                    zip(trades.forward_times, trades.positions)
+                )
+                if position != UNFORWARDED and not math.isnan(forward_time)
+            ),
+        )
+
+    @property
     def completed_trades(self) -> List[TradeRecord]:
-        """The trades that reached the matching engine, built once: a
-        result's trades are final when it is assembled."""
-        return [t for t in self.trades if t.completed]
+        """The trades that reached the matching engine, as records."""
+        return [self.trades.record(row) for row in self.completed_rows]
+
+    def rows_by_trigger(self) -> Dict[int, array]:
+        """The completed rows grouped into speed races by trigger point."""
+        triggers = self.trades.trigger_points
+        races: Dict[int, array] = {}
+        for row in self.completed_rows:
+            race = races.get(triggers[row])
+            if race is None:
+                race = races[triggers[row]] = array("q")
+            race.append(row)
+        return races
 
     def trades_by_trigger(self) -> Dict[int, List[TradeRecord]]:
         """Group completed trades into speed races by trigger point."""
+        record, triggers = self.trades.record, self.trades.trigger_points
         races: Dict[int, List[TradeRecord]] = {}
-        for trade in self.completed_trades:
-            races.setdefault(trade.trigger_point, []).append(trade)
+        for row in self.completed_rows:
+            races.setdefault(triggers[row], []).append(record(row))
         return races
 
     def completion_ratio(self) -> float:
         """Fraction of submitted trades that reached the matching engine."""
         if not self.trades:
             return 1.0
-        return len(self.completed_trades) / len(self.trades)
+        return len(self.completed_rows) / len(self.trades)

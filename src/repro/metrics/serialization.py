@@ -12,11 +12,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from itertools import islice
 from typing import Any, Dict, List, Optional
 
 from repro.metrics.latency import max_rtt_bound_per_trade
-from repro.metrics.records import RunResult
+from repro.metrics.records import UNFORWARDED, RunResult, TradeTable
 
 __all__ = [
     "run_result_to_dict",
@@ -31,6 +32,27 @@ _FORMAT_VERSION = 1
 _DIGEST_CHUNK = 4096
 
 
+def _trades_to_dicts(trades: TradeTable) -> List[Dict[str, Any]]:
+    """One dict per row, ``None`` where the trade never reached the ME."""
+    mp_ids = trades.mp_ids
+    return [
+        {
+            "mp_id": mp_ids[slot],
+            "trade_seq": trade_seq,
+            "trigger_point": trigger_point,
+            "response_time": response_time,
+            "submission_time": submission_time,
+            "forward_time": None if math.isnan(forward_time) else forward_time,
+            "position": None if position == UNFORWARDED else position,
+        }
+        for slot, trade_seq, trigger_point, response_time, submission_time, forward_time, position
+        in zip(
+            trades.mp_slots, trades.trade_seqs, trades.trigger_points, trades.response_times,
+            trades.submission_times, trades.forward_times, trades.positions,
+        )
+    ]
+
+
 def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
     """A JSON-safe dict capturing the full run (bounds materialized)."""
     bounds: Optional[List[float]] = None
@@ -42,18 +64,7 @@ def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
         "duration": result.duration,
         "counters": dict(result.counters),
         "channels": {name: dict(c) for name, c in sorted(result.channels.items())},
-        "trades": [
-            {
-                "mp_id": t.mp_id,
-                "trade_seq": t.trade_seq,
-                "trigger_point": t.trigger_point,
-                "response_time": t.response_time,
-                "submission_time": t.submission_time,
-                "forward_time": t.forward_time,
-                "position": t.position,
-            }
-            for t in result.trades
-        ],
+        "trades": _trades_to_dicts(result.trades),
         # JSON objects have string keys.  Sorted iteration everywhere:
         # the on-disk key order must not depend on dict insertion history
         # (DBO103).
@@ -79,7 +90,8 @@ def trade_ordering_digest(result: RunResult) -> str:
     """SHA-256 digest of the run's matching-engine trade ordering.
 
     Covers every trade that reached the matching engine (``position`` not
-    ``None``), in position order — the determinism invariant the engine
+    ``None``), in position order (the table's ``intake``, so no sort) — the
+    determinism invariant the engine
     refactors must preserve: identical seeds ⇒ identical digest.  Robust
     to sub-µs timestamp jitter because only the *ordering* is hashed.
 
@@ -88,11 +100,11 @@ def trade_ordering_digest(result: RunResult) -> str:
     whole: the same bytes, so the same digest, without a payload string
     as large as the run.
     """
-    ordered = sorted(
-        (t for t in result.trades if t.position is not None),
-        key=lambda t: t.position,
+    trades = result.trades
+    mp_ids, slots, seqs, positions = (
+        trades.mp_ids, trades.mp_slots, trades.trade_seqs, trades.positions
     )
-    entries = (f"{t.mp_id}:{t.trade_seq}:{t.position};" for t in ordered)
+    entries = (f"{mp_ids[slots[row]]}:{seqs[row]}:{positions[row]};" for row in trades.intake)
     digest = hashlib.sha256()
     while True:
         chunk = "".join(islice(entries, _DIGEST_CHUNK))

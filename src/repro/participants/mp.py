@@ -8,12 +8,15 @@ itself (side/price/quantity) comes from a pluggable strategy.
 The MP is scheme-agnostic: it receives ``(points, delivery_time)`` from
 whatever delivery pipeline the scheme wires (RB under DBO/CloudEx, raw
 link under Direct) and submits :class:`TradeOrder` objects through a
-scheme-provided submitter.
+scheme-provided submitter.  It keeps no order: each trade's ground truth
+(trigger point, response time, submission time) goes to typed columns
+indexed by ``trade_seq``, the one copy a run result is assembled from.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from array import array
+from typing import Callable, Optional, Tuple
 
 from repro.exchange.messages import MarketDataPoint, TradeOrder
 from repro.participants.response_time import ResponseTimeModel, UniformResponseTime
@@ -62,8 +65,10 @@ class MarketParticipant:
         )
         self.strategy = strategy if strategy is not None else SpeedRacer(seed=mp_index)
         self._submitter = submitter
-        self._trade_seq = 0
-        self.submitted: List[TradeOrder] = []
+        # Ground truth per trade, indexed by ``trade_seq``.
+        self.trigger_points = array("q")
+        self.response_times = array("d")
+        self.submission_times = array("d")
         self.points_seen = 0
 
     def connect(self, submitter: TradeSubmitter) -> None:
@@ -91,7 +96,7 @@ class MarketParticipant:
             for intent in intents:
                 order = TradeOrder(
                     mp_id=self.mp_id,
-                    trade_seq=self._trade_seq,
+                    trade_seq=len(self.trigger_points),
                     side=intent.side,
                     price=intent.price,
                     quantity=intent.quantity,
@@ -101,8 +106,9 @@ class MarketParticipant:
                     response_time=response_time,
                     submission_time=submission_time,
                 )
-                self._trade_seq += 1
-                self.submitted.append(order)
+                self.trigger_points.append(point.point_id)
+                self.response_times.append(response_time)
+                self.submission_times.append(submission_time)
                 self.engine.schedule_at(submission_time, self._submit, 1, (order,))
 
     def _submit(self, order: TradeOrder) -> None:
@@ -112,4 +118,4 @@ class MarketParticipant:
 
     @property
     def trades_submitted(self) -> int:
-        return self._trade_seq
+        return len(self.trigger_points)

@@ -14,7 +14,9 @@ only thing that differs is the network and the ordering mechanism.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
 from repro.sim.randomness import _MASK64, splitmix64, stable_uniform
 
 __all__ = [
@@ -24,6 +26,12 @@ __all__ = [
     "SpeedTieredResponseTime",
     "RaceResponseTime",
 ]
+
+
+def _check_bounds(low: float, high: float) -> None:
+    """``ValueError`` unless ``0 <= low < high < inf`` (so neither is NaN)."""
+    if not 0 <= low < high < math.inf:
+        raise ValueError("need 0 <= low < high, both finite")
 
 
 class ResponseTimeModel:
@@ -46,8 +54,7 @@ class UniformResponseTime(ResponseTimeModel):
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.low < 0 or self.high <= self.low:
-            raise ValueError("need 0 <= low < high")
+        _check_bounds(self.low, self.high)
         # The seed's SplitMix64 round, hoisted (not a field: equality,
         # hashing and repr are unchanged).
         object.__setattr__(self, "_state0", splitmix64(self.seed & _MASK64))
@@ -141,10 +148,9 @@ class RaceResponseTime(ResponseTimeModel):
     def __post_init__(self) -> None:
         if self.n_participants <= 0:
             raise ValueError("n_participants must be positive")
-        if self.low < 0 or self.high <= self.low:
-            raise ValueError("need 0 <= low < high")
-        if self.gap <= 0:
-            raise ValueError("gap must be positive")
+        _check_bounds(self.low, self.high)
+        if not 0 < self.gap < math.inf:
+            raise ValueError("gap must be positive and finite")
 
     def rank(self, mp_index: int, point_id: int) -> int:
         """Participant's finishing rank in the race on ``point_id``."""

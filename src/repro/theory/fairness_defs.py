@@ -10,9 +10,11 @@ formal definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from itertools import permutations
+from typing import List, Optional, Tuple
 
-from repro.metrics.records import RunResult, TradeRecord
+from repro.metrics.fairness import causality_inversions
+from repro.metrics.records import RunResult
 
 __all__ = [
     "FairnessViolation",
@@ -20,6 +22,11 @@ __all__ = [
     "lrtf_violations",
     "causality_condition_violations",
 ]
+
+
+# Eq. 4: same-participant pairs ordered against submission order, one
+# implementation on the run's trade columns.
+causality_condition_violations = causality_inversions
 
 
 @dataclass(frozen=True)
@@ -43,49 +50,46 @@ class FairnessViolation:
 
 
 def _race_violations(
-    trades: List[TradeRecord],
+    result: RunResult,
     horizon: Optional[float],
     min_margin: float = 0.0,
-) -> Iterable[FairnessViolation]:
-    """Pairs violating C1 (horizon=None) or C2 (horizon=δ) in one race.
+) -> List[FairnessViolation]:
+    """Pairs violating C1 (horizon=None) or C2 (horizon=δ), race by race.
 
     ``min_margin`` excludes pairs whose response-time margin is below a
     threshold — used to account for RB clock drift ε, under which DBO
     only guarantees pairs with margin > ~2εδ (stamps are measured on
     clocks whose rates differ by up to 2ε).
     """
-    for i in range(len(trades)):
-        for j in range(len(trades)):
-            a, b = trades[i], trades[j]
-            if a.mp_id == b.mp_id:
-                continue
-            if not (a.completed and b.completed):
-                continue
-            if a.response_time >= b.response_time:
-                continue
-            if b.response_time - a.response_time <= min_margin:
-                continue
-            if horizon is not None and a.response_time >= horizon:
+    violations: List[FairnessViolation] = []
+    # A race holds completed trades only (`trades_by_trigger`).
+    for race in result.trades_by_trigger().values():
+        for a, b in permutations(race, 2):
+            if (
+                a.mp_id != b.mp_id
+                and a.response_time < b.response_time
+                and b.response_time - a.response_time > min_margin
                 # C2 constrains only trades faster than the horizon.
-                continue
-            if a.position > b.position:
-                yield FairnessViolation(
-                    faster=a.key,
-                    slower=b.key,
-                    trigger_point=a.trigger_point,
-                    faster_rt=a.response_time,
-                    slower_rt=b.response_time,
-                    faster_position=a.position,
-                    slower_position=b.position,
+                and (horizon is None or a.response_time < horizon)
+                and a.position > b.position
+            ):
+                violations.append(
+                    FairnessViolation(
+                        faster=a.key,
+                        slower=b.key,
+                        trigger_point=a.trigger_point,
+                        faster_rt=a.response_time,
+                        slower_rt=b.response_time,
+                        faster_position=a.position,
+                        slower_position=b.position,
+                    )
                 )
+    return violations
 
 
 def response_time_fairness_violations(result: RunResult) -> List[FairnessViolation]:
     """Definition 1 (C1): all speed races, no horizon restriction."""
-    violations: List[FairnessViolation] = []
-    for trades in result.trades_by_trigger().values():
-        violations.extend(_race_violations(trades, horizon=None))
-    return violations
+    return _race_violations(result, horizon=None)
 
 
 def lrtf_violations(
@@ -103,23 +107,4 @@ def lrtf_violations(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    violations: List[FairnessViolation] = []
-    for trades in result.trades_by_trigger().values():
-        violations.extend(
-            _race_violations(trades, horizon=delta, min_margin=min_margin)
-        )
-    return violations
-
-
-def causality_condition_violations(result: RunResult) -> List[Tuple[Tuple[str, int], Tuple[str, int]]]:
-    """Eq. 4: same-participant pairs ordered against submission order."""
-    violations: List[Tuple[Tuple[str, int], Tuple[str, int]]] = []
-    by_mp = {}
-    for trade in result.completed_trades:
-        by_mp.setdefault(trade.mp_id, []).append(trade)
-    for trades in by_mp.values():
-        ordered = sorted(trades, key=lambda t: t.submission_time)
-        for earlier, later in zip(ordered, ordered[1:]):
-            if earlier.submission_time < later.submission_time and earlier.position > later.position:
-                violations.append((earlier.key, later.key))
-    return violations
+    return _race_violations(result, horizon=delta, min_margin=min_margin)

@@ -207,7 +207,7 @@ class TestFirstReleasePastTheRun:
             deployment.run(duration=2000.0)
         assert str(raised.value) == f"{message}, after the run ends at 22000 µs (duration + drain)"
         assert deployment.engine.now == 0.0
-        assert all(not mp.submitted for mp in deployment.participants)
+        assert all(mp.trades_submitted == 0 for mp in deployment.participants)
 
     @pytest.mark.parametrize(
         "make",

@@ -324,6 +324,29 @@ class TestDeploymentErrors:
         assert message in self.error_of(["chaos", "--faults", str(path), *argv], capsys)
 
     @pytest.mark.parametrize(
+        "knob, value, message",
+        [
+            ("--rt-low", "nan", "need 0 <= low < high, both finite"),
+            ("--rt-high", "inf", "need 0 <= low < high, both finite"),
+            ("--race-gap", "nan", "gap must be positive and finite"),
+            ("--race-gap", "inf", "gap must be positive and finite"),
+        ],
+    )
+    def test_response_time_bounds_must_be_finite(self, capsys, knob, value, message):
+        # NaN used to reach the event queue ("cannot schedule event at
+        # nan") and an infinite bound printed NaN latencies.
+        argv = ["--participants", "3", "--duration", "2000", knob, value]
+        assert message in self.error_of(["run", *argv], capsys)
+        assert message in self.error_of(["compare", *argv], capsys)
+        assert message in self.error_of(["sweep", "--values", "10", *argv], capsys)
+
+    def test_sweep_prints_the_message_alone(self, capsys):
+        line = self.error_of(
+            ["sweep", "--values", "10", "--participants", "3", "--duration", "-5"], capsys
+        )
+        assert line == "repro: error: duration must be positive and finite"
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["table", "2", "--duration", "-1"], "duration must be positive and finite"),

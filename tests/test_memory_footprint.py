@@ -1,16 +1,22 @@
-"""What a run keeps: one key and one record per trade, slotted per-trade
-and per-participant records, and result series handed over, not copied.
+"""What a run keeps: each trade's ground truth once, as typed columns
+(no per-trade object outlives the run), slotted per-participant records,
+and result series handed over, not copied.
 
 The structural checks come first: they hold on every interpreter.  The
 byte bounds are ``tracemalloc`` readings of what a finished run still
 holds, taken as the difference between two run sizes so set-up and
 import costs cancel; each bound leaves at least 25 % headroom over the
-reading on CPython 3.11 (494 B per trade, 10 996 B per participant).
+reading on CPython 3.11 (155 B per trade, 9 676 B per participant).
 """
 
 import copy
 import gc
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -20,11 +26,11 @@ from repro.core.release_buffer import ReleaseBuffer
 from repro.experiments.registry import get_builder
 from repro.sim.runtime import Runtime
 
-# Retained bytes per trade on a flat DBO run (the trade's order, key,
-# RB tag, ME index entry, ForwardedTrade and TradeRecord; the OB release
-# log holds no per-trade object), and per participant on an aggregation
-# tree.
-BYTES_PER_TRADE = 620
+# Retained bytes per trade on a flat DBO run (the participants' three
+# columns, the matching engine's four, the result's trade table; the OB
+# release log holds no per-trade object), and per participant on an
+# aggregation tree.
+BYTES_PER_TRADE = 195
 BYTES_PER_PARTICIPANT = 13_735
 
 
@@ -39,18 +45,34 @@ def flat_run():
     return deployment, deployment.run(duration=2000.0, drain=2000.0)
 
 
-def stored(container, key):
-    """The object ``container`` itself holds that equals ``key``."""
-    return next(item for item in container if item == key)
-
-
 class TestStructure:
-    def test_per_trade_records_are_slotted(self, flat_run):
-        deployment, result = flat_run
-        forwarded = deployment.ces.matching_engine.forwarded
-        assert result.trades and forwarded
-        assert not hasattr(result.trades[0], "__dict__")
-        assert not hasattr(forwarded[0], "__dict__")
+    def test_no_per_trade_object_outlives_the_run(self):
+        # A fresh interpreter, so nothing another test built is counted.
+        script = textwrap.dedent(
+            """
+            import gc
+            from repro.baselines.base import default_network_specs
+            from repro.experiments.registry import get_builder
+            from repro.sim.runtime import Runtime
+
+            deployment = get_builder("dbo").build(
+                default_network_specs(4, seed=7), runtime=Runtime.create(seed=7)
+            )
+            result = deployment.run(duration=2000.0, drain=2000.0)
+            assert len(result.trades) > 100
+            gc.collect()
+            names = {"TradeOrder", "TaggedTrade", "ForwardedTrade", "TradeRecord"}
+            held = sorted({type(o).__name__ for o in gc.get_objects()} & names)
+            print(held)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {**os.environ, "PYTHONPATH": os.path.join(src, "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("kwargs", [{}, {"sync_target_c1": 30.0}], ids=["plain", "sync"])
     def test_release_buffers_are_slotted(self, kwargs):
@@ -62,20 +84,25 @@ class TestStructure:
             with pytest.raises(AttributeError):
                 rb.ad_hoc = 1
 
-    def test_one_key_object_per_trade(self, flat_run):
-        deployment, _ = flat_run
-        released = deployment.ordering_buffer._released
-        index = deployment.ces.matching_engine._by_key
-        forwarded = deployment.ces.matching_engine.forwarded
-        for record in forwarded:
-            key = record.order.key
-            assert key == (record.order.mp_id, record.order.trade_seq)
-            assert record.order.key is key
-            assert key in released
-            assert stored(index, key) is key
+    def test_trade_columns_are_arrays(self, flat_run):
+        deployment, result = flat_run
+        me = deployment.ces.matching_engine
+        columns = [me.forward_times, me.intake_slots, me.intake_seqs, *me.positions]
+        for mp in deployment.participants:
+            columns += [mp.trigger_points, mp.response_times, mp.submission_times]
+        trades = result.trades
+        columns += [
+            trades.mp_slots, trades.trade_seqs, trades.trigger_points, trades.response_times,
+            trades.submission_times, trades.forward_times, trades.positions, trades.intake,
+        ]
+        assert me.trade_count and len(trades)
+        for column in columns:
+            assert type(column) is array
         # The release log keeps runs of trade seqs, no key objects: a
         # clean flat run releases each participant's trades in seq order.
-        assert len(released) == len(forwarded)
+        released = deployment.ordering_buffer._released
+        assert all(key in released for key in me.ordering())
+        assert len(released) == me.trade_count
         assert released._overflow is None and released._set is None
 
     def test_only_dedup_channels_keep_a_seen_set(self, flat_run):

@@ -135,11 +135,15 @@ class TestMarketParticipant:
 
     def test_ground_truth_recorded(self):
         engine = EventEngine()
-        mp, _ = self.make_mp(engine)
+        mp, submitted = self.make_mp(engine)
         engine.schedule_at(10.0, lambda: mp.on_data((point(0), point(1)), 10.0))
         engine.run()
         assert mp.trades_submitted == 2
-        assert [o.trade_seq for o in mp.submitted] == [0, 1]
+        assert [o.trade_seq for o in submitted] == [0, 1]
+        # One typed column per ground-truth field, indexed by trade_seq.
+        assert list(mp.trigger_points) == [0, 1]
+        assert list(mp.response_times) == [5.0, 5.0]
+        assert list(mp.submission_times) == [15.0, 15.0]
 
     def test_non_opportunity_points_ignored(self):
         engine = EventEngine()

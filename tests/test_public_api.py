@@ -315,10 +315,22 @@ def test_one_key_and_one_record_per_trade():
     # The key is a field filled once, not a property.
     assert "key" in TradeOrder.__slots__
     assert not isinstance(TradeOrder.__dict__["key"], property)
-    # The matching engine keeps one index.
+    # The matching engine keeps its intake as typed columns, no per-trade
+    # object and no key index.
+    from array import array
+
     engine = MatchingEngine(execute=False)
-    for removed in ("_positions", "_forward_times"):
+    for removed in ("_positions", "_forward_times", "forwarded", "_by_key"):
         assert not hasattr(engine, removed), removed
+    engine.submit(TradeOrder("mp1", 2), forward_time=5.0)
+    engine.submit(TradeOrder("mp0", 0), forward_time=6.0)
+    for column in (engine.forward_times, engine.intake_slots, engine.intake_seqs, *engine.positions):
+        assert type(column) is array
+    assert engine.ordering() == [("mp1", 2), ("mp0", 0)]
+    assert list(engine.positions_of("mp1")) == [-1, -1, 0]
+    assert engine.position_of(("mp1", 1)) is None and engine.forward_time_of(("mp0", 0)) == 6.0
+    with pytest.raises(ValueError, match="forwarded to the matching engine twice"):
+        engine.submit(TradeOrder("mp1", 2), forward_time=7.0)
 
 
 def test_only_what_a_user_path_reaches():
@@ -362,6 +374,17 @@ def test_only_what_a_user_path_reaches():
         assert not hasattr(module, "fairness_by_rt_bucket")
     assert not hasattr(MulticastGroup, "remove_member")
     assert not hasattr(MatchingEngine, "on_execution")
+    # Nor a per-trade object beside the trade columns: the ME's forwarded
+    # records and key index, the participants' kept orders.
+    import repro.exchange.matching
+    from repro.participants.mp import MarketParticipant
+    from repro.sim.engine import EventEngine
+
+    for module in (repro.exchange, repro.exchange.matching):
+        assert not hasattr(module, "ForwardedTrade")
+    for name in ("forwarded", "_by_key"):
+        assert not hasattr(MatchingEngine(execute=False), name), name
+    assert not hasattr(MarketParticipant(EventEngine(), "mp0", 0), "submitted")
     assert not hasattr(CentralExchangeServer, "_on_execution")
     removed = {
         DBODeployment: ("risk_limits", "publish_executions", "piggyback_suppression"),
